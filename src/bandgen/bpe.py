@@ -203,7 +203,10 @@ def load_merges(text: str, base_vocab_size: int, target_size: int | None = None)
         parts = ln.split()
         if len(parts) != 3:
             raise DataError(f"merge file: bad line {ln!r}")
-        l, r, new = (int(x) for x in parts)
+        try:
+            l, r, new = (int(x) for x in parts)
+        except ValueError as e:
+            raise DataError(f"merge file: bad line {ln!r}") from e
         if new != expected:
             raise DataError(f"merge file: expected new id {expected}, got {new}")
         if not (0 <= l < new and 0 <= r < new):

@@ -77,6 +77,14 @@ def _require_file(path: str, flag: str) -> str:
     return path
 
 
+def _read_text(path: str, flag: str) -> str:
+    with open(_require_file(path, flag), encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{flag}: not UTF-8 text: {path}") from e
+
+
 def _listdir(path: str, suffixes: tuple[str, ...]) -> list[str]:
     names = sorted(n for n in os.listdir(path)
                    if n.lower().endswith(suffixes))
@@ -96,17 +104,11 @@ def is_test_song(song_id: str) -> bool:
     return digest[-1] % _TEST_FRACTION_MOD == 0
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-
-
 # -- commands --------------------------------------------------------------------
 
 
 def cmd_preprocess(args) -> int:
     started = time.time()
-    _check_jobs(args.jobs)
     midis = _listdir(_require_dir(args.in_dir, "--in"), (".mid", ".midi"))
     if not midis:
         raise MissingInput(f"--in: no .mid files in {args.in_dir}")
@@ -160,8 +162,8 @@ def cmd_tokenize(args) -> int:
 
 def cmd_bpe_train(args) -> int:
     started = time.time()
-    corpus = load_token_corpus(open(_require_file(args.corpus, "--corpus")).read())
-    vocab = load_vocab(open(_require_file(args.vocab, "--vocab")).read())
+    corpus = load_token_corpus(_read_text(args.corpus, "--corpus"))
+    vocab = load_vocab(_read_text(args.vocab, "--vocab"))
     lists = [ids for _, tracks in corpus for ids in tracks]
     model = learn_bpe(lists, vocab, args.vocab_size)
     _atomic_write(args.out, dump_merges(model))
@@ -186,23 +188,22 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    corpus = load_token_corpus(open(_require_file(args.tokens, "--tokens")).read())
-    vocab = load_vocab(open(_require_file(args.vocab, "--vocab")).read())
-    grids = load_feature_corpus(open(_require_file(args.features,
-                                                   "--features")).read())
+    corpus = load_token_corpus(_read_text(args.tokens, "--tokens"))
+    vocab = load_vocab(_read_text(args.vocab, "--vocab"))
+    grids = load_feature_corpus(_read_text(args.features, "--features"))
     if [n for n, _ in corpus] != [n for n, _ in grids]:
         raise PairMismatch("token corpus and feature corpus list different songs")
 
     bpe_model = None
     vocab_size = vocab.size
     if args.merges:
-        bpe_model = load_merges(open(_require_file(args.merges, "--merges")).read(),
+        bpe_model = load_merges(_read_text(args.merges, "--merges"),
                                 vocab.size)
         vocab_size = bpe_model.vocab_size
 
     train_ids = [i for i, (name, _) in enumerate(corpus)
                  if not is_test_song(name)]
-    test_ids = [i for i in range(len(corpus)) if i not in set(train_ids)]
+    test_ids = [i for i, (name, _) in enumerate(corpus) if is_test_song(name)]
     if not train_ids:
         raise DataError("hash split left no training songs")
 
@@ -242,10 +243,10 @@ def cmd_generate(args) -> int:
     started = time.time()
     params, cfg = load_checkpoint_file(_require_file(args.checkpoint,
                                                      "--checkpoint"))
-    vocab = load_vocab(open(_require_file(args.vocab, "--vocab")).read())
+    vocab = load_vocab(_read_text(args.vocab, "--vocab"))
     bpe_model = None
     if args.merges:
-        bpe_model = load_merges(open(_require_file(args.merges, "--merges")).read(),
+        bpe_model = load_merges(_read_text(args.merges, "--merges"),
                                 vocab.size)
     expected = bpe_model.vocab_size if bpe_model else vocab.size
     if cfg.vocab_size != expected:
@@ -319,8 +320,7 @@ def cmd_stats(args) -> int:
     if any(rep.endswith("_bpe") for rep in reps):
         if not args.merges:
             raise UsageError("bpe representations need --merges")
-        bpe_model = load_merges(open(_require_file(args.merges,
-                                                   "--merges")).read(),
+        bpe_model = load_merges(_read_text(args.merges, "--merges"),
                                 build_vocab().size)
 
     vocab = build_vocab()
@@ -365,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-bars", type=int, default=16)
     p.add_argument("--max-bars", type=int, default=16)
     p.add_argument("--stride", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism cap (current implementation is serial)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("tokenize", help="song dir -> token corpus + vocab")

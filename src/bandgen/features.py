@@ -247,28 +247,34 @@ def load_feature_grid(text: str) -> FeatureGrid:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("GRID n_bars="):
         raise DataError("feature grid: missing GRID header")
-    n_bars = int(lines[0].split("=", 1)[1])
+    try:
+        n_bars = int(lines[0].split("=", 1)[1])
+    except ValueError as e:
+        raise DataError(f"feature grid: bad header {lines[0]!r}") from e
     instruments: dict[int, str] = {}
     cells: dict[tuple[int, int], dict] = {}
     vq: dict[tuple[int, int], tuple[int, ...]] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "G":
-            inst = parts[2]
-            if inst not in INSTRUMENTS:
-                raise DataError(f"feature grid: unknown instrument {inst!r}")
-            instruments[int(parts[1])] = inst
-        elif parts[0] == "F":
-            cell = {}
-            for kv in parts[3:]:
-                k, v = kv.split("=", 1)
-                cell[k] = int(v)
-            cells[(int(parts[1]), int(parts[2]))] = cell
-        elif parts[0] == "V":
-            vq[(int(parts[1]), int(parts[2]))] = tuple(
-                int(x) for x in parts[3].split(","))
-        else:
-            raise DataError(f"feature grid: bad line {ln!r}")
+        try:
+            if parts[0] == "G":
+                inst = parts[2]
+                if inst not in INSTRUMENTS:
+                    raise DataError(f"feature grid: unknown instrument {inst!r}")
+                instruments[int(parts[1])] = inst
+            elif parts[0] == "F":
+                cell = {}
+                for kv in parts[3:]:
+                    k, v = kv.split("=", 1)
+                    cell[k] = int(v)
+                cells[(int(parts[1]), int(parts[2]))] = cell
+            elif parts[0] == "V":
+                vq[(int(parts[1]), int(parts[2]))] = tuple(
+                    int(x) for x in parts[3].split(","))
+            else:
+                raise DataError(f"feature grid: bad line {ln!r}")
+        except (ValueError, IndexError) as e:
+            raise DataError(f"feature grid: bad line {ln!r}") from e
     if sorted(instruments) != list(range(len(instruments))):
         raise DataError("feature grid: track indices not dense")
     n_tracks = len(instruments)

@@ -4,12 +4,11 @@ sampling, and checkpoints."""
 from .autograd import Tensor, set_finite_checks
 from .checkpoint import (dump_checkpoint, load_checkpoint,
                          load_checkpoint_file, save_checkpoint_file)
-from .model import (ModelConfig, bar_similarity, bottom_decode, clone_config,
-                    ctt_forward, dump_config, embed_conditions, embed_tokens,
+from .model import (ModelConfig, bar_similarity, bottom_decode, ctt_forward,
+                    dump_config, embed_conditions, embed_tokens,
                     encode_features, expand_similarity, init_params,
-                    load_config, loss_from_probs, make_config, model_forward,
-                    project_logits, project_probs, se_attention,
-                    sequence_loss, top_decode, trainable)
+                    load_config, make_config, model_forward, project_logits,
+                    se_attention, sequence_loss, top_decode)
 from .optim import Adam, schedule_lr
 from .sampling import (GenerationResult, SampleEvent, generate,
                        repair_track_ids, top_k_count)
@@ -20,13 +19,13 @@ from .vqvae import (assign_codes, bar_units, quantize_vectors, train_vqvae,
 __all__ = [
     "Adam", "GenerationResult", "ModelConfig", "SampleEvent", "Tensor",
     "assign_codes", "bar_similarity", "bar_units", "batch_loss",
-    "bottom_decode", "clone_config", "ctt_forward", "dump_checkpoint",
+    "bottom_decode", "ctt_forward", "dump_checkpoint",
     "dump_config", "embed_conditions", "embed_tokens", "encode_features",
     "expand_similarity", "generate", "gradient_check", "init_params",
     "load_checkpoint", "load_checkpoint_file", "load_config",
-    "loss_from_probs", "make_config", "mean_loss", "model_forward",
-    "project_logits", "project_probs", "quantize_vectors", "repair_track_ids",
+    "make_config", "mean_loss", "model_forward",
+    "project_logits", "quantize_vectors", "repair_track_ids",
     "save_checkpoint_file", "schedule_lr", "se_attention", "sequence_loss",
     "set_finite_checks", "top_decode", "top_k_count", "train_model",
-    "train_step", "train_vqvae", "trainable", "vq_layer", "vq_quantize",
+    "train_step", "train_vqvae", "vq_layer", "vq_quantize",
 ]

@@ -300,28 +300,7 @@ def take(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"take: ids outside table of {table.data.shape[0]} rows")
-    out = Tensor(table.data[ids], parents=(table,), op="take")
-
-    def backward(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-            table._accumulate(full)
-    out._backward = backward
-    return out
-
-
-def take_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray) -> Tensor:
-    """Gather rows: out[j, :] = x[idx0[j], idx1[j], :]."""
-    out = Tensor(x.data[idx0, idx1], parents=(x,), op="take_pairs")
-
-    def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.add.at(full, (idx0, idx1), g)
-            x._accumulate(full)
-    out._backward = backward
-    return out
+    return table[ids]
 
 
 def put_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, updates: Tensor) -> Tensor:
@@ -338,30 +317,6 @@ def put_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, updates: Tensor) ->
             x._accumulate(gx)
         if updates.requires_grad:
             updates._accumulate(g[idx0, idx1])
-    out._backward = backward
-    return out
-
-
-def expand_bars(S: Tensor, bar_idx: np.ndarray) -> Tensor:
-    """Tile bar-level scores to token resolution.
-
-    S: [I, B, B]; bar_idx: [I, T] integer bar of each token position.
-    Output [I, T, T] with out[i, t1, t2] = S[i, bar_idx[i,t1], bar_idx[i,t2]].
-    """
-    I, T = bar_idx.shape
-    rows = bar_idx[:, :, None]          # [I, T, 1]
-    cols = bar_idx[:, None, :]          # [I, 1, T]
-    tracks = np.arange(I)[:, None, None]
-    data = S.data[tracks, rows, cols]
-    out = Tensor(data, parents=(S,), op="expand_bars")
-
-    def backward(g):
-        if S.requires_grad:
-            full = np.zeros_like(S.data)
-            np.add.at(full, (np.broadcast_to(tracks, g.shape),
-                             np.broadcast_to(rows, g.shape),
-                             np.broadcast_to(cols, g.shape)), g)
-            S._accumulate(full)
     out._backward = backward
     return out
 

@@ -2,7 +2,9 @@
 
 Layout: magic "BGCK", format version, UTF-8 config block, then each named
 float64 block as (name, shape, row-major little-endian payload), in sorted
-name order. Loading reproduces every array bit-exactly.
+name order. Loading reproduces every array bit-exactly. Every block is a
+trained weight; fixed position tables are recomputed from the config, and
+version 1 files, which stored them as blocks, are refused.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .autograd import Tensor
 from .model import ModelConfig, dump_config, load_config
 
 _MAGIC = b"BGCK"
-_VERSION = 1
+_VERSION = 2
 
 
 def _pack_bytes(payload: bytes) -> bytes:
@@ -56,7 +58,13 @@ class _Cursor:
 
 
 def load_checkpoint(blob: bytes) -> tuple[dict[str, Tensor], ModelConfig]:
-    cur = _Cursor(blob)
+    try:
+        return _parse(_Cursor(blob))
+    except ValueError as e:  # bad UTF-8, or a payload that misfits its shape
+        raise DataError(f"checkpoint: {e}") from e
+
+
+def _parse(cur: _Cursor) -> tuple[dict[str, Tensor], ModelConfig]:
     if cur.take(4) != _MAGIC:
         raise DataError("not a checkpoint file")
     version = cur.u32()
@@ -70,9 +78,7 @@ def load_checkpoint(blob: bytes) -> tuple[dict[str, Tensor], ModelConfig]:
         ndim = cur.u32()
         shape = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
         data = np.frombuffer(cur.block(), dtype="<f8").reshape(shape).copy()
-        # fixed sinusoidal tables are the only non-trainable blocks
-        trainable = name not in ("pe", "pe_bar", "vq_pe", "vq_dec_pe")
-        params[name] = Tensor(data, requires_grad=trainable)
+        params[name] = Tensor(data, requires_grad=True)
     return params, config
 
 

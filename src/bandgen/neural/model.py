@@ -14,24 +14,20 @@ per-track. All arrays are float64 under the local autograd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import (BarCountMismatch, BarIndexOutOfRange, BinOutOfVocab,
                       DataError, IdOutOfVocab)
-from ..features import (CT_SIZE, DD_SIZE, DT_SIZE, FeatureGrid, MD_SIZE,
-                        MP_SIZE, MV_SIZE, ND_SIZE)
+from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, PITCHED_KEYS_FEATURE,
+                        FeatureGrid)
 from ..tokens import PAD_ID, TrackTokenSeqs
-from .autograd import (Tensor, concat, cross_entropy_logits, expand_bars,
-                       layer_norm, masked_fill, ones_param, parameter,
-                       put_pairs, softmax, take, take_pairs, zeros_param)
+from .autograd import (Tensor, concat, cross_entropy_logits, layer_norm,
+                       masked_fill, ones_param, parameter, put_pairs, softmax,
+                       take, zeros_param)
 
-_DRUM_FEATS = ("dt", "dd")
-_PITCHED_FEATS = ("nd", "mp", "md", "mv")
-_FEAT_SIZES = {"dt": DT_SIZE + 1, "dd": DD_SIZE + 1, "nd": ND_SIZE + 1,
-               "mp": MP_SIZE + 1, "md": MD_SIZE + 1, "mv": MV_SIZE + 1,
-               "ct": CT_SIZE}
 N_VQ_GROUPS = 8
 
 
@@ -67,7 +63,7 @@ class ModelConfig:
     preset: str = "toy"
 
     def __post_init__(self):
-        if self.d % self.heads:
+        if self.heads < 1 or self.d % self.heads:
             raise DataError("model width must divide evenly across heads")
         if self.d_latent % N_VQ_GROUPS:
             raise DataError("latent width must split into 8 groups")
@@ -113,22 +109,31 @@ def load_config(text: str) -> ModelConfig:
         if key not in names:
             raise DataError(f"config: unknown key {key!r}")
         current = getattr(defaults, key)
-        if isinstance(current, bool):
-            kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            kwargs[key] = int(value)
-        elif isinstance(current, float):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        try:
+            if isinstance(current, bool):
+                kwargs[key] = value.lower() in ("1", "true", "yes")
+            elif isinstance(current, int):
+                kwargs[key] = int(value)
+            elif isinstance(current, float):
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = value
+        except ValueError as e:
+            raise DataError(f"config: bad value in {ln!r}") from e
     return ModelConfig(**kwargs)
 
 
+@functools.cache
 def sinusoidal_table(length: int, d: int) -> np.ndarray:
+    """Fixed position table [length, d]; built once per shape, read-only.
+
+    Callers slice the table built at the configured maximum length, so the
+    values do not depend on how many rows a forward pass uses."""
     pos = np.arange(length)[:, None]
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
     return table
 
 
@@ -178,8 +183,9 @@ def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
 
     for feat in ("ct", "dt", "dd", "nd", "mp", "md", "mv"):
-        params[f"fe_{feat}"] = parameter(rng, _FEAT_SIZES[feat],
-                                         getattr(cfg, f"e_{feat}"))
+        # numeric features add a row for their empty-bar sentinel bin
+        rows = FEATURE_SIZES[feat] + (feat != "ct")
+        params[f"fe_{feat}"] = parameter(rng, rows, getattr(cfg, f"e_{feat}"))
     params["fe_vq"] = parameter(rng, cfg.codebook_size, cfg.e_vq)
     _linear_block(params, rng, "proj_drum", drum_input_width(cfg), cfg.d)
     _linear_block(params, rng, "proj_pitched", pitched_input_width(cfg), cfg.d)
@@ -187,8 +193,6 @@ def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
     params["te"] = parameter(rng, cfg.vocab_size, cfg.d)
     params["be"] = parameter(rng, cfg.b_max, cfg.d)
     params["ie"] = parameter(rng, cfg.n_tracks, cfg.d)
-    params["pe"] = Tensor(sinusoidal_table(cfg.t_max, cfg.d))
-    params["pe_bar"] = Tensor(sinusoidal_table(cfg.b_max, cfg.d))
 
     for l in range(cfg.layers_enc):
         _encoder_layer(params, rng, f"enc{l}", cfg)
@@ -204,10 +208,6 @@ def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
     params["heads_w"] = parameter(rng, cfg.n_tracks, cfg.d, cfg.vocab_size)
     params["heads_b"] = zeros_param(cfg.n_tracks, cfg.vocab_size)
     return params
-
-
-def trainable(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: v for k, v in params.items() if v.requires_grad}
 
 
 # -- building blocks ------------------------------------------------------------
@@ -303,7 +303,7 @@ def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tenso
                                                       N_VQ_GROUPS * cfg.e_vq)
             if inst == "Drum":
                 segs = [take(params[f"fe_{f}"], _cell_bins(grid, ti, f))
-                        for f in _DRUM_FEATS]
+                        for f in DRUM_KEYS_FEATURE]
                 cell = concat(segs + [vq], axis=-1)
                 proj = _linear(cell, params, "proj_drum")
             else:
@@ -311,7 +311,7 @@ def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tenso
                        for j in range(4)]
                 ct = (cts[0] + cts[1] + cts[2] + cts[3]) * 0.25
                 segs = [take(params[f"fe_{f}"], _cell_bins(grid, ti, f))
-                        for f in _PITCHED_FEATS]
+                        for f in PITCHED_KEYS_FEATURE]
                 cell = concat([ct] + segs + [vq], axis=-1)
                 proj = _linear(cell, params, "proj_pitched")
             rows.append(proj.reshape(1, grid.n_bars, cfg.d))
@@ -324,7 +324,7 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     """E [I, B, d]: full self-attention over bars, bar index added as
     sinusoidal position information; weights shared across tracks."""
     B = C.shape[1]
-    x = C + params["pe_bar"][:B]
+    x = C + Tensor(sinusoidal_table(cfg.b_max, cfg.d)[:B])
     return _encoder_stack(x, params, "enc", cfg.layers_enc, cfg)
 
 
@@ -339,7 +339,7 @@ def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig) -> Tensor
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
     I, T = ids.shape
     x = take(params["te"], ids)
-    x = x + params["pe"][:T]
+    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d)[:T])
     x = x + take(params["be"], bar_idx)
     x = x + take(params["ie"], np.arange(I)).reshape(I, 1, cfg.d)
     return x
@@ -355,12 +355,14 @@ def bar_similarity(E: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
 
 
 def expand_similarity(S: Tensor, bar_index: np.ndarray) -> Tensor:
-    """S~ [I, T, T] tiling bar-level scores over token positions."""
+    """S~ [I, T, T] tiling bar-level scores over token positions:
+    S~[i, t1, t2] = S[i, bar_index[i, t1], bar_index[i, t2]]."""
     bar_index = np.asarray(bar_index, dtype=np.int64)
     if bar_index.size and bar_index.max() >= S.shape[-1]:
         raise BarIndexOutOfRange(
             f"bar index {bar_index.max()} >= {S.shape[-1]} bars")
-    return expand_bars(S, bar_index)
+    tracks = np.arange(bar_index.shape[0])[:, None, None]
+    return S[tracks, bar_index[:, :, None], bar_index[:, None, :]]
 
 
 def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
@@ -410,7 +412,7 @@ def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
     idx0 = np.repeat(np.arange(I), B)
     idx1 = np.concatenate([np.asarray(p[:B], dtype=np.int64)
                            for p in bar_token_positions])
-    gathered = take_pairs(x, idx0, idx1)          # [I*B, d]
+    gathered = x[idx0, idx1]                      # [I*B, d]
     seq = gathered.reshape(I, B, cfg.d).transpose(1, 0, 2)  # [B, I, d]
     encoded = _encoder_stack(seq, params, "ctt", cfg.layers_ctt, cfg)
     updates = encoded.transpose(1, 0, 2).reshape(I * B, cfg.d)
@@ -421,10 +423,6 @@ def project_logits(O: Tensor, params: dict) -> Tensor:
     """Raw per-track logits [I, T, V]; softmax for the probability form."""
     return O @ params["heads_w"] + params["heads_b"].reshape(
         params["heads_b"].shape[0], 1, params["heads_b"].shape[1])
-
-
-def project_probs(O: Tensor, params: dict) -> Tensor:
-    return softmax(project_logits(O, params), axis=-1)
 
 
 def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
@@ -455,17 +453,3 @@ def sequence_loss(logits: Tensor, seqs: TrackTokenSeqs) -> tuple[Tensor, int]:
     mask = targets != PAD_ID
     return cross_entropy_logits(pred, targets, mask)
 
-
-def loss_from_probs(probs: np.ndarray, targets: np.ndarray,
-                    mask: np.ndarray) -> float:
-    """Audit-path loss on explicit probability rows (no gradient)."""
-    rows = np.arange(len(targets))
-    p = probs[rows, targets]
-    m = np.asarray(mask, dtype=bool)
-    with np.errstate(divide="ignore"):
-        logs = np.where(m, -np.log(np.maximum(p, 0.0)), 0.0)
-    return float(logs.sum())
-
-
-def clone_config(cfg: ModelConfig, **overrides) -> ModelConfig:
-    return replace(cfg, **overrides)

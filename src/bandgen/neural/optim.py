@@ -10,12 +10,14 @@ from .autograd import Tensor
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8):
-        self.params = {k: v for k, v in params.items() if v.requires_grad}
+        self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
+        # np.zeros takes zeroed pages from the OS lazily; zeros_like would
+        # write both moment buffers in full before the first step
+        self.m = {k: np.zeros(v.data.shape) for k, v in self.params.items()}
+        self.v = {k: np.zeros(v.data.shape) for k, v in self.params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -7,7 +7,7 @@ import numpy as np
 from ..features import FeatureGrid
 from ..tokens import TrackTokenSeqs
 from .autograd import Tensor
-from .model import ModelConfig, init_params, model_forward, sequence_loss, trainable
+from .model import ModelConfig, init_params, model_forward, sequence_loss
 from .optim import Adam, schedule_lr
 
 Pair = tuple[TrackTokenSeqs, FeatureGrid]
@@ -65,7 +65,7 @@ def gradient_check(pairs: list[Pair], params: dict[str, Tensor],
                    coords_per_block: int = 3) -> dict[str, float]:
     """Central finite differences against the analytic gradient.
 
-    For every trainable block, the coordinates with the largest analytic
+    For every parameter block, the coordinates with the largest analytic
     gradient magnitudes are perturbed; returns max relative error per block.
     Coordinates where both sides sit below the difference quotient's own
     roundoff resolution (eps * |loss| / 2h) are unresolvable by this method
@@ -83,7 +83,7 @@ def gradient_check(pairs: list[Pair], params: dict[str, Tensor],
         return float(l.data)
 
     report: dict[str, float] = {}
-    for name, p in sorted(trainable(params).items()):
+    for name, p in sorted(params.items()):
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         flat = np.abs(grad).reshape(-1)
         order = np.argsort(-flat)[:coords_per_block]

@@ -93,7 +93,6 @@ def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
     hidden = 4 * d_l
     params: dict[str, Tensor] = {
         "vq_te": parameter(rng, cfg.vocab_size, d_l),
-        "vq_pe": Tensor(sinusoidal_table(MAX_BAR_TOKENS, d_l)),
         "vq_enc1_w": parameter(rng, d_l, hidden),
         "vq_enc1_b": zeros_param(hidden),
         "vq_enc2_w": parameter(rng, hidden, d_l),
@@ -102,7 +101,6 @@ def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
                                  scale=0.5),
         "vq_dec1_w": parameter(rng, d_l, hidden),
         "vq_dec1_b": zeros_param(hidden),
-        "vq_dec_pe": Tensor(sinusoidal_table(MAX_BAR_TOKENS, hidden)),
         "vq_out_w": parameter(rng, hidden, cfg.vocab_size),
         "vq_out_b": zeros_param(cfg.vocab_size),
     }
@@ -124,7 +122,9 @@ def encode_units(ids: np.ndarray, mask: np.ndarray,
                  params: dict[str, Tensor]) -> Tensor:
     """Mean-pool embedded tokens (with positions) and project to z_e."""
     n, width = ids.shape
-    emb = take(params["vq_te"], ids) + params["vq_pe"][:width]
+    d_l = params["vq_te"].shape[1]
+    emb = take(params["vq_te"], ids) + Tensor(
+        sinusoidal_table(MAX_BAR_TOKENS, d_l)[:width])
     m = Tensor(mask[:, :, None])
     inv_counts = Tensor(1.0 / np.maximum(mask.sum(axis=1), 1.0)[:, None])
     pooled = (emb * m).sum(axis=1) * inv_counts
@@ -137,7 +137,8 @@ def decode_units(st: Tensor, width: int, params: dict[str, Tensor]) -> Tensor:
     h = (st @ params["vq_dec1_w"] + params["vq_dec1_b"])
     n = h.shape[0]
     hidden = h.shape[1]
-    pos = (h.reshape(n, 1, hidden) + params["vq_dec_pe"][:width]).relu()
+    pos = (h.reshape(n, 1, hidden) + Tensor(
+        sinusoidal_table(MAX_BAR_TOKENS, hidden)[:width])).relu()
     return pos @ params["vq_out_w"] + params["vq_out_b"]
 
 

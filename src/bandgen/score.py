@@ -310,7 +310,10 @@ def load_song(text: str) -> Song:
             raise DataError(f"song text: track {idx} declared as two instruments")
         notes.setdefault(idx, [])
         if len(parts) == 6:
-            onset, pitch, dur, vel = (int(x) for x in parts[2:])
+            try:
+                onset, pitch, dur, vel = (int(x) for x in parts[2:])
+            except ValueError as e:
+                raise DataError(f"song text: bad note in {ln!r}") from e
             notes[idx].append(Note(pitch, onset, dur, vel))
 
     if sorted(insts) != list(range(len(insts))):
@@ -327,7 +330,11 @@ def save_song(song: Song, path: str) -> None:
 
 def load_song_file(path: str) -> Song:
     with open(path, encoding="utf-8") as f:
-        return load_song(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise DataError(f"song file is not UTF-8 text: {path}") from e
+    return load_song(text)
 
 
 def copy_song(song: Song) -> Song:

@@ -24,7 +24,6 @@ BOS_ID = 1
 EOS_ID = 2
 
 NOTE_KINDS = frozenset({"Pitch", "PitchDrum", "Duration", "Velocity"})
-METRIC_KINDS = frozenset({"Instrument", "BarNormal", "BarEmpty", "Position", "BOS", "EOS"})
 
 # 31 percussion keys: GM 35-59 plus a folded low-range group
 DRUM_KEYS = tuple(sorted(set(range(35, 60)) | {25, 26, 27, 28, 29, 31}))
@@ -408,7 +407,10 @@ def load_token_corpus(text: str) -> list[tuple[str, list[list[int]]]]:
         else:
             if not entries:
                 raise DataError("token corpus: ids before any #SONG header")
-            entries[-1][1].append([int(x) for x in ln.split()])
+            try:
+                entries[-1][1].append([int(x) for x in ln.split()])
+            except ValueError as e:
+                raise DataError(f"token corpus: bad id line {ln!r}") from e
     return entries
 
 
@@ -423,15 +425,18 @@ def load_vocab(text: str) -> Vocab:
     for ln in text.splitlines():
         if not ln.strip():
             continue
-        idx, spec = ln.split(None, 1)
-        kind, value = spec.split(":", 1)
-        if int(idx) != count:
-            raise DataError("vocab file: ids not dense")
+        try:
+            idx, spec = ln.split(None, 1)
+            kind, value = spec.split(":", 1)
+            if int(idx) != count:
+                raise DataError("vocab file: ids not dense")
+            if kind == "Position":
+                positions.append(int(value))
+            elif kind == "Duration":
+                mesh.append(int(value))
+        except ValueError as e:
+            raise DataError(f"vocab file: bad line {ln!r}") from e
         count += 1
-        if kind == "Position":
-            positions.append(int(value))
-        elif kind == "Duration":
-            mesh.append(int(value))
     if not positions:
         raise DataError("vocab file: no Position tokens")
     grid = TICKS_PER_BAR // len(positions)

@@ -16,7 +16,7 @@ from bandgen.features import extract_expert_features, quantize_features
 from bandgen.metrics import evaluate_pair
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import (ctt_forward, expand_similarity, init_params,
-                                  make_config, se_attention, trainable)
+                                  make_config, se_attention)
 from bandgen.neural.sampling import generate, top_k_count
 from bandgen.neural.training import gradient_check, mean_loss, train_model
 from bandgen.neural.vqvae import vq_quantize
@@ -276,9 +276,9 @@ def test_08_finite_difference_gradients(acceptance_log, vocab):
     pair = _make_pair(make_song(seed=3, n_bars=2), vocab)
     params = init_params(cfg)
     # generic evaluation point: zero-init blocks have unresolvably tiny
-    # gradients, so every trainable block is nudged off the origin
+    # gradients, so every parameter block is nudged off the origin
     rng = np.random.default_rng(8)
-    for _, p in sorted(trainable(params).items()):
+    for _, p in sorted(params.items()):
         p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
     report = gradient_check([pair], params, cfg, h=1e-5, coords_per_block=2)
     worst_block = max(report, key=report.get)

@@ -5,9 +5,10 @@ import pytest
 
 from bandgen.errors import NonFiniteError
 from bandgen.neural.autograd import (Tensor, concat, cross_entropy_logits,
-                                     expand_bars, layer_norm, masked_fill,
-                                     put_pairs, set_finite_checks, softmax,
-                                     straight_through, take, take_pairs)
+                                     layer_norm, masked_fill, put_pairs,
+                                     set_finite_checks, softmax,
+                                     straight_through, take)
+from bandgen.neural.model import expand_similarity
 
 RNG = np.random.default_rng(42)
 H = 1e-6
@@ -159,12 +160,20 @@ def test_take_embedding_gradient():
 
 
 def test_take_pairs_and_put_pairs():
+    # the cross-track layer gathers (track, position) rows with __getitem__
+    # and writes them back with put_pairs
     x = RNG.standard_normal((2, 5, 3))
     i0 = np.array([0, 0, 1])
     i1 = np.array([1, 4, 2])
     t = Tensor(x.copy(), requires_grad=True)
-    picked = take_pairs(t, i0, i1)
+    picked = t[i0, i1]
     np.testing.assert_array_equal(picked.data, x[i0, i1])
+    seed = RNG.standard_normal((3, 3))
+    picked.backward(seed)
+    expect_grad = np.zeros_like(x)
+    np.add.at(expect_grad, (i0, i1), seed)
+    np.testing.assert_array_equal(t.grad, expect_grad)
+    t.grad = None
 
     upd = Tensor(RNG.standard_normal((3, 3)), requires_grad=True)
     merged = put_pairs(t, i0, i1, upd)
@@ -184,7 +193,7 @@ def test_take_pairs_and_put_pairs():
 def test_expand_bars_values_and_gradient():
     S = Tensor(RNG.standard_normal((2, 3, 3)), requires_grad=True)
     bidx = np.array([[0, 0, 1, 2], [0, 1, 1, 1]])
-    out = expand_bars(S, bidx)
+    out = expand_similarity(S, bidx)
     assert out.data.shape == (2, 4, 4)
     for i in range(2):
         for t1 in range(4):
@@ -198,7 +207,7 @@ def test_expand_bars_values_and_gradient():
         for t1 in range(4):
             for t2 in range(4):
                 expected[i, bidx[i, t1], bidx[i, t2]] += 1
-    np.testing.assert_allclose(S.grad, expected)
+    np.testing.assert_array_equal(S.grad, expected)
 
 
 def test_cross_entropy_logits():

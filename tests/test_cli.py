@@ -180,17 +180,46 @@ def test_empty_song_dir_is_usage_error(tmp_path):
                  str(tmp_path / "v.txt")]) == 1
 
 
-def test_bad_jobs_value(tmp_path):
-    assert main(["preprocess", "--in", str(tmp_path), "--out",
-                 str(tmp_path / "o"), "--jobs", "0"]) == 1
+def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
+    """A malformed file of one kind, and the command line that reads it."""
+    bad = str(tmp_path / "bad.song")
+    vocab, out = str(work / "vocab.txt"), str(tmp_path / "out")
+    ckpt = (work / "model.ckpt").read_bytes()
+    bpe = ["bpe-train", "--corpus", str(work / "tokens.txt"), "--vocab", vocab,
+           "--vocab-size", "300", "--out", out]
+    train = ["train", "--tokens", str(work / "tokens.txt"), "--vocab", vocab,
+             "--features", str(work / "features.txt"), "--out", out,
+             "--steps", "1", "--vq-steps", "1"]
+    tokenize = ["tokenize", "--in", str(tmp_path), "--out", out,
+                "--vocab", str(tmp_path / "v.txt")]
+    generate = ["generate", "--checkpoint", str(work / "model.ckpt"),
+                "--vocab", vocab, "--reference", str(work / "ref.mid"),
+                "--out", out, "--no-filter"]
+    cases = {
+        "corpus_header": (b"not a corpus\n", bpe[:2] + [bad] + bpe[3:]),
+        "corpus_ids": (b"#SONG a\n3 1 x 2\n", bpe[:2] + [bad] + bpe[3:]),
+        "corpus_utf8": (b"#SONG a\n3 \xff 2\n", bpe[:2] + [bad] + bpe[3:]),
+        "vocab": (b"0 Pad\n", bpe[:4] + [bad] + bpe[5:]),
+        "merges": (b"282 1 q\n", generate + ["--merges", bad]),
+        "features": (b"#SONG a\nGRID n_bars=zz\n", train[:6] + [bad] + train[7:]),
+        "song": (b"SONG n_bars=1\nT0 Piano 0 x 1 1\n", tokenize),
+        "song_utf8": (b"SONG n_bars=1\nT0 Pi\xffno\n", tokenize),
+        "checkpoint_config": (ckpt.replace(b"d = 32\n", b"d = xx\n", 1),
+                              generate[:2] + [bad] + generate[3:]),
+        "checkpoint_utf8": (ckpt.replace(b"d = 32\n", b"d = \xff2\n", 1),
+                            generate[:2] + [bad] + generate[3:]),
+    }
+    return cases[kind]
 
 
-def test_garbage_corpus_is_data_error(tmp_path, work):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not a corpus\n")
-    assert main(["bpe-train", "--corpus", str(bad), "--vocab",
-                 str(work / "vocab.txt"), "--vocab-size", "300",
-                 "--out", str(tmp_path / "m.txt")]) == 2
+@pytest.mark.parametrize("kind", ["corpus_header", "corpus_ids", "corpus_utf8",
+                                  "vocab", "merges", "features", "song",
+                                  "song_utf8", "checkpoint_config",
+                                  "checkpoint_utf8"])
+def test_garbage_corpus_is_data_error(tmp_path, work, kind):
+    data, argv = _garbage_case(kind, work, tmp_path)
+    (tmp_path / "bad.song").write_bytes(data)
+    assert main(argv) == 2
 
 
 def test_mismatched_corpora_is_data_error(tmp_path, work):

@@ -1,6 +1,8 @@
 """Network-level tests: attention identities, tiling, cross-track exchange,
 config and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from bandgen.neural import (ModelConfig, bar_similarity, dump_checkpoint,
                             se_attention, sequence_loss)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import ctt_forward, multi_head_attention
+from bandgen.neural.vqvae import init_vq_params
 from bandgen.synth import make_song
 from bandgen.tokens import TrackTokenSeqs, tokenize_song
 
@@ -48,6 +51,8 @@ def test_config_round_trip_and_presets():
         make_config("huge")
     with pytest.raises(DataError):
         ModelConfig(d=30, heads=4)
+    with pytest.raises(DataError):
+        load_config("heads = 0")
     with pytest.raises(DataError):
         ModelConfig(d_latent=12)
     with pytest.raises(DataError):
@@ -310,6 +315,15 @@ def test_checkpoint_round_trip_bit_exact(vocab, tmp_path):
     assert np.array_equal(again["te"].data, params["te"].data)
 
 
+def test_params_hold_only_trained_weights():
+    cfg = small_cfg()
+    params = init_params(cfg)
+    params.update(init_vq_params(cfg))
+    assert all(p.requires_grad for p in params.values())
+    loaded, _ = load_checkpoint(dump_checkpoint(params, cfg))
+    assert not {"pe", "pe_bar", "vq_pe", "vq_dec_pe"} & set(loaded)
+
+
 def test_checkpoint_rejects_garbage():
     with pytest.raises(DataError):
         load_checkpoint(b"NOPE" + b"\x00" * 16)
@@ -317,3 +331,12 @@ def test_checkpoint_rejects_garbage():
     blob = dump_checkpoint(init_params(cfg), cfg)
     with pytest.raises(DataError):
         load_checkpoint(blob[:40])
+    # version 1 files stored the fixed position tables as blocks
+    with pytest.raises(DataError):
+        load_checkpoint(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(DataError):
+        load_checkpoint(blob.replace(b"d = 16\n", b"d = \xff6\n", 1))
+    # one block whose shape header claims 3 floats over a 2-float payload
+    one = dump_checkpoint({"w": Tensor(np.zeros(2), requires_grad=True)}, cfg)
+    with pytest.raises(DataError):
+        load_checkpoint(one[:-24] + struct.pack("<I", 3) + one[-20:])
