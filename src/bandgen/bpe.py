@@ -18,10 +18,9 @@ from .tokens import TrackTokenSeqs, Vocab
 class BpeModel:
     merges: list[tuple[int, int, int]]  # (left, right, new), in learned order
     base_vocab_size: int
-    target_size: int
-    _ranks: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
-    _expand: dict[int, tuple[int, int]] = field(default_factory=dict)
-    _cache: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
+    _ranks: dict[tuple[int, int], tuple[int, int]] = field(init=False, default_factory=dict)
+    _expand: dict[int, tuple[int, int]] = field(init=False, default_factory=dict)
+    _cache: dict[tuple[int, ...], tuple[int, ...]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self._ranks = {(l, r): (rank, new) for rank, (l, r, new) in enumerate(self.merges)}
@@ -160,7 +159,7 @@ def learn_bpe(corpus: list, vocab: Vocab, target_size: int) -> BpeModel:
         pair_units.pop(pair, None)
         pair_counts.pop(pair, None)
         next_id += 1
-    return BpeModel(merges, vocab.size, target_size)
+    return BpeModel(merges, vocab.size)
 
 
 def bpe_encode(ids: list[int], model: BpeModel, vocab: Vocab) -> list[int]:
@@ -194,7 +193,7 @@ def dump_merges(model: BpeModel) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_merges(text: str, base_vocab_size: int, target_size: int | None = None) -> BpeModel:
+def load_merges(text: str, base_vocab_size: int) -> BpeModel:
     merges: list[tuple[int, int, int]] = []
     expected = base_vocab_size
     for ln in text.splitlines():
@@ -213,4 +212,4 @@ def load_merges(text: str, base_vocab_size: int, target_size: int | None = None)
             raise DataError(f"merge file: operands of {new} not yet defined")
         merges.append((l, r, new))
         expected += 1
-    return BpeModel(merges, base_vocab_size, target_size or expected)
+    return BpeModel(merges, base_vocab_size)

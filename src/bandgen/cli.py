@@ -24,11 +24,12 @@ from .errors import (BandgenError, DataError, MissingInput, NumericError,
 from .features import (dump_feature_corpus, extract_expert_features,
                        load_feature_corpus, quantize_features)
 from .metrics import evaluate_pair, mean_report, report_csv, report_text
-from .midi import load_midi_file, save_midi_file
-from .neural import (assign_codes, generate, load_checkpoint_file, make_config,
-                     mean_loss, save_checkpoint_file, train_model, train_vqvae)
-from .score import (Song, compress_instruments, dedupe_corpus, filter_song,
-                    load_song_file, quantize_song, save_song, split_windows)
+from .midi import load_midi_file, write_midi
+from .neural import (assign_codes, dump_checkpoint, generate,
+                     load_checkpoint_file, make_config, mean_loss, train_model,
+                     train_vqvae)
+from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
+                    filter_song, load_song_file, quantize_song, split_windows)
 from .tokens import (build_track_seqs, build_vocab, corpus_stats, detokenize,
                      dump_token_corpus, dump_vocab, load_token_corpus, load_vocab,
                      tokenize_remi_plus, tokenize_song)
@@ -136,7 +137,7 @@ def cmd_preprocess(args) -> int:
         if id(window) not in keep_ids:
             continue
         out = os.path.join(args.out_dir, f"{name}.song")
-        save_song(window, out)
+        _atomic_write(out, dump_song(window))
         outputs.append(out)
     _manifest(os.path.join(args.out_dir, "preprocess.manifest.json"),
               "preprocess", midis, outputs, None, started,
@@ -227,7 +228,7 @@ def cmd_train(args) -> int:
         held = mean_loss([pairs[i] for i in test_ids], params, cfg)
         print(f"held-out loss/token {held:.4f} over {len(test_ids)} songs")
     params.update(vq_params)
-    save_checkpoint_file(args.out, params, cfg)
+    _atomic_write(args.out, dump_checkpoint(params, cfg))
     _manifest(args.out + ".manifest.json", "train",
               [args.tokens, args.vocab, args.features] +
               ([args.merges] if args.merges else []),
@@ -267,7 +268,7 @@ def cmd_generate(args) -> int:
                       seed=args.seed, k_frac=args.k_frac)
     song = detokenize(result.seqs, vocab)
 
-    save_midi_file(song, args.out)
+    _atomic_write(args.out, write_midi(song))
     tokens_out = args.out + ".tokens.txt"
     _atomic_write(tokens_out, dump_token_corpus([("generated", result.seqs.seqs)]))
     _manifest(args.out + ".manifest.json", "generate",

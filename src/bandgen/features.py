@@ -52,6 +52,8 @@ _MD_EDGES = np.geomspace(4.0, 384.0, MD_SIZE + 1)
 DRUM_KEYS_FEATURE = ("dt", "dd")
 PITCHED_KEYS_FEATURE = ("nd", "mp", "md", "mv")
 
+N_VQ_GROUPS = 8  # VQ codes per (track, bar) cell
+
 
 @dataclass(frozen=True, slots=True)
 class ChordLabel:
@@ -243,7 +245,13 @@ def dump_feature_grid(grid: FeatureGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DRUM_CELL_KEYS = frozenset(DRUM_KEYS_FEATURE)
+_PITCHED_CELL_KEYS = frozenset(PITCHED_KEYS_FEATURE + ("ct0", "ct1", "ct2", "ct3"))
+
+
 def load_feature_grid(text: str) -> FeatureGrid:
+    """Parse one grid: one F line with the instrument's keys per cell, and
+    optionally one V line of N_VQ_GROUPS codes per cell."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("GRID n_bars="):
         raise DataError("feature grid: missing GRID header")
@@ -251,6 +259,8 @@ def load_feature_grid(text: str) -> FeatureGrid:
         n_bars = int(lines[0].split("=", 1)[1])
     except ValueError as e:
         raise DataError(f"feature grid: bad header {lines[0]!r}") from e
+    if n_bars < 0:
+        raise DataError(f"feature grid: bad header {lines[0]!r}")
     instruments: dict[int, str] = {}
     cells: dict[tuple[int, int], dict] = {}
     vq: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -261,40 +271,46 @@ def load_feature_grid(text: str) -> FeatureGrid:
                 inst = parts[2]
                 if inst not in INSTRUMENTS:
                     raise DataError(f"feature grid: unknown instrument {inst!r}")
-                instruments[int(parts[1])] = inst
+                key = int(parts[1])
+                table, value = instruments, inst
             elif parts[0] == "F":
-                cell = {}
-                for kv in parts[3:]:
-                    k, v = kv.split("=", 1)
-                    cell[k] = int(v)
-                cells[(int(parts[1]), int(parts[2]))] = cell
+                key = (int(parts[1]), int(parts[2]))
+                pairs = [kv.split("=", 1) for kv in parts[3:]]
+                table, value = cells, {k: int(v) for k, v in pairs}
+                if len(value) != len(pairs):
+                    raise DataError(f"feature grid: repeated key in {ln!r}")
             elif parts[0] == "V":
-                vq[(int(parts[1]), int(parts[2]))] = tuple(
-                    int(x) for x in parts[3].split(","))
+                key = (int(parts[1]), int(parts[2]))
+                table, value = vq, tuple(int(x) for x in parts[3].split(","))
+                if len(value) != N_VQ_GROUPS:
+                    raise DataError(f"feature grid: {len(value)} VQ codes, "
+                                    f"expected {N_VQ_GROUPS}: {ln!r}")
             else:
                 raise DataError(f"feature grid: bad line {ln!r}")
         except (ValueError, IndexError) as e:
             raise DataError(f"feature grid: bad line {ln!r}") from e
+        if key in table:
+            raise DataError(f"feature grid: duplicate line {ln!r}")
+        table[key] = value
     if sorted(instruments) != list(range(len(instruments))):
         raise DataError("feature grid: track indices not dense")
     n_tracks = len(instruments)
-    entries = [[cells.get((ti, b), {}) for b in range(n_bars)]
-               for ti in range(n_tracks)]
-    # rebuild the shared beat chords from any pitched row
-    chords = [NO_CHORD] * (n_bars * 4)
-    for ti in range(n_tracks):
-        if instruments[ti] == "Drum":
-            continue
-        for b in range(n_bars):
-            cell = entries[ti][b]
-            for j in range(4):
-                if f"ct{j}" in cell:
-                    chords[b * 4 + j] = chord_from_index(cell[f"ct{j}"])
-        break
+    grid_cells = {(ti, b) for ti in range(n_tracks) for b in range(n_bars)}
+    if cells.keys() != grid_cells or (vq and vq.keys() != grid_cells):
+        raise DataError(f"feature grid: F lines, and V lines if any, must cover "
+                        f"the {n_tracks} x {n_bars} cells exactly")
+    for (ti, b), cell in cells.items():
+        keys = _DRUM_CELL_KEYS if instruments[ti] == "Drum" else _PITCHED_CELL_KEYS
+        if cell.keys() != keys:
+            raise DataError(f"feature grid: cell ({ti}, {b}) has keys {sorted(cell)}")
+    entries = [[cells[(ti, b)] for b in range(n_bars)] for ti in range(n_tracks)]
+    # the beat chords are shared by all pitched rows; read them from the first
+    pitched = [row for ti, row in enumerate(entries) if instruments[ti] != "Drum"]
+    chords = [chord_from_index(pitched[0][b][f"ct{j}"]) if pitched else NO_CHORD
+              for b in range(n_bars) for j in range(4)]
     vq_entries = None
     if vq:
-        vq_entries = [[vq.get((ti, b), ()) for b in range(n_bars)]
-                      for ti in range(n_tracks)]
+        vq_entries = [[vq[(ti, b)] for b in range(n_bars)] for ti in range(n_tracks)]
     return FeatureGrid([instruments[i] for i in range(n_tracks)], n_bars,
                        entries, chords, binned=True, vq_entries=vq_entries)
 

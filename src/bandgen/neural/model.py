@@ -21,14 +21,19 @@ import numpy as np
 
 from ..errors import (BarCountMismatch, BarIndexOutOfRange, BinOutOfVocab,
                       DataError, IdOutOfVocab)
-from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, PITCHED_KEYS_FEATURE,
-                        FeatureGrid)
+from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
+                        PITCHED_KEYS_FEATURE, FeatureGrid)
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, concat, cross_entropy_logits, layer_norm,
                        masked_fill, ones_param, parameter, put_pairs, softmax,
                        take, zeros_param)
 
-N_VQ_GROUPS = 8
+
+_SIZE_FIELDS = ("d", "heads", "ffn", "n_tracks", "b_max", "t_max", "vocab_size",
+                "codebook_size", "d_latent", "e_ct", "e_dt", "e_dd", "e_nd",
+                "e_mp", "e_md", "e_mv", "e_vq")
+_LAYER_FIELDS = ("layers_enc", "layers_bottom", "layers_top", "layers_ctt")
+_LR_SCHEDULES = ("constant", "warmup")
 
 
 @dataclass(slots=True)
@@ -63,7 +68,15 @@ class ModelConfig:
     preset: str = "toy"
 
     def __post_init__(self):
-        if self.heads < 1 or self.d % self.heads:
+        for name in _SIZE_FIELDS:
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1")
+        for name in _LAYER_FIELDS:
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must not be negative")
+        if self.lr_schedule not in _LR_SCHEDULES:
+            raise DataError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if self.d % self.heads:
             raise DataError("model width must divide evenly across heads")
         if self.d_latent % N_VQ_GROUPS:
             raise DataError("latent width must split into 8 groups")

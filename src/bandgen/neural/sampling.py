@@ -5,8 +5,9 @@ sampled id comes from the renormalized top-k of that track's next-token
 distribution (k = 2% of the vocabulary, at least 1). A track halts when a
 sampled bar token would push it past the reference bar count (the token is
 dropped and EOS emitted), on a sampled EOS, or at the length cap; halted
-tracks pad. Output sequences are grammar-repaired so decoding always
-succeeds, and every sampling step is recorded in an audit log.
+tracks pad. Output sequences are repaired against the track grammar stated
+in the `bandgen.tokens` docstring, so decoding always succeeds, and every
+sampling step is recorded in an audit log.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from ..bpe import BpeModel, bpe_decode
 from ..errors import DegenerateVocab
 from ..features import FeatureGrid
-from ..tokens import BOS_ID, EOS_ID, TrackTokenSeqs, Vocab, build_track_seqs
+from ..tokens import (BAR_KINDS, BOS_ID, EOS_ID, TrackGrammar, TrackTokenSeqs,
+                      Vocab, build_track_seqs)
 from .autograd import Tensor
 from .model import ModelConfig, model_forward
 
@@ -125,9 +127,11 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
 
 def repair_track_ids(ids: list[int], b_ref: int, vocab: Vocab
                      ) -> tuple[list[int], int]:
-    """Make a sampled id list decodable: orphan or out-of-place tokens are
+    """Make a sampled id list decodable: a bad head is replaced, bars past
+    `b_ref` and every token the track grammar (`bandgen.tokens`) rejects are
     dropped, missing bars are filled with BarEmpty, and EOS is enforced.
-    Returns the repaired list and how many edits were made."""
+    Returns the repaired list and how many edits were made; dropped PAD
+    tokens are not counted."""
     repairs = 0
     if ids and vocab.spec_of(ids[0]).kind == "Instrument":
         first = ids[0]
@@ -139,53 +143,25 @@ def repair_track_ids(ids: list[int], b_ref: int, vocab: Vocab
                 *([vocab.id_of("BarEmpty", 0)] * b_ref), EOS_ID], repairs + 1
     out = [first, BOS_ID]
     repairs += 0 if ids[1] == BOS_ID else 1
-    is_drum = vocab.spec_of(first).value == "Drum"
-    bars = 0
-    position = None
-    last_pos = -1
+    grammar = TrackGrammar(vocab, vocab.spec_of(first).value == "Drum")
+    reject, take = grammar.reject, grammar.take
     i = 2
     while i < len(ids):
-        tid = ids[i]
-        spec = vocab.spec_of(tid)
+        spec = vocab.spec_of(ids[i])
         kind = spec.kind
-        if kind in ("BarNormal", "BarEmpty"):
-            if bars >= b_ref:
-                repairs += 1
-            else:
-                out.append(tid)
-                bars += 1
-                position = None
-                last_pos = -1
-        elif kind == "Position":
-            p = int(spec.value)
-            if bars == 0 or p < last_pos:
-                repairs += 1
-            else:
-                out.append(tid)
-                position = p
-                last_pos = p
-        elif kind == "Pitch":
-            if (not is_drum and position is not None and i + 2 < len(ids)
-                    and vocab.spec_of(ids[i + 1]).kind == "Duration"
-                    and vocab.spec_of(ids[i + 2]).kind == "Velocity"):
-                out.extend(ids[i:i + 3])
-                i += 2
-            else:
-                repairs += 1
-        elif kind == "PitchDrum":
-            if is_drum and position is not None:
-                out.append(tid)
-            else:
-                repairs += 1
-        elif kind == "EOS":
+        if kind == "EOS":
             break
-        else:  # stray Duration/Velocity/Instrument/BOS/PAD
-            if kind != "PAD":
-                repairs += 1
-        i += 1
-    while bars < b_ref:
-        out.append(vocab.id_of("BarEmpty", 0))
-        bars += 1
-        repairs += 1
-    out.append(EOS_ID)
-    return out, repairs
+        if ((kind in BAR_KINDS and grammar.bars >= b_ref)
+                or reject(ids, i, spec) is not None):
+            repairs += kind != "PAD"
+            i += 1
+            continue
+        span = take(spec)
+        if span == 1:
+            out.append(ids[i])
+        else:
+            out += ids[i:i + span]
+        i += span
+    missing = b_ref - grammar.bars
+    out += [vocab.id_of("BarEmpty", 0)] * missing + [EOS_ID]
+    return out, repairs + missing

@@ -323,11 +323,6 @@ def load_song(text: str) -> Song:
     return Song(tracks, n_bars, TICKS_PER_QUARTER)
 
 
-def save_song(song: Song, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_song(song))
-
-
 def load_song_file(path: str) -> Song:
     with open(path, encoding="utf-8") as f:
         try:

@@ -1,9 +1,15 @@
 """Track-parallel token representation of songs.
 
-Each track becomes its own sequence: Instrument, BOS, then per bar either
-BarEmpty or BarNormal followed by (Position, note tokens...) groups, then
-EOS and PAD up to the longest track. Non-drum notes take a Pitch, Duration,
-Velocity triplet; drum notes a single PitchDrum token.
+Each track becomes its own sequence: Instrument, BOS, a body, then EOS and
+PAD up to the longest track. `TrackGrammar` holds the body grammar:
+
+- a Bar token (BarNormal or BarEmpty) may come anywhere and opens a bar;
+- a Position needs a Bar before it and never goes back within its bar
+  (an equal Position is allowed);
+- a note needs a Position: one PitchDrum on a drum track, otherwise a Pitch
+  directly followed by one Duration and one Velocity;
+- Duration, Velocity, Instrument, BOS and PAD never stand alone;
+- EOS may end the body anywhere.
 
 A single-sequence interleaved form (tokenize_remi_plus) is kept for length
 statistics only.
@@ -12,7 +18,7 @@ statistics only.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (DataError, EmptyCorpus, InvalidGrid, MalformedSequence,
                      NoteOutOfRange)
@@ -24,6 +30,7 @@ BOS_ID = 1
 EOS_ID = 2
 
 NOTE_KINDS = frozenset({"Pitch", "PitchDrum", "Duration", "Velocity"})
+BAR_KINDS = frozenset({"BarNormal", "BarEmpty"})
 
 # 31 percussion keys: GM 35-59 plus a folded low-range group
 DRUM_KEYS = tuple(sorted(set(range(35, 60)) | {25, 26, 27, 28, 29, 31}))
@@ -156,24 +163,23 @@ def _bar_notes(track: Track, n_bars: int) -> list[list[Note]]:
     return bars
 
 
+def _note_ids(n: Note, is_drum: bool, vocab: Vocab) -> list[int]:
+    if is_drum:
+        return [vocab.id_of("PitchDrum", vocab.drum_key(n.pitch))]
+    return [vocab.id_of("Pitch", n.pitch),
+            vocab.id_of("Duration", vocab.snap_duration(n.duration)),
+            vocab.id_of("Velocity", velocity_bin(n.velocity))]
+
+
 def _note_group_ids(notes: list[Note], is_drum: bool, vocab: Vocab) -> list[int]:
     """Token ids for one onset-position group, duplicates dropped."""
     ids: list[int] = []
     seen: set[int] = set()
     for n in sorted(notes, key=lambda n: (n.pitch, n.duration, n.velocity)):
-        if is_drum:
-            key = vocab.drum_key(n.pitch)
-            if key in seen:
-                continue
+        key = vocab.drum_key(n.pitch) if is_drum else n.pitch
+        if key not in seen:
             seen.add(key)
-            ids.append(vocab.id_of("PitchDrum", key))
-        else:
-            if n.pitch in seen:
-                continue
-            seen.add(n.pitch)
-            ids.append(vocab.id_of("Pitch", n.pitch))
-            ids.append(vocab.id_of("Duration", vocab.snap_duration(n.duration)))
-            ids.append(vocab.id_of("Velocity", velocity_bin(n.velocity)))
+            ids += _note_ids(n, is_drum, vocab)
     return ids
 
 
@@ -225,7 +231,7 @@ def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
         for k, tid in enumerate(ids):
             if tid < vocab.size:
                 kind = vocab.spec_of(tid).kind
-                if kind in ("BarNormal", "BarEmpty"):
+                if kind in BAR_KINDS:
                     bars.append(k)
                     current = len(bars) - 1
             bidx.append(current)
@@ -239,6 +245,57 @@ def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
     return TrackTokenSeqs(seqs, bar_index, bar_positions, instruments, n_bars, lengths)
 
 
+class TrackGrammar:
+    """One track's place in the body grammar of the module docstring. The
+    caller looks up each token's spec once and passes it to `reject` and
+    `take`; what to do with a rejected token is the caller's choice."""
+
+    __slots__ = ("spec_of", "is_drum", "bars", "position")
+
+    def __init__(self, vocab: Vocab, is_drum: bool):
+        self.spec_of = vocab.spec_of
+        self.is_drum = is_drum
+        self.bars = 0                     # Bar tokens taken so far
+        self.position: int | None = None  # last Position in the current bar
+
+    def reject(self, ids: list[int], k: int, spec: TokenSpec) -> str | None:
+        """Why `ids[k]`, whose spec is `spec`, cannot come next; None if it can."""
+        kind = spec.kind
+        if kind == "Pitch":
+            if self.position is None:
+                return "note token before any Position"
+            if self.is_drum:
+                return "Pitch on a drum track"
+            if (k + 2 >= len(ids) or self.spec_of(ids[k + 1]).kind != "Duration"
+                    or self.spec_of(ids[k + 2]).kind != "Velocity"):
+                return "Pitch without Duration+Velocity"
+        elif kind == "Position":
+            if not self.bars:
+                return "Position before any Bar"
+            if self.position is not None and int(spec.value) < self.position:
+                return "Position goes back within its bar"
+        elif kind == "PitchDrum":
+            if self.position is None:
+                return "drum token before any Position"
+            if not self.is_drum:
+                return "PitchDrum on a pitched track"
+        elif kind not in BAR_KINDS and kind != "EOS":
+            return f"unexpected {kind} token"
+        return None
+
+    def take(self, spec: TokenSpec) -> int:
+        """Consume an allowed token; returns the ids it spans (3 for a Pitch)."""
+        kind = spec.kind
+        if kind == "Pitch":
+            return 3
+        if kind in BAR_KINDS:
+            self.bars += 1
+            self.position = None
+        elif kind == "Position":
+            self.position = int(spec.value)
+        return 1
+
+
 def detokenize(seqs: TrackTokenSeqs, vocab: Vocab) -> Song:
     tracks: list[Track] = []
     n_bars = 0
@@ -248,54 +305,32 @@ def detokenize(seqs: TrackTokenSeqs, vocab: Vocab) -> Song:
         inst = vocab.spec_of(ids[0]).value
         if len(ids) < 2 or ids[1] != BOS_ID:
             raise MalformedSequence("expected BOS token", ti, 1)
-        is_drum = inst == "Drum"
+        grammar = TrackGrammar(vocab, inst == "Drum")
         notes: list[Note] = []
-        bar = -1
-        position: int | None = None
         k = 2
-        def fail(msg: str, at: int):
-            raise MalformedSequence(msg, ti, at)
         while k < len(ids):
             spec = vocab.spec_of(ids[k])
             kind = spec.kind
-            if kind in ("BarNormal", "BarEmpty"):
-                bar += 1
-                position = None
-            elif kind == "Position":
-                if bar < 0:
-                    fail("Position before any Bar", k)
-                position = int(spec.value)
-            elif kind == "PitchDrum":
-                if position is None:
-                    fail("drum token before any Position", k)
-                if not is_drum:
-                    fail("PitchDrum on a pitched track", k)
-                notes.append(Note(int(spec.value), bar * TICKS_PER_BAR + position,
-                                  DRUM_DURATION, DRUM_VELOCITY))
-            elif kind == "Pitch":
-                if position is None:
-                    fail("note token before any Position", k)
-                if is_drum:
-                    fail("Pitch on a drum track", k)
-                if (k + 2 >= len(ids)
-                        or vocab.spec_of(ids[k + 1]).kind != "Duration"
-                        or vocab.spec_of(ids[k + 2]).kind != "Velocity"):
-                    fail("Pitch without Duration+Velocity", k)
-                dur = int(vocab.spec_of(ids[k + 1]).value)
-                vel = velocity_decode(int(vocab.spec_of(ids[k + 2]).value))
-                notes.append(Note(int(spec.value), bar * TICKS_PER_BAR + position, dur, vel))
-                k += 2
-            elif kind == "EOS":
+            if kind == "EOS":
                 k += 1
                 break
-            elif kind in ("Duration", "Velocity", "Instrument", "BOS", "PAD"):
-                fail(f"unexpected {kind} token", k)
-            k += 1
+            reason = grammar.reject(ids, k, spec)
+            if reason is not None:
+                raise MalformedSequence(reason, ti, k)
+            if kind == "Pitch":
+                onset = (grammar.bars - 1) * TICKS_PER_BAR + grammar.position
+                notes.append(Note(int(spec.value), onset,
+                                  int(vocab.spec_of(ids[k + 1]).value),
+                                  velocity_decode(int(vocab.spec_of(ids[k + 2]).value))))
+            elif kind == "PitchDrum":
+                onset = (grammar.bars - 1) * TICKS_PER_BAR + grammar.position
+                notes.append(Note(int(spec.value), onset, DRUM_DURATION, DRUM_VELOCITY))
+            k += grammar.take(spec)
         for j in range(k, len(ids)):
             if ids[j] != PAD_ID:
                 raise MalformedSequence("content after EOS", ti, j)
         tracks.append(Track(inst, sorted_unique_notes(notes), is_melody=inst == "SquareSynth"))
-        n_bars = max(n_bars, bar + 1)
+        n_bars = max(n_bars, grammar.bars)
     return Song(tracks, n_bars)
 
 
@@ -338,12 +373,7 @@ def tokenize_remi_plus(song: Song, vocab: Vocab) -> list[int]:
             for ti, _, n in sorted(groups[pos], key=lambda x: (x[0], x[1])):
                 inst = song.tracks[ti].instrument
                 ids.append(vocab.id_of("Instrument", inst))
-                if inst == "Drum":
-                    ids.append(vocab.id_of("PitchDrum", vocab.drum_key(n.pitch)))
-                else:
-                    ids.append(vocab.id_of("Pitch", n.pitch))
-                    ids.append(vocab.id_of("Duration", vocab.snap_duration(n.duration)))
-                    ids.append(vocab.id_of("Velocity", velocity_bin(n.velocity)))
+                ids += _note_ids(n, inst == "Drum", vocab)
     ids.append(EOS_ID)
     return ids
 

@@ -144,7 +144,7 @@ def test_04_five_note_worked_example(acceptance_log, vocab):
                vocab.id_of("Velocity", velocity_bin(64)), dur_vel)]
     for i, pitch in enumerate((60, 64, 43, 72)):
         merges.append((vocab.id_of("Pitch", pitch), dur_vel, vocab.size + 1 + i))
-    model = BpeModel(merges, vocab.size, vocab.size + len(merges))
+    model = BpeModel(merges, vocab.size)
     merged_lens = [_content_len(bpe_encode(ids[:n], model, vocab))
                    for ids, n in zip(seqs.seqs, seqs.lengths)]
 

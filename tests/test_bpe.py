@@ -141,7 +141,7 @@ def test_target_too_small(vocab):
 
 
 def test_encode_rejects_out_of_base_ids(vocab):
-    model = BpeModel([], vocab.size, vocab.size + 1)
+    model = BpeModel([], vocab.size)
     with pytest.raises(UnknownToken):
         bpe_encode([vocab.size + 5], model, vocab)
     with pytest.raises(UnknownToken):

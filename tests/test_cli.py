@@ -185,6 +185,8 @@ def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
     bad = str(tmp_path / "bad.song")
     vocab, out = str(work / "vocab.txt"), str(tmp_path / "out")
     ckpt = (work / "model.ckpt").read_bytes()
+    feats = (work / "features.txt").read_bytes()
+    first_cell = feats.index(b"\nF ") + 1
     bpe = ["bpe-train", "--corpus", str(work / "tokens.txt"), "--vocab", vocab,
            "--vocab-size", "300", "--out", out]
     train = ["train", "--tokens", str(work / "tokens.txt"), "--vocab", vocab,
@@ -202,6 +204,8 @@ def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
         "vocab": (b"0 Pad\n", bpe[:4] + [bad] + bpe[5:]),
         "merges": (b"282 1 q\n", generate + ["--merges", bad]),
         "features": (b"#SONG a\nGRID n_bars=zz\n", train[:6] + [bad] + train[7:]),
+        "features_cells": (feats[:first_cell] + feats[feats.index(b"\n", first_cell) + 1:],
+                           train[:6] + [bad] + train[7:]),
         "song": (b"SONG n_bars=1\nT0 Piano 0 x 1 1\n", tokenize),
         "song_utf8": (b"SONG n_bars=1\nT0 Pi\xffno\n", tokenize),
         "checkpoint_config": (ckpt.replace(b"d = 32\n", b"d = xx\n", 1),
@@ -213,13 +217,36 @@ def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
 
 
 @pytest.mark.parametrize("kind", ["corpus_header", "corpus_ids", "corpus_utf8",
-                                  "vocab", "merges", "features", "song",
-                                  "song_utf8", "checkpoint_config",
-                                  "checkpoint_utf8"])
+                                  "vocab", "merges", "features",
+                                  "features_cells", "song", "song_utf8",
+                                  "checkpoint_config", "checkpoint_utf8"])
 def test_garbage_corpus_is_data_error(tmp_path, work, kind):
     data, argv = _garbage_case(kind, work, tmp_path)
     (tmp_path / "bad.song").write_bytes(data)
     assert main(argv) == 2
+
+
+def test_failed_rename_leaves_no_output(tmp_path, work, monkeypatch):
+    """preprocess, train and generate write through a temp file and a
+    rename, so a failed write leaves neither a partial output nor a temp."""
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    songs = tmp_path / "songs"
+    assert main(["preprocess", "--in", str(work / "midis"), "--out", str(songs),
+                 "--min-bars", "4", "--max-bars", "4", "--stride", "8"]) == 1
+    assert os.listdir(songs) == []
+    assert main(["train", "--tokens", str(work / "tokens.txt"),
+                 "--vocab", str(work / "vocab.txt"),
+                 "--features", str(work / "features.txt"),
+                 "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
+                 "--vq-steps", "1"]) == 1
+    assert main(["generate", "--checkpoint", str(work / "model.ckpt"),
+                 "--vocab", str(work / "vocab.txt"),
+                 "--reference", str(work / "ref.mid"),
+                 "--out", str(tmp_path / "cover.mid"), "--no-filter"]) == 1
+    assert os.listdir(tmp_path) == ["songs"]
 
 
 def test_mismatched_corpora_is_data_error(tmp_path, work):

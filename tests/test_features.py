@@ -166,3 +166,29 @@ def test_serialization_rejects_raw_grids_and_garbage():
         load_feature_grid("not a grid\n")
     with pytest.raises(DataError):
         load_feature_grid("GRID n_bars=1\nG 0 Flute\n")
+
+    pitched = "nd=1 mp=1 md=1 mv=1 ct0=0 ct1=0 ct2=0 ct3=0"
+    good = ("GRID n_bars=2\nG 0 Drum\nG 1 Piano\n"
+            "F 0 0 dt=1 dd=1\nF 0 1 dt=1 dd=1\n"
+            f"F 1 0 {pitched}\nF 1 1 {pitched}\n")
+    vq = "".join(f"V {ti} {b} 0,1,2,3,4,5,6,7\n" for ti in range(2) for b in range(2))
+    assert load_feature_grid(good).vq_entries is None
+    assert load_feature_grid(good + vq).vq_entries[1][1] == tuple(range(8))
+    for bad in [
+        "GRID n_bars=-1\n",
+        "GRID n_bars=2\nG 0 Drum\nF 0 0 dt=1 dd=1\n",        # cell without F
+        good + "F 2 0 dt=1 dd=1\n",                            # track out of range
+        good + "F 0 2 dt=1 dd=1\n",                            # bar out of range
+        good + vq + "V 0 -1 0,1,2,3,4,5,6,7\n",                # bar out of range
+        good + "G 1 Bass\n",                                   # duplicate lines
+        good + "F 0 0 dt=1 dd=1\n",
+        good + vq + "V 0 0 0,1,2,3,4,5,6,7\n",
+        good.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1"),         # wrong keys
+        good.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1 dd=1 nd=1"),
+        good.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1 dd=1 dd=2"),
+        good.replace(f"F 1 0 {pitched}", "F 1 0 dt=1 dd=1"),
+        good + vq.replace("0,1,2,3,4,5,6,7", "0,1", 1),         # 2 codes
+        good + vq.split("\n", 1)[1],                           # V for 3 of 4 cells
+    ]:
+        with pytest.raises(DataError):
+            load_feature_grid(bad)

@@ -16,7 +16,9 @@ from bandgen.neural import (ModelConfig, bar_similarity, dump_checkpoint,
                             make_config, model_forward, save_checkpoint_file,
                             se_attention, sequence_loss)
 from bandgen.neural.autograd import Tensor
-from bandgen.neural.model import ctt_forward, multi_head_attention
+from bandgen.neural.model import (bottom_decode, ctt_forward,
+                                  multi_head_attention, project_logits,
+                                  top_decode)
 from bandgen.neural.vqvae import init_vq_params
 from bandgen.synth import make_song
 from bandgen.tokens import TrackTokenSeqs, tokenize_song
@@ -61,6 +63,11 @@ def test_config_round_trip_and_presets():
         load_config("mystery_key = 3")
     assert load_config("use_ctt = False").use_ctt is False
     assert load_config("use_ctt = true").use_ctt is True
+    for bad in ("d = -4", "b_max = 0", "t_max = 0", "e_vq = 0",
+                "layers_top = -1", "lr_schedule = cosine"):
+        with pytest.raises(DataError):
+            load_config(bad)
+    assert load_config("layers_ctt = 0").layers_ctt == 0
 
 
 # -- similarity-modulated attention ------------------------------------------------
@@ -279,6 +286,29 @@ def test_sequence_loss_skips_pad_targets(vocab):
     _, count = sequence_loss(logits, seqs)
     ids = np.asarray(seqs.seqs)
     assert count == int((ids[:, 1:] != 0).sum())
+
+
+def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
+    cfg = small_cfg(use_ctt=False)
+    params = init_params(cfg)
+    seqs, grid = make_pair(vocab)
+    logits = model_forward(seqs, grid, params, cfg)
+
+    E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
+    smat = expand_similarity(bar_similarity(E, params, cfg),
+                             np.asarray(seqs.bar_index, dtype=np.int64))
+    O = bottom_decode(embed_tokens(seqs, params, cfg), E, smat, params, cfg)
+    expected = project_logits(top_decode(O, E, smat, params, cfg), params)
+    assert np.array_equal(logits.data, expected.data)
+    with_ctt = model_forward(seqs, grid, params, small_cfg())
+    assert not np.array_equal(logits.data, with_ctt.data)
+
+    loss, _ = sequence_loss(logits, seqs)
+    loss.backward()
+    ctt = [name for name in params if name.startswith("ctt")]
+    assert ctt and all(params[name].grad is None for name in ctt)
+    assert all(p.grad is not None for name, p in params.items()
+               if name.startswith(("bot", "top")))
 
 
 def test_forward_is_deterministic(vocab):

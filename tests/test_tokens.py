@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bandgen.errors import (DataError, EmptyCorpus, InvalidGrid,
                             MalformedSequence, NoteOutOfRange)
-from bandgen.score import Note, Song, Track
+from bandgen.score import TICKS_PER_BAR, Note, Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, DEFAULT_DURATION_MESH, EOS_ID, PAD_ID,
                             build_track_seqs, build_vocab, corpus_stats,
@@ -182,6 +182,14 @@ def test_detokenize_error_positions(vocab):
     assert e.index == 4
     drum_tok = vocab.id_of("PitchDrum", 36)
     assert err([inst, BOS_ID, bar, pos0, drum_tok]).index == 4  # drum on pitched
+    pos96 = vocab.id_of("Position", 96)
+    e = err([inst, BOS_ID, bar, pos96, pitch, dur, vel, pos0, EOS_ID])
+    assert e.index == 7                           # Position goes back in a bar
+    # an equal Position, or a lower one after a new Bar, is legal
+    song = detokenize(build_track_seqs([[inst, BOS_ID, bar, pos96, pos96, bar,
+                                         pos0, pitch, dur, vel, EOS_ID]], vocab),
+                      vocab)
+    assert [n.onset for n in song.tracks[0].notes] == [TICKS_PER_BAR]
 
 
 def test_remi_plus_structure(vocab):
