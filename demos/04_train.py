@@ -14,11 +14,11 @@ from bandgen.neural.checkpoint import (load_checkpoint_file,
                                        save_checkpoint_file)
 from bandgen.neural.model import make_config
 from bandgen.neural.training import mean_loss, train_model
-from bandgen.synth import tiny_corpus
+from bandgen.synth import make_corpus
 from bandgen.tokens import build_vocab, tokenize_song
 
 vocab = build_vocab()
-songs = tiny_corpus(n_songs=6, n_bars=4, seed=7)
+songs = make_corpus(n_songs=6, n_bars=4, seed=7)
 pairs = [(tokenize_song(s, vocab),
           quantize_features(extract_expert_features(s))) for s in songs]
 print(f"{len(pairs)} training pairs, longest sequence "

@@ -10,13 +10,13 @@ from bandgen.metrics import evaluate_pair, mean_report, report_text
 from bandgen.neural.model import make_config
 from bandgen.neural.sampling import generate, top_k_count
 from bandgen.neural.training import train_model
-from bandgen.synth import make_song, tiny_corpus
+from bandgen.synth import make_corpus, make_song
 from bandgen.tokens import build_vocab, detokenize, tokenize_song
 
 vocab = build_vocab()
 cfg = make_config("toy")
 
-songs = tiny_corpus(n_songs=6, n_bars=2, seed=7)
+songs = make_corpus(n_songs=6, n_bars=2, seed=7)
 pairs = [(tokenize_song(s, vocab),
           quantize_features(extract_expert_features(s))) for s in songs]
 params, history = train_model(pairs, cfg, steps=250)

@@ -29,7 +29,7 @@ from .neural import (assign_codes, dump_checkpoint, generate,
                      load_checkpoint_file, make_config, mean_loss, train_model,
                      train_vqvae)
 from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
-                    filter_song, load_song_file, quantize_song, split_windows)
+                    filter_song, load_song, quantize_song, split_windows)
 from .tokens import (build_track_seqs, build_vocab, corpus_stats, detokenize,
                      dump_token_corpus, dump_vocab, load_token_corpus, load_vocab,
                      tokenize_remi_plus, tokenize_song)
@@ -96,8 +96,8 @@ def _load_song_dir(path: str, flag: str) -> list[tuple[str, Song]]:
     files = _listdir(_require_dir(path, flag), (".song",))
     if not files:
         raise MissingInput(f"{flag}: no .song files in {path}")
-    return [(os.path.splitext(os.path.basename(f))[0], load_song_file(f))
-            for f in files]
+    return [(os.path.splitext(os.path.basename(f))[0],
+             load_song(_read_text(f, flag))) for f in files]
 
 
 def is_test_song(song_id: str) -> bool:
@@ -242,6 +242,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     started = time.time()
+    if args.seed < 0:
+        raise UsageError("--seed must not be negative")
     params, cfg = load_checkpoint_file(_require_file(args.checkpoint,
                                                      "--checkpoint"))
     vocab = load_vocab(_read_text(args.vocab, "--vocab"))
@@ -437,9 +439,6 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .score import Song, TICKS_PER_BAR, TICKS_PER_QUARTER
-from .score import INSTRUMENTS
+from .score import (INSTRUMENTS, TICKS_PER_BAR, TICKS_PER_QUARTER, Song,
+                    dump_records, load_records)
 
 QUALITIES = ("maj", "min", "dim", "aug", "sus2", "sus4",
              "maj7", "min7", "dom7", "hdim7", "dim7")
@@ -317,26 +317,10 @@ def load_feature_grid(text: str) -> FeatureGrid:
 
 def dump_feature_corpus(entries: list[tuple[str, FeatureGrid]]) -> str:
     """Many grids in one file, one `#SONG <id>` record per grid."""
-    chunks = []
-    for song_id, grid in entries:
-        chunks.append(f"#SONG {song_id}\n" + dump_feature_grid(grid))
-    return "".join(chunks)
+    return dump_records([(song_id, dump_feature_grid(grid))
+                         for song_id, grid in entries])
 
 
 def load_feature_corpus(text: str) -> list[tuple[str, FeatureGrid]]:
-    out: list[tuple[str, FeatureGrid]] = []
-    song_id = None
-    buf: list[str] = []
-    for ln in text.splitlines():
-        if ln.startswith("#SONG "):
-            if song_id is not None:
-                out.append((song_id, load_feature_grid("\n".join(buf))))
-            song_id = ln.split(None, 1)[1]
-            buf = []
-        elif ln.strip():
-            if song_id is None:
-                raise DataError("feature corpus: data before first #SONG")
-            buf.append(ln)
-    if song_id is not None:
-        out.append((song_id, load_feature_grid("\n".join(buf))))
-    return out
+    return [(song_id, load_feature_grid("\n".join(lines)))
+            for song_id, lines in load_records(text, "feature corpus")]

@@ -1,7 +1,7 @@
 """Numpy sequence model: autograd, architecture, VQ features, training,
 sampling, and checkpoints."""
 
-from .autograd import Tensor, set_finite_checks
+from .autograd import Tensor
 from .checkpoint import (dump_checkpoint, load_checkpoint,
                          load_checkpoint_file, save_checkpoint_file)
 from .model import (ModelConfig, bar_similarity, bottom_decode, ctt_forward,
@@ -26,6 +26,6 @@ __all__ = [
     "make_config", "mean_loss", "model_forward",
     "project_logits", "quantize_vectors", "repair_track_ids",
     "save_checkpoint_file", "schedule_lr", "se_attention", "sequence_loss",
-    "set_finite_checks", "top_decode", "top_k_count", "train_model",
+    "top_decode", "top_k_count", "train_model",
     "train_step", "train_vqvae", "vq_layer", "vq_quantize",
 ]

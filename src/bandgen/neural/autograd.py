@@ -2,8 +2,9 @@
 
 A Tensor wraps an ndarray and records the op that produced it; backward()
 walks the tape in reverse topological order accumulating gradients. Every
-op validates finiteness of its result (toggle with set_finite_checks), so
-NaN/Inf surfaces at the op that produced it.
+op checks that its result is finite, always, so NaN/Inf surfaces at the op
+that produced it. Only `detach` and `__getitem__` (they reuse checked values)
+and `masked_fill` (its -inf masks attention scores) skip the check.
 """
 
 from __future__ import annotations
@@ -11,14 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonFiniteError
-
-_CHECK_FINITE = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = enabled
-
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -41,7 +34,7 @@ class Tensor:
                  parents: tuple = (), backward=None, op: str = "leaf",
                  check: bool = True):
         self.data = _as_array(data)
-        if check and _CHECK_FINITE and not np.all(np.isfinite(self.data)):
+        if check and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(f"non-finite values out of op {op!r}")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
@@ -52,10 +45,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, check=False)

@@ -74,6 +74,11 @@ class ModelConfig:
         for name in _LAYER_FIELDS:
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must not be negative")
+        for name in ("lr", "lr_max", "lr_min"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise DataError(f"{name} must be positive")
+        if self.seed < 0:
+            raise DataError("seed must not be negative")
         if self.lr_schedule not in _LR_SCHEDULES:
             raise DataError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.d % self.heads:

@@ -138,11 +138,8 @@ def repair_track_ids(ids: list[int], b_ref: int, vocab: Vocab
     else:
         first = vocab.id_of("Instrument", "Piano")
         repairs += 1
-    if len(ids) < 2:
-        return [first, BOS_ID,
-                *([vocab.id_of("BarEmpty", 0)] * b_ref), EOS_ID], repairs + 1
     out = [first, BOS_ID]
-    repairs += 0 if ids[1] == BOS_ID else 1
+    repairs += 0 if len(ids) > 1 and ids[1] == BOS_ID else 1
     grammar = TrackGrammar(vocab, vocab.spec_of(first).value == "Drum")
     reject, take = grammar.reject, grammar.take
     i = 2

@@ -14,8 +14,9 @@ import numpy as np
 from ..errors import EmptyCodebook
 from ..tokens import EOS_ID, PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, cross_entropy_logits, parameter,
-                       straight_through, take, zeros_param)
-from .model import ModelConfig, N_VQ_GROUPS, sinusoidal_table
+                       straight_through, take)
+from .model import (ModelConfig, N_VQ_GROUPS, _linear, _linear_block,
+                    sinusoidal_table)
 from .optim import Adam
 
 MAX_BAR_TOKENS = 96
@@ -91,19 +92,13 @@ def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
     rng = np.random.default_rng(cfg.seed + 17)
     d_l = cfg.d_latent
     hidden = 4 * d_l
-    params: dict[str, Tensor] = {
-        "vq_te": parameter(rng, cfg.vocab_size, d_l),
-        "vq_enc1_w": parameter(rng, d_l, hidden),
-        "vq_enc1_b": zeros_param(hidden),
-        "vq_enc2_w": parameter(rng, hidden, d_l),
-        "vq_enc2_b": zeros_param(d_l),
-        "vq_codebook": parameter(rng, cfg.codebook_size, d_l // N_VQ_GROUPS,
-                                 scale=0.5),
-        "vq_dec1_w": parameter(rng, d_l, hidden),
-        "vq_dec1_b": zeros_param(hidden),
-        "vq_out_w": parameter(rng, hidden, cfg.vocab_size),
-        "vq_out_b": zeros_param(cfg.vocab_size),
-    }
+    params = {"vq_te": parameter(rng, cfg.vocab_size, d_l)}
+    _linear_block(params, rng, "vq_enc1", d_l, hidden)
+    _linear_block(params, rng, "vq_enc2", hidden, d_l)
+    params["vq_codebook"] = parameter(rng, cfg.codebook_size,
+                                      d_l // N_VQ_GROUPS, scale=0.5)
+    _linear_block(params, rng, "vq_dec1", d_l, hidden)
+    _linear_block(params, rng, "vq_out", hidden, cfg.vocab_size)
     return params
 
 
@@ -128,18 +123,18 @@ def encode_units(ids: np.ndarray, mask: np.ndarray,
     m = Tensor(mask[:, :, None])
     inv_counts = Tensor(1.0 / np.maximum(mask.sum(axis=1), 1.0)[:, None])
     pooled = (emb * m).sum(axis=1) * inv_counts
-    h = (pooled @ params["vq_enc1_w"] + params["vq_enc1_b"]).relu()
-    return h @ params["vq_enc2_w"] + params["vq_enc2_b"]
+    h = _linear(pooled, params, "vq_enc1").relu()
+    return _linear(h, params, "vq_enc2")
 
 
 def decode_units(st: Tensor, width: int, params: dict[str, Tensor]) -> Tensor:
     """Per-position token logits [N, width, V] from the quantized latent."""
-    h = (st @ params["vq_dec1_w"] + params["vq_dec1_b"])
+    h = _linear(st, params, "vq_dec1")
     n = h.shape[0]
     hidden = h.shape[1]
     pos = (h.reshape(n, 1, hidden) + Tensor(
         sinusoidal_table(MAX_BAR_TOKENS, hidden)[:width])).relu()
-    return pos @ params["vq_out_w"] + params["vq_out_b"]
+    return _linear(pos, params, "vq_out")
 
 
 def vqvae_batch_loss(ids: np.ndarray, mask: np.ndarray,

@@ -10,7 +10,6 @@ window -> dedupe.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .errors import DataError, NoDrumTrack, NoMelodyTrack
@@ -323,14 +322,30 @@ def load_song(text: str) -> Song:
     return Song(tracks, n_bars, TICKS_PER_QUARTER)
 
 
-def load_song_file(path: str) -> Song:
-    with open(path, encoding="utf-8") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError as e:
-            raise DataError(f"song file is not UTF-8 text: {path}") from e
-    return load_song(text)
+# -- corpus files: a `#SONG <id>` header line, then the song's body lines -----
 
 
-def copy_song(song: Song) -> Song:
-    return copy.deepcopy(song)
+def dump_records(records: list[tuple[str, str]]) -> str:
+    """Join (song id, body) pairs; each body ends with a newline."""
+    for song_id, _ in records:
+        if not song_id.strip() or song_id.splitlines() != [song_id]:
+            raise DataError(f"song id {song_id!r} cannot head a #SONG record")
+    return "".join(f"#SONG {song_id}\n{body}" for song_id, body in records)
+
+
+def load_records(text: str, what: str) -> list[tuple[str, list[str]]]:
+    """Split a corpus file into (song id, non-blank body lines) pairs. Any
+    line starting with `#SONG` that is not a header, and any body line before
+    the first header, is a DataError naming `what`."""
+    records: list[tuple[str, list[str]]] = []
+    for ln in text.splitlines():
+        if ln.startswith("#SONG"):
+            tag, _, song_id = ln.partition(" ")
+            if tag != "#SONG" or not song_id.strip():
+                raise DataError(f"{what}: bad #SONG header {ln!r}")
+            records.append((song_id, []))
+        elif ln.strip():
+            if not records:
+                raise DataError(f"{what}: data before the first #SONG header")
+            records[-1][1].append(ln)
+    return records

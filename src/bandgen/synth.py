@@ -102,8 +102,3 @@ def make_song(seed: int, n_bars: int = 40) -> Song:
 
 def make_corpus(n_songs: int = 15, n_bars: int = 40, seed: int = 0) -> list[Song]:
     return [make_song(seed * 1000 + i, n_bars) for i in range(n_songs)]
-
-
-def tiny_corpus(n_songs: int = 8, n_bars: int = 4, seed: int = 7) -> list[Song]:
-    """Small short songs for fast training smoke runs."""
-    return [make_song(seed * 1000 + i, n_bars) for i in range(n_songs)]

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .errors import (DataError, EmptyCorpus, InvalidGrid, MalformedSequence,
                      NoteOutOfRange)
 from .score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS, TICKS_PER_BAR,
-                    Note, Song, Track, sorted_unique_notes)
+                    Note, Song, Track, dump_records, load_records,
+                    sorted_unique_notes)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -418,30 +419,17 @@ def corpus_stats(corpus: list, note_counts: list[int], beat_counts: list[int],
 
 
 def dump_token_corpus(entries: list[tuple[str, list[list[int]]]]) -> str:
-    lines = []
-    for song_id, tracks in entries:
-        lines.append(f"#SONG {song_id}")
-        for ids in tracks:
-            lines.append(" ".join(str(i) for i in ids))
-    return "\n".join(lines) + "\n"
+    return dump_records([(song_id, "".join(" ".join(map(str, ids)) + "\n"
+                                           for ids in tracks))
+                         for song_id, tracks in entries])
 
 
 def load_token_corpus(text: str) -> list[tuple[str, list[list[int]]]]:
-    entries: list[tuple[str, list[list[int]]]] = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        if ln.startswith("#SONG"):
-            parts = ln.split(None, 1)
-            entries.append((parts[1] if len(parts) > 1 else "", []))
-        else:
-            if not entries:
-                raise DataError("token corpus: ids before any #SONG header")
-            try:
-                entries[-1][1].append([int(x) for x in ln.split()])
-            except ValueError as e:
-                raise DataError(f"token corpus: bad id line {ln!r}") from e
-    return entries
+    try:
+        return [(song_id, [[int(x) for x in ln.split()] for ln in lines])
+                for song_id, lines in load_records(text, "token corpus")]
+    except ValueError as e:
+        raise DataError(f"token corpus: bad id line ({e})") from e
 
 
 def dump_vocab(vocab: Vocab) -> str:
@@ -449,28 +437,30 @@ def dump_vocab(vocab: Vocab) -> str:
 
 
 def load_vocab(text: str) -> Vocab:
-    positions: list[int] = []
+    """Rebuild from the Position/Duration lines; every line must match."""
+    rows: list[TokenSpec] = []
     mesh: list[int] = []
-    count = 0
     for ln in text.splitlines():
         if not ln.strip():
             continue
         try:
             idx, spec = ln.split(None, 1)
             kind, value = spec.split(":", 1)
-            if int(idx) != count:
+            if int(idx) != len(rows):
                 raise DataError("vocab file: ids not dense")
-            if kind == "Position":
-                positions.append(int(value))
-            elif kind == "Duration":
+            if kind == "Duration":
                 mesh.append(int(value))
         except ValueError as e:
             raise DataError(f"vocab file: bad line {ln!r}") from e
-        count += 1
+        rows.append(TokenSpec(kind, value))
+    positions = sum(row.kind == "Position" for row in rows)
     if not positions:
         raise DataError("vocab file: no Position tokens")
-    grid = TICKS_PER_BAR // len(positions)
-    vocab = Vocab(grid, tuple(mesh))
-    if vocab.size != count:
+    vocab = Vocab(TICKS_PER_BAR // positions, tuple(mesh))
+    for i, (row, spec) in enumerate(zip(rows, vocab.specs)):
+        if row != spec:
+            raise DataError(f"vocab file: id {i} reads {row.kind}:{row.value}, "
+                            f"expected {spec.kind}:{spec.value}")
+    if vocab.size != len(rows):
         raise DataError("vocab file does not match the canonical layout")
     return vocab

@@ -3,7 +3,7 @@
 import pytest
 
 from bandgen.score import split_windows
-from bandgen.synth import make_corpus, tiny_corpus
+from bandgen.synth import make_corpus
 from bandgen.tokens import build_vocab
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -40,4 +40,4 @@ def micro_corpus():
 
 @pytest.fixture(scope="session")
 def tiny_songs():
-    return tiny_corpus(n_songs=8, n_bars=4, seed=7)
+    return make_corpus(n_songs=8, n_bars=4, seed=7)

@@ -6,7 +6,7 @@ import pytest
 from bandgen.bpe import (BpeModel, _replace_pair, bpe_decode, bpe_encode,
                          dump_merges, learn_bpe, load_merges, note_units)
 from bandgen.errors import DataError, TargetTooSmall, UnknownToken
-from bandgen.synth import make_song, tiny_corpus
+from bandgen.synth import make_song
 from bandgen.tokens import build_vocab, tokenize_song
 
 

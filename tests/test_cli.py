@@ -186,6 +186,10 @@ def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
     vocab, out = str(work / "vocab.txt"), str(tmp_path / "out")
     ckpt = (work / "model.ckpt").read_bytes()
     feats = (work / "features.txt").read_bytes()
+    specs = (work / "vocab.txt").read_bytes().split(b"\n")
+    # ids stay dense, but two kind:value entries trade places
+    swapped = specs[:3] + [b"3 " + specs[4].split()[1],
+                           b"4 " + specs[3].split()[1]] + specs[5:]
     first_cell = feats.index(b"\nF ") + 1
     bpe = ["bpe-train", "--corpus", str(work / "tokens.txt"), "--vocab", vocab,
            "--vocab-size", "300", "--out", out]
@@ -201,9 +205,15 @@ def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
         "corpus_header": (b"not a corpus\n", bpe[:2] + [bad] + bpe[3:]),
         "corpus_ids": (b"#SONG a\n3 1 x 2\n", bpe[:2] + [bad] + bpe[3:]),
         "corpus_utf8": (b"#SONG a\n3 \xff 2\n", bpe[:2] + [bad] + bpe[3:]),
+        "corpus_song_header": (b"#SONG\n3 1 2\n", bpe[:2] + [bad] + bpe[3:]),
         "vocab": (b"0 Pad\n", bpe[:4] + [bad] + bpe[5:]),
+        "vocab_layout": (b"\n".join(swapped), bpe[:4] + [bad] + bpe[5:]),
+        "vocab_value": (b"\n".join(specs[:20] + [b"20 Pitch:999"] + specs[21:]),
+                        bpe[:4] + [bad] + bpe[5:]),
         "merges": (b"282 1 q\n", generate + ["--merges", bad]),
         "features": (b"#SONG a\nGRID n_bars=zz\n", train[:6] + [bad] + train[7:]),
+        "features_header": (feats.replace(b"#SONG ", b"#SONG \n#SONG ", 1),
+                            train[:6] + [bad] + train[7:]),
         "features_cells": (feats[:first_cell] + feats[feats.index(b"\n", first_cell) + 1:],
                            train[:6] + [bad] + train[7:]),
         "song": (b"SONG n_bars=1\nT0 Piano 0 x 1 1\n", tokenize),
@@ -217,9 +227,11 @@ def _garbage_case(kind: str, work, tmp_path) -> tuple[bytes, list[str]]:
 
 
 @pytest.mark.parametrize("kind", ["corpus_header", "corpus_ids", "corpus_utf8",
-                                  "vocab", "merges", "features",
-                                  "features_cells", "song", "song_utf8",
-                                  "checkpoint_config", "checkpoint_utf8"])
+                                  "corpus_song_header", "vocab", "vocab_layout",
+                                  "vocab_value", "merges", "features",
+                                  "features_header", "features_cells", "song",
+                                  "song_utf8", "checkpoint_config",
+                                  "checkpoint_utf8"])
 def test_garbage_corpus_is_data_error(tmp_path, work, kind):
     data, argv = _garbage_case(kind, work, tmp_path)
     (tmp_path / "bad.song").write_bytes(data)
@@ -247,6 +259,20 @@ def test_failed_rename_leaves_no_output(tmp_path, work, monkeypatch):
                  "--reference", str(work / "ref.mid"),
                  "--out", str(tmp_path / "cover.mid"), "--no-filter"]) == 1
     assert os.listdir(tmp_path) == ["songs"]
+
+
+def test_negative_seed_is_rejected(tmp_path, work):
+    assert main(["train", "--tokens", str(work / "tokens.txt"),
+                 "--vocab", str(work / "vocab.txt"),
+                 "--features", str(work / "features.txt"),
+                 "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
+                 "--vq-steps", "1", "--seed", "-1"]) == 2
+    assert main(["generate", "--checkpoint", str(work / "model.ckpt"),
+                 "--vocab", str(work / "vocab.txt"),
+                 "--reference", str(work / "ref.mid"),
+                 "--out", str(tmp_path / "cover.mid"), "--no-filter",
+                 "--seed", "-1"]) == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_mismatched_corpora_is_data_error(tmp_path, work):

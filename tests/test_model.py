@@ -64,10 +64,13 @@ def test_config_round_trip_and_presets():
     assert load_config("use_ctt = False").use_ctt is False
     assert load_config("use_ctt = true").use_ctt is True
     for bad in ("d = -4", "b_max = 0", "t_max = 0", "e_vq = 0",
-                "layers_top = -1", "lr_schedule = cosine"):
+                "layers_top = -1", "lr_schedule = cosine", "seed = -1",
+                "lr = -1", "lr = 0", "lr = nan", "lr_max = 0", "lr_min = -1e-5"):
         with pytest.raises(DataError):
             load_config(bad)
     assert load_config("layers_ctt = 0").layers_ctt == 0
+    with pytest.raises(DataError):
+        make_config(seed=-1)
 
 
 # -- similarity-modulated attention ------------------------------------------------

@@ -80,6 +80,10 @@ def test_repair_empty_list_builds_empty_track(vocab):
     assert fixed[1] == BOS_ID
     assert bar_count(fixed, vocab) == 4
     assert fixed[-1] == EOS_ID
+    # every missing head token and every BarEmpty fill is one edit
+    piano = vocab.id_of("Instrument", "Piano")
+    for ids, edits in (([], 6), ([piano], 5), ([piano, BOS_ID], 4)):
+        assert repair_track_ids(ids, 4, vocab) == (fixed, edits)
 
 
 def test_repair_replaces_bad_head(vocab):

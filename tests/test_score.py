@@ -1,5 +1,7 @@
 """Song model: quantization, melody/compression rules, filters, windows."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from bandgen.errors import DataError, NoDrumTrack, NoMelodyTrack
 from bandgen.score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS,
                            TICKS_PER_BAR, FilterVerdict, Note, Song, Track,
-                           compress_instruments, copy_song, dedupe_corpus,
+                           compress_instruments, dedupe_corpus,
                            dump_song, empty_bar_count, filter_song,
                            find_melody_index, load_song, monophonic_ratio,
                            program_to_class, quantize_song, sorted_unique_notes,
@@ -193,7 +195,7 @@ def test_split_windows_rebases_onsets():
 def test_dedupe_corpus_keyed_on_features():
     a = make_song(1, n_bars=20)
     b = make_song(2, n_bars=20)
-    out = dedupe_corpus([a, copy_song(a), b])
+    out = dedupe_corpus([a, copy.deepcopy(a), b])
     assert out == [a, b]
 
 

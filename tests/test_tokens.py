@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from bandgen.errors import (DataError, EmptyCorpus, InvalidGrid,
                             MalformedSequence, NoteOutOfRange)
+from bandgen.features import (dump_feature_corpus, extract_expert_features,
+                              load_feature_corpus, quantize_features)
 from bandgen.score import TICKS_PER_BAR, Note, Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, DEFAULT_DURATION_MESH, EOS_ID, PAD_ID,
@@ -235,6 +237,29 @@ def test_token_corpus_file_round_trip(vocab):
     loaded = load_token_corpus(text)
     assert loaded == [("song3", seqs.seqs)]
     assert dump_token_corpus(loaded) == text
+
+
+def test_corpus_files_share_one_header_rule(vocab):
+    """Both corpus formats frame songs as `#SONG <id>` records: ids come back
+    exactly, and any other line starting with `#SONG` is a DataError."""
+    grid = quantize_features(extract_expert_features(make_song(1, n_bars=2)))
+    for song_id in ("a", "song 3", " lead", "x #SONG y"):
+        tokens = [(song_id, [[3, 1, 2], [4, 1, 2]])]
+        assert load_token_corpus(dump_token_corpus(tokens)) == tokens
+        assert [i for i, _ in load_feature_corpus(
+            dump_feature_corpus([(song_id, grid)]))] == [song_id]
+    for bad_id in ("", " ", "a\nb"):
+        with pytest.raises(DataError):
+            dump_token_corpus([(bad_id, [[3]])])
+        with pytest.raises(DataError):
+            dump_feature_corpus([(bad_id, grid)])
+    for header in ("#SONG", "#SONG ", "#SONG  ", "#SONGX a"):
+        with pytest.raises(DataError):
+            load_token_corpus(f"#SONG a\n3 1 2\n{header}\n3 1 2\n")
+        with pytest.raises(DataError):
+            load_feature_corpus(dump_feature_corpus([("a", grid)]) + header)
+    with pytest.raises(DataError):
+        load_token_corpus("3 1 2\n#SONG a\n")
 
 
 def test_vocab_file_round_trip(vocab):

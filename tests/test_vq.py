@@ -10,7 +10,7 @@ from bandgen.neural import (assign_codes, bar_units, make_config,
                             vq_quantize)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.vqvae import MAX_BAR_TOKENS, init_vq_params
-from bandgen.synth import make_song, tiny_corpus
+from bandgen.synth import make_corpus, make_song
 from bandgen.tokens import (EOS_ID, PAD_ID, TrackTokenSeqs, build_vocab,
                             tokenize_song)
 
@@ -142,7 +142,7 @@ def test_bar_units_truncates_overlong_bars():
 
 def test_train_vqvae_deterministic_and_learning(vocab):
     cfg = make_config("toy", d_latent=16, codebook_size=8)
-    corpus = [tokenize_song(s, vocab) for s in tiny_corpus(2, 2, seed=1)]
+    corpus = [tokenize_song(s, vocab) for s in make_corpus(2, 2, seed=1)]
     p1, h1 = train_vqvae(corpus, cfg, steps=8)
     p2, h2 = train_vqvae(corpus, cfg, steps=8)
     assert h1 == h2
@@ -154,7 +154,7 @@ def test_train_vqvae_deterministic_and_learning(vocab):
 
 def test_assign_codes_shape_and_determinism(vocab):
     cfg = make_config("toy", d_latent=16, codebook_size=8)
-    corpus = [tokenize_song(s, vocab) for s in tiny_corpus(2, 2, seed=1)]
+    corpus = [tokenize_song(s, vocab) for s in make_corpus(2, 2, seed=1)]
     params = init_vq_params(cfg)
     codes = assign_codes(corpus, params)
     assert len(codes) == len(corpus)
