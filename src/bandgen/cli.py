@@ -242,8 +242,6 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     started = time.time()
-    if args.seed < 0:
-        raise UsageError("--seed must not be negative")
     params, cfg = load_checkpoint_file(_require_file(args.checkpoint,
                                                      "--checkpoint"))
     vocab = load_vocab(_read_text(args.vocab, "--vocab"))

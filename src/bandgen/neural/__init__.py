@@ -14,7 +14,7 @@ from .sampling import (GenerationResult, SampleEvent, generate,
                        repair_track_ids, top_k_count)
 from .training import batch_loss, gradient_check, mean_loss, train_model, train_step
 from .vqvae import (assign_codes, bar_units, quantize_vectors, train_vqvae,
-                    vq_layer, vq_quantize)
+                    vq_layer)
 
 __all__ = [
     "Adam", "GenerationResult", "ModelConfig", "SampleEvent", "Tensor",
@@ -27,5 +27,5 @@ __all__ = [
     "project_logits", "quantize_vectors", "repair_track_ids",
     "save_checkpoint_file", "schedule_lr", "se_attention", "sequence_loss",
     "top_decode", "top_k_count", "train_model",
-    "train_step", "train_vqvae", "vq_layer", "vq_quantize",
+    "train_step", "train_vqvae", "vq_layer",
 ]

@@ -1,10 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-A Tensor wraps an ndarray and records the op that produced it; backward()
-walks the tape in reverse topological order accumulating gradients. Every
-op checks that its result is finite, always, so NaN/Inf surfaces at the op
-that produced it. Only `detach` and `__getitem__` (they reuse checked values)
-and `masked_fill` (its -inf masks attention scores) skip the check.
+A Tensor wraps an ndarray and records the op that produced it. An op is one
+constructor call: its output value, its parent tensors and one vector-Jacobian
+product (VJP) per parent, which maps the output's gradient to that parent's.
+When no parent requires grad, the tensor keeps neither parents nor VJPs, so
+ops on constants leave no tape. backward() walks the tape in reverse
+topological order and adds each VJP's result to its parent's gradient.
+
+Every op checks that its result is finite, always, so NaN/Inf surfaces at
+the op that produced it. Only `detach` and `__getitem__` (they reuse checked
+values) and `masked_fill` (its -inf masks attention scores) skip the check.
 """
 
 from __future__ import annotations
@@ -28,18 +33,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "op")
 
     def __init__(self, data, requires_grad: bool = False,
-                 parents: tuple = (), backward=None, op: str = "leaf",
+                 parents: tuple = (), vjps: tuple = (), op: str = "leaf",
                  check: bool = True):
         self.data = _as_array(data)
         if check and not np.all(np.isfinite(self.data)):
             raise NonFiniteError(f"non-finite values out of op {op!r}")
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents if self.requires_grad else ()
-        self._backward = backward
+        live = any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or live
+        self._parents = parents if live else ()
+        self._vjps = vjps if live else ()
         self.op = op
 
     @property
@@ -75,52 +81,36 @@ class Tensor:
                 stack.append((p, False))
         self._accumulate(_as_array(seed))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.grad is None:
+                continue
+            for p, vjp in zip(node._parents, node._vjps):
+                if p.requires_grad:
+                    p._accumulate(vjp(node.grad))
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other), op="add")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-        out._backward = backward
-        return out
+        return Tensor(self.data + other.data, parents=(self, other),
+                      vjps=(lambda g: _unbroadcast(g, self.data.shape),
+                            lambda g: _unbroadcast(g, other.data.shape)),
+                      op="add")
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,), op="neg")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-        out._backward = backward
-        return out
+        return Tensor(-self.data, parents=(self,), vjps=(np.negative,), op="neg")
 
     def __sub__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other), op="mul")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = backward
-        return out
+        return Tensor(self.data * other.data, parents=(self, other),
+                      vjps=(lambda g: _unbroadcast(g * other.data, self.data.shape),
+                            lambda g: _unbroadcast(g * self.data, other.data.shape)),
+                      op="mul")
 
     __rmul__ = __mul__
 
@@ -129,68 +119,45 @@ class Tensor:
 
     def __matmul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(np.matmul(self.data, other.data),
-                     parents=(self, other), op="matmul")
 
-        def backward(g):
-            if self.requires_grad:
-                da = np.matmul(g, np.swapaxes(other.data, -1, -2))
-                self._accumulate(_unbroadcast(da, self.data.shape))
-            if other.requires_grad:
-                db = np.matmul(np.swapaxes(self.data, -1, -2), g)
-                other._accumulate(_unbroadcast(db, other.data.shape))
-        out._backward = backward
-        return out
+        def vjp_self(g):
+            da = np.matmul(g, np.swapaxes(other.data, -1, -2))
+            return _unbroadcast(da, self.data.shape)
+
+        def vjp_other(g):
+            db = np.matmul(np.swapaxes(self.data, -1, -2), g)
+            return _unbroadcast(db, other.data.shape)
+        return Tensor(np.matmul(self.data, other.data), parents=(self, other),
+                      vjps=(vjp_self, vjp_other), op="matmul")
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), parents=(self,), op="reshape")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.data.shape))
-        out._backward = backward
-        return out
+        return Tensor(self.data.reshape(*shape), parents=(self,),
+                      vjps=(lambda g: g.reshape(self.data.shape),), op="reshape")
 
     def transpose(self, *axes):
         if not axes:
             axes = tuple(range(self.data.ndim))[::-1]
-        out = Tensor(self.data.transpose(*axes), parents=(self,), op="transpose")
         inverse = np.argsort(axes)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.transpose(*inverse))
-        out._backward = backward
-        return out
+        return Tensor(self.data.transpose(*axes), parents=(self,),
+                      vjps=(lambda g: g.transpose(*inverse),), op="transpose")
 
     def __getitem__(self, key):
-        out = Tensor(self.data[key], parents=(self,), op="getitem", check=False)
-
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
-                self._accumulate(full)
-        out._backward = backward
-        return out
+        def vjp(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, key, g)
+            return full
+        return Tensor(self.data[key], parents=(self,), vjps=(vjp,),
+                      op="getitem", check=False)
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     parents=(self,), op="sum")
-
-        def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
+        def vjp(g):
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-        out._backward = backward
-        return out
+            return np.broadcast_to(g, self.data.shape)
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
+                      parents=(self,), vjps=(vjp,), op="sum")
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -203,41 +170,29 @@ class Tensor:
     # -- nonlinearities ---------------------------------------------------------
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), parents=(self,), op="relu")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0))
-        out._backward = backward
-        return out
+        return Tensor(np.maximum(self.data, 0.0), parents=(self,),
+                      vjps=(lambda g: g * (self.data > 0),), op="relu")
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors), op="concat")
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward(g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
-    out._backward = backward
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    vjps, end = [], 0
+    for t in tensors:
+        start, end = end, end + t.data.shape[axis]
+        vjps.append(lambda g, key=lead + (slice(start, end),): g[key])
+    return Tensor(data, parents=tuple(tensors), vjps=tuple(vjps), op="concat")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(x,), op="softmax")
 
-    def backward(g):
-        if x.requires_grad:
-            inner = (g * p).sum(axis=axis, keepdims=True)
-            x._accumulate(p * (g - inner))
-    out._backward = backward
-    return out
+    def vjp(g):
+        inner = (g * p).sum(axis=axis, keepdims=True)
+        return p * (g - inner)
+    return Tensor(p, parents=(x,), vjps=(vjp,), op="softmax")
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -246,15 +201,12 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (x.data - mu) * inv
-    out = Tensor(y, parents=(x,), op="layer_norm")
 
-    def backward(g):
-        if x.requires_grad:
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (g - gm - y * gym))
-    out._backward = backward
-    return out
+    def vjp(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        return inv * (g - gm - y * gym)
+    return Tensor(y, parents=(x,), vjps=(vjp,), op="layer_norm")
 
 
 def straight_through(x: Tensor, value: np.ndarray) -> Tensor:
@@ -263,25 +215,14 @@ def straight_through(x: Tensor, value: np.ndarray) -> Tensor:
     if x.shape != value.shape:
         raise ValueError(
             f"straight_through shape mismatch {x.shape} vs {value.shape}")
-    out = Tensor(value, parents=(x,), op="straight_through")
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g)
-    out._backward = backward
-    return out
+    return Tensor(value, parents=(x,), vjps=(lambda g: g,), op="straight_through")
 
 
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where mask is True by a constant (no gradient there)."""
     data = np.where(mask, value, x.data)
-    out = Tensor(data, parents=(x,), op="masked_fill", check=False)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.where(mask, 0.0, g))
-    out._backward = backward
-    return out
+    return Tensor(data, parents=(x,), vjps=(lambda g: np.where(mask, 0.0, g),),
+                  op="masked_fill", check=False)
 
 
 def take(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -297,17 +238,13 @@ def put_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, updates: Tensor) ->
     other entries pass through bit-identically."""
     data = x.data.copy()
     data[idx0, idx1] = updates.data
-    out = Tensor(data, parents=(x, updates), op="put_pairs")
 
-    def backward(g):
-        if x.requires_grad:
-            gx = g.copy()
-            gx[idx0, idx1] = 0.0
-            x._accumulate(gx)
-        if updates.requires_grad:
-            updates._accumulate(g[idx0, idx1])
-    out._backward = backward
-    return out
+    def vjp_x(g):
+        gx = g.copy()
+        gx[idx0, idx1] = 0.0
+        return gx
+    return Tensor(data, parents=(x, updates),
+                  vjps=(vjp_x, lambda g: g[idx0, idx1]), op="put_pairs")
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
@@ -320,14 +257,12 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     lse = np.log(np.exp(z).sum(axis=-1))
     logp = z[np.arange(len(targets)), targets] - lse
     loss_val = -(logp * m).sum()
-    out = Tensor(loss_val, parents=(logits,), op="cross_entropy")
 
-    def backward(g):
-        if logits.requires_grad:
-            p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
-            p[np.arange(len(targets)), targets] -= 1.0
-            logits._accumulate(g * p * m[:, None])
-    out._backward = backward
+    def vjp(g):
+        p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+        p[np.arange(len(targets)), targets] -= 1.0
+        return g * p * m[:, None]
+    out = Tensor(loss_val, parents=(logits,), vjps=(vjp,), op="cross_entropy")
     return out, int(m.sum())
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bpe import BpeModel, bpe_decode
-from ..errors import DegenerateVocab
+from ..errors import DegenerateVocab, UsageError
 from ..features import FeatureGrid
 from ..tokens import (BAR_KINDS, BOS_ID, EOS_ID, TrackGrammar, TrackTokenSeqs,
                       Vocab, build_track_seqs)
@@ -66,6 +66,10 @@ def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
 def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
              vocab: Vocab, bpe_model: BpeModel | None = None, seed: int = 0,
              k_frac: float = 0.02, t_max: int | None = None) -> GenerationResult:
+    if seed < 0:
+        raise UsageError(f"seed must not be negative, got {seed}")
+    if not 0.0 <= k_frac <= 1.0:
+        raise UsageError(f"k_frac must lie in [0, 1], got {k_frac}")
     if cfg.vocab_size < 3:
         raise DegenerateVocab(f"vocab of {cfg.vocab_size} cannot be sampled")
     t_max = min(t_max or cfg.t_max, cfg.t_max)

@@ -46,13 +46,6 @@ def quantize_vectors(z_e: np.ndarray, codebook: np.ndarray
     return codes, z_q
 
 
-def vq_quantize(z_e, codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-code lookup that accepts tensors or plain arrays."""
-    z = z_e.data if isinstance(z_e, Tensor) else z_e
-    cb = codebook.data if isinstance(codebook, Tensor) else codebook
-    return quantize_vectors(z, cb)
-
-
 def vq_layer(z_e: Tensor, codebook: Tensor
              ) -> tuple[np.ndarray, Tensor, Tensor, Tensor]:
     """Differentiable quantization: straight-through output plus the

@@ -291,6 +291,8 @@ def load_song(text: str) -> Song:
         n_bars = int(lines[0].split("=", 1)[1])
     except ValueError as e:
         raise DataError(f"song text: bad header {lines[0]!r}") from e
+    if n_bars < 0:
+        raise DataError(f"song text: negative bar count {n_bars}")
 
     insts: dict[int, str] = {}
     notes: dict[int, list[Note]] = {}
@@ -313,6 +315,9 @@ def load_song(text: str) -> Song:
                 onset, pitch, dur, vel = (int(x) for x in parts[2:])
             except ValueError as e:
                 raise DataError(f"song text: bad note in {ln!r}") from e
+            if not 0 <= onset < n_bars * TICKS_PER_BAR:
+                raise DataError(f"song text: note onset {onset} outside "
+                                f"{n_bars} bars in {ln!r}")
             notes[idx].append(Note(pitch, onset, dur, vel))
 
     if sorted(insts) != list(range(len(insts))):

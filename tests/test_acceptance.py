@@ -19,7 +19,7 @@ from bandgen.neural.model import (ctt_forward, expand_similarity, init_params,
                                   make_config, se_attention)
 from bandgen.neural.sampling import generate, top_k_count
 from bandgen.neural.training import gradient_check, mean_loss, train_model
-from bandgen.neural.vqvae import vq_quantize
+from bandgen.neural.vqvae import quantize_vectors
 from bandgen.score import Note, Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, EOS_ID, PAD_ID, corpus_stats, detokenize,
@@ -384,7 +384,7 @@ def test_12_vq_nearest_neighbor_oracle(acceptance_log):
     n_codes, n_groups, width = 16, 8, 4
     codebook = rng.normal(size=(n_codes, width))
     z = rng.normal(size=(1000, n_groups * width))
-    codes, z_q = vq_quantize(z, codebook)
+    codes, z_q = quantize_vectors(z, codebook)
 
     bad = 0
     for i in range(len(z)):

@@ -102,6 +102,17 @@ def test_concat():
     out.backward(seed)
     np.testing.assert_allclose(t.grad, seed[:, :4], atol=1e-14)
     np.testing.assert_allclose(u.grad, seed[:, 4:], atol=1e-14)
+    # three rows along axis 0, the middle one constant (embed_conditions' layout)
+    rng = np.random.default_rng(7)
+    a, c = (Tensor(rng.standard_normal((1, 5)), requires_grad=True) for _ in range(2))
+    b = Tensor(rng.standard_normal((2, 5)))
+    out = concat([a, b, c], axis=0)
+    np.testing.assert_array_equal(out.data, np.concatenate([a.data, b.data, c.data]))
+    seed = rng.standard_normal((4, 5))
+    out.backward(seed)
+    np.testing.assert_array_equal(a.grad, seed[:1])
+    np.testing.assert_array_equal(c.grad, seed[3:])
+    assert b.grad is None
 
 
 def test_softmax():
@@ -235,6 +246,15 @@ def test_diamond_graph_accumulates_once_per_path():
     z = y + y
     z.backward(np.ones(1))
     np.testing.assert_allclose(x.grad, [6.0])
+
+
+def test_ops_on_constants_keep_no_tape():
+    a, b = RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3))
+    const = Tensor(a) * Tensor(b)
+    assert not const.requires_grad
+    assert const._parents == () and const._vjps == ()
+    live = Tensor(a, requires_grad=True) * Tensor(b)
+    assert len(live._parents) == len(live._vjps) == 2
 
 
 def test_deep_chain_does_not_recurse():

@@ -267,11 +267,12 @@ def test_negative_seed_is_rejected(tmp_path, work):
                  "--features", str(work / "features.txt"),
                  "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
                  "--vq-steps", "1", "--seed", "-1"]) == 2
-    assert main(["generate", "--checkpoint", str(work / "model.ckpt"),
-                 "--vocab", str(work / "vocab.txt"),
-                 "--reference", str(work / "ref.mid"),
-                 "--out", str(tmp_path / "cover.mid"), "--no-filter",
-                 "--seed", "-1"]) == 1
+    for bad in (["--seed", "-1"], ["--k-frac", "nan"]):
+        assert main(["generate", "--checkpoint", str(work / "model.ckpt"),
+                     "--vocab", str(work / "vocab.txt"),
+                     "--reference", str(work / "ref.mid"),
+                     "--out", str(tmp_path / "cover.mid"), "--no-filter",
+                     *bad]) == 1
     assert os.listdir(tmp_path) == []
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandgen.bpe import learn_bpe
-from bandgen.errors import DegenerateVocab
+from bandgen.errors import DegenerateVocab, UsageError
 from bandgen.features import extract_expert_features, quantize_features
 from bandgen.neural import (generate, init_params, make_config,
                             repair_track_ids, top_k_count)
@@ -251,3 +251,20 @@ def test_generate_rejects_degenerate_vocab(vocab, gen_setup):
     cfg = small_cfg(vocab_size=2)
     with pytest.raises(DegenerateVocab):
         generate(grid, init_params(cfg), cfg, vocab)
+
+
+@pytest.mark.parametrize("bad", [dict(seed=-1), dict(k_frac=float("nan")),
+                                 dict(k_frac=float("inf")), dict(k_frac=-0.1),
+                                 dict(k_frac=1.5)])
+def test_generate_rejects_bad_seed_and_k_frac(vocab, gen_setup, bad):
+    cfg, params, grid = gen_setup
+    with pytest.raises(UsageError):
+        generate(grid, params, cfg, vocab, **bad)
+
+
+def test_generate_accepts_k_frac_bounds(vocab, gen_setup):
+    cfg, params, grid = gen_setup
+    for k_frac in (0.0, 1.0):
+        result = generate(grid, params, cfg, vocab, k_frac=k_frac, t_max=8)
+        k = top_k_count(cfg.vocab_size, k_frac)
+        assert all(len(e.top_ids) == k for e in result.audit if e.sampled)

@@ -214,6 +214,13 @@ def test_load_song_rejects_garbage():
         load_song("not a song\n")
     with pytest.raises(DataError):
         load_song("SONG n_bars=2\nT0 Flute 0 60 24 90\n")
+    with pytest.raises(DataError):
+        load_song("SONG n_bars=-3\nT0 Piano\n")
+    # onsets must fall inside the declared bars: [0, n_bars * 192)
+    for onset in (-1, 2 * 192, 5000):
+        with pytest.raises(DataError):
+            load_song(f"SONG n_bars=2\nT0 Piano {onset} 60 24 90\n")
+    assert load_song("SONG n_bars=2\nT0 Piano 383 60 24 90\n").n_bars == 2
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,8 +6,7 @@ import pytest
 
 from bandgen.errors import EmptyCodebook
 from bandgen.neural import (assign_codes, bar_units, make_config,
-                            quantize_vectors, train_vqvae, vq_layer,
-                            vq_quantize)
+                            quantize_vectors, train_vqvae, vq_layer)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.vqvae import MAX_BAR_TOKENS, init_vq_params
 from bandgen.synth import make_corpus, make_song
@@ -63,15 +62,6 @@ def test_quantize_single_vector_squeezes_batch_axis():
 def test_quantize_empty_codebook_raises():
     with pytest.raises(EmptyCodebook):
         quantize_vectors(RNG.standard_normal((2, 16)), np.zeros((0, 2)))
-
-
-def test_vq_quantize_accepts_tensors():
-    z = Tensor(RNG.standard_normal((3, 16)))
-    cb = Tensor(RNG.standard_normal((5, 2)))
-    codes, z_q = vq_quantize(z, cb)
-    plain_codes, plain_q = quantize_vectors(z.data, cb.data)
-    np.testing.assert_array_equal(codes, plain_codes)
-    np.testing.assert_array_equal(z_q, plain_q)
 
 
 def test_vq_layer_straight_through_gradient():
