@@ -17,6 +17,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from . import __version__
 from .bpe import bpe_encode, dump_merges, learn_bpe, load_merges
 from .errors import (BandgenError, DataError, MissingInput, NumericError,
@@ -64,6 +66,14 @@ def _manifest(path: str, command: str, inputs: list[str], outputs: list[str],
     if extra:
         doc.update(extra)
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _step_ms_percentiles(step_seconds: list[float]) -> dict:
+    """Median and 90th percentile of generate's per-step wall time, in ms."""
+    if not step_seconds:
+        return {"step_ms_p50": None, "step_ms_p90": None}
+    p50, p90 = np.percentile(1000.0 * np.asarray(step_seconds), [50, 90])
+    return {"step_ms_p50": round(float(p50), 3), "step_ms_p90": round(float(p90), 3)}
 
 
 def _require_dir(path: str, flag: str) -> str:
@@ -279,7 +289,8 @@ def cmd_generate(args) -> int:
                "tokens_generated": result.tokens_generated,
                "tokens_per_second": (result.tokens_generated /
                                      result.wall_seconds
-                                     if result.wall_seconds > 0 else None)})
+                                     if result.wall_seconds > 0 else None),
+               **_step_ms_percentiles(result.step_seconds)})
     print(f"generated {song.n_bars} bars -> {args.out} "
           f"({result.tokens_generated} tokens, {result.repairs} repairs)")
     return 0

@@ -4,8 +4,9 @@ A Tensor wraps an ndarray and records the op that produced it. An op is one
 constructor call: its output value, its parent tensors and one vector-Jacobian
 product (VJP) per parent, which maps the output's gradient to that parent's.
 When no parent requires grad, the tensor keeps neither parents nor VJPs, so
-ops on constants leave no tape. backward() walks the tape in reverse
-topological order and adds each VJP's result to its parent's gradient.
+ops on constants leave no tape; inside `no_grad()` no op records any.
+backward() walks the tape in reverse topological order and adds each VJP's
+result to its parent's gradient.
 
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
 the op that produced it. Only `detach` and `__getitem__` (they reuse checked
@@ -14,9 +15,26 @@ values) and `masked_fill` (its -inf masks attention scores) skip the check.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..errors import NonFiniteError
+
+_taping = True   # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Run the enclosed ops without recording a tape: their outputs keep no
+    parents or VJPs and do not require grad. Values are unchanged."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -39,10 +57,10 @@ class Tensor:
                  parents: tuple = (), vjps: tuple = (), op: str = "leaf",
                  check: bool = True):
         self.data = _as_array(data)
-        if check and not np.all(np.isfinite(self.data)):
+        if check and not np.isfinite(self.data).all():
             raise NonFiniteError(f"non-finite values out of op {op!r}")
         self.grad: np.ndarray | None = None
-        live = any(p.requires_grad for p in parents)
+        live = _taping and any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad or live
         self._parents = parents if live else ()
         self._vjps = vjps if live else ()
@@ -139,9 +157,9 @@ class Tensor:
     def transpose(self, *axes):
         if not axes:
             axes = tuple(range(self.data.ndim))[::-1]
-        inverse = np.argsort(axes)
         return Tensor(self.data.transpose(*axes), parents=(self,),
-                      vjps=(lambda g: g.transpose(*inverse),), op="transpose")
+                      vjps=(lambda g: g.transpose(*np.argsort(axes)),),
+                      op="transpose")
 
     def __getitem__(self, key):
         def vjp(g):

@@ -10,6 +10,16 @@ Stack (per forward pass):
 
 Encoder/decoder weights are shared across tracks; only the output heads are
 per-track. All arrays are float64 under the local autograd.
+
+Decoding is incremental: `model_forward` with a `DecodeCache` runs the grid
+stage once, then on each call only the positions the cache has not seen go
+through the token embedding and both decoder stacks, attending the cached
+keys and values of earlier positions, and only each track's last row is
+projected to logits. The cross-track layer mixes tracks within one bar, so
+bar b's exchange depends on bar b alone: it runs once, when every track has
+reached bar b, and the top decoder is then recomputed for each track from
+its bar-b token onward, nothing earlier. The logits equal the matching rows
+of the full forward to float rounding.
 """
 
 from __future__ import annotations
@@ -20,13 +30,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import (BarCountMismatch, BarIndexOutOfRange, BinOutOfVocab,
-                      DataError, IdOutOfVocab)
+                      DataError, IdOutOfVocab, UsageError)
 from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
                         PITCHED_KEYS_FEATURE, FeatureGrid)
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, concat, cross_entropy_logits, layer_norm,
-                       masked_fill, ones_param, parameter, put_pairs, softmax,
-                       take, zeros_param)
+                       masked_fill, no_grad, ones_param, parameter, put_pairs,
+                       softmax, take, zeros_param)
 
 
 _SIZE_FIELDS = ("d", "heads", "ffn", "n_tracks", "b_max", "t_max", "vocab_size",
@@ -256,15 +266,21 @@ def _merge_heads(x: Tensor) -> Tensor:
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
                          params: dict, name: str, heads: int,
                          causal: bool = False,
-                         smat: Tensor | None = None) -> Tensor:
+                         smat: Tensor | None = None,
+                         past: "_CachedRows | None" = None) -> Tensor:
     """Batched attention over [batch, seq, d] inputs.
 
     With `smat` [batch, Tq, Tk], raw scores are multiplied elementwise by it
-    (shared across heads) before scaling and masking.
+    (shared across heads) before scaling and masking. With `past`, k_in and
+    v_in hold only the query rows' own positions; their keys and values are
+    cached and the queries attend every cached position up to their last.
+    Under `causal` the queries are the last Tq of the Tk positions.
     """
     q = _split_heads(_linear(q_in, params, f"{name}_q"), heads)
     k = _split_heads(_linear(k_in, params, f"{name}_k"), heads)
     v = _split_heads(_linear(v_in, params, f"{name}_v"), heads)
+    if past is not None:
+        k, v = past.attend(name, k, v)
     scores = q @ k.transpose(0, 1, 3, 2)
     if smat is not None:
         b, tq, tk = smat.shape
@@ -273,7 +289,7 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
     scores = scores / float(np.sqrt(d_head))
     if causal:
         tq, tk = scores.shape[-2], scores.shape[-1]
-        blocked = np.triu(np.ones((tq, tk), dtype=bool), k=1)
+        blocked = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
         scores = masked_fill(scores, blocked, -np.inf)
     attn = softmax(scores, axis=-1)
     return _linear(_merge_heads(attn @ v), params, f"{name}_o")
@@ -346,7 +362,12 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     return _encoder_stack(x, params, "enc", cfg.layers_enc, cfg)
 
 
-def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig) -> Tensor:
+def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig,
+                 tracks: np.ndarray | None = None, start: int = 0,
+                 stop: int | None = None) -> Tensor:
+    """x~ [I, T, d]: token + position + bar + instrument embeddings; with
+    `tracks`, `start` and `stop`, only positions start..stop-1 of those
+    tracks. The whole of `seqs` is validated either way."""
     ids = np.asarray(seqs.seqs, dtype=np.int64)
     bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
     if ids.size and ids.max() >= cfg.vocab_size:
@@ -356,10 +377,12 @@ def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig) -> Tensor
     if bar_idx.size and bar_idx.max() >= cfg.b_max:
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
     I, T = ids.shape
-    x = take(params["te"], ids)
-    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d)[:T])
-    x = x + take(params["be"], bar_idx)
-    x = x + take(params["ie"], np.arange(I)).reshape(I, 1, cfg.d)
+    tracks = np.arange(I) if tracks is None else tracks
+    stop = T if stop is None else stop
+    x = take(params["te"], ids[tracks, start:stop])
+    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d)[start:stop])
+    x = x + take(params["be"], bar_idx[tracks, start:stop])
+    x = x + take(params["ie"], tracks).reshape(len(tracks), 1, cfg.d)
     return x
 
 
@@ -372,29 +395,31 @@ def bar_similarity(E: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     return layer_norm(softmax(scores, axis=-1))
 
 
-def expand_similarity(S: Tensor, bar_index: np.ndarray) -> Tensor:
-    """S~ [I, T, T] tiling bar-level scores over token positions:
-    S~[i, t1, t2] = S[i, bar_index[i, t1], bar_index[i, t2]]."""
+def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tensor:
+    """S~ [I, T - start, T] tiling bar-level scores over token positions:
+    S~[i, t1, t2] = S[i, bar_index[i, start + t1], bar_index[i, t2]]; the
+    rows are the query positions from `start` on."""
     bar_index = np.asarray(bar_index, dtype=np.int64)
     if bar_index.size and bar_index.max() >= S.shape[-1]:
         raise BarIndexOutOfRange(
             f"bar index {bar_index.max()} >= {S.shape[-1]} bars")
     tracks = np.arange(bar_index.shape[0])[:, None, None]
-    return S[tracks, bar_index[:, :, None], bar_index[:, None, :]]
+    return S[tracks, bar_index[:, start:, None], bar_index[:, None, :]]
 
 
 def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
-                 cfg: ModelConfig) -> Tensor:
+                 cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
     """Causal self-attention with scores modulated by the tiled similarity."""
     return multi_head_attention(x, x, x, params, name, cfg.heads,
-                                causal=True, smat=smat)
+                                causal=True, smat=smat, past=past)
 
 
 def _decoder_stack(x: Tensor, E: Tensor, smat: Tensor, params: dict,
-                   prefix: str, n_layers: int, cfg: ModelConfig) -> Tensor:
+                   prefix: str, n_layers: int, cfg: ModelConfig,
+                   past: "_CachedRows | None") -> Tensor:
     for l in range(n_layers):
         name = f"{prefix}{l}"
-        a = _ln_affine(x + se_attention(x, smat, params, f"{name}_self", cfg),
+        a = _ln_affine(x + se_attention(x, smat, params, f"{name}_self", cfg, past),
                        params, f"{name}_ln1")
         b = _ln_affine(a + multi_head_attention(a, E, E, params, f"{name}_cross",
                                                 cfg.heads), params, f"{name}_ln2")
@@ -403,13 +428,13 @@ def _decoder_stack(x: Tensor, E: Tensor, smat: Tensor, params: dict,
 
 
 def bottom_decode(x: Tensor, E: Tensor, smat: Tensor, params: dict,
-                  cfg: ModelConfig) -> Tensor:
-    return _decoder_stack(x, E, smat, params, "bot", cfg.layers_bottom, cfg)
+                  cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
+    return _decoder_stack(x, E, smat, params, "bot", cfg.layers_bottom, cfg, past)
 
 
 def top_decode(x: Tensor, E: Tensor, smat: Tensor, params: dict,
-               cfg: ModelConfig) -> Tensor:
-    return _decoder_stack(x, E, smat, params, "top", cfg.layers_top, cfg)
+               cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
+    return _decoder_stack(x, E, smat, params, "top", cfg.layers_top, cfg, past)
 
 
 def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
@@ -443,9 +468,137 @@ def project_logits(O: Tensor, params: dict) -> Tensor:
         params["heads_b"].shape[0], 1, params["heads_b"].shape[1])
 
 
+class DecodeCache:
+    """What incremental decoding keeps between `model_forward` calls: the
+    grid and its stage, the ids each track was decoded through, the
+    self-attention keys and values of every decoder layer, the top-decoder
+    input rows (bottom outputs, cross-track outputs at exchanged bar tokens),
+    each track's last top-decoder output and how many bars were exchanged.
+    Arrays grow along the position axis by doubling. One cache serves one
+    decoded piece; after a call that raised, start a new one."""
+
+    def __init__(self):
+        self.grid: FeatureGrid | None = None
+        self.E: Tensor | None = None
+        self.S: Tensor | None = None
+        self.ids: list[list[int]] = []
+        self.bars_exchanged = 0
+        self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
+        self.last = np.zeros((0, 0))               # [I, d]
+        self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, h, capacity, dh]
+
+    def _admit(self, seqs: TrackTokenSeqs, d: int) -> np.ndarray:
+        """Check that `seqs` extends the cached prefix of every track, make
+        room for its length and return how many positions each track has
+        cached."""
+        if not self.ids:
+            self.ids = [[] for _ in seqs.seqs]
+            self.top_in = np.zeros((len(seqs.seqs), seqs.length, d))
+            self.last = np.zeros((len(seqs.seqs), d))
+        if len(seqs.seqs) != len(self.ids) or any(
+                n < len(done) or ids[:len(done)] != done
+                for ids, n, done in zip(seqs.seqs, seqs.lengths, self.ids)):
+            raise UsageError("sequences do not extend the decode cache's prefix")
+        if seqs.length > self.top_in.shape[1]:
+            size = max(seqs.length, 2 * self.top_in.shape[1])
+            self.top_in = _widen(self.top_in, 1, size)
+            for pair in self.kv.values():
+                pair[:] = [_widen(a, 2, size) for a in pair]
+        return np.array([len(done) for done in self.ids])
+
+
+def _widen(a: np.ndarray, axis: int, size: int) -> np.ndarray:
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (0, size - a.shape[axis])
+    return np.pad(a, pad)
+
+
+class _CachedRows:
+    """Query rows at positions `start`.. of `tracks`, decoded against a cache."""
+
+    __slots__ = ("cache", "tracks", "start")
+
+    def __init__(self, cache: DecodeCache, tracks: np.ndarray, start: int):
+        self.cache, self.tracks, self.start = cache, tracks, start
+
+    def attend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Cache layer `name`'s keys and values [n, h, rows, dh] of the query
+        rows; return those of positions 0.. through the last query row."""
+        kv = self.cache.kv
+        if name not in kv:
+            I, size = self.cache.top_in.shape[:2]
+            shape = (I, k.shape[1], size, k.shape[3])
+            kv[name] = [np.zeros(shape), np.zeros(shape)]
+        stop = self.start + k.shape[2]
+        out = []
+        for buf, new in zip(kv[name], (k, v)):
+            buf[self.tracks, :, self.start:stop] = new.data
+            out.append(Tensor(buf[self.tracks, :, :stop]))
+        return out[0], out[1]
+
+
+def _row_groups(first: np.ndarray, lengths: list[int]):
+    """Tracks grouped by the positions first[i]..lengths[i]-1 left to
+    compute, as ((start, stop), track indices); tracks with none are left out."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (start, stop) in enumerate(zip(first, lengths)):
+        if start < stop:
+            groups.setdefault((int(start), stop), []).append(i)
+    return [(rows, np.array(tracks)) for rows, tracks in groups.items()]
+
+
+def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
+                    cfg: ModelConfig, strict_bars: bool,
+                    cache: DecodeCache) -> Tensor:
+    """`model_forward` with a cache: see the module docstring."""
+    if cache.grid is None:
+        cache.grid = grid
+        cache.E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
+        cache.S = bar_similarity(cache.E, params, cfg)
+    elif grid is not cache.grid:
+        raise UsageError("the decode cache holds another grid")
+    E, S = cache.E, cache.S
+    seen = cache._admit(seqs, cfg.d)
+    bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
+    for (start, stop), tracks in _row_groups(seen, seqs.lengths):
+        smat = expand_similarity(S[tracks], bar_idx[tracks, :stop], start)
+        x = embed_tokens(seqs, params, cfg, tracks, start, stop)
+        O = bottom_decode(x, E[tracks], smat, params, cfg,
+                          _CachedRows(cache, tracks, start))
+        cache.top_in[tracks, start:stop] = O.data
+    redo = seen
+    if cfg.use_ctt:
+        fresh = [p[cache.bars_exchanged:] for p in seqs.bar_token_positions]
+        shared = min(len(p) for p in fresh)
+        # strict mode raises on unequal bar counts, as the full forward does
+        if shared or strict_bars:
+            cache.top_in = ctt_forward(Tensor(cache.top_in), fresh, params, cfg,
+                                       strict=strict_bars).data
+        if shared:
+            # the exchanged bar tokens feed every later top-decoder row
+            redo = np.minimum(redo, [p[0] for p in fresh])
+            cache.bars_exchanged += shared
+    for (start, stop), tracks in _row_groups(redo, seqs.lengths):
+        smat = expand_similarity(S[tracks], bar_idx[tracks, :stop], start)
+        O = top_decode(Tensor(cache.top_in[tracks, start:stop]), E[tracks], smat,
+                       params, cfg, _CachedRows(cache, tracks, start))
+        cache.last[tracks] = O.data[:, -1]
+    cache.ids = [ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)]
+    return project_logits(Tensor(cache.last[:, None, :]), params)
+
+
 def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
-                  cfg: ModelConfig, strict_bars: bool = True) -> Tensor:
-    """Full stack to logits [I, T, V]."""
+                  cfg: ModelConfig, strict_bars: bool = True,
+                  cache: DecodeCache | None = None) -> Tensor:
+    """Full stack to logits [I, T, V], for training and scoring.
+
+    With a `DecodeCache`, for decoding: logits [I, 1, V] of each track's last
+    position (row lengths[i] - 1 of the full forward), computing only the
+    positions earlier calls with the same cache did not see. The cached
+    forward records no tape: its logits carry no gradient."""
+    if cache is not None:
+        with no_grad():
+            return _decode_forward(seqs, grid, params, cfg, strict_bars, cache)
     C = embed_conditions(grid, params, cfg)
     E = encode_features(C, params, cfg)
     S = bar_similarity(E, params, cfg)

@@ -8,6 +8,13 @@ dropped and EOS emitted), on a sampled EOS, or at the length cap; halted
 tracks pad. Output sequences are repaired against the track grammar stated
 in the `bandgen.tokens` docstring, so decoding always succeeds, and every
 sampling step is recorded in an audit log.
+
+Decoding is incremental and runs without a tape: one `DecodeCache` per call
+keeps the grid stage and every decoder layer's keys and values, so a step
+computes one new position per active track. Only the cross-track layer
+reaches back: when all tracks have reached bar b, it exchanges bar b once
+and the top decoder is recomputed from each track's bar-b token onward, so
+a cover of n bars redoes at most n such spans (see `bandgen.neural.model`).
 """
 
 from __future__ import annotations
@@ -23,10 +30,12 @@ from ..features import FeatureGrid
 from ..tokens import (BAR_KINDS, BOS_ID, EOS_ID, TrackGrammar, TrackTokenSeqs,
                       Vocab, build_track_seqs)
 from .autograd import Tensor
-from .model import ModelConfig, model_forward
+from .model import DecodeCache, ModelConfig, model_forward
 
 
 def top_k_count(vocab_size: int, k_frac: float = 0.02) -> int:
+    if not 0.0 <= k_frac <= 1.0:  # NaN fails too
+        raise UsageError(f"k_frac must lie in [0, 1], got {k_frac}")
     return max(1, int(vocab_size * k_frac + 0.5))
 
 
@@ -47,6 +56,7 @@ class GenerationResult:
     repairs: int
     wall_seconds: float
     tokens_generated: int
+    step_seconds: list[float]     # wall time of each lockstep step
 
 
 def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
@@ -66,33 +76,39 @@ def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
 def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
              vocab: Vocab, bpe_model: BpeModel | None = None, seed: int = 0,
              k_frac: float = 0.02, t_max: int | None = None) -> GenerationResult:
+    """Sample a cover of `grid`; `t_max` caps each track's length before its
+    final EOS (None: the config's cap; larger values are clipped to it)."""
     if seed < 0:
         raise UsageError(f"seed must not be negative, got {seed}")
-    if not 0.0 <= k_frac <= 1.0:
-        raise UsageError(f"k_frac must lie in [0, 1], got {k_frac}")
+    k = top_k_count(cfg.vocab_size, k_frac)
     if cfg.vocab_size < 3:
         raise DegenerateVocab(f"vocab of {cfg.vocab_size} cannot be sampled")
-    t_max = min(t_max or cfg.t_max, cfg.t_max)
-    k = top_k_count(cfg.vocab_size, k_frac)
+    if t_max is not None and t_max < 3:
+        # every track starts with [Instrument, BOS]
+        raise UsageError(f"t_max must leave room for a sampled token, got {t_max}")
+    t_max = cfg.t_max if t_max is None else min(t_max, cfg.t_max)
     rng = np.random.default_rng(seed)
     b_ref = grid.n_bars
-    bar_ids = {vocab.id_of("BarNormal", 0), vocab.id_of("BarEmpty", 0)}
+    bar_ids = vocab.bar_ids
 
     lists = [[vocab.id_of("Instrument", inst), BOS_ID] for inst in grid.instruments]
     finished = [False] * len(lists)
     bars = [0] * len(lists)
     audit: list[SampleEvent] = []
+    step_seconds: list[float] = []
     emitted = 0
     step = 0
+    cache = DecodeCache()
 
-    start = time.perf_counter()
+    start = tick = time.perf_counter()
     while not all(finished) and max(len(ids) for ids in lists) < t_max:
         seqs = build_track_seqs([list(ids) for ids in lists], vocab)
-        logits = model_forward(seqs, grid, params, cfg, strict_bars=False)
+        logits = model_forward(seqs, grid, params, cfg, strict_bars=False,
+                               cache=cache)
         for ti, ids in enumerate(lists):
             if finished[ti]:
                 continue
-            row = logits.data[ti, len(ids) - 1]
+            row = logits.data[ti, 0]
             row = row - row.max()
             probs = np.exp(row)
             probs /= probs.sum()
@@ -111,6 +127,8 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
                     finished[ti] = True
             emitted += 1
         step += 1
+        tick, last = time.perf_counter(), tick
+        step_seconds.append(tick - last)
     for ti, ids in enumerate(lists):
         if not finished[ti]:
             ids.append(EOS_ID)
@@ -126,7 +144,8 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
         repaired.append(fixed)
         repairs += n
     seqs = build_track_seqs(repaired, vocab)
-    return GenerationResult(seqs, lists, audit, repairs, wall, emitted)
+    return GenerationResult(seqs, lists, audit, repairs, wall, emitted,
+                            step_seconds)
 
 
 def repair_track_ids(ids: list[int], b_ref: int, vocab: Vocab

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..features import FeatureGrid
 from ..tokens import TrackTokenSeqs
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .model import ModelConfig, init_params, model_forward, sequence_loss
 from .optim import Adam, schedule_lr
 
@@ -40,7 +40,9 @@ def train_step(pairs: list[Pair], params: dict[str, Tensor], cfg: ModelConfig,
 
 def mean_loss(pairs: list[Pair], params: dict[str, Tensor],
               cfg: ModelConfig) -> float:
-    loss, count = batch_loss(pairs, params, cfg)
+    """Mean per-token loss, computed without a tape."""
+    with no_grad():
+        loss, count = batch_loss(pairs, params, cfg)
     return float(loss.data) / max(1, count)
 
 

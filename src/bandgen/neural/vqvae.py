@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import EmptyCodebook
 from ..tokens import EOS_ID, PAD_ID, TrackTokenSeqs
-from .autograd import (Tensor, cross_entropy_logits, parameter,
+from .autograd import (Tensor, cross_entropy_logits, no_grad, parameter,
                        straight_through, take)
 from .model import (ModelConfig, N_VQ_GROUPS, _linear, _linear_block,
                     sinusoidal_table)
@@ -187,7 +187,8 @@ def assign_codes(corpus: list[TrackTokenSeqs], params: dict[str, Tensor]
                 song_codes.append([])
                 continue
             ids, mask = _pad_units(track_units)
-            z_e = encode_units(ids, mask, params)
+            with no_grad():
+                z_e = encode_units(ids, mask, params)
             codes, _ = quantize_vectors(z_e.data, params["vq_codebook"].data)
             song_codes.append([tuple(int(c) for c in row) for row in codes])
         out.append(song_codes)

@@ -94,6 +94,7 @@ class Vocab:
         self.index = {(s.kind, s.value): i for i, s in enumerate(specs)}
         self.size = len(specs)
         self._note_mask = tuple(s.kind in NOTE_KINDS for s in specs)
+        self.bar_ids = frozenset(i for i, s in enumerate(specs) if s.kind in BAR_KINDS)
         # nearest listed drum key per raw pitch, ties to the lower key
         self._drum_map = tuple(
             min(self.drum_keys, key=lambda k: (abs(k - p), k)) for p in range(128))
@@ -222,22 +223,20 @@ def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
     lengths = [len(ids) for ids in lists]
     width = max(lengths, default=0)
     seqs, bar_index, bar_positions, instruments = [], [], [], []
+    bar_ids = vocab.bar_ids
     for ids in lists:
+        if ids and min(ids) < 0:
+            raise DataError(f"token id {min(ids)} out of vocab")
         inst = "?"
         if ids and 3 <= ids[0] < 3 + len(INSTRUMENTS):
             inst = vocab.spec_of(ids[0]).value
-        bars: list[int] = []
-        bidx: list[int] = []
-        current = 0
-        for k, tid in enumerate(ids):
-            if tid < vocab.size:
-                kind = vocab.spec_of(tid).kind
-                if kind in BAR_KINDS:
-                    bars.append(k)
-                    current = len(bars) - 1
-            bidx.append(current)
+        bars = [k for k, tid in enumerate(ids) if tid in bar_ids]
+        # bar j spans its token up to the next bar token (the last one, the
+        # padding too); framing tokens before the first bar belong to bar 0
+        bidx = [0] * width
+        for j, (first, end) in enumerate(zip(bars, bars[1:] + [width])):
+            bidx[first:end] = [j] * (end - first)
         padded = ids + [PAD_ID] * (width - len(ids))
-        bidx += [current] * (width - len(ids))
         seqs.append(padded)
         bar_index.append(bidx)
         bar_positions.append(bars)

@@ -5,8 +5,8 @@ import pytest
 
 from bandgen.errors import NonFiniteError
 from bandgen.neural.autograd import (Tensor, concat, cross_entropy_logits,
-                                     layer_norm, masked_fill, put_pairs,
-                                     softmax, straight_through, take)
+                                     layer_norm, masked_fill, no_grad,
+                                     put_pairs, softmax, straight_through, take)
 from bandgen.neural.model import expand_similarity
 
 RNG = np.random.default_rng(42)
@@ -255,6 +255,29 @@ def test_ops_on_constants_keep_no_tape():
     assert const._parents == () and const._vjps == ()
     live = Tensor(a, requires_grad=True) * Tensor(b)
     assert len(live._parents) == len(live._vjps) == 2
+
+
+def test_no_grad_records_no_tape():
+    a, b = RNG.standard_normal((2, 3)), RNG.standard_normal((3, 2))
+    w = Tensor(a, requires_grad=True)
+    taped = layer_norm((w @ Tensor(b)).relu() + w.sum())
+    with no_grad():
+        out = [w @ Tensor(b), (w @ Tensor(b)).relu(), layer_norm(w), softmax(w),
+               w[0], w.transpose(), concat([w, w]), take(w, np.array([1, 0])),
+               put_pairs(w, np.array([0]), np.array([1]), w[0, :1])]
+        out.append(layer_norm((w @ Tensor(b)).relu() + w.sum()))
+        with pytest.raises(NonFiniteError):
+            w * np.inf
+    for t in out:
+        assert not t.requires_grad
+        assert t._parents == () and t._vjps == ()
+    np.testing.assert_array_equal(out[-1].data, taped.data)
+    # the tape is back after the block, also after an exception inside it
+    assert len((w * 2.0)._parents) == 2
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError
+    assert (w + 1.0).requires_grad
 
 
 def test_deep_chain_does_not_recurse():

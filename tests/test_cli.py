@@ -120,6 +120,7 @@ def test_generate_outputs(work):
     manifest = json.loads((work / "cover.mid.manifest.json").read_text())
     assert manifest["bars"] == 2
     assert manifest["tokens_generated"] > 0
+    assert 0 < manifest["step_ms_p50"] <= manifest["step_ms_p90"]
 
 
 def test_evaluate_report_is_perfect_for_copies(work):

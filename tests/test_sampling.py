@@ -268,3 +268,28 @@ def test_generate_accepts_k_frac_bounds(vocab, gen_setup):
         result = generate(grid, params, cfg, vocab, k_frac=k_frac, t_max=8)
         k = top_k_count(cfg.vocab_size, k_frac)
         assert all(len(e.top_ids) == k for e in result.audit if e.sampled)
+
+
+@pytest.mark.parametrize("k_frac", [float("nan"), float("inf"), -0.1, 1.5])
+def test_top_k_count_rejects_bad_fractions(k_frac):
+    with pytest.raises(UsageError):
+        top_k_count(282, k_frac)
+
+
+@pytest.mark.parametrize("t_max", [0, 2, -5])
+def test_generate_rejects_t_max_without_room_to_sample(vocab, gen_setup, t_max):
+    cfg, params, grid = gen_setup
+    with pytest.raises(UsageError):
+        generate(grid, params, cfg, vocab, t_max=t_max)
+
+
+def test_generate_t_max_caps_and_defaults(vocab, gen_setup):
+    cfg, params, grid = gen_setup
+    # [Instrument, BOS], one sampled id, then EOS if the track did not stop
+    shortest = generate(grid, params, cfg, vocab, seed=0, t_max=3)
+    assert len(shortest.step_seconds) == 1
+    assert all(len(ids) <= 4 for ids in shortest.raw_lists)
+    capped = generate(grid, params, cfg, vocab, seed=0, t_max=cfg.t_max + 100)
+    default = generate(grid, params, cfg, vocab, seed=0)
+    assert capped.raw_lists == default.raw_lists
+    assert max(map(len, default.raw_lists)) <= cfg.t_max + 1

@@ -124,6 +124,29 @@ def test_bar_index_and_positions(vocab):
     assert all(bidx[k] == 1 for k in range(bars[1], seqs.lengths[0]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 320), max_size=30), max_size=5))
+def test_build_track_seqs_matches_a_token_loop(lists):
+    """Against the per-token loop: merged ids (>= vocab size) are note runs,
+    padding keeps the last bar's index."""
+    vocab = build_vocab()
+    seqs = build_track_seqs([list(ids) for ids in lists], vocab)
+    width = max(map(len, lists), default=0)
+    for ti, ids in enumerate(lists):
+        bars, bidx, current = [], [], 0
+        for k, tid in enumerate(ids + [PAD_ID] * (width - len(ids))):
+            if k < len(ids) and tid < vocab.size and vocab.spec_of(tid).kind in (
+                    "BarNormal", "BarEmpty"):
+                bars.append(k)
+                current = len(bars) - 1
+            bidx.append(current)
+        assert seqs.bar_token_positions[ti] == bars
+        assert seqs.bar_index[ti] == bidx
+        assert seqs.seqs[ti] == ids + [PAD_ID] * (width - len(ids))
+    with pytest.raises(DataError):
+        build_track_seqs([[3, 1, -1]], vocab)
+
+
 def test_same_position_notes_share_one_position_token(vocab):
     song = Song([Track("Piano", [Note(60, 0, 24, 90), Note(64, 0, 24, 90)])], 1)
     seqs = tokenize_song(song, vocab)

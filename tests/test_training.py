@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bandgen.features import extract_expert_features, quantize_features
-from bandgen.neural import (Adam, gradient_check, init_params, make_config,
-                            mean_loss, schedule_lr, train_model, train_step)
+from bandgen.neural import (Adam, batch_loss, dump_checkpoint, generate,
+                            gradient_check, init_params, make_config,
+                            mean_loss, no_grad, schedule_lr, train_model,
+                            train_step)
 from bandgen.neural.autograd import Tensor
 from bandgen.synth import make_song
 from bandgen.tokens import tokenize_song
@@ -121,3 +123,33 @@ def test_gradient_check_all_blocks(vocab):
     worst = max(report.values())
     bad = {k: v for k, v in report.items() if v >= 1e-4}
     assert worst < 1e-4, f"blocks over tolerance: {bad}"
+
+
+def test_tape_free_passes_leave_training_bit_identical(vocab):
+    """mean_loss and generate run under no_grad: they give the taped loss
+    exactly, and gradients, a loss trace and the checkpoint after them equal
+    those of a run that never made a tape-free pass."""
+    cfg = small_cfg()
+    pairs = [make_pair(vocab, seed=s) for s in (3, 4)]
+
+    def run(tape_free_first: bool):
+        params = init_params(cfg)
+        if tape_free_first:
+            loss, count = batch_loss(pairs, params, cfg)
+            assert mean_loss(pairs, params, cfg) == float(loss.data) / count
+            generate(pairs[0][1], params, cfg, vocab, seed=0, t_max=16)
+            with no_grad():
+                assert not batch_loss(pairs, params, cfg)[0].requires_grad
+        loss, _ = batch_loss(pairs, params, cfg)
+        opt = Adam(params, lr=cfg.lr)
+        opt.zero_grad()
+        loss.backward()
+        grads = {k: None if p.grad is None else p.grad.tobytes()
+                 for k, p in params.items()}
+        _, history = train_model(pairs, cfg, steps=3, params=params)
+        return grads, history, dump_checkpoint(params, cfg)
+
+    (grads_a, history_a, blob_a), (grads_b, history_b, blob_b) = run(False), run(True)
+    assert grads_a == grads_b
+    assert history_a == history_b
+    assert blob_a == blob_b
