@@ -19,8 +19,8 @@ song = corpus[0]
 # per-track tokenization: one sequence per instrument, padded to a common T
 tt = tokenize_song(song, vocab)
 print(f"\nper-track sequences for a {song.n_bars}-bar song:")
-for name, n in zip(tt.instruments, tt.lengths):
-    print(f"  {name:<12} {n:>4} tokens (padded to {tt.length})")
+for track, n in zip(song.tracks, tt.lengths):
+    print(f"  {track.instrument:<12} {n:>4} tokens (padded to {tt.length})")
 
 # the baseline interleaves every track into one long sequence
 flat = tokenize_remi_plus(song, vocab)

@@ -35,7 +35,8 @@ for inst, row in zip(binned.instruments, binned.entries):
 
 # fit the bar autoencoder on a small token corpus; loss is per token
 vocab = build_vocab()
-corpus = [tokenize_song(s, vocab) for s in make_corpus(6, n_bars=4, seed=9)]
+songs = make_corpus(6, n_bars=4, seed=9)
+corpus = [tokenize_song(s, vocab) for s in songs]
 cfg = make_config("toy")
 params, history = train_vqvae(corpus, cfg, steps=300)
 print(f"\nvq loss/token over 300 steps: {history[0]:.3f} -> "
@@ -44,8 +45,8 @@ print(f"\nvq loss/token over 300 steps: {history[0]:.3f} -> "
 # every (track, bar) gets a deterministic tuple of 8 codebook indices
 codes = assign_codes(corpus, params)
 print(f"codebook size {cfg.codebook_size}, codes for song 0 (hex digits):")
-for inst, track_codes in zip(corpus[0].instruments, codes[0]):
+for track, track_codes in zip(songs[0].tracks, codes[0]):
     shown = " ".join("".join(f"{c:x}" for c in bar) for bar in track_codes)
-    print(f"  {inst:<12} {shown}")
+    print(f"  {track.instrument:<12} {shown}")
 used = {c for s in codes for tr in s for bar in tr for c in bar}
 print(f"distinct codes in use across the corpus: {sorted(used)}")

@@ -27,9 +27,10 @@ from .features import (dump_feature_corpus, extract_expert_features,
                        load_feature_corpus, quantize_features)
 from .metrics import evaluate_pair, mean_report, report_csv, report_text
 from .midi import load_midi_file, write_midi
-from .neural import (assign_codes, dump_checkpoint, generate,
+from .neural import (assign_codes, dump_checkpoint, generate, init_params,
                      load_checkpoint_file, make_config, mean_loss, train_model,
                      train_vqvae)
+from .neural.vqvae import init_vq_params
 from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
                     filter_song, load_song, quantize_song, split_windows)
 from .tokens import (build_track_seqs, build_vocab, corpus_stats, detokenize,
@@ -108,6 +109,20 @@ def _load_song_dir(path: str, flag: str) -> list[tuple[str, Song]]:
         raise MissingInput(f"{flag}: no .song files in {path}")
     return [(os.path.splitext(os.path.basename(f))[0],
              load_song(_read_text(f, flag))) for f in files]
+
+
+def _check_blocks(params: dict, cfg) -> None:
+    """A checkpoint `generate` can sample from holds exactly the blocks, of
+    the same shapes, that `init_params` and `init_vq_params` make for its
+    config."""
+    want = {name: p.shape for name, p in (init_params(cfg) | init_vq_params(cfg)).items()}
+    got = {name: p.shape for name, p in params.items()}
+    problems = [f"{name}: {got.get(name, 'missing')}, expected {want.get(name, 'none')}"
+                for name in sorted(want.keys() | got.keys())
+                if got.get(name) != want.get(name)]
+    if problems:
+        raise DataError(f"checkpoint does not fit its config ({len(problems)} "
+                        f"blocks): {'; '.join(problems[:3])}")
 
 
 def is_test_song(song_id: str) -> bool:
@@ -254,6 +269,7 @@ def cmd_generate(args) -> int:
     started = time.time()
     params, cfg = load_checkpoint_file(_require_file(args.checkpoint,
                                                      "--checkpoint"))
+    _check_blocks(params, cfg)
     vocab = load_vocab(_read_text(args.vocab, "--vocab"))
     bpe_model = None
     if args.merges:

@@ -43,10 +43,6 @@ class NoDrumTrack(DataError):
 
 # -- tokenizer ---------------------------------------------------------------
 
-class InvalidGrid(DataError):
-    """Position grid does not divide the bar evenly."""
-
-
 class NoteOutOfRange(DataError):
     """A note onset lies beyond the song's declared bar span."""
 

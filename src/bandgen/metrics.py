@@ -17,10 +17,10 @@ import numpy as np
 from .errors import ZeroBars, ZeroDuration
 from .features import beat_chords
 from .score import Song, TICKS_PER_BAR
-from .tokens import DEFAULT_DURATION_MESH, VELOCITY_BINS, snap_to_mesh, velocity_bin
+from .tokens import DURATION_MESH, VELOCITY_BINS, snap_to_mesh, velocity_bin
 
 _SIXTEENTH = TICKS_PER_BAR // 16
-_MESH_INDEX = {d: i for i, d in enumerate(DEFAULT_DURATION_MESH)}
+_MESH_INDEX = {d: i for i, d in enumerate(DURATION_MESH)}
 
 
 @dataclass(slots=True)
@@ -69,7 +69,7 @@ def _bar_histograms(song: Song, n: int, element: str) -> list[np.ndarray]:
     if element == "pitch":
         size = 128
     elif element == "duration":
-        size = len(DEFAULT_DURATION_MESH)
+        size = len(DURATION_MESH)
     elif element == "velocity":
         size = VELOCITY_BINS
     else:
@@ -85,8 +85,7 @@ def _bar_histograms(song: Song, n: int, element: str) -> list[np.ndarray]:
             if element == "pitch":
                 hists[b][note.pitch] += 1
             elif element == "duration":
-                hists[b][_MESH_INDEX[snap_to_mesh(note.duration,
-                                                  DEFAULT_DURATION_MESH)]] += 1
+                hists[b][_MESH_INDEX[snap_to_mesh(note.duration, DURATION_MESH)]] += 1
             else:
                 hists[b][velocity_bin(note.velocity)] += 1
     return hists

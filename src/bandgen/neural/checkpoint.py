@@ -3,8 +3,12 @@
 Layout: magic "BGCK", format version, UTF-8 config block, then each named
 float64 block as (name, shape, row-major little-endian payload), in sorted
 name order. Loading reproduces every array bit-exactly. Every block is a
-trained weight; fixed position tables are recomputed from the config, and
-version 1 files, which stored them as blocks, are refused.
+trained weight; fixed position tables are recomputed from the config.
+
+Older versions are refused: version 1 stored the position tables as
+blocks, and version 2 configs carried the `use_ctt`, `lr_max` and `preset`
+keys, which version 3 dropped (`layers_ctt = 0` is the cross-track switch,
+`lr` the warmup peak).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .autograd import Tensor
 from .model import ModelConfig, dump_config, load_config
 
 _MAGIC = b"BGCK"
-_VERSION = 2
+_VERSION = 3
 
 
 def _pack_bytes(payload: bytes) -> bytes:

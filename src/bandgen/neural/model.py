@@ -54,7 +54,7 @@ class ModelConfig:
     layers_enc: int = 1
     layers_bottom: int = 1
     layers_top: int = 1
-    layers_ctt: int = 1
+    layers_ctt: int = 1            # 0: no cross-track layer
     n_tracks: int = 4
     b_max: int = 64
     t_max: int = 512
@@ -69,13 +69,10 @@ class ModelConfig:
     e_md: int = 8
     e_mv: int = 8
     e_vq: int = 8
-    use_ctt: bool = True
-    lr: float = 1e-3
+    lr: float = 1e-3               # the constant rate, or the warmup peak
     lr_schedule: str = "constant"  # "constant" | "warmup"
-    lr_max: float = 4e-4
     lr_min: float = 4e-5
     seed: int = 0
-    preset: str = "toy"
 
     def __post_init__(self):
         for name in _SIZE_FIELDS:
@@ -84,7 +81,7 @@ class ModelConfig:
         for name in _LAYER_FIELDS:
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must not be negative")
-        for name in ("lr", "lr_max", "lr_min"):
+        for name in ("lr", "lr_min"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise DataError(f"{name} must be positive")
         if self.seed < 0:
@@ -103,7 +100,7 @@ _PRESETS = {
                   layers_top=3, layers_ctt=2, codebook_size=1024, d_latent=128,
                   e_ct=256, e_dt=64, e_dd=128, e_nd=128, e_mp=64, e_md=64,
                   e_mv=64, e_vq=64, t_max=4096, lr_schedule="warmup",
-                  lr=4e-4, preset="paper"),
+                  lr=4e-4),
 }
 
 
@@ -112,7 +109,6 @@ def make_config(preset: str = "toy", **overrides) -> ModelConfig:
         raise DataError(f"unknown preset {preset!r}")
     kwargs = dict(_PRESETS[preset])
     kwargs.update(overrides)
-    kwargs.setdefault("preset", preset)
     return ModelConfig(**kwargs)
 
 
@@ -138,9 +134,7 @@ def load_config(text: str) -> ModelConfig:
             raise DataError(f"config: unknown key {key!r}")
         current = getattr(defaults, key)
         try:
-            if isinstance(current, bool):
-                kwargs[key] = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 kwargs[key] = int(value)
             elif isinstance(current, float):
                 kwargs[key] = float(value)
@@ -567,7 +561,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
                           _CachedRows(cache, tracks, start))
         cache.top_in[tracks, start:stop] = O.data
     redo = seen
-    if cfg.use_ctt:
+    if cfg.layers_ctt:
         fresh = [p[cache.bars_exchanged:] for p in seqs.bar_token_positions]
         shared = min(len(p) for p in fresh)
         # strict mode raises on unequal bar counts, as the full forward does
@@ -606,7 +600,7 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     smat = expand_similarity(S, bar_idx)
     x = embed_tokens(seqs, params, cfg)
     O = bottom_decode(x, E, smat, params, cfg)
-    if cfg.use_ctt:
+    if cfg.layers_ctt:
         O = ctt_forward(O, seqs.bar_token_positions, params, cfg,
                         strict=strict_bars)
     O = top_decode(O, E, smat, params, cfg)

@@ -6,13 +6,15 @@ import numpy as np
 
 from .autograd import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.99
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # np.zeros takes zeroed pages from the OS lazily; zeros_like would
         # write both moment buffers in full before the first step
@@ -26,7 +28,7 @@ class Adam:
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -34,16 +36,17 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad * p.grad
             mhat = self.m[k] / (1 - b1 ** self.t)
             vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 def schedule_lr(step: int, total_steps: int, schedule: str,
-                lr: float, lr_max: float, lr_min: float) -> float:
-    """Constant, or linear warmup over the first tenth then linear decay."""
+                lr: float, lr_min: float) -> float:
+    """Constant `lr`, or linear warmup to `lr` over the first tenth then
+    linear decay to `lr_min`."""
     if schedule == "constant":
         return lr
     warmup = max(1, total_steps // 10)
     if step < warmup:
-        return lr_max * (step + 1) / warmup
+        return lr * (step + 1) / warmup
     frac = (step - warmup) / max(1, total_steps - warmup)
-    return lr_max + (lr_min - lr_max) * min(1.0, frac)
+    return lr + (lr_min - lr) * min(1.0, frac)

@@ -21,6 +21,7 @@ from .optim import Adam
 
 MAX_BAR_TOKENS = 96
 COMMITMENT_WEIGHT = 0.25
+BATCH_UNITS = 256  # bar units per step; a larger corpus is sampled without replacement
 
 
 def quantize_vectors(z_e: np.ndarray, codebook: np.ndarray
@@ -144,8 +145,7 @@ def vqvae_batch_loss(ids: np.ndarray, mask: np.ndarray,
 
 
 def train_vqvae(corpus: list[TrackTokenSeqs], cfg: ModelConfig,
-                steps: int = 200, batch_size: int = 256,
-                log=None) -> tuple[dict[str, Tensor], list[float]]:
+                steps: int = 200, log=None) -> tuple[dict[str, Tensor], list[float]]:
     """Fit the autoencoder on all bar units of the corpus; returns the
     parameters and the per-step mean reconstruction-objective trace."""
     units: list[list[int]] = []
@@ -156,12 +156,12 @@ def train_vqvae(corpus: list[TrackTokenSeqs], cfg: ModelConfig,
     if not units:
         units = [[PAD_ID]]
     params = init_vq_params(cfg)
-    opt = Adam(params, lr=1e-3, beta1=0.9, beta2=0.99)
+    opt = Adam(params, lr=1e-3)
     rng = np.random.default_rng(cfg.seed + 23)
     history: list[float] = []
     for step in range(steps):
-        if len(units) > batch_size:
-            pick = rng.choice(len(units), size=batch_size, replace=False)
+        if len(units) > BATCH_UNITS:
+            pick = rng.choice(len(units), size=BATCH_UNITS, replace=False)
             batch = [units[i] for i in pick]
         else:
             batch = units

@@ -1,7 +1,9 @@
 """Track-parallel token representation of songs.
 
 Each track becomes its own sequence: Instrument, BOS, a body, then EOS and
-PAD up to the longest track. `TrackGrammar` holds the body grammar:
+PAD up to the longest track. The vocabulary is fixed: onsets snap to a
+`POSITION_GRID`-tick grid (48 positions per bar) and durations to the 32
+values of `DURATION_MESH`. `TrackGrammar` holds the body grammar:
 
 - a Bar token (BarNormal or BarEmpty) may come anywhere and opens a bar;
 - a Position needs a Bar before it and never goes back within its bar
@@ -20,8 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .errors import (DataError, EmptyCorpus, InvalidGrid, MalformedSequence,
-                     NoteOutOfRange)
+from .errors import DataError, EmptyCorpus, MalformedSequence, NoteOutOfRange
 from .score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS, TICKS_PER_BAR,
                     Note, Song, Track, dump_records, load_records,
                     sorted_unique_notes)
@@ -36,8 +37,8 @@ BAR_KINDS = frozenset({"BarNormal", "BarEmpty"})
 # 31 percussion keys: GM 35-59 plus a folded low-range group
 DRUM_KEYS = tuple(sorted(set(range(35, 60)) | {25, 26, 27, 28, 29, 31}))
 
-DEFAULT_POSITION_GRID = 4
-DEFAULT_DURATION_MESH = tuple(
+POSITION_GRID = 4
+DURATION_MESH = tuple(
     list(range(4, 49, 4)) + list(range(60, 193, 12)) + list(range(216, 385, 24)))
 
 VELOCITY_BINS = 32
@@ -71,24 +72,15 @@ class TokenSpec:
 class Vocab:
     """Dense token-id table. Ids 0/1/2 are PAD/BOS/EOS."""
 
-    def __init__(self, position_grid: int, duration_mesh: tuple[int, ...]):
-        if position_grid <= 0 or TICKS_PER_BAR % position_grid:
-            raise InvalidGrid(f"grid {position_grid} does not divide {TICKS_PER_BAR}")
-        mesh = tuple(duration_mesh)
-        if not mesh or list(mesh) != sorted(set(mesh)) or mesh[-1] > 2 * TICKS_PER_BAR:
-            raise DataError("duration mesh must be ascending, unique, max <= 384")
-        self.position_grid = position_grid
-        self.duration_mesh = mesh
-        self.drum_keys = DRUM_KEYS
-
+    def __init__(self):
         specs = [TokenSpec("PAD", "0"), TokenSpec("BOS", "0"), TokenSpec("EOS", "0")]
         specs += [TokenSpec("Instrument", name) for name in INSTRUMENTS]
         specs += [TokenSpec("BarNormal", "0"), TokenSpec("BarEmpty", "0")]
         specs += [TokenSpec("Position", str(p))
-                  for p in range(0, TICKS_PER_BAR, position_grid)]
+                  for p in range(0, TICKS_PER_BAR, POSITION_GRID)]
         specs += [TokenSpec("Pitch", str(p)) for p in range(128)]
-        specs += [TokenSpec("PitchDrum", str(k)) for k in self.drum_keys]
-        specs += [TokenSpec("Duration", str(d)) for d in mesh]
+        specs += [TokenSpec("PitchDrum", str(k)) for k in DRUM_KEYS]
+        specs += [TokenSpec("Duration", str(d)) for d in DURATION_MESH]
         specs += [TokenSpec("Velocity", str(b)) for b in range(VELOCITY_BINS)]
         self.specs = tuple(specs)
         self.index = {(s.kind, s.value): i for i, s in enumerate(specs)}
@@ -97,7 +89,7 @@ class Vocab:
         self.bar_ids = frozenset(i for i, s in enumerate(specs) if s.kind in BAR_KINDS)
         # nearest listed drum key per raw pitch, ties to the lower key
         self._drum_map = tuple(
-            min(self.drum_keys, key=lambda k: (abs(k - p), k)) for p in range(128))
+            min(DRUM_KEYS, key=lambda k: (abs(k - p), k)) for p in range(128))
 
     def id_of(self, kind: str, value) -> int:
         try:
@@ -113,27 +105,19 @@ class Vocab:
     def is_note_id(self, token_id: int) -> bool:
         return 0 <= token_id < self.size and self._note_mask[token_id]
 
-    def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.specs:
-            counts[s.kind] = counts.get(s.kind, 0) + 1
-        return counts
-
     def snap_position(self, tick_in_bar: int) -> int:
-        g = self.position_grid
-        pos = int(tick_in_bar / g + 0.5) * g
-        return min(pos, TICKS_PER_BAR - g)
+        pos = int(tick_in_bar / POSITION_GRID + 0.5) * POSITION_GRID
+        return min(pos, TICKS_PER_BAR - POSITION_GRID)
 
     def snap_duration(self, duration: int) -> int:
-        return snap_to_mesh(duration, self.duration_mesh)
+        return snap_to_mesh(duration, DURATION_MESH)
 
     def drum_key(self, pitch: int) -> int:
         return self._drum_map[min(max(pitch, 0), 127)]
 
 
-def build_vocab(position_grid: int = DEFAULT_POSITION_GRID,
-                duration_mesh: tuple[int, ...] = DEFAULT_DURATION_MESH) -> Vocab:
-    return Vocab(position_grid, duration_mesh)
+def build_vocab() -> Vocab:
+    return Vocab()
 
 
 @dataclass(slots=True)
@@ -142,7 +126,6 @@ class TrackTokenSeqs:
     seqs: list[list[int]]
     bar_index: list[list[int]]            # bar number per position, per track
     bar_token_positions: list[list[int]]  # indices of Bar* tokens, per track
-    instruments: list[str]
     n_bars: int
     lengths: list[int]                    # unpadded lengths
 
@@ -222,14 +205,11 @@ def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
     """
     lengths = [len(ids) for ids in lists]
     width = max(lengths, default=0)
-    seqs, bar_index, bar_positions, instruments = [], [], [], []
+    seqs, bar_index, bar_positions = [], [], []
     bar_ids = vocab.bar_ids
     for ids in lists:
         if ids and min(ids) < 0:
             raise DataError(f"token id {min(ids)} out of vocab")
-        inst = "?"
-        if ids and 3 <= ids[0] < 3 + len(INSTRUMENTS):
-            inst = vocab.spec_of(ids[0]).value
         bars = [k for k, tid in enumerate(ids) if tid in bar_ids]
         # bar j spans its token up to the next bar token (the last one, the
         # padding too); framing tokens before the first bar belong to bar 0
@@ -240,9 +220,8 @@ def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
         seqs.append(padded)
         bar_index.append(bidx)
         bar_positions.append(bars)
-        instruments.append(inst)
     n_bars = max((len(b) for b in bar_positions), default=0)
-    return TrackTokenSeqs(seqs, bar_index, bar_positions, instruments, n_bars, lengths)
+    return TrackTokenSeqs(seqs, bar_index, bar_positions, n_bars, lengths)
 
 
 class TrackGrammar:
@@ -436,30 +415,14 @@ def dump_vocab(vocab: Vocab) -> str:
 
 
 def load_vocab(text: str) -> Vocab:
-    """Rebuild from the Position/Duration lines; every line must match."""
-    rows: list[TokenSpec] = []
-    mesh: list[int] = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        try:
-            idx, spec = ln.split(None, 1)
-            kind, value = spec.split(":", 1)
-            if int(idx) != len(rows):
-                raise DataError("vocab file: ids not dense")
-            if kind == "Duration":
-                mesh.append(int(value))
-        except ValueError as e:
-            raise DataError(f"vocab file: bad line {ln!r}") from e
-        rows.append(TokenSpec(kind, value))
-    positions = sum(row.kind == "Position" for row in rows)
-    if not positions:
-        raise DataError("vocab file: no Position tokens")
-    vocab = Vocab(TICKS_PER_BAR // positions, tuple(mesh))
-    for i, (row, spec) in enumerate(zip(rows, vocab.specs)):
-        if row != spec:
-            raise DataError(f"vocab file: id {i} reads {row.kind}:{row.value}, "
-                            f"expected {spec.kind}:{spec.value}")
-    if vocab.size != len(rows):
-        raise DataError("vocab file does not match the canonical layout")
+    """The fixed vocabulary, if every non-blank line of `text` is the line
+    `dump_vocab` writes for it."""
+    vocab = build_vocab()
+    expected = dump_vocab(vocab).splitlines()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    for i, (got, want) in enumerate(zip(lines, expected)):
+        if got != want:
+            raise DataError(f"vocab file: line {i + 1} reads {got!r}, expected {want!r}")
+    if len(lines) != len(expected):
+        raise DataError(f"vocab file: {len(lines)} entries, expected {len(expected)}")
     return vocab

@@ -4,10 +4,12 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from bandgen.cli import is_test_song, main
 from bandgen.midi import load_midi_file, save_midi_file
+from bandgen.neural import Tensor, load_checkpoint_file, save_checkpoint_file
 from bandgen.synth import make_song
 from bandgen.tokens import load_token_corpus, load_vocab
 
@@ -101,7 +103,6 @@ def test_bpe_manifest_reports_merges(work):
 
 
 def test_train_manifest_and_checkpoint(work):
-    from bandgen.neural import load_checkpoint_file
     params, cfg = load_checkpoint_file(str(work / "model.ckpt"))
     assert cfg.vocab_size == 282  # trained without --merges
     assert "vq_codebook" in params and "te" in params
@@ -293,6 +294,25 @@ def test_generate_vocab_mismatch_is_data_error(tmp_path, work):
                  "--merges", str(work / "merges.txt"),
                  "--reference", str(work / "ref.mid"),
                  "--out", str(tmp_path / "x.mid")]) == 2
+
+
+@pytest.mark.parametrize("damage", ["no_vq_blocks", "misshapen_te"])
+def test_generate_checks_checkpoint_blocks(tmp_path, work, damage):
+    """A checkpoint whose blocks do not fit its config (the model-only file
+    `train_model` params make, or a table of the wrong shape) is a data
+    error, not a traceback from inside the sampler."""
+    params, cfg = load_checkpoint_file(str(work / "model.ckpt"))
+    if damage == "no_vq_blocks":
+        params = {k: p for k, p in params.items() if not k.startswith("vq_")}
+    else:
+        params["te"] = Tensor(np.zeros((5, 7)), requires_grad=True)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint_file(str(bad), params, cfg)
+    assert main(["generate", "--checkpoint", str(bad),
+                 "--vocab", str(work / "vocab.txt"),
+                 "--reference", str(work / "ref.mid"),
+                 "--out", str(tmp_path / "x.mid"), "--no-filter"]) == 2
+    assert os.listdir(tmp_path) == ["bad.ckpt"]
 
 
 def test_generate_filter_rejects_short_reference(tmp_path, work):

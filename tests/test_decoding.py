@@ -72,7 +72,7 @@ def test_cached_logits_match_full_forward(vocab, variant):
     bass track has finished."""
     song = make_song(seed=3, n_bars=3)
     lists = song_lists(tokenize_song(song, vocab))
-    cfg = small_cfg(use_ctt=variant != "no_ctt")
+    cfg = small_cfg(layers_ctt=0 if variant == "no_ctt" else 1)
     if variant == "bpe":
         model = merges(vocab)
         lists = [bpe_encode(ids, model, vocab) for ids in lists]

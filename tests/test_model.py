@@ -61,11 +61,12 @@ def test_config_round_trip_and_presets():
         load_config("nonsense line")
     with pytest.raises(DataError):
         load_config("mystery_key = 3")
-    assert load_config("use_ctt = False").use_ctt is False
-    assert load_config("use_ctt = true").use_ctt is True
     for bad in ("d = -4", "b_max = 0", "t_max = 0", "e_vq = 0",
                 "layers_top = -1", "lr_schedule = cosine", "seed = -1",
-                "lr = -1", "lr = 0", "lr = nan", "lr_max = 0", "lr_min = -1e-5"):
+                "lr = -1", "lr = 0", "lr = nan", "lr_min = -1e-5",
+                # keys of version 2 configs: layers_ctt = 0 turns the
+                # cross-track layer off, lr is the warmup peak
+                "use_ctt = False", "lr_max = 4e-4", "preset = toy"):
         with pytest.raises(DataError):
             load_config(bad)
     assert load_config("layers_ctt = 0").layers_ctt == 0
@@ -254,8 +255,7 @@ def test_embed_tokens_guardrails():
 
     def seqs_for(ids, bars):
         return TrackTokenSeqs(seqs=[ids], bar_index=[bars],
-                              bar_token_positions=[[2]], instruments=["Piano"],
-                              n_bars=1, lengths=[len(ids)])
+                              bar_token_positions=[[2]], n_bars=1, lengths=[len(ids)])
 
     ok = seqs_for([1, 3, 9, 2], [0, 0, 0, 0])
     assert embed_tokens(ok, params, cfg).shape == (1, 4, cfg.d)
@@ -292,8 +292,8 @@ def test_sequence_loss_skips_pad_targets(vocab):
 
 
 def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
-    cfg = small_cfg(use_ctt=False)
-    params = init_params(cfg)
+    cfg = small_cfg(layers_ctt=0)
+    params = init_params(small_cfg())  # ctt blocks present, left unused
     seqs, grid = make_pair(vocab)
     logits = model_forward(seqs, grid, params, cfg)
 
@@ -364,9 +364,11 @@ def test_checkpoint_rejects_garbage():
     blob = dump_checkpoint(init_params(cfg), cfg)
     with pytest.raises(DataError):
         load_checkpoint(blob[:40])
-    # version 1 files stored the fixed position tables as blocks
-    with pytest.raises(DataError):
-        load_checkpoint(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    # version 1 files stored the fixed position tables as blocks, and
+    # version 2 configs had the use_ctt, lr_max and preset keys
+    for version in (1, 2):
+        with pytest.raises(DataError):
+            load_checkpoint(blob[:4] + struct.pack("<I", version) + blob[8:])
     with pytest.raises(DataError):
         load_checkpoint(blob.replace(b"d = 16\n", b"d = \xff6\n", 1))
     # one block whose shape header claims 3 floats over a 2-float payload

@@ -1,16 +1,18 @@
 """Track-parallel tokenizer: vocabulary layout, snapping, round trips."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgen.errors import (DataError, EmptyCorpus, InvalidGrid,
-                            MalformedSequence, NoteOutOfRange)
+from bandgen.errors import (DataError, EmptyCorpus, MalformedSequence,
+                            NoteOutOfRange)
 from bandgen.features import (dump_feature_corpus, extract_expert_features,
                               load_feature_corpus, quantize_features)
 from bandgen.score import TICKS_PER_BAR, Note, Song, Track
 from bandgen.synth import make_song
-from bandgen.tokens import (BOS_ID, DEFAULT_DURATION_MESH, EOS_ID, PAD_ID,
+from bandgen.tokens import (BOS_ID, DURATION_MESH, EOS_ID, PAD_ID,
                             build_track_seqs, build_vocab, corpus_stats,
                             detokenize, dump_token_corpus, dump_vocab,
                             load_token_corpus, load_vocab, snap_song,
@@ -20,7 +22,7 @@ from bandgen.tokens import (BOS_ID, DEFAULT_DURATION_MESH, EOS_ID, PAD_ID,
 
 def test_vocab_layout_is_frozen(vocab):
     assert vocab.size == 282
-    assert vocab.kind_counts() == {
+    assert Counter(s.kind for s in vocab.specs) == {
         "PAD": 1, "BOS": 1, "EOS": 1, "Instrument": 6, "BarNormal": 1,
         "BarEmpty": 1, "Position": 48, "Pitch": 128, "PitchDrum": 31,
         "Duration": 32, "Velocity": 32,
@@ -41,7 +43,7 @@ def test_vocab_layout_is_frozen(vocab):
 
 
 def test_duration_mesh_layout():
-    mesh = DEFAULT_DURATION_MESH
+    mesh = DURATION_MESH
     assert len(mesh) == 32
     assert mesh[:12] == tuple(range(4, 49, 4))
     assert mesh[12:24] == tuple(range(60, 193, 12))
@@ -60,7 +62,7 @@ def test_velocity_bins():
 
 
 def test_snap_to_mesh():
-    mesh = DEFAULT_DURATION_MESH
+    mesh = DURATION_MESH
     assert snap_to_mesh(1, mesh) == 4
     assert snap_to_mesh(48, mesh) == 48
     assert snap_to_mesh(50, mesh) == 48
@@ -84,15 +86,6 @@ def test_drum_key_folding(vocab):
     assert vocab.drum_key(33) == 31  # tie between 31 and 35 -> lower
     assert vocab.drum_key(0) == 25
     assert vocab.drum_key(127) == 59
-
-
-def test_invalid_grid_and_mesh():
-    with pytest.raises(InvalidGrid):
-        build_vocab(position_grid=5)
-    with pytest.raises(DataError):
-        build_vocab(duration_mesh=(8, 4))
-    with pytest.raises(DataError):
-        build_vocab(duration_mesh=(4, 999))
 
 
 def test_track_sequence_structure(vocab):
@@ -290,9 +283,13 @@ def test_vocab_file_round_trip(vocab):
     v2 = load_vocab(text)
     assert v2.size == vocab.size
     assert v2.specs == vocab.specs
-    assert v2.position_grid == vocab.position_grid
-    assert v2.duration_mesh == vocab.duration_mesh
     assert dump_vocab(v2) == text
+    # the layout is fixed: one more Position line is not another grid
+    lines = text.splitlines()
+    extra = lines[:59] + ["59 Position:192"] + [
+        f"{i + 1} {ln.split(None, 1)[1]}" for i, ln in enumerate(lines[59:], 59)]
+    with pytest.raises(DataError):
+        load_vocab("\n".join(extra) + "\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,7 +30,7 @@ def test_adam_single_step_oracle():
     grad = np.array([0.5, -1.0, 0.0])
     p = Tensor(data.copy(), requires_grad=True)
     p.grad = grad.copy()
-    opt = Adam({"w": p}, lr=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
+    opt = Adam({"w": p}, lr=0.1)  # beta1 0.9, beta2 0.99, eps 1e-8
     opt.step()
 
     m = 0.1 * grad
@@ -63,11 +63,11 @@ def test_adam_skips_parameters_without_gradient():
 
 def test_schedule_constant():
     for step in (0, 5, 199):
-        assert schedule_lr(step, 200, "constant", 1e-3, 4e-4, 4e-5) == 1e-3
+        assert schedule_lr(step, 200, "constant", 1e-3, 4e-5) == 1e-3
 
 
 def test_schedule_warmup_frozen_points():
-    args = (100, "warmup", 1e-3, 4e-4, 4e-5)
+    args = (100, "warmup", 4e-4, 4e-5)  # lr is the peak
     assert schedule_lr(0, *args) == pytest.approx(4e-5)
     assert schedule_lr(4, *args) == pytest.approx(2e-4)
     assert schedule_lr(9, *args) == pytest.approx(4e-4)

@@ -123,8 +123,7 @@ def test_bar_units_slices_frames(vocab):
 def test_bar_units_truncates_overlong_bars():
     ids = [3, 1, 9] + [59] * 120 + [2]
     seqs = TrackTokenSeqs(seqs=[ids], bar_index=[[0] * len(ids)],
-                          bar_token_positions=[[2]], instruments=["Drum"],
-                          n_bars=1, lengths=[len(ids)])
+                          bar_token_positions=[[2]], n_bars=1, lengths=[len(ids)])
     units = bar_units(seqs)
     assert len(units[0][0]) == MAX_BAR_TOKENS
     assert units[0][0][0] == 9
