@@ -85,7 +85,7 @@ def _bar_histograms(song: Song, n: int, element: str) -> list[np.ndarray]:
             if element == "pitch":
                 hists[b][note.pitch] += 1
             elif element == "duration":
-                hists[b][_MESH_INDEX[snap_to_mesh(note.duration, DURATION_MESH)]] += 1
+                hists[b][_MESH_INDEX[snap_to_mesh(note.duration)]] += 1
             else:
                 hists[b][velocity_bin(note.velocity)] += 1
     return hists

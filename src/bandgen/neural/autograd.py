@@ -8,9 +8,17 @@ ops on constants leave no tape; inside `no_grad()` no op records any.
 backward() walks the tape in reverse topological order and adds each VJP's
 result to its parent's gradient.
 
+The model's three hot compositions are one node each, with hand-written
+VJPs: `linear` (x @ w + b; each VJP is one 2-D product over the flattened
+leading axes), `attention` (the similarity-modulated, scaled, masked
+softmax core of multi-head attention; its backward reuses the saved
+probabilities and raw scores) and `layer_norm_affine`. Their values are
+bit-identical to those of the compositions of single ops they replace.
+
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
 the op that produced it. Only `detach` and `__getitem__` (they reuse checked
-values) and `masked_fill` (its -inf masks attention scores) skip the check.
+values) skip the check; `attention` checks its scores before the causal
+mask writes -inf into them.
 """
 
 from __future__ import annotations
@@ -75,8 +83,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy, since a VJP may return a view of another gradient
+            self.grad = np.array(np.broadcast_to(grad, self.data.shape),
+                                 dtype=np.float64)
+        else:
+            self.grad += grad
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         if seed is None:
@@ -202,29 +213,112 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor(data, parents=tuple(tensors), vjps=tuple(vjps), op="concat")
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray, axis: int):
+    """softmax of x along axis, and the VJP of that map."""
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         inner = (g * p).sum(axis=axis, keepdims=True)
         return p * (g - inner)
+    return p, vjp
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    p, vjp = _softmax(x.data, axis)
     return Tensor(p, parents=(x,), vjps=(vjp,), op="softmax")
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no gain/bias)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def _normalize(x: np.ndarray, eps: float):
+    """x normalized over its last axis, and the VJP of that map."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    y = (x - mu) * inv
 
     def vjp(g):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * y).mean(axis=-1, keepdims=True)
         return inv * (g - gm - y * gym)
+    return y, vjp
+
+
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (no gain/bias)."""
+    y, vjp = _normalize(x.data, eps)
     return Tensor(y, parents=(x,), vjps=(vjp,), op="layer_norm")
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The array as a matrix of its last axis."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def layer_norm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """layer_norm(x) * g + b over the last axis, as one node."""
+    y, vjp = _normalize(x.data, eps)
+    return Tensor(y * g.data + b.data, parents=(x, g, b),
+                  vjps=(lambda gout: vjp(gout * g.data),
+                        lambda gout: _rows(gout * y).sum(axis=0),
+                        lambda gout: _rows(gout).sum(axis=0)),
+                  op="layer_norm_affine")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [..., n_in], w [n_in, n_out] and b [n_out], as one
+    node. Each VJP is one 2-D product over the flattened leading axes. The
+    forward keeps numpy's batched product: with few rows per batch, the
+    flattened one rounds differently on OpenBLAS."""
+    return Tensor(x.data @ w.data + b.data, parents=(x, w, b),
+                  vjps=(lambda g: (_rows(g) @ w.data.T).reshape(x.data.shape),
+                        lambda g: _rows(x.data).T @ _rows(g),
+                        lambda g: _rows(g).sum(axis=0)),
+                  op="linear")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, smat: Tensor | None = None,
+              blocked: np.ndarray | None = None) -> Tensor:
+    """softmax(scores) @ v over split heads, as one node. The scores are
+    q k^T, times `smat` if given, times 1/sqrt(dh), with -inf where
+    `blocked`.
+
+    q is [b, h, tq, dh]; k and v are [b, h, tk, dh]. `smat` [b, tq, tk] is
+    shared across heads. `blocked` [tq, tk] marks the scores the causal mask
+    hides; their probability is exactly 0, and so is their gradient. The
+    backward reuses the saved probabilities and raw scores.
+    """
+    raw = np.matmul(q.data, k.data.transpose(0, 1, 3, 2))
+    scale = 1.0 / float(np.sqrt(q.data.shape[-1]))
+    if smat is None:
+        scores = raw * scale
+    else:
+        smat4 = smat.data.reshape(smat.data.shape[0], 1, *smat.data.shape[1:])
+        scores = raw * smat4 * scale
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("non-finite values out of op 'attention'")
+    if blocked is not None:
+        scores = np.where(blocked, -np.inf, scores)
+    p, softmax_vjp = _softmax(scores, -1)
+    seen: dict = {}
+
+    def score_grads(g) -> dict:
+        """Gradients of the modulated scores (raw * smat) and of the raw
+        scores for output gradient g, computed once: backward passes the
+        same g to every VJP of the node."""
+        if seen.get("g") is not g:
+            ds = softmax_vjp(np.matmul(g, v.data.transpose(0, 1, 3, 2)))
+            ds *= scale
+            seen.update(g=g, modulated=ds, raw=ds if smat is None else ds * smat4)
+        return seen
+
+    parents = (q, k, v) if smat is None else (q, k, v, smat)
+    vjps = (lambda g: np.matmul(score_grads(g)["raw"], k.data),
+            lambda g: np.matmul(score_grads(g)["raw"].transpose(0, 1, 3, 2), q.data),
+            lambda g: np.matmul(p.transpose(0, 1, 3, 2), g),
+            lambda g: (score_grads(g)["modulated"] * raw).sum(axis=1))
+    return Tensor(np.matmul(p, v.data), parents=parents,
+                  vjps=vjps[:len(parents)], op="attention")
 
 
 def straight_through(x: Tensor, value: np.ndarray) -> Tensor:
@@ -234,13 +328,6 @@ def straight_through(x: Tensor, value: np.ndarray) -> Tensor:
         raise ValueError(
             f"straight_through shape mismatch {x.shape} vs {value.shape}")
     return Tensor(value, parents=(x,), vjps=(lambda g: g,), op="straight_through")
-
-
-def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where mask is True by a constant (no gradient there)."""
-    data = np.where(mask, value, x.data)
-    return Tensor(data, parents=(x,), vjps=(lambda g: np.where(mask, 0.0, g),),
-                  op="masked_fill", check=False)
 
 
 def take(table: Tensor, ids: np.ndarray) -> Tensor:

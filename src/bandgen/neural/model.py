@@ -9,7 +9,9 @@ Stack (per forward pass):
   per-track linear heads -> next-token distributions.
 
 Encoder/decoder weights are shared across tracks; only the output heads are
-per-track. All arrays are float64 under the local autograd.
+per-track. All arrays are float64 under the local autograd. Every linear
+layer, attention core and affine layer norm is one autograd node
+(`linear`, `attention`, `layer_norm_affine`) with a hand-written backward.
 
 Decoding is incremental: `model_forward` with a `DecodeCache` runs the grid
 stage once, then on each call only the positions the cache has not seen go
@@ -34,9 +36,10 @@ from ..errors import (BarCountMismatch, BarIndexOutOfRange, BinOutOfVocab,
 from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
                         PITCHED_KEYS_FEATURE, FeatureGrid)
 from ..tokens import PAD_ID, TrackTokenSeqs
-from .autograd import (Tensor, concat, cross_entropy_logits, layer_norm,
-                       masked_fill, no_grad, ones_param, parameter, put_pairs,
-                       softmax, take, zeros_param)
+from .autograd import (Tensor, attention, concat, cross_entropy_logits,
+                       layer_norm, layer_norm_affine, linear, no_grad,
+                       ones_param, parameter, put_pairs, softmax, take,
+                       zeros_param)
 
 
 _SIZE_FIELDS = ("d", "heads", "ffn", "n_tracks", "b_max", "t_max", "vocab_size",
@@ -236,11 +239,11 @@ def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
 
 
 def _linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return x @ params[f"{name}_w"] + params[f"{name}_b"]
+    return linear(x, params[f"{name}_w"], params[f"{name}_b"])
 
 
 def _ln_affine(x: Tensor, params: dict, name: str) -> Tensor:
-    return layer_norm(x) * params[f"{name}_g"] + params[f"{name}_b"]
+    return layer_norm_affine(x, params[f"{name}_g"], params[f"{name}_b"])
 
 
 def _ffn(x: Tensor, params: dict, name: str) -> Tensor:
@@ -268,25 +271,21 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
     (shared across heads) before scaling and masking. With `past`, k_in and
     v_in hold only the query rows' own positions; their keys and values are
     cached and the queries attend every cached position up to their last.
-    Under `causal` the queries are the last Tq of the Tk positions.
+    Under `causal` the queries are the last Tq of the Tk positions. The
+    projections are `linear` nodes; the core between them, from the scores
+    to the weighted values, is one `attention` node.
     """
     q = _split_heads(_linear(q_in, params, f"{name}_q"), heads)
     k = _split_heads(_linear(k_in, params, f"{name}_k"), heads)
     v = _split_heads(_linear(v_in, params, f"{name}_v"), heads)
     if past is not None:
         k, v = past.attend(name, k, v)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    if smat is not None:
-        b, tq, tk = smat.shape
-        scores = scores * smat.reshape(b, 1, tq, tk)
-    d_head = q.shape[-1]
-    scores = scores / float(np.sqrt(d_head))
+    blocked = None
     if causal:
-        tq, tk = scores.shape[-2], scores.shape[-1]
+        tq, tk = q.shape[2], k.shape[2]
         blocked = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
-        scores = masked_fill(scores, blocked, -np.inf)
-    attn = softmax(scores, axis=-1)
-    return _linear(_merge_heads(attn @ v), params, f"{name}_o")
+    return _linear(_merge_heads(attention(q, k, v, smat, blocked)), params,
+                   f"{name}_o")
 
 
 def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
@@ -432,16 +431,14 @@ def top_decode(x: Tensor, E: Tensor, smat: Tensor, params: dict,
 
 
 def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
-                cfg: ModelConfig, strict: bool = True) -> Tensor:
+                cfg: ModelConfig) -> Tensor:
     """Encode bar-token states across tracks; every other position passes
     through bit-identically.
 
-    In strict mode all tracks must expose the same number of bar tokens;
-    otherwise the shared prefix (min count) is exchanged.
+    The shared prefix of bar tokens (the smallest count over tracks) is
+    exchanged; `model_forward` rejects unequal counts in strict mode.
     """
     counts = [len(p) for p in bar_token_positions]
-    if strict and len(set(counts)) > 1:
-        raise BarCountMismatch(f"bar token counts differ: {counts}")
     B = min(counts) if counts else 0
     if B == 0:
         return x
@@ -542,8 +539,7 @@ def _row_groups(first: np.ndarray, lengths: list[int]):
 
 
 def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
-                    cfg: ModelConfig, strict_bars: bool,
-                    cache: DecodeCache) -> Tensor:
+                    cfg: ModelConfig, cache: DecodeCache) -> Tensor:
     """`model_forward` with a cache: see the module docstring."""
     if cache.grid is None:
         cache.grid = grid
@@ -564,11 +560,9 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     if cfg.layers_ctt:
         fresh = [p[cache.bars_exchanged:] for p in seqs.bar_token_positions]
         shared = min(len(p) for p in fresh)
-        # strict mode raises on unequal bar counts, as the full forward does
-        if shared or strict_bars:
-            cache.top_in = ctt_forward(Tensor(cache.top_in), fresh, params, cfg,
-                                       strict=strict_bars).data
         if shared:
+            cache.top_in = ctt_forward(Tensor(cache.top_in), fresh, params,
+                                       cfg).data
             # the exchanged bar tokens feed every later top-decoder row
             redo = np.minimum(redo, [p[0] for p in fresh])
             cache.bars_exchanged += shared
@@ -589,10 +583,16 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     With a `DecodeCache`, for decoding: logits [I, 1, V] of each track's last
     position (row lengths[i] - 1 of the full forward), computing only the
     positions earlier calls with the same cache did not see. The cached
-    forward records no tape: its logits carry no gradient."""
+    forward records no tape: its logits carry no gradient.
+
+    Under `strict_bars`, tracks with unequal bar-token counts raise
+    `BarCountMismatch` on either path, with or without a cross-track layer."""
+    counts = [len(p) for p in seqs.bar_token_positions]
+    if strict_bars and len(set(counts)) > 1:
+        raise BarCountMismatch(f"bar token counts differ: {counts}")
     if cache is not None:
         with no_grad():
-            return _decode_forward(seqs, grid, params, cfg, strict_bars, cache)
+            return _decode_forward(seqs, grid, params, cfg, cache)
     C = embed_conditions(grid, params, cfg)
     E = encode_features(C, params, cfg)
     S = bar_similarity(E, params, cfg)
@@ -601,8 +601,7 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     x = embed_tokens(seqs, params, cfg)
     O = bottom_decode(x, E, smat, params, cfg)
     if cfg.layers_ctt:
-        O = ctt_forward(O, seqs.bar_token_positions, params, cfg,
-                        strict=strict_bars)
+        O = ctt_forward(O, seqs.bar_token_positions, params, cfg)
     O = top_decode(O, E, smat, params, cfg)
     return project_logits(O, params)
 

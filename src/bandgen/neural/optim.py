@@ -26,17 +26,32 @@ class Adam:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
+        """One update in place: m and v change with *= and +=, and each
+        block's step takes two scratch arrays. The operations, in their
+        order, are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        p -= lr m^ / (sqrt(v^) + eps), so they give its values bit for bit."""
         lr = self.lr if lr is None else lr
         self.t += 1
         b1, b2 = BETA1, BETA2
         for k, p in self.params.items():
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad * p.grad
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
+            m, v = self.m[k], self.v[k]
+            scratch = np.multiply(1 - b1, g)
+            m *= b1
+            m += scratch
+            np.multiply(1 - b2, g, out=scratch)
+            scratch *= g
+            v *= b2
+            v += scratch
+            np.divide(v, 1 - b2 ** self.t, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += EPS
+            delta = np.divide(m, 1 - b1 ** self.t)
+            np.multiply(lr, delta, out=delta)
+            delta /= scratch
+            p.data -= delta
 
 
 def schedule_lr(step: int, total_steps: int, schedule: str,

@@ -52,14 +52,14 @@ def velocity_decode(bin_idx: int) -> int:
     return 4 * bin_idx + 2
 
 
-def snap_to_mesh(duration: int, mesh: tuple[int, ...]) -> int:
-    """Nearest mesh value; equidistant ties take the smaller one."""
-    i = bisect.bisect_left(mesh, duration)
+def snap_to_mesh(duration: int) -> int:
+    """Nearest DURATION_MESH value; equidistant ties take the smaller one."""
+    i = bisect.bisect_left(DURATION_MESH, duration)
     if i == 0:
-        return mesh[0]
-    if i == len(mesh):
-        return mesh[-1]
-    lo, hi = mesh[i - 1], mesh[i]
+        return DURATION_MESH[0]
+    if i == len(DURATION_MESH):
+        return DURATION_MESH[-1]
+    lo, hi = DURATION_MESH[i - 1], DURATION_MESH[i]
     return lo if duration - lo <= hi - duration else hi
 
 
@@ -110,7 +110,7 @@ class Vocab:
         return min(pos, TICKS_PER_BAR - POSITION_GRID)
 
     def snap_duration(self, duration: int) -> int:
-        return snap_to_mesh(duration, DURATION_MESH)
+        return snap_to_mesh(duration)
 
     def drum_key(self, pitch: int) -> int:
         return self._drum_map[min(max(pitch, 0), 127)]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bandgen.errors import NonFiniteError
-from bandgen.neural.autograd import (Tensor, concat, cross_entropy_logits,
-                                     layer_norm, masked_fill, no_grad,
+from bandgen.neural.autograd import (Tensor, attention, concat,
+                                     cross_entropy_logits, layer_norm,
+                                     layer_norm_affine, linear, no_grad,
                                      put_pairs, softmax, straight_through, take)
 from bandgen.neural.model import expand_similarity
 
@@ -140,16 +141,144 @@ def test_layer_norm():
     np.testing.assert_allclose(out.mean(axis=-1), 0, atol=1e-12)
 
 
-def test_masked_fill_blocks_gradient():
-    x = RNG.standard_normal((3, 3))
-    mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
-    t = Tensor(x.copy(), requires_grad=True)
-    out = masked_fill(t, mask, -np.inf)
-    assert np.all(np.isneginf(out.data[mask]))
-    seed = np.ones((3, 3))
+# -- fused nodes against the compositions of single ops they replace ----------------
+
+
+def masked_fill(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Scores with -inf where mask is True, which get no gradient."""
+    return Tensor(np.where(mask, -np.inf, x.data), parents=(x,),
+                  vjps=(lambda g: np.where(mask, 0.0, g),), check=False)
+
+
+def reference_linear(x, w, b):
+    return x @ w + b
+
+
+def reference_attention(q, k, v, smat=None, blocked=None):
+    scores = q @ k.transpose(0, 1, 3, 2)
+    if smat is not None:
+        b, tq, tk = smat.shape
+        scores = scores * smat.reshape(b, 1, tq, tk)
+    scores = scores / float(np.sqrt(q.shape[-1]))
+    if blocked is not None:
+        scores = masked_fill(scores, blocked)
+    return softmax(scores, axis=-1) @ v
+
+
+def reference_layer_norm_affine(x, g, b):
+    return layer_norm(x) * g + b
+
+
+def assert_fused_matches(fused, reference, arrays, **consts):
+    """Same value bit for bit; every input's gradient within 1e-12 of the
+    reference's largest magnitude."""
+    runs = []
+    for fn in (fused, reference):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        runs.append((fn(*inputs, **consts), inputs))
+    (out, inputs), (ref, ref_inputs) = runs
+    np.testing.assert_array_equal(out.data, ref.data)
+    seed = RNG.standard_normal(out.shape)
     out.backward(seed)
-    expected = np.where(mask, 0.0, 1.0)
-    np.testing.assert_allclose(t.grad, expected)
+    ref.backward(seed)
+    for t, r in zip(inputs, ref_inputs):
+        assert t.grad.shape == r.grad.shape
+        np.testing.assert_allclose(t.grad, r.grad, rtol=0,
+                                   atol=1e-12 * np.abs(r.grad).max())
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 5), (2, 3, 4)])
+def test_linear_matches_the_composition(lead):
+    x = RNG.standard_normal(lead + (6,))
+    w, b = RNG.standard_normal((6, 4)), RNG.standard_normal(4)
+    assert_fused_matches(linear, reference_linear, [x, w, b])
+    # one row per batch, as each decoding step has
+    assert_fused_matches(linear, reference_linear,
+                         [RNG.standard_normal((4, 1, 6)), w, b])
+
+
+def causal(tq: int, tk: int) -> np.ndarray:
+    return np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
+
+
+@pytest.mark.parametrize("modulated", [False, True])
+@pytest.mark.parametrize("tq,tk,blocked", [(5, 5, None), (5, 5, causal(5, 5)),
+                                           (2, 6, causal(2, 6)), (3, 4, None)])
+def test_attention_matches_the_composition(modulated, tq, tk, blocked):
+    b, h, dh = 2, 3, 4
+    arrays = [RNG.standard_normal((b, h, tq, dh)), RNG.standard_normal((b, h, tk, dh)),
+              RNG.standard_normal((b, h, tk, dh))]
+    if modulated:
+        arrays.append(1.0 + RNG.standard_normal((b, tq, tk)))
+    assert_fused_matches(attention, reference_attention, arrays, blocked=blocked)
+
+
+def test_attention_against_finite_differences():
+    k, v = RNG.standard_normal((1, 2, 4, 3)), RNG.standard_normal((1, 2, 4, 3))
+    smat = 1.0 + RNG.standard_normal((1, 4, 4))
+    mask = causal(4, 4)
+
+    def np_attention(q):
+        scores = q @ k.transpose(0, 1, 3, 2) * smat[:, None] / np.sqrt(3)
+        scores = np.where(mask, -np.inf, scores)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True) @ v
+
+    check(lambda t: attention(t, Tensor(k), Tensor(v), Tensor(smat), mask),
+          np_attention, RNG.standard_normal((1, 2, 4, 3)))
+
+
+def test_attention_blocked_scores_get_exactly_zero_gradient():
+    b, h, t, dh = 2, 2, 5, 3
+    mask = causal(t, t)
+
+    def run(seed_last_row: bool):
+        q, k, v = (Tensor(RNG.standard_normal((b, h, t, dh)), requires_grad=True)
+                   for _ in range(3))
+        smat = Tensor(RNG.standard_normal((b, t, t)), requires_grad=True)
+        out = attention(q, k, v, smat, mask)
+        seed = RNG.standard_normal(out.shape)
+        if not seed_last_row:
+            seed[:, :, -1] = 0.0
+        out.backward(seed)
+        return k, v, smat
+
+    _, _, smat = run(seed_last_row=True)
+    assert np.all(smat.grad[:, mask] == 0.0)
+    # row 0 sees one key, so its softmax is constant; later rows are live
+    assert np.all(smat.grad[:, 1:][:, ~mask[1:]] != 0.0)
+    # only the last query sees the last key
+    k, v, _ = run(seed_last_row=False)
+    assert np.all(k.grad[:, :, -1] == 0.0) and np.all(v.grad[:, :, -1] == 0.0)
+    assert np.all(k.grad[:, :, 0] != 0.0)
+
+
+def test_layer_norm_affine_matches_the_composition():
+    arrays = [RNG.standard_normal((2, 3, 9)) * 2 + 1, RNG.standard_normal(9),
+              RNG.standard_normal(9)]
+    assert_fused_matches(layer_norm_affine, reference_layer_norm_affine, arrays)
+
+
+def test_fused_nodes_raise_on_non_finite_input():
+    # an inf that reached an op unchecked, as `detach` passes values on
+    bad = RNG.standard_normal((2, 2, 3, 4))
+    bad[0, 1, 2, 3] = np.inf
+    bad = Tensor(bad, check=False)
+    ok = Tensor(RNG.standard_normal((2, 2, 3, 4)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteError):
+            linear(bad, Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(NonFiniteError):
+            layer_norm_affine(bad, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        for q, k in ((bad, ok), (ok, bad)):
+            with pytest.raises(NonFiniteError):
+                attention(q, k, ok, blocked=causal(3, 3))
+        # scores that overflow to -inf are not masked scores, although the
+        # softmax would turn them into finite zeros
+        q, k = np.full((1, 1, 3, 4), 1e200), np.ones((1, 1, 3, 4))
+        k[..., 0, :] = -1e200
+        with pytest.raises(NonFiniteError):
+            attention(Tensor(q), Tensor(k), Tensor(np.ones((1, 1, 3, 4))))
 
 
 def test_take_embedding_gradient():
@@ -264,7 +393,9 @@ def test_no_grad_records_no_tape():
     with no_grad():
         out = [w @ Tensor(b), (w @ Tensor(b)).relu(), layer_norm(w), softmax(w),
                w[0], w.transpose(), concat([w, w]), take(w, np.array([1, 0])),
-               put_pairs(w, np.array([0]), np.array([1]), w[0, :1])]
+               put_pairs(w, np.array([0]), np.array([1]), w[0, :1]),
+               linear(w, Tensor(b), w[0, :2]), layer_norm_affine(w, w[0], w[1]),
+               attention(*(w.reshape(1, 1, 2, 3),) * 3, blocked=np.eye(2) < 0)]
         out.append(layer_norm((w @ Tensor(b)).relu() + w.sum()))
         with pytest.raises(NonFiniteError):
             w * np.inf

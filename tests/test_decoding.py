@@ -125,11 +125,22 @@ def test_cache_rejects_a_prefix_or_grid_it_did_not_see(vocab):
     with pytest.raises(UsageError):
         model_forward(build_track_seqs([ids[:6] for ids in lists], vocab),
                       grid_of(song), params, cfg, strict_bars=False, cache=cache)
-    # strict bars hold with a cache as without: 2, 2, 2 and 1 bar tokens
-    uneven = build_track_seqs([ids[:30] for ids in lists], vocab)
-    for strict_cache in (None, DecodeCache()):
+
+
+@pytest.mark.parametrize("layers_ctt", [0, 1])
+def test_strict_bars_hold_with_and_without_the_cross_track_layer(vocab, layers_ctt):
+    song = make_song(seed=3, n_bars=2)
+    cfg = small_cfg(layers_ctt=layers_ctt)
+    params, grid = init_params(cfg), grid_of(song)
+    uneven = build_track_seqs([ids[:30] for ids in song_lists(tokenize_song(song, vocab))],
+                              vocab)
+    assert [len(p) for p in uneven.bar_token_positions] == [2, 2, 2, 1]
+    for make_cache in (lambda: None, DecodeCache):
         with pytest.raises(BarCountMismatch):
-            model_forward(uneven, grid, params, cfg, cache=strict_cache)
+            model_forward(uneven, grid, params, cfg, cache=make_cache())
+        logits = model_forward(uneven, grid, params, cfg, strict_bars=False,
+                               cache=make_cache())
+        assert np.isfinite(logits.data).all()
 
 
 # -- generate ----------------------------------------------------------------------

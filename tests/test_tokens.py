@@ -62,15 +62,14 @@ def test_velocity_bins():
 
 
 def test_snap_to_mesh():
-    mesh = DURATION_MESH
-    assert snap_to_mesh(1, mesh) == 4
-    assert snap_to_mesh(48, mesh) == 48
-    assert snap_to_mesh(50, mesh) == 48
-    assert snap_to_mesh(54, mesh) == 48   # equidistant tie -> smaller
-    assert snap_to_mesh(55, mesh) == 60
-    assert snap_to_mesh(204, mesh) == 192  # tie again
-    assert snap_to_mesh(205, mesh) == 216
-    assert snap_to_mesh(1000, mesh) == 384
+    assert snap_to_mesh(1) == 4
+    assert snap_to_mesh(48) == 48
+    assert snap_to_mesh(50) == 48
+    assert snap_to_mesh(54) == 48   # equidistant tie -> smaller
+    assert snap_to_mesh(55) == 60
+    assert snap_to_mesh(204) == 192  # tie again
+    assert snap_to_mesh(205) == 216
+    assert snap_to_mesh(1000) == 384
 
 
 def test_snap_position(vocab):

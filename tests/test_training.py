@@ -52,6 +52,28 @@ def test_adam_single_step_oracle():
     np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-15)
 
 
+def test_adam_in_place_is_bit_identical_to_the_formula():
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((6, 5))
+    p = Tensor(data.copy(), requires_grad=True)
+    opt = Adam({"w": p}, lr=1e-3)
+    m, v, expected = np.zeros_like(data), np.zeros_like(data), data.copy()
+    for t in range(1, 6):
+        # magnitudes from 1e-8 to 1e2, both signs
+        grad = rng.choice([-1.0, 1.0], data.shape) * 10.0 ** rng.uniform(-8, 2, data.shape)
+        p.grad = grad.copy()
+        opt.step()
+        m = 0.9 * m + (1 - 0.9) * grad
+        v = 0.99 * v + (1 - 0.99) * grad * grad
+        mhat = m / (1 - 0.9 ** t)
+        vhat = v / (1 - 0.99 ** t)
+        expected -= 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
+        assert p.data.tobytes() == expected.tobytes()
+        assert opt.m["w"].tobytes() == m.tobytes()
+        assert opt.v["w"].tobytes() == v.tobytes()
+        np.testing.assert_array_equal(p.grad, grad)
+
+
 def test_adam_skips_parameters_without_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam({"a": p}, lr=0.1)
