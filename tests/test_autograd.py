@@ -213,6 +213,25 @@ def test_attention_matches_the_composition(modulated, tq, tk, blocked):
     assert_fused_matches(attention, reference_attention, arrays, blocked=blocked)
 
 
+def test_attention_second_backward_pass_uses_the_accumulated_gradient():
+    # backward keeps the gradients of inner nodes, so a second pass over the
+    # same graph applies the node's VJPs to the sum of both seeds
+    arrays = [RNG.standard_normal((1, 2, 3, 4)) for _ in range(3)]
+    arrays.append(RNG.standard_normal((1, 3, 3)))
+    s1, s2 = RNG.standard_normal((2, 1, 2, 3, 4))
+
+    def grads(*seeds):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = attention(*inputs, blocked=causal(3, 3))
+        for seed in seeds:
+            out.backward(seed)
+        return [t.grad for t in inputs]
+
+    for both, first, summed in zip(grads(s1, s2), grads(s1), grads(s1 + s2)):
+        np.testing.assert_allclose(both, first + summed, rtol=0,
+                                   atol=1e-12 * np.abs(both).max())
+
+
 def test_attention_against_finite_differences():
     k, v = RNG.standard_normal((1, 2, 4, 3)), RNG.standard_normal((1, 2, 4, 3))
     smat = 1.0 + RNG.standard_normal((1, 4, 4))
