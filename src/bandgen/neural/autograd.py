@@ -82,12 +82,13 @@ class Tensor:
         return Tensor(self.data, check=False)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # A gradient array is never changed in place once stored: the first
+        # one is kept as the VJP returned it, maybe a view of another
+        # tensor's gradient, and each later one makes a new sum.
         if self.grad is None:
-            # a copy, since a VJP may return a view of another gradient
-            self.grad = np.array(np.broadcast_to(grad, self.data.shape),
-                                 dtype=np.float64)
+            self.grad = np.broadcast_to(grad, self.data.shape)
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         if seed is None:
@@ -302,26 +303,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, smat: Tensor | None = None,
     p, softmax_vjp = _softmax(scores, -1)
     seen: dict = {}
 
-    def score_grads(g, user: str) -> dict:
+    def score_grads(g) -> dict:
         """Gradients of the modulated scores (raw * smat) and of the raw
-        scores for output gradient g. Backward hands one array to each VJP
-        of the node in turn, so they are computed once per pass; a VJP that
-        asks again starts a new pass, in which g may have been accumulated
-        into in place."""
-        if seen.get("g") is not g or user in seen["users"]:
+        scores for output gradient g, computed once per gradient array:
+        backward hands the same array to each VJP of the node, and never
+        changes a stored gradient in place."""
+        if seen.get("g") is not g:
             ds = softmax_vjp(np.matmul(g, v.data.transpose(0, 1, 3, 2)))
             ds *= scale
-            seen.update(g=g, users=set(), modulated=ds,
-                        raw=ds if smat is None else ds * smat4)
-        seen["users"].add(user)
+            seen.update(g=g, modulated=ds, raw=ds if smat is None else ds * smat4)
         return seen
 
     parents = (q, k, v) if smat is None else (q, k, v, smat)
-    vjps = (lambda g: np.matmul(score_grads(g, "q")["raw"], k.data),
-            lambda g: np.matmul(score_grads(g, "k")["raw"].transpose(0, 1, 3, 2),
-                                q.data),
+    vjps = (lambda g: np.matmul(score_grads(g)["raw"], k.data),
+            lambda g: np.matmul(score_grads(g)["raw"].transpose(0, 1, 3, 2), q.data),
             lambda g: np.matmul(p.transpose(0, 1, 3, 2), g),
-            lambda g: (score_grads(g, "smat")["modulated"] * raw).sum(axis=1))
+            lambda g: (score_grads(g)["modulated"] * raw).sum(axis=1))
     return Tensor(np.matmul(p, v.data), parents=parents,
                   vjps=vjps[:len(parents)], op="attention")
 
