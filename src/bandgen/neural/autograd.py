@@ -6,7 +6,8 @@ product (VJP) per parent, which maps the output's gradient to that parent's.
 When no parent requires grad, the tensor keeps neither parents nor VJPs, so
 ops on constants leave no tape; inside `no_grad()` no op records any.
 backward() walks the tape in reverse topological order and adds each VJP's
-result to its parent's gradient.
+result to its parent's gradient. A stored gradient array is never changed
+in place, so a tensor may keep the array a VJP returned.
 
 The model's three hot compositions are one node each, with hand-written
 VJPs: `linear` (x @ w + b; each VJP is one 2-D product over the flattened
