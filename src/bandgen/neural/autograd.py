@@ -10,8 +10,9 @@ result to its parent's gradient. A stored gradient array is never changed
 in place, so a tensor may keep the array a VJP returned.
 
 The model's three hot compositions are one node each, with hand-written
-VJPs: `linear` (x @ w + b; each VJP is one 2-D product over the flattened
-leading axes), `attention` (the similarity-modulated, scaled, masked
+VJPs: `linear` (x @ w + b; with a shared weight each VJP is one 2-D
+product over the flattened leading axes, with one weight per track one
+batched product), `attention` (the similarity-modulated, scaled, masked
 softmax core of multi-head attention; its backward reuses the saved
 probabilities and raw scores) and `layer_norm_affine`. Their values are
 bit-identical to those of the compositions of single ops they replace.
@@ -31,6 +32,7 @@ import numpy as np
 from ..errors import NonFiniteError
 
 _taping = True   # False inside no_grad()
+LN_EPS = 1e-5    # added to the variance in every layer norm
 
 
 @contextmanager
@@ -60,6 +62,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
+    """An array and the op that made it. After `backward`, `.grad` holds the
+    gradient as the tape stored it, which may be a read-only view shared
+    with another tensor's gradient: read it, or replace it, but never write
+    into it."""
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "op")
 
     def __init__(self, data, requires_grad: bool = False,
@@ -110,7 +117,7 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        self._accumulate(_as_array(seed))
+        self._accumulate(np.array(seed, dtype=np.float64))  # the caller may reuse theirs
         for node in reversed(topo):
             if node.grad is None:
                 continue
@@ -232,11 +239,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(p, parents=(x,), vjps=(vjp,), op="softmax")
 
 
-def _normalize(x: np.ndarray, eps: float):
+def _normalize(x: np.ndarray):
     """x normalized over its last axis, and the VJP of that map."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     y = (x - mu) * inv
 
     def vjp(g):
@@ -246,9 +253,9 @@ def _normalize(x: np.ndarray, eps: float):
     return y, vjp
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no gain/bias)."""
-    y, vjp = _normalize(x.data, eps)
+    y, vjp = _normalize(x.data)
     return Tensor(y, parents=(x,), vjps=(vjp,), op="layer_norm")
 
 
@@ -257,9 +264,9 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def layer_norm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_affine(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     """layer_norm(x) * g + b over the last axis, as one node."""
-    y, vjp = _normalize(x.data, eps)
+    y, vjp = _normalize(x.data)
     return Tensor(y * g.data + b.data, parents=(x, g, b),
                   vjps=(lambda gout: vjp(gout * g.data),
                         lambda gout: _rows(gout * y).sum(axis=0),
@@ -271,7 +278,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x [..., n_in], w [n_in, n_out] and b [n_out], as one
     node. Each VJP is one 2-D product over the flattened leading axes. The
     forward keeps numpy's batched product: with few rows per batch, the
-    flattened one rounds differently on OpenBLAS."""
+    flattened one rounds differently on OpenBLAS.
+
+    With one weight per leading index, w [I, n_in, n_out] and b [I, n_out]
+    for x [I, t, n_in], row i of x goes through w[i] and b[i]."""
+    if w.data.ndim == 3:
+        return Tensor(x.data @ w.data + b.data[:, None, :], parents=(x, w, b),
+                      vjps=(lambda g: g @ w.data.transpose(0, 2, 1),
+                            lambda g: x.data.transpose(0, 2, 1) @ g,
+                            lambda g: g.sum(axis=1)),
+                      op="linear")
     return Tensor(x.data @ w.data + b.data, parents=(x, w, b),
                   vjps=(lambda g: (_rows(g) @ w.data.T).reshape(x.data.shape),
                         lambda g: _rows(x.data).T @ _rows(g),

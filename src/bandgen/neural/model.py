@@ -10,8 +10,9 @@ Stack (per forward pass):
 
 Encoder/decoder weights are shared across tracks; only the output heads are
 per-track. All arrays are float64 under the local autograd. Every linear
-layer, attention core and affine layer norm is one autograd node
-(`linear`, `attention`, `layer_norm_affine`) with a hand-written backward.
+layer (the per-track heads included), attention core and affine layer norm
+is one autograd node (`linear`, `attention`, `layer_norm_affine`) with a
+hand-written backward.
 
 Decoding is incremental: `model_forward` with a `DecodeCache` runs the grid
 stage once, then on each call only the positions the cache has not seen go
@@ -455,8 +456,7 @@ def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
 
 def project_logits(O: Tensor, params: dict) -> Tensor:
     """Raw per-track logits [I, T, V]; softmax for the probability form."""
-    return O @ params["heads_w"] + params["heads_b"].reshape(
-        params["heads_b"].shape[0], 1, params["heads_b"].shape[1])
+    return _linear(O, params, "heads")
 
 
 class DecodeCache:

@@ -197,6 +197,25 @@ def test_linear_matches_the_composition(lead):
                          [RNG.standard_normal((4, 1, 6)), w, b])
 
 
+def test_backward_copies_the_seed():
+    t = Tensor(RNG.standard_normal(3), requires_grad=True)
+    seed = np.ones(3)
+    t.backward(seed)
+    seed[:] = 5.0
+    np.testing.assert_array_equal(t.grad, np.ones(3))
+
+
+def reference_track_linear(x, w, b):
+    return x @ w + b.reshape(b.shape[0], 1, b.shape[1])
+
+
+@pytest.mark.parametrize("t", [1, 5])
+def test_linear_with_one_weight_per_track_matches_the_composition(t):
+    arrays = [RNG.standard_normal((3, t, 6)), RNG.standard_normal((3, 6, 4)),
+              RNG.standard_normal((3, 4))]
+    assert_fused_matches(linear, reference_track_linear, arrays)
+
+
 def causal(tq: int, tk: int) -> np.ndarray:
     return np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
 
