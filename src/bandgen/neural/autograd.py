@@ -7,7 +7,9 @@ When no parent requires grad, the tensor keeps neither parents nor VJPs, so
 ops on constants leave no tape; inside `no_grad()` no op records any.
 backward() walks the tape in reverse topological order and adds each VJP's
 result to its parent's gradient. A stored gradient array is never changed
-in place, so a tensor may keep the array a VJP returned.
+in place, so a tensor may keep the array a VJP returned. A pass first clears
+the gradients of the inner tensors it visits, so two passes over one graph
+leave the leaves the sum of what each pass alone would give.
 
 The model's three hot compositions are one node each, with hand-written
 VJPs: `linear` (x @ w + b; with a shared weight each VJP is one 2-D
@@ -51,6 +53,16 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def _is_basic(key) -> bool:
+    """True for an index of ints, slices, None and Ellipsis only: one that
+    holds no index array, so it cannot select an element twice."""
+    return all(isinstance(k, _BASIC_INDEX)
+               for k in (key if isinstance(key, tuple) else (key,)))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while grad.ndim > len(shape):
@@ -91,10 +103,17 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         # A gradient array is never changed in place once stored: the first
-        # one is kept as the VJP returned it, maybe a view of another
-        # tensor's gradient, and each later one makes a new sum.
+        # one is kept as a read-only view of what the VJP returned, maybe a
+        # view of another tensor's gradient, and each later one makes a new
+        # sum. VJPs may return numpy scalars, hence the asarray.
         if self.grad is None:
-            self.grad = np.broadcast_to(grad, self.data.shape)
+            grad = np.asarray(grad)
+            if grad.shape == self.data.shape:
+                grad = grad.view()
+                grad.flags.writeable = False
+            else:
+                grad = np.broadcast_to(grad, self.data.shape)
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -117,6 +136,9 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
+        for node in topo:  # a second pass must not start from the first one's sums
+            if node._parents:
+                node.grad = None
         self._accumulate(np.array(seed, dtype=np.float64))  # the caller may reuse theirs
         for node in reversed(topo):
             if node.grad is None:
@@ -184,7 +206,10 @@ class Tensor:
     def __getitem__(self, key):
         def vjp(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
+            if _is_basic(key):  # selects each element at most once
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             return full
         return Tensor(self.data[key], parents=(self,), vjps=(vjp,),
                       op="getitem", check=False)
@@ -280,13 +305,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     forward keeps numpy's batched product: with few rows per batch, the
     flattened one rounds differently on OpenBLAS.
 
-    With one weight per leading index, w [I, n_in, n_out] and b [I, n_out]
-    for x [I, t, n_in], row i of x goes through w[i] and b[i]."""
+    With one weight per slot, w [I, n_in, n_out] and b [I, n_out] for
+    x [n * I, t, n_in] (n songs of I tracks, stacked), row r of x goes
+    through w[r % I] and b[r % I]. Each weight VJP is then one batched
+    product per slot over the rows of all n songs."""
     if w.data.ndim == 3:
-        return Tensor(x.data @ w.data + b.data[:, None, :], parents=(x, w, b),
-                      vjps=(lambda g: g @ w.data.transpose(0, 2, 1),
-                            lambda g: x.data.transpose(0, 2, 1) @ g,
-                            lambda g: g.sum(axis=1)),
+        slots = w.data.shape[0]
+        songs = x.data.shape[0] // slots
+        if songs * slots != x.data.shape[0]:
+            raise ValueError(f"linear: {x.data.shape[0]} rows do not cycle "
+                             f"through {slots} weights")
+
+        def per_song(a):   # [n * I, t, k] -> [n, I, t, k]
+            return a.reshape(songs, slots, *a.shape[1:])
+
+        def per_slot(a):   # [n * I, t, k] -> [I, n * t, k]
+            return per_song(a).transpose(1, 0, 2, 3).reshape(slots, -1, a.shape[-1])
+        out = per_song(x.data) @ w.data + b.data[:, None, :]
+        return Tensor(out.reshape(x.data.shape[:-1] + out.shape[-1:]),
+                      parents=(x, w, b),
+                      vjps=(lambda g: (per_song(g) @ w.data.transpose(0, 2, 1)
+                                       ).reshape(x.data.shape),
+                            lambda g: per_slot(x.data).transpose(0, 2, 1) @ per_slot(g),
+                            lambda g: per_slot(g).sum(axis=1)),
                       op="linear")
     return Tensor(x.data @ w.data + b.data, parents=(x, w, b),
                   vjps=(lambda g: (_rows(g) @ w.data.T).reshape(x.data.shape),
@@ -378,12 +419,13 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.int64)
     m = np.asarray(mask, dtype=bool)
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    logp = z[np.arange(len(targets)), targets] - lse
+    ez = np.exp(z)
+    total = ez.sum(axis=-1)
+    logp = z[np.arange(len(targets)), targets] - np.log(total)
     loss_val = -(logp * m).sum()
 
     def vjp(g):
-        p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+        p = ez / total[:, None]
         p[np.arange(len(targets)), targets] -= 1.0
         return g * p * m[:, None]
     out = Tensor(loss_val, parents=(logits,), vjps=(vjp,), op="cross_entropy")

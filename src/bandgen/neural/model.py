@@ -8,11 +8,14 @@ Stack (per forward pass):
   over E) -> cross-track encoder over bar-token states -> top decoders ->
   per-track linear heads -> next-token distributions.
 
-Encoder/decoder weights are shared across tracks; only the output heads are
-per-track. All arrays are float64 under the local autograd. Every linear
-layer (the per-track heads included), attention core and affine layer norm
-is one autograd node (`linear`, `attention`, `layer_norm_affine`) with a
-hand-written backward.
+Encoder/decoder weights are shared across tracks; only the instrument
+embedding and the output heads are per track slot. A training forward may
+stack several songs of the same track and bar counts along the track axis:
+every stage but the cross-track layer works per track anyway, and that
+layer exchanges bars within each song. All arrays are float64 under the
+local autograd. Every linear layer (the per-track heads included),
+attention core and affine layer norm is one autograd node (`linear`,
+`attention`, `layer_norm_affine`) with a hand-written backward.
 
 Decoding is incremental: `model_forward` with a `DecodeCache` runs the grid
 stage once, then on each call only the positions the cache has not seen go
@@ -163,37 +166,43 @@ def sinusoidal_table(length: int, d: int) -> np.ndarray:
     return table
 
 
-def _linear_block(params: dict, rng, name: str, n_in: int, n_out: int) -> None:
-    params[f"{name}_w"] = parameter(rng, n_in, n_out)
-    params[f"{name}_b"] = zeros_param(n_out)
+# A block's spec is its shape and its initial value: the scale of a normal
+# draw, or ZEROS / ONES. Blocks are drawn in spec order from one generator.
+ZEROS, ONES = "zeros", "ones"
+Spec = dict[str, tuple[tuple[int, ...], "float | str"]]
 
 
-def _ln_block(params: dict, name: str, d: int) -> None:
-    params[f"{name}_g"] = ones_param(d)
-    params[f"{name}_b"] = zeros_param(d)
+def _linear_block(spec: Spec, name: str, n_in: int, n_out: int) -> None:
+    spec[f"{name}_w"] = ((n_in, n_out), 0.02)
+    spec[f"{name}_b"] = ((n_out,), ZEROS)
 
 
-def _attn_block(params: dict, rng, name: str, d: int) -> None:
+def _ln_block(spec: Spec, name: str, d: int) -> None:
+    spec[f"{name}_g"] = ((d,), ONES)
+    spec[f"{name}_b"] = ((d,), ZEROS)
+
+
+def _attn_block(spec: Spec, name: str, d: int) -> None:
     for proj in ("q", "k", "v", "o"):
-        _linear_block(params, rng, f"{name}_{proj}", d, d)
+        _linear_block(spec, f"{name}_{proj}", d, d)
 
 
-def _encoder_layer(params: dict, rng, name: str, cfg: ModelConfig) -> None:
-    _attn_block(params, rng, f"{name}_attn", cfg.d)
-    _ln_block(params, f"{name}_ln1", cfg.d)
-    _linear_block(params, rng, f"{name}_ffn1", cfg.d, cfg.ffn)
-    _linear_block(params, rng, f"{name}_ffn2", cfg.ffn, cfg.d)
-    _ln_block(params, f"{name}_ln2", cfg.d)
+def _encoder_layer(spec: Spec, name: str, cfg: ModelConfig) -> None:
+    _attn_block(spec, f"{name}_attn", cfg.d)
+    _ln_block(spec, f"{name}_ln1", cfg.d)
+    _linear_block(spec, f"{name}_ffn1", cfg.d, cfg.ffn)
+    _linear_block(spec, f"{name}_ffn2", cfg.ffn, cfg.d)
+    _ln_block(spec, f"{name}_ln2", cfg.d)
 
 
-def _decoder_layer(params: dict, rng, name: str, cfg: ModelConfig) -> None:
-    _attn_block(params, rng, f"{name}_self", cfg.d)
-    _ln_block(params, f"{name}_ln1", cfg.d)
-    _attn_block(params, rng, f"{name}_cross", cfg.d)
-    _ln_block(params, f"{name}_ln2", cfg.d)
-    _linear_block(params, rng, f"{name}_ffn1", cfg.d, cfg.ffn)
-    _linear_block(params, rng, f"{name}_ffn2", cfg.ffn, cfg.d)
-    _ln_block(params, f"{name}_ln3", cfg.d)
+def _decoder_layer(spec: Spec, name: str, cfg: ModelConfig) -> None:
+    _attn_block(spec, f"{name}_self", cfg.d)
+    _ln_block(spec, f"{name}_ln1", cfg.d)
+    _attn_block(spec, f"{name}_cross", cfg.d)
+    _ln_block(spec, f"{name}_ln2", cfg.d)
+    _linear_block(spec, f"{name}_ffn1", cfg.d, cfg.ffn)
+    _linear_block(spec, f"{name}_ffn2", cfg.ffn, cfg.d)
+    _ln_block(spec, f"{name}_ln3", cfg.d)
 
 
 def drum_input_width(cfg: ModelConfig) -> int:
@@ -204,36 +213,72 @@ def pitched_input_width(cfg: ModelConfig) -> int:
     return cfg.e_ct + cfg.e_nd + cfg.e_mp + cfg.e_md + cfg.e_mv + N_VQ_GROUPS * cfg.e_vq
 
 
-def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
-    rng = np.random.default_rng(cfg.seed)
-    params: dict[str, Tensor] = {}
-
+def _model_spec(cfg: ModelConfig) -> Spec:
+    spec: Spec = {}
     for feat in ("ct", "dt", "dd", "nd", "mp", "md", "mv"):
         # numeric features add a row for their empty-bar sentinel bin
         rows = FEATURE_SIZES[feat] + (feat != "ct")
-        params[f"fe_{feat}"] = parameter(rng, rows, getattr(cfg, f"e_{feat}"))
-    params["fe_vq"] = parameter(rng, cfg.codebook_size, cfg.e_vq)
-    _linear_block(params, rng, "proj_drum", drum_input_width(cfg), cfg.d)
-    _linear_block(params, rng, "proj_pitched", pitched_input_width(cfg), cfg.d)
+        spec[f"fe_{feat}"] = ((rows, getattr(cfg, f"e_{feat}")), 0.02)
+    spec["fe_vq"] = ((cfg.codebook_size, cfg.e_vq), 0.02)
+    _linear_block(spec, "proj_drum", drum_input_width(cfg), cfg.d)
+    _linear_block(spec, "proj_pitched", pitched_input_width(cfg), cfg.d)
 
-    params["te"] = parameter(rng, cfg.vocab_size, cfg.d)
-    params["be"] = parameter(rng, cfg.b_max, cfg.d)
-    params["ie"] = parameter(rng, cfg.n_tracks, cfg.d)
+    spec["te"] = ((cfg.vocab_size, cfg.d), 0.02)
+    spec["be"] = ((cfg.b_max, cfg.d), 0.02)
+    spec["ie"] = ((cfg.n_tracks, cfg.d), 0.02)
 
     for l in range(cfg.layers_enc):
-        _encoder_layer(params, rng, f"enc{l}", cfg)
-    params["sq_w"] = parameter(rng, cfg.d, cfg.d)
-    params["sk_w"] = parameter(rng, cfg.d, cfg.d)
+        _encoder_layer(spec, f"enc{l}", cfg)
+    spec["sq_w"] = ((cfg.d, cfg.d), 0.02)
+    spec["sk_w"] = ((cfg.d, cfg.d), 0.02)
     for l in range(cfg.layers_bottom):
-        _decoder_layer(params, rng, f"bot{l}", cfg)
+        _decoder_layer(spec, f"bot{l}", cfg)
     for l in range(cfg.layers_ctt):
-        _encoder_layer(params, rng, f"ctt{l}", cfg)
+        _encoder_layer(spec, f"ctt{l}", cfg)
     for l in range(cfg.layers_top):
-        _decoder_layer(params, rng, f"top{l}", cfg)
+        _decoder_layer(spec, f"top{l}", cfg)
 
-    params["heads_w"] = parameter(rng, cfg.n_tracks, cfg.d, cfg.vocab_size)
-    params["heads_b"] = zeros_param(cfg.n_tracks, cfg.vocab_size)
+    spec["heads_w"] = ((cfg.n_tracks, cfg.d, cfg.vocab_size), 0.02)
+    spec["heads_b"] = ((cfg.n_tracks, cfg.vocab_size), ZEROS)
+    return spec
+
+
+def draw_params(spec: Spec, seed: int) -> dict[str, Tensor]:
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, (shape, init) in spec.items():
+        if init == ZEROS:
+            params[name] = zeros_param(*shape)
+        elif init == ONES:
+            params[name] = ones_param(*shape)
+        else:
+            params[name] = parameter(rng, *shape, scale=init)
     return params
+
+
+def spec_shapes(spec: Spec) -> dict[str, tuple[int, ...]]:
+    return {name: shape for name, (shape, _) in spec.items()}
+
+
+def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
+    return draw_params(_model_spec(cfg), cfg.seed)
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The block shapes `init_params` makes for `cfg`, drawing nothing."""
+    return spec_shapes(_model_spec(cfg))
+
+
+def check_blocks(params: dict[str, Tensor],
+                 shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise `DataError` unless `params` holds every block of `shapes`, with
+    that shape; other blocks are not looked at."""
+    problems = [f"{name}: {params[name].shape if name in params else 'missing'}"
+                f", expected {shape}" for name, shape in shapes.items()
+                if name not in params or params[name].shape != shape]
+    if problems:
+        raise DataError(f"parameters do not fit their config ({len(problems)} "
+                        f"blocks): {'; '.join(problems[:3])}")
 
 
 # -- building blocks ------------------------------------------------------------
@@ -302,9 +347,23 @@ def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
 # -- the network ------------------------------------------------------------------
 
 
-def _cell_bins(grid: FeatureGrid, ti: int, feat: str) -> np.ndarray:
-    return np.array([grid.entries[ti][b][feat] for b in range(grid.n_bars)],
-                    dtype=np.int64)
+_CHORD_KEYS = ("ct0", "ct1", "ct2", "ct3")
+
+
+def _cell_bins(grid: FeatureGrid, tracks: list[int], feats) -> np.ndarray:
+    """Bins [len(tracks), B, len(feats)] of the given features."""
+    return np.array([[[grid.entries[ti][b][f] for f in feats]
+                      for b in range(grid.n_bars)] for ti in tracks],
+                    dtype=np.int64).reshape(len(tracks), grid.n_bars, len(feats))
+
+
+def _vq_codes(grid: FeatureGrid) -> np.ndarray:
+    """VQ codes [I, B, 8]; code 0 throughout for a grid without them."""
+    shape = (grid.n_tracks, grid.n_bars, N_VQ_GROUPS)
+    if grid.vq_entries is None:
+        return np.zeros(shape, dtype=np.int64)
+    return np.array([[grid.vq_entries[ti][b] for b in range(grid.n_bars)]
+                     for ti in range(grid.n_tracks)], dtype=np.int64).reshape(shape)
 
 
 def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tensor:
@@ -313,39 +372,40 @@ def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tenso
     Expert segment: drum tracks concatenate DT and DD embeddings; pitched
     tracks the mean of the four beat-chord embeddings plus ND/MP/MD/MV.
     The 8 VQ-code embeddings follow; a linear map projects to width d.
-    Grids without VQ codes embed code 0 throughout.
+    Grids without VQ codes embed code 0 throughout. All tracks of one kind
+    (drum, pitched) go through each lookup and projection together, so the
+    number of ops does not grow with the number of tracks.
     """
     if not grid.binned:
         raise DataError("embed_conditions needs a binned grid")
     if grid.n_bars > cfg.b_max:
         raise DataError(f"{grid.n_bars} bars exceeds b_max {cfg.b_max}")
-    rows: list[Tensor] = []
+    B = grid.n_bars
+    drum = [ti for ti, inst in enumerate(grid.instruments) if inst == "Drum"]
+    pitched = [ti for ti, inst in enumerate(grid.instruments) if inst != "Drum"]
+    parts: list[Tensor] = []
     try:
-        for ti, inst in enumerate(grid.instruments):
-            if grid.vq_entries is not None:
-                codes = np.array([grid.vq_entries[ti][b] for b in range(grid.n_bars)],
-                                 dtype=np.int64)
-            else:
-                codes = np.zeros((grid.n_bars, N_VQ_GROUPS), dtype=np.int64)
-            vq = take(params["fe_vq"], codes).reshape(grid.n_bars,
-                                                      N_VQ_GROUPS * cfg.e_vq)
-            if inst == "Drum":
-                segs = [take(params[f"fe_{f}"], _cell_bins(grid, ti, f))
-                        for f in DRUM_KEYS_FEATURE]
-                cell = concat(segs + [vq], axis=-1)
-                proj = _linear(cell, params, "proj_drum")
-            else:
-                cts = [take(params["fe_ct"], _cell_bins(grid, ti, f"ct{j}"))
-                       for j in range(4)]
-                ct = (cts[0] + cts[1] + cts[2] + cts[3]) * 0.25
-                segs = [take(params[f"fe_{f}"], _cell_bins(grid, ti, f))
-                        for f in PITCHED_KEYS_FEATURE]
-                cell = concat([ct] + segs + [vq], axis=-1)
-                proj = _linear(cell, params, "proj_pitched")
-            rows.append(proj.reshape(1, grid.n_bars, cfg.d))
+        codes = _vq_codes(grid)
+        for kind, tracks, keys in (("drum", drum, DRUM_KEYS_FEATURE),
+                                   ("pitched", pitched, PITCHED_KEYS_FEATURE)):
+            if not tracks:
+                continue
+            segs = []
+            if kind == "pitched":
+                cts = take(params["fe_ct"], _cell_bins(grid, tracks, _CHORD_KEYS))
+                segs.append(cts.sum(axis=2) * 0.25)
+            bins = _cell_bins(grid, tracks, keys)
+            segs += [take(params[f"fe_{f}"], bins[..., j]) for j, f in enumerate(keys)]
+            vq = take(params["fe_vq"], codes[tracks]).reshape(
+                len(tracks), B, N_VQ_GROUPS * cfg.e_vq)
+            parts.append(_linear(concat(segs + [vq], axis=-1), params, f"proj_{kind}"))
     except IndexError as e:
         raise BinOutOfVocab(str(e)) from e
-    return concat(rows, axis=0)
+    C = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    order = np.argsort(drum + pitched)   # track i's row in C
+    if (order != np.arange(len(order))).any():
+        C = C[order]
+    return C
 
 
 def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
@@ -358,10 +418,12 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
 
 def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig,
                  tracks: np.ndarray | None = None, start: int = 0,
-                 stop: int | None = None) -> Tensor:
+                 stop: int | None = None, songs: int = 1) -> Tensor:
     """x~ [I, T, d]: token + position + bar + instrument embeddings; with
     `tracks`, `start` and `stop`, only positions start..stop-1 of those
-    tracks. The whole of `seqs` is validated either way."""
+    tracks. The whole of `seqs` is validated either way. For `songs`
+    stacked songs, track r takes the instrument embedding of its slot
+    r % (I / songs) within its song."""
     ids = np.asarray(seqs.seqs, dtype=np.int64)
     bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
     if ids.size and ids.max() >= cfg.vocab_size:
@@ -376,7 +438,7 @@ def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig,
     x = take(params["te"], ids[tracks, start:stop])
     x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d)[start:stop])
     x = x + take(params["be"], bar_idx[tracks, start:stop])
-    x = x + take(params["ie"], tracks).reshape(len(tracks), 1, cfg.d)
+    x = x + take(params["ie"], tracks % (I // songs)).reshape(len(tracks), 1, cfg.d)
     return x
 
 
@@ -432,31 +494,39 @@ def top_decode(x: Tensor, E: Tensor, smat: Tensor, params: dict,
 
 
 def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
-                cfg: ModelConfig) -> Tensor:
-    """Encode bar-token states across tracks; every other position passes
-    through bit-identically.
+                cfg: ModelConfig, songs: int = 1) -> Tensor:
+    """Encode bar-token states across the tracks of each song; every other
+    position passes through bit-identically.
 
-    The shared prefix of bar tokens (the smallest count over tracks) is
-    exchanged; `model_forward` rejects unequal counts in strict mode.
+    x holds `songs` songs of I tracks each, stacked along the track axis;
+    bar b of a song is one sequence of its I tracks, so the encoder runs
+    over a [songs * B, I, d] batch. The shared prefix of bar tokens (the
+    smallest count over tracks) is exchanged; `model_forward` rejects
+    unequal counts in strict mode.
     """
     counts = [len(p) for p in bar_token_positions]
     B = min(counts) if counts else 0
     if B == 0:
         return x
-    I = x.shape[0]
-    idx0 = np.repeat(np.arange(I), B)
-    idx1 = np.concatenate([np.asarray(p[:B], dtype=np.int64)
-                           for p in bar_token_positions])
-    gathered = x[idx0, idx1]                      # [I*B, d]
-    seq = gathered.reshape(I, B, cfg.d).transpose(1, 0, 2)  # [B, I, d]
+    I = x.shape[0] // songs
+    # rows in (song, bar, track) order
+    idx0 = np.broadcast_to(np.arange(songs * I).reshape(songs, 1, I),
+                           (songs, B, I)).reshape(-1)
+    idx1 = np.array([p[:B] for p in bar_token_positions], dtype=np.int64)
+    idx1 = idx1.reshape(songs, I, B).transpose(0, 2, 1).reshape(-1)
+    seq = x[idx0, idx1].reshape(songs * B, I, cfg.d)
     encoded = _encoder_stack(seq, params, "ctt", cfg.layers_ctt, cfg)
-    updates = encoded.transpose(1, 0, 2).reshape(I * B, cfg.d)
-    return put_pairs(x, idx0, idx1, updates)
+    return put_pairs(x, idx0, idx1, encoded.reshape(songs * B * I, cfg.d))
 
 
-def project_logits(O: Tensor, params: dict) -> Tensor:
-    """Raw per-track logits [I, T, V]; softmax for the probability form."""
-    return _linear(O, params, "heads")
+def project_logits(O: Tensor, params: dict, songs: int = 1) -> Tensor:
+    """Raw per-track logits [I, T, V]; softmax for the probability form.
+    Track r goes through the head of its slot r % (I / songs)."""
+    w, b = params["heads_w"], params["heads_b"]
+    slots = O.shape[0] // songs
+    if slots != w.shape[0]:
+        w, b = w[:slots], b[:slots]
+    return linear(O, w, b)
 
 
 class DecodeCache:
@@ -577,33 +647,47 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
 
 def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
                   cfg: ModelConfig, strict_bars: bool = True,
-                  cache: DecodeCache | None = None) -> Tensor:
+                  cache: DecodeCache | None = None, songs: int = 1) -> Tensor:
     """Full stack to logits [I, T, V], for training and scoring.
 
-    With a `DecodeCache`, for decoding: logits [I, 1, V] of each track's last
-    position (row lengths[i] - 1 of the full forward), computing only the
-    positions earlier calls with the same cache did not see. The cached
-    forward records no tape: its logits carry no gradient.
+    `seqs` and `grid` may hold `songs` songs of the same track and bar
+    counts, stacked along the track axis (tracks of one song adjacent, all
+    padded to one T). Tracks exchange bars only within their song, and take
+    the instrument embedding and output head of their slot in it; a song
+    has at most `n_tracks` tracks.
+
+    With a `DecodeCache`, for decoding one song: logits [I, 1, V] of each
+    track's last position (row lengths[i] - 1 of the full forward),
+    computing only the positions earlier calls with the same cache did not
+    see. The cached forward records no tape: its logits carry no gradient.
 
     Under `strict_bars`, tracks with unequal bar-token counts raise
     `BarCountMismatch` on either path, with or without a cross-track layer."""
+    if seqs.n_tracks % songs:
+        raise UsageError(f"{seqs.n_tracks} tracks do not split into {songs} songs")
+    if seqs.n_tracks // songs > cfg.n_tracks:
+        raise DataError(f"{seqs.n_tracks // songs} tracks per song exceed "
+                        f"n_tracks {cfg.n_tracks}")
     counts = [len(p) for p in seqs.bar_token_positions]
     if strict_bars and len(set(counts)) > 1:
         raise BarCountMismatch(f"bar token counts differ: {counts}")
     if cache is not None:
         with no_grad():
             return _decode_forward(seqs, grid, params, cfg, cache)
+    if seqs.n_tracks != grid.n_tracks:
+        raise DataError(f"{seqs.n_tracks} token tracks but {grid.n_tracks} "
+                        f"grid tracks")
     C = embed_conditions(grid, params, cfg)
     E = encode_features(C, params, cfg)
     S = bar_similarity(E, params, cfg)
     bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
     smat = expand_similarity(S, bar_idx)
-    x = embed_tokens(seqs, params, cfg)
+    x = embed_tokens(seqs, params, cfg, songs=songs)
     O = bottom_decode(x, E, smat, params, cfg)
     if cfg.layers_ctt:
-        O = ctt_forward(O, seqs.bar_token_positions, params, cfg)
+        O = ctt_forward(O, seqs.bar_token_positions, params, cfg, songs)
     O = top_decode(O, E, smat, params, cfg)
-    return project_logits(O, params)
+    return project_logits(O, params, songs)
 
 
 def sequence_loss(logits: Tensor, seqs: TrackTokenSeqs) -> tuple[Tensor, int]:

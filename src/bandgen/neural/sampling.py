@@ -30,7 +30,8 @@ from ..features import FeatureGrid
 from ..tokens import (BAR_KINDS, BOS_ID, EOS_ID, TrackGrammar, TrackTokenSeqs,
                       Vocab, build_track_seqs)
 from .autograd import Tensor
-from .model import DecodeCache, ModelConfig, model_forward
+from .model import (DecodeCache, ModelConfig, check_blocks, model_forward,
+                    param_shapes)
 
 
 def top_k_count(vocab_size: int, k_frac: float = 0.02) -> int:
@@ -80,6 +81,7 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     final EOS (None: the config's cap; larger values are clipped to it)."""
     if seed < 0:
         raise UsageError(f"seed must not be negative, got {seed}")
+    check_blocks(params, param_shapes(cfg))
     k = top_k_count(cfg.vocab_size, k_frac)
     if cfg.vocab_size < 3:
         raise DegenerateVocab(f"vocab of {cfg.vocab_size} cannot be sampled")

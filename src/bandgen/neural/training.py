@@ -1,11 +1,20 @@
-"""Training loop and gradient verification for the sequence model."""
+"""Training loop and gradient verification for the sequence model.
+
+A batch runs as one graph per group of songs that share their track and bar
+counts, in the order the groups first appear: the songs of a group are
+stacked along the track axis and padded with PAD to the group's longest
+sequence (see `model_forward`). Padding is never a target and no real
+position attends it, so the summed loss and its gradients are those of the
+songs run one at a time, up to float rounding. Songs of different bar
+counts are never padded to one another: they run as separate graphs.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..features import FeatureGrid
-from ..tokens import TrackTokenSeqs
+from ..features import N_VQ_GROUPS, FeatureGrid
+from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import Tensor, no_grad
 from .model import ModelConfig, init_params, model_forward, sequence_loss
 from .optim import Adam, schedule_lr
@@ -13,13 +22,59 @@ from .optim import Adam, schedule_lr
 Pair = tuple[TrackTokenSeqs, FeatureGrid]
 
 
+def _groups(pairs: list[Pair]) -> list[list[Pair]]:
+    """Pairs grouped by track and bar counts, in order of first appearance."""
+    groups: dict[tuple[int, ...], list[Pair]] = {}
+    for seqs, grid in pairs:
+        key = (seqs.n_tracks, seqs.n_bars, grid.n_tracks, grid.n_bars)
+        groups.setdefault(key, []).append((seqs, grid))
+    return list(groups.values())
+
+
+def _stack_seqs(parts: list[TrackTokenSeqs]) -> TrackTokenSeqs:
+    """The tracks of every part, padded to the longest as `build_track_seqs`
+    pads: PAD ids, and the bar index of each track's last position."""
+    if len(parts) == 1:
+        return parts[0]
+    width = max(s.length for s in parts)
+    seqs, bar_index = [], []
+    for s in parts:
+        pad = width - s.length
+        seqs += [row + [PAD_ID] * pad for row in s.seqs]
+        bar_index += [row + (row[-1:] or [0]) * pad for row in s.bar_index]
+    return TrackTokenSeqs(seqs, bar_index,
+                          [p for s in parts for p in s.bar_token_positions],
+                          max(s.n_bars for s in parts),
+                          [n for s in parts for n in s.lengths])
+
+
+def _stack_grids(grids: list[FeatureGrid]) -> FeatureGrid:
+    """The tracks of every grid (of one bar count); tracks of a grid without
+    VQ codes get code 0, as `embed_conditions` gives them. The chords, which
+    the model does not read, are the first grid's."""
+    if len(grids) == 1:
+        return grids[0]
+    vq = None
+    if any(g.vq_entries is not None for g in grids):
+        zero = [(0,) * N_VQ_GROUPS] * grids[0].n_bars
+        vq = [row for g in grids for row in
+              (g.vq_entries if g.vq_entries is not None else [zero] * g.n_tracks)]
+    return FeatureGrid([inst for g in grids for inst in g.instruments],
+                       grids[0].n_bars,
+                       [row for g in grids for row in g.entries],
+                       grids[0].chords, all(g.binned for g in grids), vq)
+
+
 def batch_loss(pairs: list[Pair], params: dict[str, Tensor],
                cfg: ModelConfig) -> tuple[Tensor, int]:
-    """Summed loss over a batch of (sequences, grid) pairs."""
+    """Summed loss over a batch of (sequences, grid) pairs, and the number of
+    counted targets; one forward per group of same-shaped songs."""
     total: Tensor | None = None
     count = 0
-    for seqs, grid in pairs:
-        logits = model_forward(seqs, grid, params, cfg)
+    for group in _groups(pairs):
+        seqs = _stack_seqs([s for s, _ in group])
+        grid = _stack_grids([g for _, g in group])
+        logits = model_forward(seqs, grid, params, cfg, songs=len(group))
         loss, n = sequence_loss(logits, seqs)
         total = loss if total is None else total + loss
         count += n

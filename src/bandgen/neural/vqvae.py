@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyCodebook
+from ..errors import DataError, EmptyCodebook
 from ..tokens import EOS_ID, PAD_ID, TrackTokenSeqs
-from .autograd import (Tensor, cross_entropy_logits, no_grad, parameter,
-                       straight_through, take)
-from .model import (ModelConfig, N_VQ_GROUPS, _linear, _linear_block,
-                    sinusoidal_table)
+from .autograd import (Tensor, cross_entropy_logits, no_grad, straight_through,
+                       take)
+from .model import (ModelConfig, N_VQ_GROUPS, Spec, _linear, _linear_block,
+                    check_blocks, draw_params, sinusoidal_table, spec_shapes)
 from .optim import Adam
 
 MAX_BAR_TOKENS = 96
@@ -82,18 +82,25 @@ def bar_units(seqs: TrackTokenSeqs) -> list[list[list[int]]]:
     return out
 
 
+def _vq_spec(vocab_size: int, d_latent: int, codebook_size: int) -> Spec:
+    hidden = 4 * d_latent
+    spec: Spec = {"vq_te": ((vocab_size, d_latent), 0.02)}
+    _linear_block(spec, "vq_enc1", d_latent, hidden)
+    _linear_block(spec, "vq_enc2", hidden, d_latent)
+    spec["vq_codebook"] = ((codebook_size, d_latent // N_VQ_GROUPS), 0.5)
+    _linear_block(spec, "vq_dec1", d_latent, hidden)
+    _linear_block(spec, "vq_out", hidden, vocab_size)
+    return spec
+
+
 def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
-    rng = np.random.default_rng(cfg.seed + 17)
-    d_l = cfg.d_latent
-    hidden = 4 * d_l
-    params = {"vq_te": parameter(rng, cfg.vocab_size, d_l)}
-    _linear_block(params, rng, "vq_enc1", d_l, hidden)
-    _linear_block(params, rng, "vq_enc2", hidden, d_l)
-    params["vq_codebook"] = parameter(rng, cfg.codebook_size,
-                                      d_l // N_VQ_GROUPS, scale=0.5)
-    _linear_block(params, rng, "vq_dec1", d_l, hidden)
-    _linear_block(params, rng, "vq_out", hidden, cfg.vocab_size)
-    return params
+    return draw_params(_vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size),
+                       cfg.seed + 17)
+
+
+def vq_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The block shapes `init_vq_params` makes for `cfg`, drawing nothing."""
+    return spec_shapes(_vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size))
 
 
 def _pad_units(units: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +185,14 @@ def train_vqvae(corpus: list[TrackTokenSeqs], cfg: ModelConfig,
 
 def assign_codes(corpus: list[TrackTokenSeqs], params: dict[str, Tensor]
                  ) -> list[list[list[tuple[int, ...]]]]:
-    """Deterministic 8-code tuples per (song, track, bar)."""
+    """Deterministic 8-code tuples per (song, track, bar). The VQ blocks
+    must fit the sizes that `vq_te` and `vq_codebook` give."""
+    if "vq_te" not in params or "vq_codebook" not in params:
+        raise DataError("assign_codes needs the VQ-VAE blocks, which these "
+                        "parameters lack")
+    vocab_size, d_latent = params["vq_te"].shape
+    check_blocks(params, spec_shapes(_vq_spec(
+        vocab_size, d_latent, params["vq_codebook"].shape[0])))
     out = []
     for seqs in corpus:
         song_codes: list[list[tuple[int, ...]]] = []

@@ -216,6 +216,29 @@ def test_linear_with_one_weight_per_track_matches_the_composition(t):
     assert_fused_matches(linear, reference_track_linear, arrays)
 
 
+@pytest.mark.parametrize("t", [1, 5])
+def test_linear_cycles_per_slot_weights_over_stacked_songs(t):
+    # rows of 2 stacked songs of 3 tracks use weights 0, 1, 2, 0, 1, 2
+    x = RNG.standard_normal((6, t, 6))
+    w, b = RNG.standard_normal((3, 6, 4)), RNG.standard_normal((3, 4))
+    stacked = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    out = linear(*stacked)
+    seed = RNG.standard_normal(out.shape)
+    out.backward(seed)
+    wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    for song in (slice(0, 3), slice(3, 6)):
+        xs = Tensor(x[song], requires_grad=True)
+        part = linear(xs, wt, bt)
+        np.testing.assert_array_equal(out.data[song], part.data)
+        part.backward(seed[song])
+        np.testing.assert_array_equal(stacked[0].grad[song], xs.grad)
+    for t_stacked, t_songs in zip(stacked[1:], (wt, bt)):
+        np.testing.assert_allclose(t_stacked.grad, t_songs.grad, rtol=0,
+                                   atol=1e-12 * np.abs(t_songs.grad).max())
+    with pytest.raises(ValueError):
+        linear(Tensor(RNG.standard_normal((4, t, 6))), Tensor(w), Tensor(b))
+
+
 def causal(tq: int, tk: int) -> np.ndarray:
     return np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
 
@@ -232,9 +255,9 @@ def test_attention_matches_the_composition(modulated, tq, tk, blocked):
     assert_fused_matches(attention, reference_attention, arrays, blocked=blocked)
 
 
-def test_attention_second_backward_pass_uses_the_accumulated_gradient():
-    # backward keeps the gradients of inner nodes, so a second pass over the
-    # same graph applies the node's VJPs to the sum of both seeds
+def test_attention_second_backward_pass_adds_a_fresh_pass():
+    # a pass clears the inner nodes' gradients first, so two passes over
+    # one graph give the sum of two single passes
     arrays = [RNG.standard_normal((1, 2, 3, 4)) for _ in range(3)]
     arrays.append(RNG.standard_normal((1, 3, 3)))
     s1, s2 = RNG.standard_normal((2, 1, 2, 3, 4))
@@ -246,8 +269,28 @@ def test_attention_second_backward_pass_uses_the_accumulated_gradient():
             out.backward(seed)
         return [t.grad for t in inputs]
 
-    for both, first, summed in zip(grads(s1, s2), grads(s1), grads(s1 + s2)):
-        np.testing.assert_allclose(both, first + summed, rtol=0,
+    for both, first, second in zip(grads(s1, s2), grads(s1), grads(s2)):
+        np.testing.assert_allclose(both, first + second, rtol=0,
+                                   atol=1e-12 * np.abs(both).max())
+
+
+@pytest.mark.parametrize("layer", [linear, reference_linear])
+def test_two_backward_passes_equal_two_single_passes(layer):
+    # the fused node and the composition x @ w + b, whose add node hands a
+    # view of its output gradient on to the matmul node
+    arrays = [RNG.standard_normal((3, 5, 6)), RNG.standard_normal((6, 4)),
+              RNG.standard_normal(4)]
+    s1, s2 = RNG.standard_normal((2, 3, 5, 4))
+
+    def grads(*seeds):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = layer(*inputs).relu()
+        for seed in seeds:
+            out.backward(seed)
+        return [t.grad for t in inputs]
+
+    for both, first, second in zip(grads(s1, s2), grads(s1), grads(s2)):
+        np.testing.assert_allclose(both, first + second, rtol=0,
                                    atol=1e-12 * np.abs(both).max())
 
 
@@ -405,6 +448,51 @@ def test_cross_entropy_logits():
     loss.backward()
     num = numeric_grad(np_loss, logits.copy(), np.ones(()))
     np.testing.assert_allclose(t.grad, num, atol=1e-5, rtol=1e-4)
+
+
+def test_cross_entropy_gradient_is_the_softmax_formula_bit_for_bit():
+    logits = 30.0 * RNG.standard_normal((7, 9))
+    targets = RNG.integers(0, 9, size=7)
+    mask = RNG.random(7) < 0.7
+    t = Tensor(logits.copy(), requires_grad=True)
+    loss, _ = cross_entropy_logits(t, targets, mask)
+    loss.backward(np.array(0.5))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+    p[np.arange(7), targets] -= 1.0
+    np.testing.assert_array_equal(t.grad, 0.5 * p * mask[:, None])
+
+
+@pytest.mark.parametrize("key", [(slice(None), slice(0, 3), slice(None)),
+                                 (1, Ellipsis, None), 2,
+                                 (np.array([0, 2, 0, 0]), slice(1, 4)),
+                                 (np.array([1, 1]), np.array([3, 3]))])
+def test_getitem_gradient_matches_add_at(key):
+    x = RNG.standard_normal((3, 4, 5))
+    t = Tensor(x.copy(), requires_grad=True)
+    out = t[key]
+    seed = RNG.standard_normal(out.shape)
+    out.backward(seed)
+    expected = np.zeros_like(x)
+    np.add.at(expected, key, seed)
+    np.testing.assert_array_equal(t.grad, expected)
+
+
+def test_stored_gradients_are_read_only():
+    a = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
+    out = (a * 2.0).sum()     # a keeps the array mul's VJP returned
+    out.backward()
+    # VJPs that return numpy scalars: kept 0-d, or broadcast to the shape
+    s = Tensor(np.array(0.5), requires_grad=True)
+    b = Tensor(np.zeros((2, 3)), requires_grad=True)
+    for leaf in (s, b):
+        Tensor(1.0, parents=(leaf,), vjps=(lambda g: np.float64(3.0),)).backward()
+    assert s.grad.shape == () and float(s.grad) == 3.0
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 3.0))
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+    for t in (a, out, s, b):
+        with pytest.raises(ValueError):
+            t.grad[...] = 0.0
 
 
 def test_diamond_graph_accumulates_once_per_path():

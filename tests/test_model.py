@@ -8,13 +8,14 @@ import pytest
 
 from bandgen.errors import (BarIndexOutOfRange, BinOutOfVocab, DataError,
                             IdOutOfVocab)
-from bandgen.features import extract_expert_features, quantize_features
+from bandgen.features import (FeatureGrid, extract_expert_features,
+                              quantize_features)
 from bandgen.neural import (ModelConfig, bar_similarity, dump_checkpoint,
                             dump_config, embed_conditions, embed_tokens,
-                            encode_features, expand_similarity, init_params,
-                            load_checkpoint, load_checkpoint_file, load_config,
-                            make_config, model_forward, save_checkpoint_file,
-                            se_attention, sequence_loss)
+                            encode_features, expand_similarity, generate,
+                            init_params, load_checkpoint, load_checkpoint_file,
+                            load_config, make_config, model_forward,
+                            save_checkpoint_file, se_attention, sequence_loss)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import (bottom_decode, ctt_forward,
                                   multi_head_attention, project_logits,
@@ -203,6 +204,19 @@ def test_ctt_exchanges_the_shared_bar_prefix():
     assert np.array_equal(out.data[0, 4], x.data[0, 4])
 
 
+def test_ctt_exchanges_bars_within_each_stacked_song():
+    cfg = small_cfg()
+    params = init_params(cfg)
+    x = Tensor(RNG.standard_normal((6, 9, cfg.d)))
+    positions = [[0, 4], [1, 5], [0, 6], [2, 3], [0, 8], [1, 7]]
+    out = ctt_forward(x, positions, params, cfg, songs=2)
+    for rows in (slice(0, 3), slice(3, 6)):
+        alone = ctt_forward(Tensor(x.data[rows]), positions[rows], params, cfg)
+        np.testing.assert_allclose(out.data[rows], alone.data, rtol=0, atol=1e-12)
+    # as one song of six tracks, the tracks of the two songs would mix
+    assert not np.allclose(ctt_forward(x, positions, params, cfg).data, out.data)
+
+
 def test_ctt_no_bar_tokens_is_identity():
     cfg = small_cfg()
     params = init_params(cfg)
@@ -245,6 +259,37 @@ def test_embed_conditions_guardrails(vocab):
     broken.entries[0][0]["dt"] = 999
     with pytest.raises(BinOutOfVocab):
         embed_conditions(broken, init_params(small_cfg()), small_cfg())
+
+
+def test_embed_conditions_rows_are_those_of_each_track_alone(vocab):
+    cfg = small_cfg()
+    params = init_params(cfg)
+    _, grid = make_pair(vocab)
+    rng = np.random.default_rng(0)
+    codes = [[tuple(int(c) for c in rng.integers(0, cfg.codebook_size, 8))
+              for _ in range(grid.n_bars)] for _ in grid.instruments]
+
+    def tracks(order):
+        return FeatureGrid([grid.instruments[i] for i in order], grid.n_bars,
+                           [grid.entries[i] for i in order], grid.chords, True,
+                           [codes[i] for i in order])
+    order = [2, 0, 3, 1]    # the drum track second
+    C = embed_conditions(tracks(order), params, cfg)
+    for row, ti in enumerate(order):
+        alone = embed_conditions(tracks([ti]), params, cfg)
+        np.testing.assert_array_equal(C.data[row], alone.data[0])
+
+
+def test_more_tracks_than_n_tracks_is_a_data_error(vocab):
+    song = make_song(3, 2)
+    song.tracks.append(song.tracks[1])
+    seqs, grid = tokenize_song(song, vocab), quantize_features(extract_expert_features(song))
+    cfg = small_cfg()
+    params = init_params(cfg)
+    with pytest.raises(DataError):
+        model_forward(seqs, grid, params, cfg)
+    with pytest.raises(DataError):
+        generate(grid, params, cfg, vocab, seed=0, t_max=8)
 
 
 def test_embed_tokens_guardrails():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from bandgen.bpe import learn_bpe
-from bandgen.errors import DegenerateVocab, UsageError
+from bandgen.errors import DataError, DegenerateVocab, UsageError
 from bandgen.features import extract_expert_features, quantize_features
 from bandgen.neural import (generate, init_params, make_config,
                             repair_track_ids, top_k_count)
+from bandgen.neural.autograd import Tensor
 from bandgen.neural.sampling import _topk_sample
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, EOS_ID, detokenize, tokenize_song)
@@ -251,6 +252,14 @@ def test_generate_rejects_degenerate_vocab(vocab, gen_setup):
     cfg = small_cfg(vocab_size=2)
     with pytest.raises(DegenerateVocab):
         generate(grid, init_params(cfg), cfg, vocab)
+
+
+def test_generate_rejects_parameters_that_do_not_fit_the_config(vocab, gen_setup):
+    cfg, params, grid = gen_setup
+    with pytest.raises(DataError):
+        generate(grid, params | {"te": Tensor(np.zeros((5, 7)))}, cfg, vocab)
+    with pytest.raises(DataError):
+        generate(grid, {k: p for k, p in params.items() if k != "ie"}, cfg, vocab)
 
 
 @pytest.mark.parametrize("bad", [dict(seed=-1), dict(k_frac=float("nan")),

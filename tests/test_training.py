@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from bandgen.features import extract_expert_features, quantize_features
+from bandgen.features import (FeatureGrid, extract_expert_features,
+                              quantize_features)
 from bandgen.neural import (Adam, batch_loss, dump_checkpoint, generate,
                             gradient_check, init_params, make_config,
-                            mean_loss, no_grad, schedule_lr, train_model,
-                            train_step)
+                            mean_loss, model_forward, no_grad, schedule_lr,
+                            sequence_loss, train_model, train_step)
 from bandgen.neural.autograd import Tensor
+from bandgen.score import Song
 from bandgen.synth import make_song
-from bandgen.tokens import tokenize_song
+from bandgen.tokens import build_track_seqs, tokenize_song
 
 
 def small_cfg(**overrides):
@@ -175,3 +177,119 @@ def test_tape_free_passes_leave_training_bit_identical(vocab):
     assert grads_a == grads_b
     assert history_a == history_b
     assert blob_a == blob_b
+
+
+# -- batched multi-song training ----------------------------------------------------
+
+
+def cut_song(song, keep=("Drum", "Piano", "Bass")):
+    return Song([t for t in song.tracks if t.instrument in keep], song.n_bars,
+                song.resolution)
+
+
+def pair_of(song, vocab):
+    return (tokenize_song(song, vocab),
+            quantize_features(extract_expert_features(song)))
+
+
+def with_codes(pair, cfg, seed):
+    rng = np.random.default_rng(seed)
+    seqs, grid = pair
+    grid.vq_entries = [[tuple(int(c) for c in rng.integers(0, cfg.codebook_size, 8))
+                        for _ in range(grid.n_bars)] for _ in grid.instruments]
+    return pair
+
+
+def per_song_loss(pairs, params, cfg):
+    """The reference batch loss: one graph per song, summed in order."""
+    total, count = None, 0
+    for seqs, grid in pairs:
+        loss, n = sequence_loss(model_forward(seqs, grid, params, cfg), seqs)
+        total = loss if total is None else total + loss
+        count += n
+    return total, count
+
+
+def gradients(loss, params):
+    for p in params.values():
+        p.grad = None
+    loss.backward()
+    return {k: np.array(p.grad) for k, p in params.items()}
+
+
+def oracle_batch(vocab, cfg):
+    """Five 4-track songs of 2 and 3 bars, unequal lengths within each bar
+    count, the 2-bar group mixing grids with and without VQ codes, and two
+    3-track songs of 2 bars."""
+    pairs = [pair_of(make_song(seed=s, n_bars=b), vocab)
+             for s, b in ((3, 2), (4, 3), (5, 2), (6, 3), (7, 2))]
+    with_codes(pairs[0], cfg, 0)
+    with_codes(pairs[2], cfg, 1)
+    pairs += [pair_of(cut_song(make_song(seed=s, n_bars=2)), vocab) for s in (8, 9)]
+    for bars in (2, 3):
+        lengths = {p[0].length for p in pairs[:5] if p[1].n_bars == bars}
+        assert len(lengths) > 1
+    return pairs
+
+
+def test_batched_loss_and_gradients_match_the_per_song_sum(vocab):
+    cfg = small_cfg()
+    params = init_params(cfg)
+    pairs = oracle_batch(vocab, cfg)
+    loss, count = batch_loss(pairs, params, cfg)
+    ref, ref_count = per_song_loss(pairs, params, cfg)
+    assert count == ref_count
+    assert abs(float(loss.data) - float(ref.data)) <= 1e-10 * abs(float(ref.data))
+    got, want = gradients(loss, params), gradients(ref, params)
+    # the attention key biases' true gradient is 0: their reference is
+    # rounding noise, compared against the model's largest gradient
+    floor = 1e-8 * max(np.abs(g).max() for g in want.values())
+    for name in want:
+        scale = max(np.abs(want[name]).max(), floor)
+        np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                   atol=1e-10 * scale, err_msg=name)
+
+
+def test_a_stacked_song_keeps_its_own_logits(vocab):
+    cfg = small_cfg()
+    params = init_params(cfg)
+    short, long_ = (pair_of(make_song(seed=s, n_bars=2), vocab) for s in (5, 3))
+    assert short[0].length < long_[0].length
+    for first, second in ((short, long_), (long_, short)):
+        seqs = build_track_seqs([ids[:n] for p in (first, second)
+                                 for ids, n in zip(p[0].seqs, p[0].lengths)], vocab)
+        grid = FeatureGrid(first[1].instruments + second[1].instruments, 2,
+                           first[1].entries + second[1].entries, first[1].chords,
+                           True)
+        stacked = model_forward(seqs, grid, params, cfg, songs=2).data
+        for rows, (s, g) in ((slice(0, 4), first), (slice(4, 8), second)):
+            own = model_forward(s, g, params, cfg).data
+            np.testing.assert_allclose(stacked[rows, :s.length], own, rtol=0,
+                                       atol=1e-12 * np.abs(own).max())
+
+
+def test_one_song_groups_are_bit_identical_to_single_forwards(vocab):
+    cfg = small_cfg()
+    params = init_params(cfg)
+    pairs = [pair_of(make_song(seed=3, n_bars=2), vocab),
+             pair_of(make_song(seed=4, n_bars=3), vocab),
+             pair_of(cut_song(make_song(seed=5, n_bars=2)), vocab)]
+    loss, count = batch_loss(pairs, params, cfg)
+    ref, ref_count = per_song_loss(pairs, params, cfg)
+    assert (float(loss.data), count) == (float(ref.data), ref_count)
+    got, want = gradients(loss, params), gradients(ref, params)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_a_three_track_song_trains_and_generates(vocab):
+    cfg = small_cfg()
+    params = init_params(cfg)
+    pair = pair_of(cut_song(make_song(seed=3, n_bars=2)), vocab)
+    opt = Adam(params, lr=cfg.lr)
+    before = params["heads_w"].data.copy()
+    assert np.isfinite(train_step([pair], params, cfg, opt, lr=cfg.lr))
+    # the unused fourth head gets no gradient
+    assert np.array_equal(params["heads_w"].data[3], before[3])
+    assert not np.array_equal(params["heads_w"].data[:3], before[:3])
+    result = generate(pair[1], params, cfg, vocab, seed=0, t_max=24)
+    assert result.seqs.n_tracks == 3

@@ -4,8 +4,8 @@ gradients, bar-unit slicing, and code assignment."""
 import numpy as np
 import pytest
 
-from bandgen.errors import EmptyCodebook
-from bandgen.neural import (assign_codes, bar_units, make_config,
+from bandgen.errors import DataError, EmptyCodebook
+from bandgen.neural import (assign_codes, bar_units, init_params, make_config,
                             quantize_vectors, train_vqvae, vq_layer)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.vqvae import MAX_BAR_TOKENS, init_vq_params
@@ -156,3 +156,14 @@ def test_assign_codes_shape_and_determinism(vocab):
                 assert all(0 <= c < cfg.codebook_size for c in tup)
     again = assign_codes(corpus, params)
     assert again == codes
+
+
+def test_assign_codes_without_fitting_vq_blocks_is_a_data_error(vocab):
+    cfg = make_config("toy", d_latent=16, codebook_size=8)
+    corpus = [tokenize_song(make_song(1, 2), vocab)]
+    with pytest.raises(DataError):
+        assign_codes(corpus, init_params(cfg))     # a model-only checkpoint
+    params = init_vq_params(cfg)
+    params["vq_enc2_w"] = Tensor(np.zeros((3, 16)))
+    with pytest.raises(DataError):
+        assign_codes(corpus, params)
