@@ -28,9 +28,9 @@ from .features import (dump_feature_corpus, extract_expert_features,
 from .metrics import evaluate_pair, mean_report, report_csv, report_text
 from .midi import load_midi_file, write_midi
 from .neural import (assign_codes, check_blocks, dump_checkpoint, generate,
-                     load_checkpoint_file, make_config, mean_loss, param_shapes,
+                     load_checkpoint_file, make_config, mean_loss, model_spec,
                      train_model, train_vqvae)
-from .neural.vqvae import vq_param_shapes
+from .neural.vqvae import vq_spec
 from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
                     filter_song, load_song, quantize_song, split_windows)
 from .tokens import (build_track_seqs, build_vocab, corpus_stats, detokenize,
@@ -256,7 +256,8 @@ def cmd_generate(args) -> int:
     params, cfg = load_checkpoint_file(_require_file(args.checkpoint,
                                                      "--checkpoint"))
     # fail on a checkpoint that does not fit its config before reading the rest
-    check_blocks(params, param_shapes(cfg) | vq_param_shapes(cfg))
+    check_blocks(params, model_spec(cfg) |
+                 vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size))
     vocab = load_vocab(_read_text(args.vocab, "--vocab"))
     bpe_model = None
     if args.merges:

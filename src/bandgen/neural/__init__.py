@@ -8,7 +8,7 @@ from .model import (DecodeCache, ModelConfig, bar_similarity, bottom_decode,
                     check_blocks, ctt_forward, dump_config, embed_conditions,
                     embed_tokens, encode_features, expand_similarity,
                     init_params, load_config, make_config, model_forward,
-                    param_shapes, project_logits, se_attention, sequence_loss,
+                    model_spec, project_logits, se_attention, sequence_loss,
                     top_decode)
 from .optim import Adam, schedule_lr
 from .sampling import (GenerationResult, SampleEvent, generate,
@@ -25,7 +25,7 @@ __all__ = [
     "dump_config", "embed_conditions", "embed_tokens", "encode_features",
     "expand_similarity", "generate", "gradient_check", "init_params",
     "load_checkpoint", "load_checkpoint_file", "load_config",
-    "make_config", "mean_loss", "model_forward", "no_grad", "param_shapes",
+    "make_config", "mean_loss", "model_forward", "model_spec", "no_grad",
     "project_logits", "quantize_vectors", "repair_track_ids",
     "save_checkpoint_file", "schedule_lr", "se_attention", "sequence_loss",
     "top_decode", "top_k_count", "train_model",

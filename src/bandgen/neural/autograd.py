@@ -430,15 +430,3 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
         return g * p * m[:, None]
     out = Tensor(loss_val, parents=(logits,), vjps=(vjp,), op="cross_entropy")
     return out, int(m.sum())
-
-
-def parameter(rng: np.random.Generator, *shape, scale: float = 0.02) -> Tensor:
-    return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
-
-
-def zeros_param(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def ones_param(*shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)

@@ -42,8 +42,7 @@ from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, attention, concat, cross_entropy_logits,
                        layer_norm, layer_norm_affine, linear, no_grad,
-                       ones_param, parameter, put_pairs, softmax, take,
-                       zeros_param)
+                       put_pairs, softmax, take)
 
 
 _SIZE_FIELDS = ("d", "heads", "ffn", "n_tracks", "b_max", "t_max", "vocab_size",
@@ -213,7 +212,8 @@ def pitched_input_width(cfg: ModelConfig) -> int:
     return cfg.e_ct + cfg.e_nd + cfg.e_mp + cfg.e_md + cfg.e_mv + N_VQ_GROUPS * cfg.e_vq
 
 
-def _model_spec(cfg: ModelConfig) -> Spec:
+def model_spec(cfg: ModelConfig) -> Spec:
+    """The blocks `init_params` draws for `cfg`."""
     spec: Spec = {}
     for feat in ("ct", "dt", "dd", "nd", "mp", "md", "mv"):
         # numeric features add a row for their empty-bar sentinel bin
@@ -248,33 +248,24 @@ def draw_params(spec: Spec, seed: int) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     for name, (shape, init) in spec.items():
         if init == ZEROS:
-            params[name] = zeros_param(*shape)
+            value = np.zeros(shape)
         elif init == ONES:
-            params[name] = ones_param(*shape)
+            value = np.ones(shape)
         else:
-            params[name] = parameter(rng, *shape, scale=init)
+            value = rng.normal(0.0, init, size=shape)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
-def spec_shapes(spec: Spec) -> dict[str, tuple[int, ...]]:
-    return {name: shape for name, (shape, _) in spec.items()}
-
-
 def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
-    return draw_params(_model_spec(cfg), cfg.seed)
+    return draw_params(model_spec(cfg), cfg.seed)
 
 
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The block shapes `init_params` makes for `cfg`, drawing nothing."""
-    return spec_shapes(_model_spec(cfg))
-
-
-def check_blocks(params: dict[str, Tensor],
-                 shapes: dict[str, tuple[int, ...]]) -> None:
-    """Raise `DataError` unless `params` holds every block of `shapes`, with
-    that shape; other blocks are not looked at."""
+def check_blocks(params: dict[str, Tensor], spec: Spec) -> None:
+    """Raise `DataError` unless `params` holds every block of `spec`, with
+    its shape; other blocks are not looked at, and nothing is drawn."""
     problems = [f"{name}: {params[name].shape if name in params else 'missing'}"
-                f", expected {shape}" for name, shape in shapes.items()
+                f", expected {shape}" for name, (shape, _) in spec.items()
                 if name not in params or params[name].shape != shape]
     if problems:
         raise DataError(f"parameters do not fit their config ({len(problems)} "

@@ -31,7 +31,7 @@ from ..tokens import (BAR_KINDS, BOS_ID, EOS_ID, TrackGrammar, TrackTokenSeqs,
                       Vocab, build_track_seqs)
 from .autograd import Tensor
 from .model import (DecodeCache, ModelConfig, check_blocks, model_forward,
-                    param_shapes)
+                    model_spec)
 
 
 def top_k_count(vocab_size: int, k_frac: float = 0.02) -> int:
@@ -81,7 +81,7 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     final EOS (None: the config's cap; larger values are clipped to it)."""
     if seed < 0:
         raise UsageError(f"seed must not be negative, got {seed}")
-    check_blocks(params, param_shapes(cfg))
+    check_blocks(params, model_spec(cfg))
     k = top_k_count(cfg.vocab_size, k_frac)
     if cfg.vocab_size < 3:
         raise DegenerateVocab(f"vocab of {cfg.vocab_size} cannot be sampled")

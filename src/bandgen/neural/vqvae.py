@@ -16,7 +16,7 @@ from ..tokens import EOS_ID, PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, cross_entropy_logits, no_grad, straight_through,
                        take)
 from .model import (ModelConfig, N_VQ_GROUPS, Spec, _linear, _linear_block,
-                    check_blocks, draw_params, sinusoidal_table, spec_shapes)
+                    check_blocks, draw_params, sinusoidal_table)
 from .optim import Adam
 
 MAX_BAR_TOKENS = 96
@@ -82,7 +82,8 @@ def bar_units(seqs: TrackTokenSeqs) -> list[list[list[int]]]:
     return out
 
 
-def _vq_spec(vocab_size: int, d_latent: int, codebook_size: int) -> Spec:
+def vq_spec(vocab_size: int, d_latent: int, codebook_size: int) -> Spec:
+    """The blocks `init_vq_params` draws for these sizes."""
     hidden = 4 * d_latent
     spec: Spec = {"vq_te": ((vocab_size, d_latent), 0.02)}
     _linear_block(spec, "vq_enc1", d_latent, hidden)
@@ -94,13 +95,8 @@ def _vq_spec(vocab_size: int, d_latent: int, codebook_size: int) -> Spec:
 
 
 def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
-    return draw_params(_vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size),
+    return draw_params(vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size),
                        cfg.seed + 17)
-
-
-def vq_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The block shapes `init_vq_params` makes for `cfg`, drawing nothing."""
-    return spec_shapes(_vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size))
 
 
 def _pad_units(units: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +187,8 @@ def assign_codes(corpus: list[TrackTokenSeqs], params: dict[str, Tensor]
         raise DataError("assign_codes needs the VQ-VAE blocks, which these "
                         "parameters lack")
     vocab_size, d_latent = params["vq_te"].shape
-    check_blocks(params, spec_shapes(_vq_spec(
-        vocab_size, d_latent, params["vq_codebook"].shape[0])))
+    check_blocks(params, vq_spec(vocab_size, d_latent,
+                                 params["vq_codebook"].shape[0]))
     out = []
     for seqs in corpus:
         song_codes: list[list[tuple[int, ...]]] = []
