@@ -257,7 +257,7 @@ def cmd_generate(args) -> int:
                                                      "--checkpoint"))
     # fail on a checkpoint that does not fit its config before reading the rest
     check_blocks(params, model_spec(cfg) |
-                 vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size))
+                 vq_spec(cfg.vocab_size, cfg.d, cfg.codebook_size))
     vocab = load_vocab(_read_text(args.vocab, "--vocab"))
     bpe_model = None
     if args.merges:

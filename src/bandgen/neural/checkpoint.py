@@ -3,12 +3,15 @@
 Layout: magic "BGCK", format version, UTF-8 config block, then each named
 float64 block as (name, shape, row-major little-endian payload), in sorted
 name order. Loading reproduces every array bit-exactly. Every block is a
-trained weight; fixed position tables are recomputed from the config.
+trained weight; fixed position tables are recomputed from the config. A
+repeated block name or bytes after the last block make a blob malformed.
 
-Older versions are refused: version 1 stored the position tables as
-blocks, and version 2 configs carried the `use_ctt`, `lr_max` and `preset`
-keys, which version 3 dropped (`layers_ctt = 0` is the cross-track switch,
-`lr` the warmup peak).
+Older versions are refused. Version 1 stored the position tables as
+blocks; version 2 configs carried `use_ctt`, `lr_max` and `preset` (now
+`layers_ctt = 0` is the cross-track switch, `lr` the warmup peak); version
+3 configs carried the widths `e_ct` .. `e_vq` and `d_latent`, which now
+follow `d`, and `n_tracks` and `lr_min`, now `score.MAX_TRACKS` and
+`optim.LR_MIN`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .autograd import Tensor
 from .model import ModelConfig, dump_config, load_config
 
 _MAGIC = b"BGCK"
-_VERSION = 3
+_VERSION = 4
 
 
 def _pack_bytes(payload: bytes) -> bytes:
@@ -79,10 +82,14 @@ def _parse(cur: _Cursor) -> tuple[dict[str, Tensor], ModelConfig]:
     params: dict[str, Tensor] = {}
     for _ in range(n_params):
         name = cur.block().decode("utf-8")
+        if name in params:
+            raise DataError(f"checkpoint: block {name!r} repeats")
         ndim = cur.u32()
         shape = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
         data = np.frombuffer(cur.block(), dtype="<f8").reshape(shape).copy()
         params[name] = Tensor(data, requires_grad=True)
+    if cur.pos != len(cur.blob):
+        raise DataError("checkpoint: trailing bytes after the last block")
     return params, config
 
 

@@ -39,21 +39,23 @@ from ..errors import (BarCountMismatch, BarIndexOutOfRange, BinOutOfVocab,
                       DataError, IdOutOfVocab, UsageError)
 from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
                         PITCHED_KEYS_FEATURE, FeatureGrid)
+from ..score import MAX_TRACKS
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, attention, concat, cross_entropy_logits,
                        layer_norm, layer_norm_affine, linear, no_grad,
                        put_pairs, softmax, take)
 
 
-_SIZE_FIELDS = ("d", "heads", "ffn", "n_tracks", "b_max", "t_max", "vocab_size",
-                "codebook_size", "d_latent", "e_ct", "e_dt", "e_dd", "e_nd",
-                "e_mp", "e_md", "e_mv", "e_vq")
+_SIZE_FIELDS = ("d", "heads", "ffn", "b_max", "t_max", "vocab_size", "codebook_size")
 _LAYER_FIELDS = ("layers_enc", "layers_bottom", "layers_top", "layers_ctt")
 _LR_SCHEDULES = ("constant", "warmup")
 
 
 @dataclass(slots=True)
 class ModelConfig:
+    """What the presets vary. Feature-embedding and VQ latent widths follow
+    `d` (`model_spec`, `vqvae.vq_spec`); a song has at most `score.MAX_TRACKS`
+    tracks."""
     d: int = 32
     heads: int = 2
     ffn: int = 64
@@ -61,23 +63,12 @@ class ModelConfig:
     layers_bottom: int = 1
     layers_top: int = 1
     layers_ctt: int = 1            # 0: no cross-track layer
-    n_tracks: int = 4
     b_max: int = 64
     t_max: int = 512
     vocab_size: int = 282
     codebook_size: int = 16
-    d_latent: int = 16
-    e_ct: int = 32
-    e_dt: int = 8
-    e_dd: int = 16
-    e_nd: int = 16
-    e_mp: int = 8
-    e_md: int = 8
-    e_mv: int = 8
-    e_vq: int = 8
     lr: float = 1e-3               # the constant rate, or the warmup peak
     lr_schedule: str = "constant"  # "constant" | "warmup"
-    lr_min: float = 4e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -87,26 +78,23 @@ class ModelConfig:
         for name in _LAYER_FIELDS:
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must not be negative")
-        for name in ("lr", "lr_min"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise DataError(f"{name} must be positive")
+        if not self.lr > 0:  # NaN fails too
+            raise DataError("lr must be positive")
         if self.seed < 0:
             raise DataError("seed must not be negative")
         if self.lr_schedule not in _LR_SCHEDULES:
             raise DataError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.d % self.heads:
             raise DataError("model width must divide evenly across heads")
-        if self.d_latent % N_VQ_GROUPS:
-            raise DataError("latent width must split into 8 groups")
+        if self.d % (2 * N_VQ_GROUPS):  # the latent, d/2, splits into 8 groups
+            raise DataError(f"model width must be a multiple of {2 * N_VQ_GROUPS}")
 
 
 _PRESETS = {
     "toy": {},
     "paper": dict(d=256, heads=8, ffn=1024, layers_enc=4, layers_bottom=3,
-                  layers_top=3, layers_ctt=2, codebook_size=1024, d_latent=128,
-                  e_ct=256, e_dt=64, e_dd=128, e_nd=128, e_mp=64, e_md=64,
-                  e_mv=64, e_vq=64, t_max=4096, lr_schedule="warmup",
-                  lr=4e-4),
+                  layers_top=3, layers_ctt=2, codebook_size=1024, t_max=4096,
+                  lr_schedule="warmup", lr=4e-4),
 }
 
 
@@ -138,6 +126,8 @@ def load_config(text: str) -> ModelConfig:
         key, value = (part.strip() for part in ln.split("=", 1))
         if key not in names:
             raise DataError(f"config: unknown key {key!r}")
+        if key in kwargs:
+            raise DataError(f"config: repeated key {key!r}")
         current = getattr(defaults, key)
         try:
             if isinstance(current, int):
@@ -204,28 +194,25 @@ def _decoder_layer(spec: Spec, name: str, cfg: ModelConfig) -> None:
     _ln_block(spec, f"{name}_ln3", cfg.d)
 
 
-def drum_input_width(cfg: ModelConfig) -> int:
-    return cfg.e_dt + cfg.e_dd + N_VQ_GROUPS * cfg.e_vq
-
-
-def pitched_input_width(cfg: ModelConfig) -> int:
-    return cfg.e_ct + cfg.e_nd + cfg.e_mp + cfg.e_md + cfg.e_mv + N_VQ_GROUPS * cfg.e_vq
-
-
 def model_spec(cfg: ModelConfig) -> Spec:
-    """The blocks `init_params` draws for `cfg`."""
+    """The blocks `init_params` draws for `cfg`; feature widths follow d."""
+    d = cfg.d
+    widths = dict(ct=d, dt=d // 4, dd=d // 2, nd=d // 2, mp=d // 4, md=d // 4,
+                  mv=d // 4, vq=d // 4)
     spec: Spec = {}
-    for feat in ("ct", "dt", "dd", "nd", "mp", "md", "mv"):
+    for feat, rows in FEATURE_SIZES.items():
         # numeric features add a row for their empty-bar sentinel bin
-        rows = FEATURE_SIZES[feat] + (feat != "ct")
-        spec[f"fe_{feat}"] = ((rows, getattr(cfg, f"e_{feat}")), 0.02)
-    spec["fe_vq"] = ((cfg.codebook_size, cfg.e_vq), 0.02)
-    _linear_block(spec, "proj_drum", drum_input_width(cfg), cfg.d)
-    _linear_block(spec, "proj_pitched", pitched_input_width(cfg), cfg.d)
+        spec[f"fe_{feat}"] = ((rows + (feat != "ct"), widths[feat]), 0.02)
+    spec["fe_vq"] = ((cfg.codebook_size, widths["vq"]), 0.02)
+    vq_width = N_VQ_GROUPS * widths["vq"]
+    drum_width = sum(widths[f] for f in DRUM_KEYS_FEATURE) + vq_width
+    pitched_width = widths["ct"] + sum(widths[f] for f in PITCHED_KEYS_FEATURE) + vq_width
+    _linear_block(spec, "proj_drum", drum_width, d)
+    _linear_block(spec, "proj_pitched", pitched_width, d)
 
     spec["te"] = ((cfg.vocab_size, cfg.d), 0.02)
     spec["be"] = ((cfg.b_max, cfg.d), 0.02)
-    spec["ie"] = ((cfg.n_tracks, cfg.d), 0.02)
+    spec["ie"] = ((MAX_TRACKS, cfg.d), 0.02)
 
     for l in range(cfg.layers_enc):
         _encoder_layer(spec, f"enc{l}", cfg)
@@ -238,8 +225,8 @@ def model_spec(cfg: ModelConfig) -> Spec:
     for l in range(cfg.layers_top):
         _decoder_layer(spec, f"top{l}", cfg)
 
-    spec["heads_w"] = ((cfg.n_tracks, cfg.d, cfg.vocab_size), 0.02)
-    spec["heads_b"] = ((cfg.n_tracks, cfg.vocab_size), ZEROS)
+    spec["heads_w"] = ((MAX_TRACKS, cfg.d, cfg.vocab_size), 0.02)
+    spec["heads_b"] = ((MAX_TRACKS, cfg.vocab_size), ZEROS)
     return spec
 
 
@@ -387,8 +374,7 @@ def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tenso
                 segs.append(cts.sum(axis=2) * 0.25)
             bins = _cell_bins(grid, tracks, keys)
             segs += [take(params[f"fe_{f}"], bins[..., j]) for j, f in enumerate(keys)]
-            vq = take(params["fe_vq"], codes[tracks]).reshape(
-                len(tracks), B, N_VQ_GROUPS * cfg.e_vq)
+            vq = take(params["fe_vq"], codes[tracks]).reshape(len(tracks), B, -1)
             parts.append(_linear(concat(segs + [vq], axis=-1), params, f"proj_{kind}"))
     except IndexError as e:
         raise BinOutOfVocab(str(e)) from e
@@ -645,7 +631,7 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     counts, stacked along the track axis (tracks of one song adjacent, all
     padded to one T). Tracks exchange bars only within their song, and take
     the instrument embedding and output head of their slot in it; a song
-    has at most `n_tracks` tracks.
+    has at most `MAX_TRACKS` tracks.
 
     With a `DecodeCache`, for decoding one song: logits [I, 1, V] of each
     track's last position (row lengths[i] - 1 of the full forward),
@@ -656,9 +642,9 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     `BarCountMismatch` on either path, with or without a cross-track layer."""
     if seqs.n_tracks % songs:
         raise UsageError(f"{seqs.n_tracks} tracks do not split into {songs} songs")
-    if seqs.n_tracks // songs > cfg.n_tracks:
+    if seqs.n_tracks // songs > MAX_TRACKS:
         raise DataError(f"{seqs.n_tracks // songs} tracks per song exceed "
-                        f"n_tracks {cfg.n_tracks}")
+                        f"the {MAX_TRACKS} track slots")
     counts = [len(p) for p in seqs.bar_token_positions]
     if strict_bars and len(set(counts)) > 1:
         raise BarCountMismatch(f"bar token counts differ: {counts}")

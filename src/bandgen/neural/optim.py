@@ -9,6 +9,7 @@ from .autograd import Tensor
 BETA1 = 0.9
 BETA2 = 0.99
 EPS = 1e-8
+LR_MIN = 4e-5  # where the warmup schedule's decay ends
 
 
 class Adam:
@@ -54,14 +55,13 @@ class Adam:
             p.data -= delta
 
 
-def schedule_lr(step: int, total_steps: int, schedule: str,
-                lr: float, lr_min: float) -> float:
+def schedule_lr(step: int, total_steps: int, schedule: str, lr: float) -> float:
     """Constant `lr`, or linear warmup to `lr` over the first tenth then
-    linear decay to `lr_min`."""
+    linear decay to `LR_MIN`."""
     if schedule == "constant":
         return lr
     warmup = max(1, total_steps // 10)
     if step < warmup:
         return lr * (step + 1) / warmup
     frac = (step - warmup) / max(1, total_steps - warmup)
-    return lr + (lr_min - lr) * min(1.0, frac)
+    return lr + (LR_MIN - lr) * min(1.0, frac)

@@ -110,7 +110,7 @@ def train_model(pairs: list[Pair], cfg: ModelConfig, steps: int,
     opt = Adam(params, lr=cfg.lr)
     history: list[float] = []
     for step in range(steps):
-        lr = schedule_lr(step, steps, cfg.lr_schedule, cfg.lr, cfg.lr_min)
+        lr = schedule_lr(step, steps, cfg.lr_schedule, cfg.lr)
         history.append(train_step(pairs, params, cfg, opt, lr))
         if log and (step % 10 == 0 or step == steps - 1):
             log(f"step {step}: loss/token {history[-1]:.4f} lr {lr:.2e}")

@@ -82,8 +82,9 @@ def bar_units(seqs: TrackTokenSeqs) -> list[list[list[int]]]:
     return out
 
 
-def vq_spec(vocab_size: int, d_latent: int, codebook_size: int) -> Spec:
-    """The blocks `init_vq_params` draws for these sizes."""
+def vq_spec(vocab_size: int, d: int, codebook_size: int) -> Spec:
+    """The blocks `init_vq_params` draws for these sizes; the latent is d/2 wide."""
+    d_latent = d // 2
     hidden = 4 * d_latent
     spec: Spec = {"vq_te": ((vocab_size, d_latent), 0.02)}
     _linear_block(spec, "vq_enc1", d_latent, hidden)
@@ -95,7 +96,7 @@ def vq_spec(vocab_size: int, d_latent: int, codebook_size: int) -> Spec:
 
 
 def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
-    return draw_params(vq_spec(cfg.vocab_size, cfg.d_latent, cfg.codebook_size),
+    return draw_params(vq_spec(cfg.vocab_size, cfg.d, cfg.codebook_size),
                        cfg.seed + 17)
 
 
@@ -187,7 +188,7 @@ def assign_codes(corpus: list[TrackTokenSeqs], params: dict[str, Tensor]
         raise DataError("assign_codes needs the VQ-VAE blocks, which these "
                         "parameters lack")
     vocab_size, d_latent = params["vq_te"].shape
-    check_blocks(params, vq_spec(vocab_size, d_latent,
+    check_blocks(params, vq_spec(vocab_size, 2 * d_latent,
                                  params["vq_codebook"].shape[0]))
     out = []
     for seqs in corpus:

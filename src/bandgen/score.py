@@ -20,6 +20,7 @@ DRUM_DURATION = 24
 DRUM_VELOCITY = 64
 
 INSTRUMENTS = ("Drum", "Piano", "Guitar", "Bass", "Strings", "SquareSynth")
+MAX_TRACKS = 4  # Drum, melody and the two largest other classes
 
 # General-MIDI program ranges -> instrument class (non-melody tracks only;
 # a melody track always becomes SquareSynth, drums always Drum).
@@ -168,7 +169,8 @@ def find_melody_index(song: Song) -> int:
 
 def compress_instruments(song: Song) -> Song:
     """Map tracks to the six classes, merge same-class tracks, and keep
-    Drum + melody (SquareSynth) + the two largest remaining classes."""
+    Drum + melody (SquareSynth) + the largest remaining classes, up to
+    MAX_TRACKS in all."""
     if not any(t.instrument == "Drum" and t.notes for t in song.tracks):
         raise NoDrumTrack("no drum track with notes")
     melody_idx = find_melody_index(song)
@@ -187,7 +189,7 @@ def compress_instruments(song: Song) -> Song:
     rest = [c for c in merged if c not in ("Drum", "SquareSynth")]
     # largest note count wins; ties break by class enum order
     rest.sort(key=lambda c: (-len(merged[c]), INSTRUMENTS.index(c)))
-    keep.update(rest[:2])
+    keep.update(rest[:MAX_TRACKS - len(keep)])
 
     tracks = [Track(c, sorted_unique_notes(merged[c]), is_melody=(c == "SquareSynth"))
               for c in INSTRUMENTS if c in keep]

@@ -1,5 +1,5 @@
 """Incremental decoding: the cached forward against the full forward, and
-`generate` ids against goldens recorded before decoding was incremental."""
+`generate` ids against fixed goldens."""
 
 import numpy as np
 import pytest
@@ -145,42 +145,42 @@ def test_strict_bars_hold_with_and_without_the_cross_track_layer(vocab, layers_c
 
 # -- generate ----------------------------------------------------------------------
 
-# raw_lists of fixed-seed covers, recorded with the full-forward decoder
+# raw_lists of fixed-seed covers at d=16, whose feature widths are
+# 16/4/8/8/4/4/4/4 (ct/dt/dd/nd/mp/md/mv/vq)
 GOLDEN_BARS = [
-    [3, 1, 132, 132, 48, 48, 9, 245, 27, 9, 275, 9, 166, 272, 9, 2],
-    [4, 1, 217, 9, 201, 108, 263, 9, 34, 161, 161, 257, 263, 263, 34, 240, 108,
-     161, 188, 188, 137, 271, 161, 271, 148, 177, 177, 136, 136, 85, 257, 9, 137,
-     85, 258, 9, 148, 2],
-    [6, 1, 185, 90, 168, 128, 128, 45, 9, 56, 5, 262, 153, 45, 89, 9, 63, 9, 168,
-     9, 18, 26, 262, 26, 262, 86, 128, 104, 104, 2],
-    [8, 1, 253, 153, 120, 112, 112, 9, 24, 9, 83, 9, 113, 93, 49, 9, 148, 2],
+    [3, 1, 113, 154, 82, 154, 9, 16, 280, 9, 67, 9, 238, 149, 9, 2],
+    [4, 1, 156, 9, 120, 118, 35, 260, 69, 180, 21, 81, 120, 135, 188, 16, 135,
+     6, 118, 150, 135, 255, 280, 280, 174, 9, 6, 9, 9, 2],
+    [6, 1, 116, 143, 211, 28, 28, 41, 116, 120, 116, 157, 157, 39, 204, 120,
+     116, 92, 155, 59, 199, 191, 61, 135, 274, 135, 199, 120, 27, 154, 25, 28,
+     9, 199, 9, 25, 100, 9, 120, 225, 2],
+    [8, 1, 149, 264, 61, 42, 42, 278, 42, 9, 212, 9, 4, 278, 4, 9, 238, 9, 6,
+     33, 2],
 ]
 GOLDEN_BPE = [
-    [3, 1, 159, 159, 10, 43, 9, 289, 53, 9, 226, 9, 117, 219, 2],
-    [4, 1, 299, 64, 9, 12, 240, 1, 138, 186, 155, 99, 1, 170, 170, 36, 9, 16, 9,
-     148, 35, 9, 188, 155, 12, 201, 2],
-    [6, 1, 9, 214, 282, 9, 214, 40, 277, 214, 132, 9, 196, 196, 217, 251, 228,
-     132, 90, 209, 191, 170, 228, 116, 214, 299, 153, 150, 217, 217, 49, 9, 153,
-     232, 183, 214, 191, 291, 115, 191, 2],
-    [8, 1, 193, 214, 36, 36, 203, 143, 203, 258, 56, 9, 39, 72, 154, 39, 4, 39,
-     261, 39, 181, 278, 9, 76, 36, 48, 9, 81, 239, 9, 39, 262, 39, 228, 169, 39, 2],
+    [3, 1, 261, 261, 9, 9, 9, 87, 65, 9, 13, 2],
+    [4, 1, 156, 258, 9, 84, 137, 187, 224, 10, 84, 279, 184, 137, 184, 184, 230,
+     279, 293, 9, 293, 34, 9, 237, 293, 201, 253, 199, 254, 113, 162, 162, 253,
+     254, 114, 2],
+    [6, 1, 9, 64, 91, 121, 6, 6, 21, 268, 85, 268, 143, 97, 49, 240, 54, 75,
+     159, 159, 46, 240, 268, 268, 59, 83, 183, 166, 9, 9, 121, 9, 2],
+    [8, 1, 78, 128, 224, 160, 54, 78, 242, 9, 144, 9, 160, 51, 9, 1, 9, 21, 102,
+     266, 102, 250, 68, 2],
 ]
 GOLDEN_PLAIN = [
-    [3, 1, 102, 194, 252, 194, 132, 192, 245, 235, 81, 34, 192, 245, 192, 210,
-     272, 257, 25, 235, 9, 41, 41, 257, 48, 58, 58, 26, 81, 233, 263, 45, 272, 26,
-     67, 26, 217, 261, 86, 183, 122, 128, 261, 234, 28, 183, 28, 249, 122, 1, 144,
-     183, 266, 122, 34, 28, 166, 261, 75, 122, 90, 64, 153, 59, 2],
-    [4, 1, 204, 217, 108, 201, 229, 177, 204, 161, 161, 75, 177, 277, 277, 161,
-     240, 148, 177, 137, 177, 157, 201, 271, 54, 263, 225, 136, 136, 161, 137, 137,
-     91, 137, 137, 161, 85, 2],
-    [6, 1, 185, 90, 26, 234, 128, 223, 89, 4, 200, 153, 224, 5, 89, 224, 224, 262,
-     224, 224, 18, 26, 104, 128, 86, 86, 168, 262, 262, 277, 67, 277, 231, 166, 59,
-     41, 77, 67, 29, 136, 125, 35, 262, 67, 189, 29, 277, 40, 199, 224, 168, 65,
-     166, 266, 41, 41, 224, 45, 55, 125, 125, 97, 168, 156, 2],
-    [8, 1, 109, 196, 153, 177, 113, 112, 81, 253, 253, 253, 113, 93, 54, 93, 83,
-     49, 59, 274, 274, 57, 212, 221, 41, 177, 70, 81, 245, 200, 278, 112, 131, 111,
-     241, 241, 54, 200, 274, 200, 235, 212, 212, 153, 153, 146, 211, 41, 55, 278,
-     149, 55, 88, 102, 49, 103, 41, 49, 39, 120, 41, 280, 226, 138, 2],
+    [3, 1, 86, 12, 82, 127, 16, 35, 83, 27, 102, 102, 9, 83, 83, 83, 260, 113,
+     260, 260, 83, 260, 169, 169, 197, 269, 63, 125, 154, 19, 47, 109, 75, 50,
+     113, 47, 50, 128, 50, 183, 57, 50, 50, 269, 128, 269, 185, 185, 29, 128,
+     42, 86, 103, 113, 195, 238, 238, 115, 103, 113, 102, 102, 94, 101, 2],
+    [4, 1, 76, 16, 184, 280, 193, 180, 16, 189, 280, 165, 81, 200, 180, 135,
+     120, 188, 6, 6, 113, 6, 224, 118, 174, 247, 244, 99, 190, 4, 6, 6, 121,
+     276, 6, 6, 117, 121, 260, 6, 6, 172, 280, 232, 261, 232, 193, 25, 172, 193,
+     44, 59, 156, 190, 117, 118, 89, 193, 193, 156, 190, 206, 121, 159, 2],
+    [6, 1, 116, 143, 28, 116, 30, 30, 152, 222, 157, 92, 21, 39, 27, 173, 120,
+     268, 69, 59, 106, 204, 192, 223, 135, 228, 152, 25, 188, 273, 39, 120, 180,
+     25, 12, 112, 255, 81, 120, 225, 86, 223, 112, 275, 198, 119, 86, 61, 188,
+     80, 193, 119, 86, 120, 12, 69, 12, 275, 244, 88, 201, 255, 255, 255, 2],
+    [8, 1, 9, 61, 149, 9, 221, 221, 62, 58, 58, 42, 2],
 ]
 
 

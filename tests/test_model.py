@@ -15,7 +15,8 @@ from bandgen.neural import (ModelConfig, bar_similarity, dump_checkpoint,
                             encode_features, expand_similarity, generate,
                             init_params, load_checkpoint, load_checkpoint_file,
                             load_config, make_config, model_forward,
-                            save_checkpoint_file, se_attention, sequence_loss)
+                            model_spec, save_checkpoint_file, se_attention,
+                            sequence_loss)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import (bottom_decode, ctt_forward,
                                   multi_head_attention, project_logits,
@@ -57,22 +58,51 @@ def test_config_round_trip_and_presets():
     with pytest.raises(DataError):
         load_config("heads = 0")
     with pytest.raises(DataError):
-        ModelConfig(d_latent=12)
+        ModelConfig(d=24, heads=2)   # the latent, d/2, must split into 8 groups
     with pytest.raises(DataError):
         load_config("nonsense line")
     with pytest.raises(DataError):
         load_config("mystery_key = 3")
-    for bad in ("d = -4", "b_max = 0", "t_max = 0", "e_vq = 0",
+    for bad in ("d = -4", "b_max = 0", "t_max = 0", "d = 16\nd = 32",
                 "layers_top = -1", "lr_schedule = cosine", "seed = -1",
-                "lr = -1", "lr = 0", "lr = nan", "lr_min = -1e-5",
+                "lr = -1", "lr = 0", "lr = nan",
                 # keys of version 2 configs: layers_ctt = 0 turns the
                 # cross-track layer off, lr is the warmup peak
-                "use_ctt = False", "lr_max = 4e-4", "preset = toy"):
+                "use_ctt = False", "lr_max = 4e-4", "preset = toy",
+                # keys of version 3 configs: the widths follow d, and the
+                # track slots and the lr floor are constants
+                "e_vq = 8", "d_latent = 16", "n_tracks = 4", "lr_min = 4e-5"):
         with pytest.raises(DataError):
             load_config(bad)
     assert load_config("layers_ctt = 0").layers_ctt == 0
     with pytest.raises(DataError):
         make_config(seed=-1)
+
+
+# the blocks whose widths follow d, at each preset's own d (282 tokens)
+FROZEN_SHAPES = {
+    "toy": {"fe_ct": (133, 32), "fe_dt": (33, 8), "fe_dd": (51, 16),
+            "fe_nd": (67, 16), "fe_mp": (35, 8), "fe_md": (31, 8),
+            "fe_mv": (35, 8), "fe_vq": (16, 8), "proj_drum_w": (88, 32),
+            "proj_pitched_w": (136, 32), "ie": (4, 32),
+            "heads_w": (4, 32, 282), "heads_b": (4, 282),
+            "vq_te": (282, 16), "vq_enc1_w": (16, 64), "vq_codebook": (16, 2)},
+    "paper": {"fe_ct": (133, 256), "fe_dt": (33, 64), "fe_dd": (51, 128),
+              "fe_nd": (67, 128), "fe_mp": (35, 64), "fe_md": (31, 64),
+              "fe_mv": (35, 64), "fe_vq": (1024, 64), "proj_drum_w": (704, 256),
+              "proj_pitched_w": (1088, 256), "ie": (4, 256),
+              "heads_w": (4, 256, 282), "heads_b": (4, 282),
+              "vq_te": (282, 128), "vq_enc1_w": (128, 512),
+              "vq_codebook": (1024, 16)},
+}
+
+
+def test_preset_block_shapes_are_frozen():
+    for preset, frozen in FROZEN_SHAPES.items():
+        cfg = make_config(preset)
+        shapes = {name: shape for name, (shape, _) in model_spec(cfg).items()}
+        shapes.update((name, p.shape) for name, p in init_vq_params(cfg).items())
+        assert {name: shapes[name] for name in frozen} == frozen, preset
 
 
 # -- similarity-modulated attention ------------------------------------------------
@@ -280,7 +310,7 @@ def test_embed_conditions_rows_are_those_of_each_track_alone(vocab):
         np.testing.assert_array_equal(C.data[row], alone.data[0])
 
 
-def test_more_tracks_than_n_tracks_is_a_data_error(vocab):
+def test_more_tracks_than_track_slots_is_a_data_error(vocab):
     song = make_song(3, 2)
     song.tracks.append(song.tracks[1])
     seqs, grid = tokenize_song(song, vocab), quantize_features(extract_expert_features(song))
@@ -407,9 +437,10 @@ def test_checkpoint_rejects_garbage():
     blob = dump_checkpoint(init_params(cfg), cfg)
     with pytest.raises(DataError):
         load_checkpoint(blob[:40])
-    # version 1 files stored the fixed position tables as blocks, and
-    # version 2 configs had the use_ctt, lr_max and preset keys
-    for version in (1, 2):
+    # version 1 files stored the fixed position tables as blocks, version 2
+    # configs had the use_ctt, lr_max and preset keys, and version 3 ones
+    # the feature widths, d_latent, n_tracks and lr_min
+    for version in (1, 2, 3):
         with pytest.raises(DataError):
             load_checkpoint(blob[:4] + struct.pack("<I", version) + blob[8:])
     with pytest.raises(DataError):
@@ -418,3 +449,10 @@ def test_checkpoint_rejects_garbage():
     one = dump_checkpoint({"w": Tensor(np.zeros(2), requires_grad=True)}, cfg)
     with pytest.raises(DataError):
         load_checkpoint(one[:-24] + struct.pack("<I", 3) + one[-20:])
+    # a block name listed twice, and bytes after the last block
+    two = dump_checkpoint({name: Tensor(np.zeros(2), requires_grad=True)
+                           for name in ("w1", "w2")}, cfg)
+    assert set(load_checkpoint(two)[0]) == {"w1", "w2"}
+    for bad in (two.replace(b"w2", b"w1"), blob + b"garbage"):
+        with pytest.raises(DataError):
+            load_checkpoint(bad)

@@ -87,11 +87,11 @@ def test_adam_skips_parameters_without_gradient():
 
 def test_schedule_constant():
     for step in (0, 5, 199):
-        assert schedule_lr(step, 200, "constant", 1e-3, 4e-5) == 1e-3
+        assert schedule_lr(step, 200, "constant", 1e-3) == 1e-3
 
 
 def test_schedule_warmup_frozen_points():
-    args = (100, "warmup", 4e-4, 4e-5)  # lr is the peak
+    args = (100, "warmup", 4e-4)  # lr is the peak; the decay ends at 4e-5
     assert schedule_lr(0, *args) == pytest.approx(4e-5)
     assert schedule_lr(4, *args) == pytest.approx(2e-4)
     assert schedule_lr(9, *args) == pytest.approx(4e-4)

@@ -130,7 +130,7 @@ def test_bar_units_truncates_overlong_bars():
 
 
 def test_train_vqvae_deterministic_and_learning(vocab):
-    cfg = make_config("toy", d_latent=16, codebook_size=8)
+    cfg = make_config("toy", codebook_size=8)
     corpus = [tokenize_song(s, vocab) for s in make_corpus(2, 2, seed=1)]
     p1, h1 = train_vqvae(corpus, cfg, steps=8)
     p2, h2 = train_vqvae(corpus, cfg, steps=8)
@@ -142,7 +142,7 @@ def test_train_vqvae_deterministic_and_learning(vocab):
 
 
 def test_assign_codes_shape_and_determinism(vocab):
-    cfg = make_config("toy", d_latent=16, codebook_size=8)
+    cfg = make_config("toy", codebook_size=8)
     corpus = [tokenize_song(s, vocab) for s in make_corpus(2, 2, seed=1)]
     params = init_vq_params(cfg)
     codes = assign_codes(corpus, params)
@@ -159,7 +159,7 @@ def test_assign_codes_shape_and_determinism(vocab):
 
 
 def test_assign_codes_without_fitting_vq_blocks_is_a_data_error(vocab):
-    cfg = make_config("toy", d_latent=16, codebook_size=8)
+    cfg = make_config("toy", codebook_size=8)
     corpus = [tokenize_song(make_song(1, 2), vocab)]
     with pytest.raises(DataError):
         assign_codes(corpus, init_params(cfg))     # a model-only checkpoint
