@@ -14,10 +14,12 @@ leave the leaves the sum of what each pass alone would give.
 The model's three hot compositions are one node each, with hand-written
 VJPs: `linear` (x @ w + b; with a shared weight each VJP is one 2-D
 product over the flattened leading axes, with one weight per track one
-batched product), `attention` (the similarity-modulated, scaled, masked
-softmax core of multi-head attention; its backward reuses the saved
-probabilities and raw scores) and `layer_norm_affine`. Their values are
-bit-identical to those of the compositions of single ops they replace.
+batched product), `attention` (multi-head attention between the q, k and
+v projections: it splits the heads, takes the similarity-modulated, scaled,
+masked softmax and merges the heads back, all in numpy; its backward reuses
+the saved probabilities and raw scores) and `layer_norm_affine`. Their
+values are bit-identical to those of the compositions of single ops they
+replace.
 
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
 the op that produced it. Only `detach` and `__getitem__` (they reuse checked
@@ -222,14 +224,6 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
                       parents=(self,), vjps=(vjp,), op="sum")
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / n
-
     # -- nonlinearities ---------------------------------------------------------
 
     def relu(self):
@@ -336,19 +330,31 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                   op="linear")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, smat: Tensor | None = None,
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              smat: Tensor | None = None,
               blocked: np.ndarray | None = None) -> Tensor:
-    """softmax(scores) @ v over split heads, as one node. The scores are
-    q k^T, times `smat` if given, times 1/sqrt(dh), with -inf where
+    """Multi-head softmax(scores) @ v, as one node. The scores are q k^T per
+    head, times `smat` if given, times 1/sqrt(d / heads), with -inf where
     `blocked`.
 
-    q is [b, h, tq, dh]; k and v are [b, h, tk, dh]. `smat` [b, tq, tk] is
-    shared across heads. `blocked` [tq, tk] marks the scores the causal mask
-    hides; their probability is exactly 0, and so is their gradient. The
-    backward reuses the saved probabilities and raw scores.
+    q is [b, tq, d]; k and v are [b, tk, d]; the output is [b, tq, d]. The
+    node splits the last axis into `heads` heads of d / heads, and merges
+    them back after the weighted sum; its VJPs undo both. `smat` [b, tq, tk]
+    is shared across heads. `blocked` [tq, tk] marks the scores the causal
+    mask hides; their probability is exactly 0, and so is their gradient.
+    The backward reuses the saved probabilities and raw scores.
     """
-    raw = np.matmul(q.data, k.data.transpose(0, 1, 3, 2))
-    scale = 1.0 / float(np.sqrt(q.data.shape[-1]))
+    d = q.data.shape[-1]
+    dh = d // heads
+
+    def split(a):   # [b, t, d] -> [b, h, t, dh]
+        return a.reshape(a.shape[0], a.shape[1], heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):   # [b, h, t, dh] -> [b, t, d]
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], d)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    raw = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scale = 1.0 / float(np.sqrt(dh))
     if smat is None:
         scores = raw * scale
     else:
@@ -367,17 +373,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, smat: Tensor | None = None,
         backward hands the same array to each VJP of the node, and never
         changes a stored gradient in place."""
         if seen.get("g") is not g:
-            ds = softmax_vjp(np.matmul(g, v.data.transpose(0, 1, 3, 2)))
+            ds = softmax_vjp(np.matmul(split(g), vh.transpose(0, 1, 3, 2)))
             ds *= scale
             seen.update(g=g, modulated=ds, raw=ds if smat is None else ds * smat4)
         return seen
 
     parents = (q, k, v) if smat is None else (q, k, v, smat)
-    vjps = (lambda g: np.matmul(score_grads(g)["raw"], k.data),
-            lambda g: np.matmul(score_grads(g)["raw"].transpose(0, 1, 3, 2), q.data),
-            lambda g: np.matmul(p.transpose(0, 1, 3, 2), g),
+    vjps = (lambda g: merge(np.matmul(score_grads(g)["raw"], kh)),
+            lambda g: merge(np.matmul(score_grads(g)["raw"].transpose(0, 1, 3, 2), qh)),
+            lambda g: merge(np.matmul(p.transpose(0, 1, 3, 2), split(g))),
             lambda g: (score_grads(g)["modulated"] * raw).sum(axis=1))
-    return Tensor(np.matmul(p, v.data), parents=parents,
+    return Tensor(merge(np.matmul(p, vh)), parents=parents,
                   vjps=vjps[:len(parents)], op="attention")
 
 

@@ -274,49 +274,38 @@ def _ffn(x: Tensor, params: dict, name: str) -> Tensor:
     return _linear(_linear(x, params, f"{name}_ffn1").relu(), params, f"{name}_ffn2")
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, t, d = x.shape
-    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
-
-
-def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
-                         params: dict, name: str, heads: int,
-                         causal: bool = False,
+def multi_head_attention(x: Tensor, memory: Tensor, params: dict, name: str,
+                         heads: int, causal: bool = False,
                          smat: Tensor | None = None,
                          past: "_CachedRows | None" = None) -> Tensor:
-    """Batched attention over [batch, seq, d] inputs.
+    """Batched attention of the [batch, Tq, d] queries x over the
+    [batch, Tk, d] memory, which gives both keys and values.
 
     With `smat` [batch, Tq, Tk], raw scores are multiplied elementwise by it
-    (shared across heads) before scaling and masking. With `past`, k_in and
-    v_in hold only the query rows' own positions; their keys and values are
+    (shared across heads) before scaling and masking. With `past`, memory
+    holds only the query rows' own positions; their keys and values are
     cached and the queries attend every cached position up to their last.
     Under `causal` the queries are the last Tq of the Tk positions. The
-    projections are `linear` nodes; the core between them, from the scores
-    to the weighted values, is one `attention` node.
+    projections are `linear` nodes; the core between them, from the head
+    split to the head merge, is one `attention` node.
     """
-    q = _split_heads(_linear(q_in, params, f"{name}_q"), heads)
-    k = _split_heads(_linear(k_in, params, f"{name}_k"), heads)
-    v = _split_heads(_linear(v_in, params, f"{name}_v"), heads)
+    q = _linear(x, params, f"{name}_q")
+    k = _linear(memory, params, f"{name}_k")
+    v = _linear(memory, params, f"{name}_v")
     if past is not None:
         k, v = past.attend(name, k, v)
     blocked = None
     if causal:
-        tq, tk = q.shape[2], k.shape[2]
+        tq, tk = q.shape[1], k.shape[1]
         blocked = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
-    return _linear(_merge_heads(attention(q, k, v, smat, blocked)), params,
-                   f"{name}_o")
+    return _linear(attention(q, k, v, heads, smat, blocked), params, f"{name}_o")
 
 
 def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
                    cfg: ModelConfig) -> Tensor:
     for l in range(n_layers):
         name = f"{prefix}{l}"
-        a = _ln_affine(x + multi_head_attention(x, x, x, params, f"{name}_attn",
+        a = _ln_affine(x + multi_head_attention(x, x, params, f"{name}_attn",
                                                 cfg.heads), params, f"{name}_ln1")
         x = _ln_affine(a + _ffn(a, params, name), params, f"{name}_ln2")
     return x
@@ -443,7 +432,7 @@ def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tenso
 def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
                  cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
     """Causal self-attention with scores modulated by the tiled similarity."""
-    return multi_head_attention(x, x, x, params, name, cfg.heads,
+    return multi_head_attention(x, x, params, name, cfg.heads,
                                 causal=True, smat=smat, past=past)
 
 
@@ -454,7 +443,7 @@ def _decoder_stack(x: Tensor, E: Tensor, smat: Tensor, params: dict,
         name = f"{prefix}{l}"
         a = _ln_affine(x + se_attention(x, smat, params, f"{name}_self", cfg, past),
                        params, f"{name}_ln1")
-        b = _ln_affine(a + multi_head_attention(a, E, E, params, f"{name}_cross",
+        b = _ln_affine(a + multi_head_attention(a, E, params, f"{name}_cross",
                                                 cfg.heads), params, f"{name}_ln2")
         x = _ln_affine(b + _ffn(b, params, name), params, f"{name}_ln3")
     return x
@@ -512,8 +501,10 @@ class DecodeCache:
     self-attention keys and values of every decoder layer, the top-decoder
     input rows (bottom outputs, cross-track outputs at exchanged bar tokens),
     each track's last top-decoder output and how many bars were exchanged.
-    Arrays grow along the position axis by doubling. One cache serves one
-    decoded piece; after a call that raised, start a new one."""
+    Keys, values and top-decoder inputs are all [I, capacity, d] (heads side
+    by side along d, as the projections make them) and grow along the
+    position axis by doubling. One cache serves one decoded piece; after a
+    call that raised, start a new one."""
 
     def __init__(self):
         self.grid: FeatureGrid | None = None
@@ -523,7 +514,7 @@ class DecodeCache:
         self.bars_exchanged = 0
         self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
         self.last = np.zeros((0, 0))               # [I, d]
-        self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, h, capacity, dh]
+        self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
 
     def _admit(self, seqs: TrackTokenSeqs, d: int) -> np.ndarray:
         """Check that `seqs` extends the cached prefix of every track, make
@@ -539,16 +530,11 @@ class DecodeCache:
             raise UsageError("sequences do not extend the decode cache's prefix")
         if seqs.length > self.top_in.shape[1]:
             size = max(seqs.length, 2 * self.top_in.shape[1])
-            self.top_in = _widen(self.top_in, 1, size)
+            pad = ((0, 0), (0, size - self.top_in.shape[1]), (0, 0))
+            self.top_in = np.pad(self.top_in, pad)
             for pair in self.kv.values():
-                pair[:] = [_widen(a, 2, size) for a in pair]
+                pair[:] = [np.pad(a, pad) for a in pair]
         return np.array([len(done) for done in self.ids])
-
-
-def _widen(a: np.ndarray, axis: int, size: int) -> np.ndarray:
-    pad = [(0, 0)] * a.ndim
-    pad[axis] = (0, size - a.shape[axis])
-    return np.pad(a, pad)
 
 
 class _CachedRows:
@@ -560,18 +546,16 @@ class _CachedRows:
         self.cache, self.tracks, self.start = cache, tracks, start
 
     def attend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Cache layer `name`'s keys and values [n, h, rows, dh] of the query
+        """Cache layer `name`'s keys and values [n, rows, d] of the query
         rows; return those of positions 0.. through the last query row."""
         kv = self.cache.kv
         if name not in kv:
-            I, size = self.cache.top_in.shape[:2]
-            shape = (I, k.shape[1], size, k.shape[3])
-            kv[name] = [np.zeros(shape), np.zeros(shape)]
-        stop = self.start + k.shape[2]
+            kv[name] = [np.zeros_like(self.cache.top_in) for _ in range(2)]
+        stop = self.start + k.shape[1]
         out = []
         for buf, new in zip(kv[name], (k, v)):
-            buf[self.tracks, :, self.start:stop] = new.data
-            out.append(Tensor(buf[self.tracks, :, :stop]))
+            buf[self.tracks, self.start:stop] = new.data
+            out.append(Tensor(buf[self.tracks, :stop]))
         return out[0], out[1]
 
 

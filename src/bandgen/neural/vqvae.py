@@ -183,11 +183,15 @@ def train_vqvae(corpus: list[TrackTokenSeqs], cfg: ModelConfig,
 def assign_codes(corpus: list[TrackTokenSeqs], params: dict[str, Tensor]
                  ) -> list[list[list[tuple[int, ...]]]]:
     """Deterministic 8-code tuples per (song, track, bar). The VQ blocks
-    must fit the sizes that `vq_te` and `vq_codebook` give."""
+    must fit the sizes that `vq_te` and `vq_codebook` give, and the latent
+    width, `vq_te`'s, must split into 8 groups."""
     if "vq_te" not in params or "vq_codebook" not in params:
         raise DataError("assign_codes needs the VQ-VAE blocks, which these "
                         "parameters lack")
     vocab_size, d_latent = params["vq_te"].shape
+    if d_latent % N_VQ_GROUPS:
+        raise DataError(f"VQ latent width {d_latent} does not split into "
+                        f"{N_VQ_GROUPS} groups")
     check_blocks(params, vq_spec(vocab_size, 2 * d_latent,
                                  params["vq_codebook"].shape[0]))
     out = []

@@ -85,12 +85,10 @@ def test_getitem_accumulates_duplicate_indices():
     np.testing.assert_allclose(t.grad, [2, 0, 0, 1, 0])
 
 
-def test_sum_mean_relu():
+def test_sum_relu():
     x = RNG.standard_normal((3, 5))
     check(lambda t: t.sum(), lambda v: v.sum().reshape(()), x)
     check(lambda t: t.sum(axis=1), lambda v: v.sum(axis=1), x)
-    check(lambda t: t.mean(axis=0, keepdims=True),
-          lambda v: v.mean(axis=0, keepdims=True), x)
     check(lambda t: t.relu(), lambda v: np.maximum(v, 0), x + 0.05)
 
 
@@ -154,7 +152,18 @@ def reference_linear(x, w, b):
     return x @ w + b
 
 
-def reference_attention(q, k, v, smat=None, blocked=None):
+def split_heads(x, heads):
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def reference_attention(q, k, v, heads, smat=None, blocked=None):
+    q, k, v = (split_heads(a, heads) for a in (q, k, v))
     scores = q @ k.transpose(0, 1, 3, 2)
     if smat is not None:
         b, tq, tk = smat.shape
@@ -162,7 +171,12 @@ def reference_attention(q, k, v, smat=None, blocked=None):
     scores = scores / float(np.sqrt(q.shape[-1]))
     if blocked is not None:
         scores = masked_fill(scores, blocked)
-    return softmax(scores, axis=-1) @ v
+    return merge_heads(softmax(scores, axis=-1) @ v)
+
+
+def with_heads(fn, heads):
+    """fn(q, k, v, heads, ...) with `heads` bound, so smat may follow v."""
+    return lambda q, k, v, *rest, **kw: fn(q, k, v, heads, *rest, **kw)
 
 
 def reference_layer_norm_affine(x, g, b):
@@ -248,23 +262,24 @@ def causal(tq: int, tk: int) -> np.ndarray:
                                            (2, 6, causal(2, 6)), (3, 4, None)])
 def test_attention_matches_the_composition(modulated, tq, tk, blocked):
     b, h, dh = 2, 3, 4
-    arrays = [RNG.standard_normal((b, h, tq, dh)), RNG.standard_normal((b, h, tk, dh)),
-              RNG.standard_normal((b, h, tk, dh))]
+    arrays = [RNG.standard_normal((b, tq, h * dh)), RNG.standard_normal((b, tk, h * dh)),
+              RNG.standard_normal((b, tk, h * dh))]
     if modulated:
         arrays.append(1.0 + RNG.standard_normal((b, tq, tk)))
-    assert_fused_matches(attention, reference_attention, arrays, blocked=blocked)
+    assert_fused_matches(with_heads(attention, h), with_heads(reference_attention, h),
+                         arrays, blocked=blocked)
 
 
 def test_attention_second_backward_pass_adds_a_fresh_pass():
     # a pass clears the inner nodes' gradients first, so two passes over
     # one graph give the sum of two single passes
-    arrays = [RNG.standard_normal((1, 2, 3, 4)) for _ in range(3)]
+    arrays = [RNG.standard_normal((1, 3, 8)) for _ in range(3)]
     arrays.append(RNG.standard_normal((1, 3, 3)))
-    s1, s2 = RNG.standard_normal((2, 1, 2, 3, 4))
+    s1, s2 = RNG.standard_normal((2, 1, 3, 8))
 
     def grads(*seeds):
         inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = attention(*inputs, blocked=causal(3, 3))
+        out = attention(*inputs[:3], 2, inputs[3], blocked=causal(3, 3))
         for seed in seeds:
             out.backward(seed)
         return [t.grad for t in inputs]
@@ -295,18 +310,22 @@ def test_two_backward_passes_equal_two_single_passes(layer):
 
 
 def test_attention_against_finite_differences():
-    k, v = RNG.standard_normal((1, 2, 4, 3)), RNG.standard_normal((1, 2, 4, 3))
+    k, v = RNG.standard_normal((1, 4, 6)), RNG.standard_normal((1, 4, 6))
     smat = 1.0 + RNG.standard_normal((1, 4, 4))
     mask = causal(4, 4)
 
+    def split(a):   # two heads of 3
+        return a.reshape(1, 4, 2, 3).transpose(0, 2, 1, 3)
+
     def np_attention(q):
-        scores = q @ k.transpose(0, 1, 3, 2) * smat[:, None] / np.sqrt(3)
+        scores = split(q) @ split(k).transpose(0, 1, 3, 2) * smat[:, None] / np.sqrt(3)
         scores = np.where(mask, -np.inf, scores)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True) @ v
+        out = e / e.sum(axis=-1, keepdims=True) @ split(v)
+        return out.transpose(0, 2, 1, 3).reshape(1, 4, 6)
 
-    check(lambda t: attention(t, Tensor(k), Tensor(v), Tensor(smat), mask),
-          np_attention, RNG.standard_normal((1, 2, 4, 3)))
+    check(lambda t: attention(t, Tensor(k), Tensor(v), 2, Tensor(smat), mask),
+          np_attention, RNG.standard_normal((1, 4, 6)))
 
 
 def test_attention_blocked_scores_get_exactly_zero_gradient():
@@ -314,13 +333,13 @@ def test_attention_blocked_scores_get_exactly_zero_gradient():
     mask = causal(t, t)
 
     def run(seed_last_row: bool):
-        q, k, v = (Tensor(RNG.standard_normal((b, h, t, dh)), requires_grad=True)
+        q, k, v = (Tensor(RNG.standard_normal((b, t, h * dh)), requires_grad=True)
                    for _ in range(3))
         smat = Tensor(RNG.standard_normal((b, t, t)), requires_grad=True)
-        out = attention(q, k, v, smat, mask)
+        out = attention(q, k, v, h, smat, mask)
         seed = RNG.standard_normal(out.shape)
         if not seed_last_row:
-            seed[:, :, -1] = 0.0
+            seed[:, -1] = 0.0
         out.backward(seed)
         return k, v, smat
 
@@ -330,8 +349,8 @@ def test_attention_blocked_scores_get_exactly_zero_gradient():
     assert np.all(smat.grad[:, 1:][:, ~mask[1:]] != 0.0)
     # only the last query sees the last key
     k, v, _ = run(seed_last_row=False)
-    assert np.all(k.grad[:, :, -1] == 0.0) and np.all(v.grad[:, :, -1] == 0.0)
-    assert np.all(k.grad[:, :, 0] != 0.0)
+    assert np.all(k.grad[:, -1] == 0.0) and np.all(v.grad[:, -1] == 0.0)
+    assert np.all(k.grad[:, 0] != 0.0)
 
 
 def test_layer_norm_affine_matches_the_composition():
@@ -342,10 +361,10 @@ def test_layer_norm_affine_matches_the_composition():
 
 def test_fused_nodes_raise_on_non_finite_input():
     # an inf that reached an op unchecked, as `detach` passes values on
-    bad = RNG.standard_normal((2, 2, 3, 4))
-    bad[0, 1, 2, 3] = np.inf
+    bad = RNG.standard_normal((2, 3, 4))
+    bad[0, 2, 3] = np.inf
     bad = Tensor(bad, check=False)
-    ok = Tensor(RNG.standard_normal((2, 2, 3, 4)))
+    ok = Tensor(RNG.standard_normal((2, 3, 4)))
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NonFiniteError):
             linear(bad, Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
@@ -353,13 +372,13 @@ def test_fused_nodes_raise_on_non_finite_input():
             layer_norm_affine(bad, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         for q, k in ((bad, ok), (ok, bad)):
             with pytest.raises(NonFiniteError):
-                attention(q, k, ok, blocked=causal(3, 3))
+                attention(q, k, ok, 2, blocked=causal(3, 3))
         # scores that overflow to -inf are not masked scores, although the
         # softmax would turn them into finite zeros
-        q, k = np.full((1, 1, 3, 4), 1e200), np.ones((1, 1, 3, 4))
-        k[..., 0, :] = -1e200
+        q, k = np.full((1, 3, 4), 1e200), np.ones((1, 3, 4))
+        k[:, 0] = -1e200
         with pytest.raises(NonFiniteError):
-            attention(Tensor(q), Tensor(k), Tensor(np.ones((1, 1, 3, 4))))
+            attention(Tensor(q), Tensor(k), Tensor(np.ones((1, 3, 4))), 1)
 
 
 def test_take_embedding_gradient():
@@ -521,7 +540,7 @@ def test_no_grad_records_no_tape():
                w[0], w.transpose(), concat([w, w]), take(w, np.array([1, 0])),
                put_pairs(w, np.array([0]), np.array([1]), w[0, :1]),
                linear(w, Tensor(b), w[0, :2]), layer_norm_affine(w, w[0], w[1]),
-               attention(*(w.reshape(1, 1, 2, 3),) * 3, blocked=np.eye(2) < 0)]
+               attention(*(w.reshape(1, 2, 3),) * 3, 1, blocked=np.eye(2) < 0)]
         out.append(layer_norm((w @ Tensor(b)).relu() + w.sum()))
         with pytest.raises(NonFiniteError):
             w * np.inf

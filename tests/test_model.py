@@ -1,6 +1,7 @@
 """Network-level tests: attention identities, tiling, cross-track exchange,
 config and checkpoint round trips."""
 
+import collections
 import struct
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_se_attention_with_unit_similarity_matches_vanilla():
     ref = vanilla_causal_attention(x.data, params, "bot0_self", cfg.heads)
     assert np.max(np.abs(out.data - ref)) < 1e-12
     # all-ones modulation is exactly a no-op against the unmodulated path
-    plain = multi_head_attention(x, x, x, params, "bot0_self", cfg.heads,
+    plain = multi_head_attention(x, x, params, "bot0_self", cfg.heads,
                                  causal=True, smat=None)
     assert np.array_equal(out.data, plain.data)
 
@@ -393,6 +394,38 @@ def test_forward_is_deterministic(vocab):
     a = model_forward(seqs, grid, init_params(cfg), cfg)
     b = model_forward(seqs, grid, init_params(cfg), cfg)
     assert np.array_equal(a.data, b.data)
+
+
+def tape_census(root: Tensor) -> collections.Counter:
+    """Op counts of the nodes a backward pass from `root` visits, leaves
+    (parameters and constants) left out."""
+    ops, seen, stack = collections.Counter(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        ops[node.op] += 1
+        stack.extend(node._parents)
+    return ops
+
+
+@pytest.mark.parametrize("preset,nodes,attention,reshape,transpose",
+                         [("toy", 104, 6, 6, 1), ("paper", 228, 18, 6, 1)])
+def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
+                                             reshape, transpose):
+    # one `attention` node per attention layer, which splits and merges its
+    # heads inside. The shape ops left: reshapes of the drum and pitched VQ
+    # embeddings, the instrument embedding, the cross-track layer's input
+    # and output and the loss's logits, and the key transpose of the bar
+    # similarity
+    cfg = make_config(preset)
+    seqs, grid = make_pair(vocab, n_bars=4, seed=1)
+    loss, _ = sequence_loss(model_forward(seqs, grid, init_params(cfg), cfg), seqs)
+    ops = tape_census(loss)
+    assert sum(ops.values()) == nodes
+    assert (ops["attention"], ops["reshape"], ops["transpose"]) == (
+        attention, reshape, transpose)
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -8,7 +8,8 @@ from bandgen.errors import DataError, EmptyCodebook
 from bandgen.neural import (assign_codes, bar_units, init_params, make_config,
                             quantize_vectors, train_vqvae, vq_layer)
 from bandgen.neural.autograd import Tensor
-from bandgen.neural.vqvae import MAX_BAR_TOKENS, init_vq_params
+from bandgen.neural.model import draw_params
+from bandgen.neural.vqvae import MAX_BAR_TOKENS, init_vq_params, vq_spec
 from bandgen.synth import make_corpus, make_song
 from bandgen.tokens import (EOS_ID, PAD_ID, TrackTokenSeqs, build_vocab,
                             tokenize_song)
@@ -167,3 +168,6 @@ def test_assign_codes_without_fitting_vq_blocks_is_a_data_error(vocab):
     params["vq_enc2_w"] = Tensor(np.zeros((3, 16)))
     with pytest.raises(DataError):
         assign_codes(corpus, params)
+    # blocks that fit each other, with a latent of 12 that 8 groups do not split
+    with pytest.raises(DataError):
+        assign_codes(corpus, draw_params(vq_spec(282, 24, 16), 0))
