@@ -30,6 +30,7 @@ from .midi import load_midi_file, write_midi
 from .neural import (assign_codes, check_blocks, dump_checkpoint, generate,
                      load_checkpoint_file, make_config, mean_loss, model_spec,
                      train_model, train_vqvae)
+from .neural.sampling import K_FRAC
 from .neural.vqvae import vq_spec
 from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
                     filter_song, load_song, quantize_song, split_windows)
@@ -421,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True, help="reference .mid")
     p.add_argument("--out", required=True, help="output .mid")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-frac", type=float, default=0.02)
+    p.add_argument("--k-frac", type=float, default=K_FRAC)
     p.add_argument("--no-filter", action="store_true",
                    help="accept references that fail corpus quality rules")
     p.set_defaults(func=cmd_generate)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import (BarCountMismatch, BarIndexOutOfRange, BinOutOfVocab,
-                      DataError, IdOutOfVocab, UsageError)
+from ..errors import (BarIndexOutOfRange, BinOutOfVocab, DataError,
+                      IdOutOfVocab, UsageError)
 from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
                         PITCHED_KEYS_FEATURE, FeatureGrid)
 from ..score import MAX_TRACKS
@@ -467,8 +467,8 @@ def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
     x holds `songs` songs of I tracks each, stacked along the track axis;
     bar b of a song is one sequence of its I tracks, so the encoder runs
     over a [songs * B, I, d] batch. The shared prefix of bar tokens (the
-    smallest count over tracks) is exchanged; `model_forward` rejects
-    unequal counts in strict mode.
+    smallest count over tracks) is exchanged, whether or not the counts
+    are equal.
     """
     counts = [len(p) for p in bar_token_positions]
     B = min(counts) if counts else 0
@@ -524,9 +524,8 @@ class DecodeCache:
             self.ids = [[] for _ in seqs.seqs]
             self.top_in = np.zeros((len(seqs.seqs), seqs.length, d))
             self.last = np.zeros((len(seqs.seqs), d))
-        if len(seqs.seqs) != len(self.ids) or any(
-                n < len(done) or ids[:len(done)] != done
-                for ids, n, done in zip(seqs.seqs, seqs.lengths, self.ids)):
+        if any(n < len(done) or ids[:len(done)] != done
+               for ids, n, done in zip(seqs.seqs, seqs.lengths, self.ids)):
             raise UsageError("sequences do not extend the decode cache's prefix")
         if seqs.length > self.top_in.shape[1]:
             size = max(seqs.length, 2 * self.top_in.shape[1])
@@ -607,37 +606,37 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
 
 
 def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
-                  cfg: ModelConfig, strict_bars: bool = True,
-                  cache: DecodeCache | None = None, songs: int = 1) -> Tensor:
+                  cfg: ModelConfig, cache: DecodeCache | None = None,
+                  songs: int = 1) -> Tensor:
     """Full stack to logits [I, T, V], for training and scoring.
 
     `seqs` and `grid` may hold `songs` songs of the same track and bar
     counts, stacked along the track axis (tracks of one song adjacent, all
     padded to one T). Tracks exchange bars only within their song, and take
-    the instrument embedding and output head of their slot in it; a song
-    has at most `MAX_TRACKS` tracks.
+    the instrument embedding and output head of their slot in it.
 
     With a `DecodeCache`, for decoding one song: logits [I, 1, V] of each
     track's last position (row lengths[i] - 1 of the full forward),
     computing only the positions earlier calls with the same cache did not
     see. The cached forward records no tape: its logits carry no gradient.
 
-    Under `strict_bars`, tracks with unequal bar-token counts raise
-    `BarCountMismatch` on either path, with or without a cross-track layer."""
+    Both paths check the same inputs first: the tracks split into `songs`
+    songs of at most `MAX_TRACKS` tracks, token tracks match grid tracks,
+    and a cache serves exactly one song. Tracks may hold unequal bar-token
+    counts; both paths exchange their shared prefix (`ctt_forward`)."""
     if seqs.n_tracks % songs:
         raise UsageError(f"{seqs.n_tracks} tracks do not split into {songs} songs")
     if seqs.n_tracks // songs > MAX_TRACKS:
         raise DataError(f"{seqs.n_tracks // songs} tracks per song exceed "
                         f"the {MAX_TRACKS} track slots")
-    counts = [len(p) for p in seqs.bar_token_positions]
-    if strict_bars and len(set(counts)) > 1:
-        raise BarCountMismatch(f"bar token counts differ: {counts}")
-    if cache is not None:
-        with no_grad():
-            return _decode_forward(seqs, grid, params, cfg, cache)
     if seqs.n_tracks != grid.n_tracks:
         raise DataError(f"{seqs.n_tracks} token tracks but {grid.n_tracks} "
                         f"grid tracks")
+    if cache is not None:
+        if songs != 1:
+            raise UsageError(f"a decode cache holds one song, not {songs}")
+        with no_grad():
+            return _decode_forward(seqs, grid, params, cfg, cache)
     C = embed_conditions(grid, params, cfg)
     E = encode_features(C, params, cfg)
     S = bar_similarity(E, params, cfg)

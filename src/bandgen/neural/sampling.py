@@ -34,7 +34,10 @@ from .model import (DecodeCache, ModelConfig, check_blocks, model_forward,
                     model_spec)
 
 
-def top_k_count(vocab_size: int, k_frac: float = 0.02) -> int:
+K_FRAC = 0.02  # default top-k share of the vocabulary
+
+
+def top_k_count(vocab_size: int, k_frac: float = K_FRAC) -> int:
     if not 0.0 <= k_frac <= 1.0:  # NaN fails too
         raise UsageError(f"k_frac must lie in [0, 1], got {k_frac}")
     return max(1, int(vocab_size * k_frac + 0.5))
@@ -76,7 +79,7 @@ def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
 
 def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
              vocab: Vocab, bpe_model: BpeModel | None = None, seed: int = 0,
-             k_frac: float = 0.02, t_max: int | None = None) -> GenerationResult:
+             k_frac: float = K_FRAC, t_max: int | None = None) -> GenerationResult:
     """Sample a cover of `grid`; `t_max` caps each track's length before its
     final EOS (None: the config's cap; larger values are clipped to it)."""
     if seed < 0:
@@ -94,48 +97,38 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     bar_ids = vocab.bar_ids
 
     lists = [[vocab.id_of("Instrument", inst), BOS_ID] for inst in grid.instruments]
-    finished = [False] * len(lists)
-    bars = [0] * len(lists)
     audit: list[SampleEvent] = []
     step_seconds: list[float] = []
-    emitted = 0
-    step = 0
     cache = DecodeCache()
 
     start = tick = time.perf_counter()
-    while not all(finished) and max(len(ids) for ids in lists) < t_max:
-        seqs = build_track_seqs([list(ids) for ids in lists], vocab)
-        logits = model_forward(seqs, grid, params, cfg, strict_bars=False,
-                               cache=cache)
+    while (any(ids[-1] != EOS_ID for ids in lists)
+           and max(len(ids) for ids in lists) < t_max):
+        seqs = build_track_seqs(lists, vocab)
+        logits = model_forward(seqs, grid, params, cfg, cache=cache)
+        step = len(step_seconds)
         for ti, ids in enumerate(lists):
-            if finished[ti]:
+            if ids[-1] == EOS_ID:
                 continue
             row = logits.data[ti, 0]
             row = row - row.max()
             probs = np.exp(row)
             probs /= probs.sum()
             choice, top = _topk_sample(probs, k, rng)
-            if choice in bar_ids and bars[ti] + 1 > b_ref:
+            if choice in bar_ids and len(seqs.bar_token_positions[ti]) >= b_ref:
                 # the bar that would exceed the reference stops the track
                 ids.append(EOS_ID)
                 audit.append(SampleEvent(ti, step, EOS_ID, (), sampled=False))
-                finished[ti] = True
             else:
-                if choice in bar_ids:
-                    bars[ti] += 1
                 ids.append(choice)
                 audit.append(SampleEvent(ti, step, choice, top, sampled=True))
-                if choice == EOS_ID:
-                    finished[ti] = True
-            emitted += 1
-        step += 1
         tick, last = time.perf_counter(), tick
         step_seconds.append(tick - last)
     for ti, ids in enumerate(lists):
-        if not finished[ti]:
+        if ids[-1] != EOS_ID:
             ids.append(EOS_ID)
-            audit.append(SampleEvent(ti, step, EOS_ID, (), sampled=False))
-            emitted += 1
+            audit.append(SampleEvent(ti, len(step_seconds), EOS_ID, (),
+                                     sampled=False))
     wall = time.perf_counter() - start
 
     repaired: list[list[int]] = []
@@ -146,7 +139,7 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
         repaired.append(fixed)
         repairs += n
     seqs = build_track_seqs(repaired, vocab)
-    return GenerationResult(seqs, lists, audit, repairs, wall, emitted,
+    return GenerationResult(seqs, lists, audit, repairs, wall, len(audit),
                             step_seconds)
 
 

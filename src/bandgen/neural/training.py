@@ -1,18 +1,22 @@
 """Training loop and gradient verification for the sequence model.
 
-A batch runs as one graph per group of songs that share their track and bar
-counts, in the order the groups first appear: the songs of a group are
-stacked along the track axis and padded with PAD to the group's longest
-sequence (see `model_forward`). Padding is never a target and no real
-position attends it, so the summed loss and its gradients are those of the
-songs run one at a time, up to float rounding. Songs of different bar
-counts are never padded to one another: they run as separate graphs.
+Training pairs must be aligned: the sequences have the grid's tracks, each
+holding `grid.n_bars` bar tokens (`model_forward` accepts tracks bars apart,
+as decoding makes them); `batch_loss` checks every pair once. A batch runs
+as one graph per group of songs that share their track and bar counts, in
+the order the groups first appear: the songs of a group are stacked along
+the track axis and padded with PAD to the group's longest sequence (see
+`model_forward`). Padding is never a target and no real position attends it,
+so the summed loss and its gradients are those of the songs run one at a
+time, up to float rounding. Songs of different bar counts are never padded
+to one another: they run as separate graphs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import BarCountMismatch
 from ..features import N_VQ_GROUPS, FeatureGrid
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import Tensor, no_grad
@@ -23,19 +27,21 @@ Pair = tuple[TrackTokenSeqs, FeatureGrid]
 
 
 def _groups(pairs: list[Pair]) -> list[list[Pair]]:
-    """Pairs grouped by track and bar counts, in order of first appearance."""
-    groups: dict[tuple[int, ...], list[Pair]] = {}
+    """Pairs grouped by track and bar counts, in order of first appearance;
+    a pair that is not aligned raises `BarCountMismatch`."""
+    groups: dict[tuple[int, int], list[Pair]] = {}
     for seqs, grid in pairs:
-        key = (seqs.n_tracks, seqs.n_bars, grid.n_tracks, grid.n_bars)
-        groups.setdefault(key, []).append((seqs, grid))
+        counts = [len(p) for p in seqs.bar_token_positions]
+        if seqs.n_tracks != grid.n_tracks or set(counts) - {grid.n_bars}:
+            raise BarCountMismatch(f"bar token counts {counts} do not fit a grid "
+                                   f"of {grid.n_tracks} tracks, {grid.n_bars} bars")
+        groups.setdefault((seqs.n_tracks, grid.n_bars), []).append((seqs, grid))
     return list(groups.values())
 
 
 def _stack_seqs(parts: list[TrackTokenSeqs]) -> TrackTokenSeqs:
     """The tracks of every part, padded to the longest as `build_track_seqs`
     pads: PAD ids, and the bar index of each track's last position."""
-    if len(parts) == 1:
-        return parts[0]
     width = max(s.length for s in parts)
     seqs, bar_index = [], []
     for s in parts:
@@ -52,8 +58,6 @@ def _stack_grids(grids: list[FeatureGrid]) -> FeatureGrid:
     """The tracks of every grid (of one bar count); tracks of a grid without
     VQ codes get code 0, as `embed_conditions` gives them. The chords, which
     the model does not read, are the first grid's."""
-    if len(grids) == 1:
-        return grids[0]
     vq = None
     if any(g.vq_entries is not None for g in grids):
         zero = [(0,) * N_VQ_GROUPS] * grids[0].n_bars

@@ -109,9 +109,6 @@ class Vocab:
         pos = int(tick_in_bar / POSITION_GRID + 0.5) * POSITION_GRID
         return min(pos, TICKS_PER_BAR - POSITION_GRID)
 
-    def snap_duration(self, duration: int) -> int:
-        return snap_to_mesh(duration)
-
     def drum_key(self, pitch: int) -> int:
         return self._drum_map[min(max(pitch, 0), 127)]
 
@@ -152,7 +149,7 @@ def _note_ids(n: Note, is_drum: bool, vocab: Vocab) -> list[int]:
     if is_drum:
         return [vocab.id_of("PitchDrum", vocab.drum_key(n.pitch))]
     return [vocab.id_of("Pitch", n.pitch),
-            vocab.id_of("Duration", vocab.snap_duration(n.duration)),
+            vocab.id_of("Duration", snap_to_mesh(n.duration)),
             vocab.id_of("Velocity", velocity_bin(n.velocity))]
 
 
@@ -327,7 +324,7 @@ def snap_song(song: Song, vocab: Vocab) -> Song:
                 notes.append(Note(vocab.drum_key(n.pitch), onset,
                                   DRUM_DURATION, DRUM_VELOCITY))
             else:
-                notes.append(Note(n.pitch, onset, vocab.snap_duration(n.duration),
+                notes.append(Note(n.pitch, onset, snap_to_mesh(n.duration),
                                   velocity_decode(velocity_bin(n.velocity))))
         tracks.append(Track(t.instrument, sorted_unique_notes(notes),
                             t.program, t.name, t.is_melody))

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from bandgen.bpe import bpe_encode, learn_bpe
-from bandgen.errors import BarCountMismatch, UsageError
-from bandgen.features import extract_expert_features, quantize_features
-from bandgen.neural import (DecodeCache, generate, init_params, make_config,
-                            model_forward)
+from bandgen.errors import BarCountMismatch, DataError, UsageError
+from bandgen.features import (FeatureGrid, extract_expert_features,
+                              quantize_features)
+from bandgen.neural import (DecodeCache, batch_loss, generate, init_params,
+                            make_config, model_forward)
 from bandgen.neural import model as model_module
 from bandgen.neural import sampling
+from bandgen.score import Song
 from bandgen.synth import make_song
 from bandgen.tokens import EOS_ID, build_track_seqs, tokenize_song
 
@@ -46,9 +48,8 @@ def check_prefixes(prefixes, grid, params, cfg, vocab):
     exchanged = []
     for lists in prefixes:
         seqs = build_track_seqs(lists, vocab)
-        got = model_forward(seqs, grid, params, cfg, strict_bars=False,
-                            cache=cache)
-        full = model_forward(seqs, grid, params, cfg, strict_bars=False).data
+        got = model_forward(seqs, grid, params, cfg, cache=cache)
+        full = model_forward(seqs, grid, params, cfg).data
         last = full[np.arange(len(lists)), np.array(seqs.lengths) - 1]
         assert got.shape == (len(lists), 1, cfg.vocab_size)
         assert not got.requires_grad and got._parents == ()
@@ -115,31 +116,71 @@ def test_cache_rejects_a_prefix_or_grid_it_did_not_see(vocab):
     params, grid = init_params(cfg), grid_of(song)
     cache = DecodeCache()
     model_forward(build_track_seqs([ids[:5] for ids in lists], vocab), grid,
-                  params, cfg, strict_bars=False, cache=cache)
+                  params, cfg, cache=cache)
     changed = [ids[:6] for ids in lists]
     changed[1][4] = EOS_ID
-    for bad in (changed, [ids[:4] for ids in lists], [ids[:6] for ids in lists[:3]]):
+    for bad in (changed, [ids[:4] for ids in lists]):
         with pytest.raises(UsageError):
             model_forward(build_track_seqs(bad, vocab), grid, params, cfg,
-                          strict_bars=False, cache=cache)
+                          cache=cache)
+    with pytest.raises(DataError):
+        model_forward(build_track_seqs([ids[:6] for ids in lists[:3]], vocab),
+                      grid, params, cfg, cache=cache)
     with pytest.raises(UsageError):
         model_forward(build_track_seqs([ids[:6] for ids in lists], vocab),
-                      grid_of(song), params, cfg, strict_bars=False, cache=cache)
+                      grid_of(song), params, cfg, cache=cache)
+
+
+def test_both_paths_check_tracks_against_the_grid(vocab):
+    """3 token tracks against a 4-track grid fail on the cached path as on
+    the full one, before the cache is touched."""
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))[:3]
+    cfg = small_cfg()
+    params, grid = init_params(cfg), grid_of(song)
+    seqs = build_track_seqs([ids[:5] for ids in lists], vocab)
+    assert (seqs.n_tracks, grid.n_tracks) == (3, 4)
+    for cache in (None, DecodeCache()):
+        with pytest.raises(DataError):
+            model_forward(seqs, grid, params, cfg, cache=cache)
+        assert cache is None or cache.grid is None
+
+
+def test_a_cache_serves_one_song(vocab):
+    """Two stacked 2-track songs with `songs=2` are a full-forward input
+    only: a cache holds one song's grid and prefix."""
+    full = make_song(seed=3, n_bars=2)
+    song = Song([t for t in full.tracks if t.instrument in ("Drum", "Piano")],
+                full.n_bars, full.resolution)
+    lists = song_lists(tokenize_song(song, vocab))
+    grid = grid_of(song)
+    stacked = build_track_seqs([ids[:5] for ids in lists * 2], vocab)
+    stacked_grid = FeatureGrid(grid.instruments * 2, grid.n_bars,
+                               grid.entries * 2, grid.chords, grid.binned)
+    cfg = small_cfg()
+    params = init_params(cfg)
+    assert model_forward(stacked, stacked_grid, params, cfg, songs=2).shape[0] == 4
+    cache = DecodeCache()
+    with pytest.raises(UsageError):
+        model_forward(stacked, stacked_grid, params, cfg, cache=cache, songs=2)
+    assert cache.grid is None
 
 
 @pytest.mark.parametrize("layers_ctt", [0, 1])
-def test_strict_bars_hold_with_and_without_the_cross_track_layer(vocab, layers_ctt):
+def test_uneven_bars_fail_training_but_run_on_both_forwards(vocab, layers_ctt):
+    """Tracks bars apart are what decoding feeds `model_forward`: both paths
+    exchange the shared bar prefix. As training data they are malformed,
+    and `batch_loss` rejects them."""
     song = make_song(seed=3, n_bars=2)
     cfg = small_cfg(layers_ctt=layers_ctt)
     params, grid = init_params(cfg), grid_of(song)
     uneven = build_track_seqs([ids[:30] for ids in song_lists(tokenize_song(song, vocab))],
                               vocab)
     assert [len(p) for p in uneven.bar_token_positions] == [2, 2, 2, 1]
-    for make_cache in (lambda: None, DecodeCache):
-        with pytest.raises(BarCountMismatch):
-            model_forward(uneven, grid, params, cfg, cache=make_cache())
-        logits = model_forward(uneven, grid, params, cfg, strict_bars=False,
-                               cache=make_cache())
+    with pytest.raises(BarCountMismatch):
+        batch_loss([(uneven, grid)], params, cfg)
+    for cache in (None, DecodeCache()):
+        logits = model_forward(uneven, grid, params, cfg, cache=cache)
         assert np.isfinite(logits.data).all()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bandgen.errors import BarCountMismatch
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
 from bandgen.neural import (Adam, batch_loss, dump_checkpoint, generate,
@@ -279,6 +280,35 @@ def test_one_song_groups_are_bit_identical_to_single_forwards(vocab):
     assert (float(loss.data), count) == (float(ref.data), ref_count)
     got, want = gradients(loss, params), gradients(ref, params)
     assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("token_bars, grid_bars", [(2, 4), (4, 2)])
+def test_batch_loss_rejects_a_pair_of_unequal_bar_counts(vocab, token_bars,
+                                                         grid_bars):
+    """The tokens of one song against the grid of a longer or shorter one
+    are malformed training data, even though every track agrees."""
+    cfg = small_cfg()
+    params = init_params(cfg)
+    seqs = make_pair(vocab, n_bars=token_bars)[0]
+    grid = make_pair(vocab, n_bars=grid_bars)[1]
+    good = make_pair(vocab, n_bars=2, seed=4)
+    for batch in ([(seqs, grid)], [good, (seqs, grid)]):
+        with pytest.raises(BarCountMismatch):
+            batch_loss(batch, params, cfg)
+
+
+def test_batch_loss_rejects_a_pair_of_unequal_track_counts(vocab):
+    """3 token tracks against a 4-track grid, stacked with a pair whose
+    grid is short of a track, would add up to matching totals."""
+    cfg = small_cfg()
+    params = init_params(cfg)
+    three = pair_of(cut_song(make_song(seed=3, n_bars=2)), vocab)
+    four = pair_of(make_song(seed=4, n_bars=2), vocab)
+    two = cut_song(make_song(seed=5, n_bars=2), ("Drum", "Piano"))
+    bad = [(three[0], four[1]),
+           (three[0], quantize_features(extract_expert_features(two)))]
+    with pytest.raises(BarCountMismatch):
+        batch_loss(bad, params, cfg)
 
 
 def test_a_three_track_song_trains_and_generates(vocab):
