@@ -31,6 +31,7 @@ from .neural import (assign_codes, check_blocks, dump_checkpoint, generate,
                      load_checkpoint_file, make_config, mean_loss, model_spec,
                      train_model, train_vqvae)
 from .neural.sampling import K_FRAC
+from .neural.training import check_pair
 from .neural.vqvae import vq_spec
 from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
                     filter_song, load_song, quantize_song, split_windows)
@@ -206,6 +207,9 @@ def cmd_train(args) -> int:
     grids = load_feature_corpus(_read_text(args.features, "--features"))
     if [n for n, _ in corpus] != [n for n, _ in grids]:
         raise PairMismatch("token corpus and feature corpus list different songs")
+    raw_seqs = [build_track_seqs(tracks, vocab) for _, tracks in corpus]
+    for seqs, (_, grid) in zip(raw_seqs, grids):
+        check_pair(seqs, grid)
 
     bpe_model = None
     vocab_size = vocab.size
@@ -221,7 +225,6 @@ def cmd_train(args) -> int:
         raise DataError("hash split left no training songs")
 
     cfg = make_config(args.preset, vocab_size=vocab_size, seed=args.seed)
-    raw_seqs = [build_track_seqs(tracks, vocab) for _, tracks in corpus]
 
     vq_params, _ = train_vqvae([raw_seqs[i] for i in train_ids], cfg,
                                steps=args.vq_steps, log=print)

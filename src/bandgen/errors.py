@@ -109,10 +109,6 @@ class ZeroBars(DataError):
     """Metric undefined on songs with no bars."""
 
 
-class ZeroDuration(DataError):
-    """Speed report undefined for non-positive wall time."""
-
-
 class PairMismatch(DataError):
     """Reference/cover directories do not pair by filename."""
 

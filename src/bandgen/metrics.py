@@ -1,9 +1,11 @@
-"""Fidelity metrics between a reference song and a cover, plus speed ratios.
+"""Fidelity metrics between a reference song and a cover.
 
-All bar-level metrics compare the first min(n_bars) bars of both songs.
-Conventions for degenerate bars: a similarity over two empty bars is 1, over
-exactly one empty bar 0; distances are 0 for identical inputs by
-construction. Drum notes are excluded from pitch and velocity comparisons.
+All metrics compare the first min(n_bars) bars of both songs, and all but
+chord accuracy read one bar table per song, filled in a single pass over its
+notes. Conventions for degenerate bars: a similarity over two empty bars is
+1, over exactly one empty bar 0; distances are 0 for identical inputs by
+construction. Drum notes are excluded from pitch, velocity and chroma
+comparisons.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ZeroBars, ZeroDuration
+from .errors import ZeroBars
 from .features import beat_chords
 from .score import Song, TICKS_PER_BAR
 from .tokens import DURATION_MESH, VELOCITY_BINS, snap_to_mesh, velocity_bin
@@ -25,77 +27,51 @@ _MESH_INDEX = {d: i for i, d in enumerate(DURATION_MESH)}
 
 @dataclass(slots=True)
 class MetricsReport:
-    nde: float
-    oap: float
-    oad: float
-    oav: float
-    ccs: float
-    gcs: float
-    ca: float
-    ssmd: float
-    tok_per_sec: float = 0.0
-    note_per_sec: float = 0.0
+    nde: float   # RMSE of per-bar onset counts over the reference's max count
+    oap: float   # mean per-bar overlap of normalized pitch histograms
+    oad: float   # the same over duration-mesh histograms
+    oav: float   # the same over velocity-bin histograms
+    ccs: float   # mean per-bar cosine of 12-class onset counts
+    gcs: float   # mean per-bar cosine of 16th-slot onset indicators (all tracks)
+    ca: float    # fraction of beats whose detected chords match (None == None)
+    ssmd: float  # mean |difference| of the bar-chroma self-similarity matrices
     n_bars_compared: int = 0
 
 
-def _common_bars(ref: Song, cov: Song) -> int:
-    n = min(ref.n_bars, cov.n_bars)
-    if n <= 0:
-        raise ZeroBars("no bars to compare")
-    return n
+@dataclass(slots=True)
+class _BarTable:
+    """Per-bar counts of one song's notes, one row per compared bar."""
+    onsets: np.ndarray    # [n]
+    pitch: np.ndarray     # [n, 128], drums excluded
+    duration: np.ndarray  # [n, len(DURATION_MESH)]
+    velocity: np.ndarray  # [n, VELOCITY_BINS], drums excluded
+    chroma: np.ndarray    # [n, 12], drums excluded
+    groove: np.ndarray    # [n, 16], 1.0 where some note starts in the slot
 
 
-def _bar_of(onset: int) -> int:
-    return onset // TICKS_PER_BAR
-
-
-def note_density_error(ref: Song, cov: Song) -> float:
-    """RMSE of per-bar onset counts, normalized by the reference maximum."""
-    n = _common_bars(ref, cov)
-    dens = []
-    for song in (ref, cov):
-        d = np.zeros(n)
-        for t in song.tracks:
-            for note in t.notes:
-                b = _bar_of(note.onset)
-                if b < n:
-                    d[b] += 1
-        dens.append(d)
-    rmse = float(np.sqrt(np.mean((dens[0] - dens[1]) ** 2)))
-    return rmse / max(1.0, float(dens[0].max()))
-
-
-def _bar_histograms(song: Song, n: int, element: str) -> list[np.ndarray]:
-    if element == "pitch":
-        size = 128
-    elif element == "duration":
-        size = len(DURATION_MESH)
-    elif element == "velocity":
-        size = VELOCITY_BINS
-    else:
-        raise ValueError(f"unknown element {element!r}")
-    hists = [np.zeros(size) for _ in range(n)]
+def _bar_table(song: Song, n: int) -> _BarTable:
+    tab = _BarTable(np.zeros(n), np.zeros((n, 128)),
+                    np.zeros((n, len(DURATION_MESH))),
+                    np.zeros((n, VELOCITY_BINS)), np.zeros((n, 12)),
+                    np.zeros((n, 16)))
     for t in song.tracks:
-        if t.instrument == "Drum" and element in ("pitch", "velocity"):
-            continue
+        pitched = t.instrument != "Drum"
         for note in t.notes:
-            b = _bar_of(note.onset)
+            b, tick = divmod(note.onset, TICKS_PER_BAR)
             if b >= n:
                 continue
-            if element == "pitch":
-                hists[b][note.pitch] += 1
-            elif element == "duration":
-                hists[b][_MESH_INDEX[snap_to_mesh(note.duration)]] += 1
-            else:
-                hists[b][velocity_bin(note.velocity)] += 1
-    return hists
+            tab.onsets[b] += 1
+            tab.duration[b, _MESH_INDEX[snap_to_mesh(note.duration)]] += 1
+            tab.groove[b, tick // _SIXTEENTH] = 1.0
+            if pitched:
+                tab.pitch[b, note.pitch] += 1
+                tab.velocity[b, velocity_bin(note.velocity)] += 1
+                tab.chroma[b, note.pitch % 12] += 1
+    return tab
 
 
-def overlap_area(ref: Song, cov: Song, element: str) -> float:
+def _overlap(h_ref: np.ndarray, h_cov: np.ndarray) -> float:
     """Mean per-bar overlap of normalized histograms."""
-    n = _common_bars(ref, cov)
-    h_ref = _bar_histograms(ref, n, element)
-    h_cov = _bar_histograms(cov, n, element)
     scores = []
     for p, q in zip(h_ref, h_cov):
         sp, sq = p.sum(), q.sum()
@@ -108,28 +84,6 @@ def overlap_area(ref: Song, cov: Song, element: str) -> float:
     return float(np.mean(scores))
 
 
-def _bar_chroma(song: Song, n: int) -> np.ndarray:
-    out = np.zeros((n, 12))
-    for t in song.tracks:
-        if t.instrument == "Drum":
-            continue
-        for note in t.notes:
-            b = _bar_of(note.onset)
-            if b < n:
-                out[b][note.pitch % 12] += 1
-    return out
-
-
-def _bar_grooving(song: Song, n: int) -> np.ndarray:
-    out = np.zeros((n, 16))
-    for t in song.tracks:
-        for note in t.notes:
-            b = _bar_of(note.onset)
-            if b < n:
-                out[b][(note.onset % TICKS_PER_BAR) // _SIXTEENTH] = 1.0
-    return out
-
-
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     if np.array_equal(a, b):  # covers the all-zero pair and exact self-similarity
         return 1.0
@@ -139,27 +93,8 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, float(np.dot(a, b) / (na * nb)))
 
 
-def chroma_similarity(ref: Song, cov: Song) -> float:
-    """Mean per-bar cosine of 12-class onset-count vectors (non-drum)."""
-    n = _common_bars(ref, cov)
-    cr, cc = _bar_chroma(ref, n), _bar_chroma(cov, n)
-    return float(np.mean([_cosine(cr[b], cc[b]) for b in range(n)]))
-
-
-def grooving_similarity(ref: Song, cov: Song) -> float:
-    """Mean per-bar cosine of binary 16th-grid onset indicators (all tracks)."""
-    n = _common_bars(ref, cov)
-    gr, gc = _bar_grooving(ref, n), _bar_grooving(cov, n)
-    return float(np.mean([_cosine(gr[b], gc[b]) for b in range(n)]))
-
-
-def chord_accuracy(ref: Song, cov: Song) -> float:
-    """Fraction of beats whose detected chords match exactly (None == None)."""
-    n = _common_bars(ref, cov)
-    ch_ref = beat_chords(ref)[:n * 4]
-    ch_cov = beat_chords(cov)[:n * 4]
-    hits = sum(1 for a, b in zip(ch_ref, ch_cov) if a == b)
-    return hits / (n * 4)
+def _mean_cosine(v_ref: np.ndarray, v_cov: np.ndarray) -> float:
+    return float(np.mean([_cosine(a, b) for a, b in zip(v_ref, v_cov)]))
 
 
 def _ssm(chroma: np.ndarray) -> np.ndarray:
@@ -171,40 +106,23 @@ def _ssm(chroma: np.ndarray) -> np.ndarray:
     return out
 
 
-def ssm_distance(ref: Song, cov: Song) -> float:
-    """Mean absolute difference between bar-level chroma self-similarity
-    matrices."""
-    n = _common_bars(ref, cov)
-    s_ref = _ssm(_bar_chroma(ref, n))
-    s_cov = _ssm(_bar_chroma(cov, n))
-    return float(np.mean(np.abs(s_ref - s_cov)))
-
-
-def speed_report(token_count: int, note_count: int,
-                 wall_seconds: float) -> tuple[float, float]:
-    if wall_seconds <= 0:
-        raise ZeroDuration("wall time must be positive")
-    return token_count / wall_seconds, note_count / wall_seconds
-
-
-def evaluate_pair(ref: Song, cov: Song,
-                  timing: tuple[int, int, float] | None = None) -> MetricsReport:
-    """All fidelity metrics; timing = (tokens, notes, seconds) if measured."""
-    n = _common_bars(ref, cov)
-    tok_s = note_s = 0.0
-    if timing is not None:
-        tok_s, note_s = speed_report(*timing)
+def evaluate_pair(ref: Song, cov: Song) -> MetricsReport:
+    """All fidelity metrics of a cover against its reference."""
+    n = min(ref.n_bars, cov.n_bars)
+    if n <= 0:
+        raise ZeroBars("no bars to compare")
+    r, c = _bar_table(ref, n), _bar_table(cov, n)
+    rmse = float(np.sqrt(np.mean((r.onsets - c.onsets) ** 2)))
+    beats = zip(beat_chords(ref)[:n * 4], beat_chords(cov)[:n * 4])
     return MetricsReport(
-        nde=note_density_error(ref, cov),
-        oap=overlap_area(ref, cov, "pitch"),
-        oad=overlap_area(ref, cov, "duration"),
-        oav=overlap_area(ref, cov, "velocity"),
-        ccs=chroma_similarity(ref, cov),
-        gcs=grooving_similarity(ref, cov),
-        ca=chord_accuracy(ref, cov),
-        ssmd=ssm_distance(ref, cov),
-        tok_per_sec=tok_s,
-        note_per_sec=note_s,
+        nde=rmse / max(1.0, float(r.onsets.max())),
+        oap=_overlap(r.pitch, c.pitch),
+        oad=_overlap(r.duration, c.duration),
+        oav=_overlap(r.velocity, c.velocity),
+        ccs=_mean_cosine(r.chroma, c.chroma),
+        gcs=_mean_cosine(r.groove, c.groove),
+        ca=sum(1 for a, b in beats if a == b) / (n * 4),
+        ssmd=float(np.mean(np.abs(_ssm(r.chroma) - _ssm(c.chroma)))),
         n_bars_compared=n,
     )
 

@@ -2,14 +2,15 @@
 
 Training pairs must be aligned: the sequences have the grid's tracks, each
 holding `grid.n_bars` bar tokens (`model_forward` accepts tracks bars apart,
-as decoding makes them); `batch_loss` checks every pair once. A batch runs
-as one graph per group of songs that share their track and bar counts, in
-the order the groups first appear: the songs of a group are stacked along
-the track axis and padded with PAD to the group's longest sequence (see
-`model_forward`). Padding is never a target and no real position attends it,
-so the summed loss and its gradients are those of the songs run one at a
-time, up to float rounding. Songs of different bar counts are never padded
-to one another: they run as separate graphs.
+as decoding makes them); `check_pair` is the rule, and `batch_loss` applies
+it to every pair once. A batch runs as one graph per group of songs that
+share their track and bar counts, in the order the groups first appear: the
+songs of a group are stacked along the track axis and padded with PAD to the
+group's longest sequence (see `model_forward`). Padding is never a target
+and no real position attends it, so the summed loss and its gradients are
+those of the songs run one at a time, up to float rounding. Songs of
+different bar counts are never padded to one another: they run as separate
+graphs.
 """
 
 from __future__ import annotations
@@ -26,15 +27,21 @@ from .optim import Adam, schedule_lr
 Pair = tuple[TrackTokenSeqs, FeatureGrid]
 
 
+def check_pair(seqs: TrackTokenSeqs, grid: FeatureGrid) -> None:
+    """Raise `BarCountMismatch` unless the sequences have the grid's tracks,
+    each holding `grid.n_bars` bar tokens."""
+    counts = [len(p) for p in seqs.bar_token_positions]
+    if seqs.n_tracks != grid.n_tracks or set(counts) - {grid.n_bars}:
+        raise BarCountMismatch(f"bar token counts {counts} do not fit a grid "
+                               f"of {grid.n_tracks} tracks, {grid.n_bars} bars")
+
+
 def _groups(pairs: list[Pair]) -> list[list[Pair]]:
     """Pairs grouped by track and bar counts, in order of first appearance;
     a pair that is not aligned raises `BarCountMismatch`."""
     groups: dict[tuple[int, int], list[Pair]] = {}
     for seqs, grid in pairs:
-        counts = [len(p) for p in seqs.bar_token_positions]
-        if seqs.n_tracks != grid.n_tracks or set(counts) - {grid.n_bars}:
-            raise BarCountMismatch(f"bar token counts {counts} do not fit a grid "
-                                   f"of {grid.n_tracks} tracks, {grid.n_bars} bars")
+        check_pair(seqs, grid)
         groups.setdefault((seqs.n_tracks, grid.n_bars), []).append((seqs, grid))
     return list(groups.values())
 

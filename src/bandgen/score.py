@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DataError, NoDrumTrack, NoMelodyTrack
+from .errors import DataError, NoDrumTrack, NoMelodyTrack, UsageError
 
 TICKS_PER_QUARTER = 48
 TICKS_PER_BAR = 192
@@ -237,6 +237,9 @@ def _slice_window(song: Song, start_bar: int, end_bar: int) -> Song:
 def split_windows(song: Song, min_bars: int, max_bars: int, stride: int) -> list[Song]:
     """Fixed-size windows every `stride` bars, plus one shorter tail window
     when at least min_bars remain past the last full window."""
+    if not 1 <= min_bars <= max_bars or stride < 1:
+        raise UsageError(f"windows need 1 <= min_bars <= max_bars and stride "
+                         f">= 1, got {min_bars}, {max_bars}, {stride}")
     n = song.n_bars
     if n < min_bars:
         return []
@@ -320,6 +323,9 @@ def load_song(text: str) -> Song:
             if not 0 <= onset < n_bars * TICKS_PER_BAR:
                 raise DataError(f"song text: note onset {onset} outside "
                                 f"{n_bars} bars in {ln!r}")
+            if not (0 <= pitch <= 127 and dur >= 1 and 1 <= vel <= 127):
+                raise DataError(f"song text: pitch, duration or velocity out "
+                                f"of range in {ln!r}")
             notes[idx].append(Note(pitch, onset, dur, vel))
 
     if sorted(insts) != list(range(len(insts))):

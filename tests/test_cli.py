@@ -7,9 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
+from bandgen import cli
 from bandgen.cli import is_test_song, main
 from bandgen.midi import load_midi_file, save_midi_file
 from bandgen.neural import Tensor, load_checkpoint_file, save_checkpoint_file
+from bandgen.score import dump_song
 from bandgen.synth import make_song
 from bandgen.tokens import load_token_corpus, load_vocab
 
@@ -286,6 +288,38 @@ def test_mismatched_corpora_is_data_error(tmp_path, work):
                  "--vocab", str(work / "vocab.txt"), "--features", str(feats),
                  "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
                  "--vq-steps", "1"]) == 2
+
+
+def test_train_checks_pairs_before_vq_training(tmp_path, monkeypatch):
+    """2-bar token files against same-named 4-bar grids fail on the pair
+    rule before any VQ-VAE training is spent on them."""
+    for bars in (2, 4):
+        d = tmp_path / f"bars{bars}"
+        d.mkdir()
+        for i in range(4):
+            (d / f"s{i}.song").write_text(dump_song(make_song(seed=60 + i,
+                                                              n_bars=bars)))
+    tokens, vocab = tmp_path / "tokens.txt", tmp_path / "vocab.txt"
+    feats = tmp_path / "features.txt"
+    assert main(["tokenize", "--in", str(tmp_path / "bars2"), "--out",
+                 str(tokens), "--vocab", str(vocab)]) == 0
+    assert main(["features", "--in", str(tmp_path / "bars4"),
+                 "--out", str(feats)]) == 0
+
+    def no_vq(*args, **kwargs):
+        raise AssertionError("VQ-VAE trained before the pairs were checked")
+
+    monkeypatch.setattr(cli, "train_vqvae", no_vq)
+    assert main(["train", "--tokens", str(tokens), "--vocab", str(vocab),
+                 "--features", str(feats), "--out", str(tmp_path / "m.ckpt"),
+                 "--steps", "1"]) == 2
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_preprocess_stride_zero_is_usage_error(tmp_path, work):
+    assert main(["preprocess", "--in", str(work / "midis"), "--out",
+                 str(tmp_path / "songs"), "--min-bars", "4", "--max-bars", "4",
+                 "--stride", "0"]) == 1
 
 
 def test_generate_vocab_mismatch_is_data_error(tmp_path, work):

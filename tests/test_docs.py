@@ -1,7 +1,9 @@
-"""The demos and the README's Python import only names that exist."""
+"""The demos and the README's Python import only names that exist, and
+call them only with keywords their signatures take."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -40,3 +42,33 @@ def test_demo_and_readme_imports_resolve():
                     missing.append(f"{where}: {module}.{name}")
     assert checked > 0
     assert missing == []
+
+
+def test_demo_and_readme_calls_pass_known_keywords():
+    """A keyword a bandgen function does not take would fail only when the
+    demo runs; check every call to a from-imported name against its
+    signature."""
+    unknown = []
+    checked = 0
+    for where, source in _python_sources():
+        tree = ast.parse(source, where)
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "bandgen"):
+                mod = importlib.import_module(node.module)
+                for a in node.names:
+                    imported[a.asname or a.name] = getattr(mod, a.name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and callable(imported.get(node.func.id))):
+                continue
+            params = inspect.signature(imported[node.func.id]).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            checked += 1
+            unknown += [f"{where}: {node.func.id}({kw.arg}=...)"
+                        for kw in node.keywords
+                        if kw.arg is not None and kw.arg not in params]
+    assert checked > 0
+    assert unknown == []

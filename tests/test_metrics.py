@@ -1,4 +1,5 @@
-"""Fidelity metric oracles, self-identity, ranges, and report formats."""
+"""Fidelity metric oracles, goldens, self-identity, ranges, and report
+formats."""
 
 import csv
 import io
@@ -6,11 +7,9 @@ import io
 import numpy as np
 import pytest
 
-from bandgen.errors import ZeroBars, ZeroDuration
-from bandgen.metrics import (MetricsReport, chord_accuracy, chroma_similarity,
-                             evaluate_pair, grooving_similarity, mean_report,
-                             note_density_error, overlap_area, report_csv,
-                             report_text, speed_report, ssm_distance)
+from bandgen.errors import ZeroBars
+from bandgen.metrics import (MetricsReport, evaluate_pair, mean_report,
+                             report_csv, report_text)
 from bandgen.score import Note, Song, Track
 from bandgen.synth import make_song
 
@@ -25,7 +24,25 @@ def one_track_song(notes, n_bars, instrument="Piano"):
     return Song([piano(notes, instrument)], n_bars)
 
 
-# -- individual metric oracles ------------------------------------------------------
+def random_song(rng, max_bars=4):
+    n_bars = int(rng.integers(1, max_bars + 1))
+    tracks = []
+    for inst in ("Piano", "Drum", "Bass"):
+        if rng.random() < 0.3:
+            continue
+        notes = []
+        for _ in range(int(rng.integers(0, 30))):
+            notes.append(Note(int(rng.integers(0, 128)),
+                              int(rng.integers(0, n_bars * 192)),
+                              int(rng.integers(1, 500)),
+                              int(rng.integers(1, 128))))
+        tracks.append(Track(inst, notes))
+    if not tracks:
+        tracks = [Track("Piano", [])]
+    return Song(tracks, n_bars)
+
+
+# -- individual metric oracles, read from the whole report --------------------------
 
 
 def test_note_density_error_oracle():
@@ -35,73 +52,64 @@ def test_note_density_error_oracle():
                           (62, 288, 48, 64)], 2)
     cov = one_track_song([(60, 0, 48, 64), (62, 96, 48, 64), (60, 192, 48, 64),
                           (62, 288, 48, 64)], 2)
-    assert note_density_error(ref, cov) == pytest.approx(np.sqrt(2) / 4)
-    assert note_density_error(ref, ref) == 0.0
+    assert evaluate_pair(ref, cov).nde == pytest.approx(np.sqrt(2) / 4)
+    assert evaluate_pair(ref, ref).nde == 0.0
 
 
 def test_overlap_area_pitch_oracle():
     # ref pitch counts {60: 2, 62: 1}, cov {60: 1, 62: 1, 64: 1} -> 2/3
     ref = one_track_song([(60, 0, 48, 64), (60, 48, 48, 64), (62, 96, 48, 64)], 1)
     cov = one_track_song([(60, 0, 48, 64), (62, 48, 48, 64), (64, 96, 48, 64)], 1)
-    assert overlap_area(ref, cov, "pitch") == pytest.approx(2.0 / 3.0)
+    assert evaluate_pair(ref, cov).oap == pytest.approx(2.0 / 3.0)
 
 
 def test_overlap_area_empty_bar_conventions():
     both_empty = Song([piano([])], 1)
-    assert overlap_area(both_empty, Song([piano([])], 1), "pitch") == 1.0
+    assert evaluate_pair(both_empty, Song([piano([])], 1)).oap == 1.0
     filled = one_track_song([(60, 0, 48, 64)], 1)
-    assert overlap_area(both_empty, filled, "pitch") == 0.0
+    assert evaluate_pair(both_empty, filled).oap == 0.0
 
 
 def test_overlap_area_velocity_and_duration_binning():
     # velocities 64 and 66 share bin 16; durations 48 and 50 snap to 48
     ref = one_track_song([(60, 0, 48, 64)], 1)
     cov = one_track_song([(60, 0, 50, 66)], 1)
-    assert overlap_area(ref, cov, "velocity") == 1.0
-    assert overlap_area(ref, cov, "duration") == 1.0
-    assert overlap_area(ref, cov, "pitch") == 1.0
+    r = evaluate_pair(ref, cov)
+    assert r.oav == 1.0 and r.oad == 1.0 and r.oap == 1.0
 
 
 def test_drums_excluded_from_pitch_and_velocity_but_not_grooving():
     ref = one_track_song([(60, 0, 48, 64)], 1)
     cov = Song([piano([(60, 0, 48, 64)]),
                 Track("Drum", [Note(36, 96, 24, 90)])], 1)
-    assert overlap_area(ref, cov, "pitch") == 1.0
-    assert overlap_area(ref, cov, "velocity") == 1.0
+    r = evaluate_pair(ref, cov)
+    assert r.oap == 1.0 and r.oav == 1.0
     # grooving counts every track: bits {0} vs {0, 8}
-    assert grooving_similarity(ref, cov) == pytest.approx(1 / np.sqrt(2))
+    assert r.gcs == pytest.approx(1 / np.sqrt(2))
 
 
 def test_chroma_similarity_oracle():
     # C-E-G against C alone: cosine = 1/sqrt(3)
     ref = one_track_song([(60, 0, 48, 64), (64, 0, 48, 64), (67, 0, 48, 64)], 1)
     cov = one_track_song([(72, 0, 48, 64)], 1)
-    assert chroma_similarity(ref, cov) == pytest.approx(1 / np.sqrt(3))
-    assert chroma_similarity(ref, ref) == 1.0
+    assert evaluate_pair(ref, cov).ccs == pytest.approx(1 / np.sqrt(3))
+    assert evaluate_pair(ref, ref).ccs == 1.0
 
 
 def test_chord_accuracy_oracle():
     # ref holds C major all four beats; cov only the first two
     ref = one_track_song([(60, 0, 192, 64), (64, 0, 192, 64), (67, 0, 192, 64)], 1)
     cov = one_track_song([(60, 0, 96, 64), (64, 0, 96, 64), (67, 0, 96, 64)], 1)
-    assert chord_accuracy(ref, ref) == 1.0
-    assert chord_accuracy(ref, cov) == 0.5
+    assert evaluate_pair(ref, ref).ca == 1.0
+    assert evaluate_pair(ref, cov).ca == 0.5
 
 
 def test_ssm_distance_oracle():
     # ref bars repeat (similarity 1 everywhere); cov bars are orthogonal
     ref = one_track_song([(60, 0, 48, 64), (60, 192, 48, 64)], 2)
     cov = one_track_song([(60, 0, 48, 64), (67, 192, 48, 64)], 2)
-    assert ssm_distance(ref, ref) == 0.0
-    assert ssm_distance(ref, cov) == pytest.approx(0.5)
-
-
-def test_speed_report():
-    assert speed_report(1000, 100, 2.0) == (500.0, 50.0)
-    with pytest.raises(ZeroDuration):
-        speed_report(10, 5, 0.0)
-    with pytest.raises(ZeroDuration):
-        speed_report(10, 5, -1.0)
+    assert evaluate_pair(ref, ref).ssmd == 0.0
+    assert evaluate_pair(ref, cov).ssmd == pytest.approx(0.5)
 
 
 # -- whole-report behavior ----------------------------------------------------------
@@ -118,23 +126,6 @@ def test_self_identity_is_exact():
 
 
 def test_metric_ranges_on_random_pairs():
-    def random_song(rng):
-        n_bars = int(rng.integers(1, 5))
-        tracks = []
-        for inst in ("Piano", "Drum", "Bass"):
-            if rng.random() < 0.3:
-                continue
-            notes = []
-            for _ in range(int(rng.integers(0, 30))):
-                notes.append(Note(int(rng.integers(0, 128)),
-                                  int(rng.integers(0, n_bars * 192)),
-                                  int(rng.integers(1, 500)),
-                                  int(rng.integers(1, 128))))
-            tracks.append(Track(inst, notes))
-        if not tracks:
-            tracks = [Track("Piano", [])]
-        return Song(tracks, n_bars)
-
     for trial in range(60):
         ref, cov = random_song(RNG), random_song(RNG)
         r = evaluate_pair(ref, cov)
@@ -159,21 +150,38 @@ def test_zero_bars_raises():
         evaluate_pair(Song([], 0), Song([], 0))
 
 
-def test_timing_passthrough():
-    song = make_song(seed=1, n_bars=2)
-    r = evaluate_pair(song, song, timing=(400, 80, 4.0))
-    assert r.tok_per_sec == 100.0
-    assert r.note_per_sec == 20.0
+def test_golden_reports():
+    """Exact fields of three fixed pairs: however the bar tables are filled,
+    the per-bar float reductions must keep every bit."""
+    song = make_song(seed=6, n_bars=8)
+    rng = np.random.default_rng(8)
+    drummed = random_song(rng, 8), random_song(rng, 8)
+    assert all(any(t.instrument == "Drum" and t.notes for t in s.tracks)
+               for s in drummed)
+    cases = [
+        ((make_song(seed=1, n_bars=40), make_song(seed=2, n_bars=24)),
+         MetricsReport(0.03895531383384258, 0.2019063180827887,
+                       0.9598611184679039, 0.5382829520697169,
+                       0.4741918792804449, 1.0, 0.041666666666666664,
+                       0.09825503845619883, 24)),
+        (drummed,
+         MetricsReport(0.4249182927993987, 0.0, 0.2222222222222222,
+                       0.16666666666666666, 0.0, 0.11381930931591229,
+                       0.5833333333333334, 0.1111111111111111, 6)),
+        ((song, song), MetricsReport(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 8)),
+    ]
+    for (ref, cov), want in cases:
+        assert evaluate_pair(ref, cov) == want
 
 
 def test_mean_report_averages_and_sums_bars():
-    a = MetricsReport(0.2, 0.8, 0.6, 1.0, 0.9, 0.7, 0.5, 0.1, 100.0, 10.0, 4)
-    b = MetricsReport(0.4, 0.6, 0.8, 0.0, 0.7, 0.9, 1.0, 0.3, 200.0, 30.0, 2)
+    a = MetricsReport(0.2, 0.8, 0.6, 1.0, 0.9, 0.7, 0.5, 0.1, 4)
+    b = MetricsReport(0.4, 0.6, 0.8, 0.0, 0.7, 0.9, 1.0, 0.3, 2)
     m = mean_report([a, b])
     assert m.nde == pytest.approx(0.3)
     assert m.oap == pytest.approx(0.7)
     assert m.ca == pytest.approx(0.75)
-    assert m.tok_per_sec == pytest.approx(150.0)
+    assert m.ssmd == pytest.approx(0.2)
     assert m.n_bars_compared == 6
     with pytest.raises(ZeroBars):
         mean_report([])

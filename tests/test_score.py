@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgen.errors import DataError, NoDrumTrack, NoMelodyTrack
+from bandgen.errors import DataError, NoDrumTrack, NoMelodyTrack, UsageError
 from bandgen.score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS,
                            TICKS_PER_BAR, FilterVerdict, Note, Song, Track,
                            compress_instruments, dedupe_corpus,
@@ -183,6 +183,14 @@ def test_split_windows_cases():
     assert spans(24, 8, 16, 8) == [16, 16, 8]    # tail kept at min length
 
 
+def test_split_windows_rejects_bad_bounds():
+    song = make_song(1, n_bars=40)
+    for lo, hi, stride in ((16, 16, 0), (16, 16, -1), (0, 0, 8), (1, 0, 8),
+                           (8, 4, 8)):
+        with pytest.raises(UsageError):
+            split_windows(song, lo, hi, stride)
+
+
 def test_split_windows_rebases_onsets():
     n = 24
     s = Song([Track("Piano", _nbar_notes(n))], n)
@@ -207,6 +215,17 @@ def test_song_text_round_trip_with_empty_track():
     assert [t.instrument for t in loaded.tracks] == [t.instrument for t in s.tracks]
     assert all(a.notes == b.notes for a, b in zip(loaded.tracks, s.tracks))
     assert dump_song(loaded) == dump_song(s)
+
+
+def test_load_song_rejects_notes_out_of_range():
+    # fields are onset, pitch, duration, velocity
+    for note in ("0 200 24 90", "0 -1 24 90", "0 60 0 90", "0 60 24 0",
+                 "0 60 24 128"):
+        with pytest.raises(DataError):
+            load_song(f"SONG n_bars=1\nT0 Piano {note}\n")
+    song = load_song("SONG n_bars=1\nT0 Piano 0 127 1 127\nT0 Piano 0 0 1 1\n")
+    assert [(n.pitch, n.duration, n.velocity)
+            for n in song.tracks[0].notes] == [(127, 1, 127), (0, 1, 1)]
 
 
 def test_load_song_rejects_garbage():
