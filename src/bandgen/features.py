@@ -9,6 +9,7 @@ bin tables; one extra sentinel bin per numeric feature marks empty bars.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,27 +83,31 @@ def chord_from_index(idx: int) -> ChordLabel:
     return ChordLabel(root, QUALITIES[q])
 
 
+# every (label, template) pair in tie-break order: lower root, then earlier quality
+_CHORD_TEMPLATES = tuple(
+    (ChordLabel(root, quality), frozenset((root + off) % 12 for off in _TEMPLATES[quality]))
+    for root in range(12) for quality in QUALITIES)
+
+
+@functools.cache
+def _chord_of(pcs: frozenset[int]) -> ChordLabel:
+    best, best_score = NO_CHORD, -1e9
+    for label, template in _CHORD_TEMPLATES:
+        score = len(template & pcs) - 0.5 * len(pcs - template)
+        if score > best_score:
+            best, best_score = label, score
+    return best if best_score >= 2 else NO_CHORD
+
+
 def detect_chord(pitch_classes) -> ChordLabel:
     """Template match over all (root, quality) pairs.
 
     Score = matched template tones - 0.5 * non-chord pitch classes; ties go
     to the lower root, then earlier quality. None below 2 distinct classes
-    or best score < 2.
+    or best score < 2. Labels are memoized per pitch-class set.
     """
-    pcs = {int(p) % 12 for p in pitch_classes}
-    if len(pcs) < 2:
-        return NO_CHORD
-    best = NO_CHORD
-    best_score = -1e9
-    for root in range(12):
-        for quality in QUALITIES:
-            template = {(root + off) % 12 for off in _TEMPLATES[quality]}
-            score = len(template & pcs) - 0.5 * len(pcs - template)
-            if score > best_score:
-                best, best_score = ChordLabel(root, quality), score
-    if best_score < 2:
-        return NO_CHORD
-    return best
+    pcs = frozenset(int(p) % 12 for p in pitch_classes)
+    return NO_CHORD if len(pcs) < 2 else _chord_of(pcs)
 
 
 def beat_chords(song: Song) -> list[ChordLabel]:

@@ -100,9 +100,9 @@ def _mean_cosine(v_ref: np.ndarray, v_cov: np.ndarray) -> float:
 def _ssm(chroma: np.ndarray) -> np.ndarray:
     n = len(chroma)
     out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = _cosine(chroma[i], chroma[j])
+    for i in range(n):  # _cosine is symmetric bit for bit: fill j >= i and mirror
+        for j in range(i, n):
+            out[i, j] = out[j, i] = _cosine(chroma[i], chroma[j])
     return out
 
 

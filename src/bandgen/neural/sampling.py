@@ -145,11 +145,12 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
 
 def repair_track_ids(ids: list[int], b_ref: int, vocab: Vocab
                      ) -> tuple[list[int], int]:
-    """Make a sampled id list decodable: a bad head is replaced, bars past
-    `b_ref` and every token the track grammar (`bandgen.tokens`) rejects are
-    dropped, missing bars are filled with BarEmpty, and EOS is enforced.
-    Returns the repaired list and how many edits were made; dropped PAD
-    tokens are not counted."""
+    """Make a sampled id list decodable, one id at a time: a bad head is
+    replaced; bars past `b_ref`, tokens the track grammar (`bandgen.tokens`)
+    rejects and each id of a note broken off before its Velocity are dropped
+    (the breaking token is judged as if the note never opened); missing bars
+    are filled with BarEmpty and EOS is enforced. Returns the repaired list
+    and how many edits were made; dropped PAD tokens are not counted."""
     repairs = 0
     if ids and vocab.spec_of(ids[0]).kind == "Instrument":
         first = ids[0]
@@ -158,25 +159,21 @@ def repair_track_ids(ids: list[int], b_ref: int, vocab: Vocab
         repairs += 1
     out = [first, BOS_ID]
     repairs += 0 if len(ids) > 1 and ids[1] == BOS_ID else 1
-    grammar = TrackGrammar(vocab, vocab.spec_of(first).value == "Drum")
-    reject, take = grammar.reject, grammar.take
-    i = 2
-    while i < len(ids):
-        spec = vocab.spec_of(ids[i])
+    grammar = TrackGrammar(vocab.spec_of(first).value == "Drum")
+    for tid in ids[2:] + [EOS_ID]:  # the end of the list reads as EOS
+        spec = vocab.spec_of(tid)
         kind = spec.kind
+        reason = grammar.reject(spec)
+        if reason is not None and grammar.note:
+            repairs += len(grammar.note)
+            grammar.note = ()
+            reason = grammar.reject(spec)
         if kind == "EOS":
             break
-        if ((kind in BAR_KINDS and grammar.bars >= b_ref)
-                or reject(ids, i, spec) is not None):
+        if reason is not None or (kind in BAR_KINDS and grammar.bars >= b_ref):
             repairs += kind != "PAD"
-            i += 1
             continue
-        span = take(spec)
-        if span == 1:
-            out.append(ids[i])
-        else:
-            out += ids[i:i + span]
-        i += span
+        out += grammar.take(tid, spec)
     missing = b_ref - grammar.bars
     out += [vocab.id_of("BarEmpty", 0)] * missing + [EOS_ID]
     return out, repairs + missing

@@ -27,11 +27,9 @@ BATCH_UNITS = 256  # bar units per step; a larger corpus is sampled without repl
 def quantize_vectors(z_e: np.ndarray, codebook: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest codebook row per group (squared Euclidean, ties to the lower
-    index). z_e: [N, d_l] or [d_l]; codebook: [K, d_l/8].
-    Returns (codes [N, 8], z_q [N, d_l]) with the batch axis squeezed back
-    off for single-vector input."""
-    single = z_e.ndim == 1
-    z = np.atleast_2d(np.asarray(z_e, dtype=np.float64))
+    index). z_e: [N, d_l]; codebook: [K, d_l/8].
+    Returns (codes [N, 8], z_q [N, d_l])."""
+    z = np.asarray(z_e, dtype=np.float64)
     if codebook.shape[0] == 0:
         raise EmptyCodebook("codebook has no rows")
     n, d_l = z.shape
@@ -41,10 +39,7 @@ def quantize_vectors(z_e: np.ndarray, codebook: np.ndarray
     diff = groups[:, :, None, :] - codebook[None, None, :, :]
     dists = (diff * diff).sum(axis=-1)
     codes = dists.argmin(axis=-1)
-    z_q = codebook[codes].reshape(n, d_l)
-    if single:
-        return codes[0], z_q[0]
-    return codes, z_q
+    return codes, codebook[codes].reshape(n, d_l)
 
 
 def vq_layer(z_e: Tensor, codebook: Tensor

@@ -3,15 +3,15 @@
 Each track becomes its own sequence: Instrument, BOS, a body, then EOS and
 PAD up to the longest track. The vocabulary is fixed: onsets snap to a
 `POSITION_GRID`-tick grid (48 positions per bar) and durations to the 32
-values of `DURATION_MESH`. `TrackGrammar` holds the body grammar:
+values of `DURATION_MESH`. `TrackGrammar` reads the body grammar per token:
 
 - a Bar token (BarNormal or BarEmpty) may come anywhere and opens a bar;
 - a Position needs a Bar before it and never goes back within its bar
   (an equal Position is allowed);
 - a note needs a Position: one PitchDrum on a drum track, otherwise a Pitch
-  directly followed by one Duration and one Velocity;
+  then its Duration and its Velocity; any other token breaks the note off;
 - Duration, Velocity, Instrument, BOS and PAD never stand alone;
-- EOS may end the body anywhere.
+- EOS, or the end of the list, may end the body anywhere but inside a note.
 
 A single-sequence interleaved form (tokenize_remi_plus) is kept for length
 statistics only.
@@ -36,6 +36,8 @@ BAR_KINDS = frozenset({"BarNormal", "BarEmpty"})
 
 # 31 percussion keys: GM 35-59 plus a folded low-range group
 DRUM_KEYS = tuple(sorted(set(range(35, 60)) | {25, 26, 27, 28, 29, 31}))
+# nearest listed drum key per raw pitch, ties to the lower key
+_DRUM_MAP = tuple(min(DRUM_KEYS, key=lambda k: (abs(k - p), k)) for p in range(128))
 
 POSITION_GRID = 4
 DURATION_MESH = tuple(
@@ -63,6 +65,15 @@ def snap_to_mesh(duration: int) -> int:
     return lo if duration - lo <= hi - duration else hi
 
 
+def snap_position(tick_in_bar: int) -> int:
+    pos = int(tick_in_bar / POSITION_GRID + 0.5) * POSITION_GRID
+    return min(pos, TICKS_PER_BAR - POSITION_GRID)
+
+
+def drum_key(pitch: int) -> int:
+    return _DRUM_MAP[min(max(pitch, 0), 127)]
+
+
 @dataclass(frozen=True, slots=True)
 class TokenSpec:
     kind: str
@@ -87,9 +98,6 @@ class Vocab:
         self.size = len(specs)
         self._note_mask = tuple(s.kind in NOTE_KINDS for s in specs)
         self.bar_ids = frozenset(i for i, s in enumerate(specs) if s.kind in BAR_KINDS)
-        # nearest listed drum key per raw pitch, ties to the lower key
-        self._drum_map = tuple(
-            min(DRUM_KEYS, key=lambda k: (abs(k - p), k)) for p in range(128))
 
     def id_of(self, kind: str, value) -> int:
         try:
@@ -104,13 +112,6 @@ class Vocab:
 
     def is_note_id(self, token_id: int) -> bool:
         return 0 <= token_id < self.size and self._note_mask[token_id]
-
-    def snap_position(self, tick_in_bar: int) -> int:
-        pos = int(tick_in_bar / POSITION_GRID + 0.5) * POSITION_GRID
-        return min(pos, TICKS_PER_BAR - POSITION_GRID)
-
-    def drum_key(self, pitch: int) -> int:
-        return self._drum_map[min(max(pitch, 0), 127)]
 
 
 def build_vocab() -> Vocab:
@@ -147,7 +148,7 @@ def _bar_notes(track: Track, n_bars: int) -> list[list[Note]]:
 
 def _note_ids(n: Note, is_drum: bool, vocab: Vocab) -> list[int]:
     if is_drum:
-        return [vocab.id_of("PitchDrum", vocab.drum_key(n.pitch))]
+        return [vocab.id_of("PitchDrum", drum_key(n.pitch))]
     return [vocab.id_of("Pitch", n.pitch),
             vocab.id_of("Duration", snap_to_mesh(n.duration)),
             vocab.id_of("Velocity", velocity_bin(n.velocity))]
@@ -158,7 +159,7 @@ def _note_group_ids(notes: list[Note], is_drum: bool, vocab: Vocab) -> list[int]
     ids: list[int] = []
     seen: set[int] = set()
     for n in sorted(notes, key=lambda n: (n.pitch, n.duration, n.velocity)):
-        key = vocab.drum_key(n.pitch) if is_drum else n.pitch
+        key = drum_key(n.pitch) if is_drum else n.pitch
         if key not in seen:
             seen.add(key)
             ids += _note_ids(n, is_drum, vocab)
@@ -176,7 +177,7 @@ def _track_body_ids(track: Track, n_bars: int, vocab: Vocab) -> list[int]:
         ids.append(vocab.id_of("BarNormal", 0))
         groups: dict[int, list[Note]] = {}
         for n in notes:
-            groups.setdefault(vocab.snap_position(n.onset % TICKS_PER_BAR), []).append(n)
+            groups.setdefault(snap_position(n.onset % TICKS_PER_BAR), []).append(n)
         for pos in sorted(groups):
             ids.append(vocab.id_of("Position", pos))
             ids.extend(_note_group_ids(groups[pos], is_drum, vocab))
@@ -222,29 +223,29 @@ def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
 
 
 class TrackGrammar:
-    """One track's place in the body grammar of the module docstring. The
-    caller looks up each token's spec once and passes it to `reject` and
-    `take`; what to do with a rejected token is the caller's choice."""
+    """Per-token automaton for the module docstring's body grammar: the caller
+    passes each token's spec to `reject` and, if allowed, to `take`. Inside a
+    note only its next part is allowed; clearing `note` breaks the note off."""
 
-    __slots__ = ("spec_of", "is_drum", "bars", "position")
+    __slots__ = ("is_drum", "bars", "position", "note")
 
-    def __init__(self, vocab: Vocab, is_drum: bool):
-        self.spec_of = vocab.spec_of
+    def __init__(self, is_drum: bool):
         self.is_drum = is_drum
         self.bars = 0                     # Bar tokens taken so far
         self.position: int | None = None  # last Position in the current bar
+        self.note: tuple[int, ...] = ()   # ids of the open note
 
-    def reject(self, ids: list[int], k: int, spec: TokenSpec) -> str | None:
-        """Why `ids[k]`, whose spec is `spec`, cannot come next; None if it can."""
+    def reject(self, spec: TokenSpec) -> str | None:
+        """Why a token of `spec` cannot come next; None if it can."""
         kind = spec.kind
-        if kind == "Pitch":
+        if self.note:
+            if kind != ("Duration", "Velocity")[len(self.note) - 1]:
+                return "Pitch without Duration+Velocity"
+        elif kind == "Pitch":
             if self.position is None:
                 return "note token before any Position"
             if self.is_drum:
                 return "Pitch on a drum track"
-            if (k + 2 >= len(ids) or self.spec_of(ids[k + 1]).kind != "Duration"
-                    or self.spec_of(ids[k + 2]).kind != "Velocity"):
-                return "Pitch without Duration+Velocity"
         elif kind == "Position":
             if not self.bars:
                 return "Position before any Bar"
@@ -259,17 +260,22 @@ class TrackGrammar:
             return f"unexpected {kind} token"
         return None
 
-    def take(self, spec: TokenSpec) -> int:
-        """Consume an allowed token; returns the ids it spans (3 for a Pitch)."""
+    def take(self, token_id: int, spec: TokenSpec) -> tuple[int, ...]:
+        """Consume an allowed token; returns the ids it completes: none
+        while a note is open, the note's three at its Velocity, else itself."""
         kind = spec.kind
-        if kind == "Pitch":
-            return 3
+        if kind in ("Pitch", "Duration"):
+            self.note += (token_id,)
+            return ()
+        if kind == "Velocity":
+            done, self.note = self.note + (token_id,), ()
+            return done
         if kind in BAR_KINDS:
             self.bars += 1
             self.position = None
         elif kind == "Position":
             self.position = int(spec.value)
-        return 1
+        return (token_id,)
 
 
 def detokenize(seqs: TrackTokenSeqs, vocab: Vocab) -> Song:
@@ -281,30 +287,26 @@ def detokenize(seqs: TrackTokenSeqs, vocab: Vocab) -> Song:
         inst = vocab.spec_of(ids[0]).value
         if len(ids) < 2 or ids[1] != BOS_ID:
             raise MalformedSequence("expected BOS token", ti, 1)
-        grammar = TrackGrammar(vocab, inst == "Drum")
+        grammar = TrackGrammar(inst == "Drum")
         notes: list[Note] = []
-        k = 2
-        while k < len(ids):
-            spec = vocab.spec_of(ids[k])
-            kind = spec.kind
-            if kind == "EOS":
-                k += 1
+        for k, tid in enumerate(ids[2:] + [EOS_ID], 2):  # the end reads as EOS
+            spec = vocab.spec_of(tid)
+            reason = grammar.reject(spec)
+            if reason is not None:  # a broken-off note is reported at its Pitch
+                raise MalformedSequence(reason, ti, k - len(grammar.note))
+            if spec.kind == "EOS":
+                for j in range(k + 1, len(ids)):
+                    if ids[j] != PAD_ID:
+                        raise MalformedSequence("content after EOS", ti, j)
                 break
-            reason = grammar.reject(ids, k, spec)
-            if reason is not None:
-                raise MalformedSequence(reason, ti, k)
-            if kind == "Pitch":
+            done = grammar.take(tid, spec)
+            if len(done) == 3:
                 onset = (grammar.bars - 1) * TICKS_PER_BAR + grammar.position
-                notes.append(Note(int(spec.value), onset,
-                                  int(vocab.spec_of(ids[k + 1]).value),
-                                  velocity_decode(int(vocab.spec_of(ids[k + 2]).value))))
-            elif kind == "PitchDrum":
+                pitch, duration, vbin = (int(vocab.specs[i].value) for i in done)
+                notes.append(Note(pitch, onset, duration, velocity_decode(vbin)))
+            elif spec.kind == "PitchDrum":
                 onset = (grammar.bars - 1) * TICKS_PER_BAR + grammar.position
                 notes.append(Note(int(spec.value), onset, DRUM_DURATION, DRUM_VELOCITY))
-            k += grammar.take(spec)
-        for j in range(k, len(ids)):
-            if ids[j] != PAD_ID:
-                raise MalformedSequence("content after EOS", ti, j)
         tracks.append(Track(inst, sorted_unique_notes(notes), is_melody=inst == "SquareSynth"))
         n_bars = max(n_bars, grammar.bars)
     return Song(tracks, n_bars)
@@ -319,9 +321,9 @@ def snap_song(song: Song, vocab: Vocab) -> Song:
         notes = []
         for n in t.notes:
             bar, tick = divmod(n.onset, TICKS_PER_BAR)
-            onset = bar * TICKS_PER_BAR + vocab.snap_position(tick)
+            onset = bar * TICKS_PER_BAR + snap_position(tick)
             if t.instrument == "Drum":
-                notes.append(Note(vocab.drum_key(n.pitch), onset,
+                notes.append(Note(drum_key(n.pitch), onset,
                                   DRUM_DURATION, DRUM_VELOCITY))
             else:
                 notes.append(Note(n.pitch, onset, snap_to_mesh(n.duration),
@@ -339,7 +341,7 @@ def tokenize_remi_plus(song: Song, vocab: Vocab) -> list[int]:
     for ti, t in enumerate(song.tracks):
         for b, notes in enumerate(_bar_notes(t, song.n_bars)):
             for n in notes:
-                pos = vocab.snap_position(n.onset % TICKS_PER_BAR)
+                pos = snap_position(n.onset % TICKS_PER_BAR)
                 per_bar[b].setdefault(pos, []).append((ti, n.pitch, n))
     ids = [BOS_ID]
     for b, groups in enumerate(per_bar):

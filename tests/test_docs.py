@@ -1,5 +1,6 @@
 """The demos and the README's Python import only names that exist, and
-call them only with keywords their signatures take."""
+call them only with keywords their signatures take; the benchmark's
+workloads call only bandgen module attributes that exist, the same way."""
 
 import ast
 import importlib
@@ -72,3 +73,37 @@ def test_demo_and_readme_calls_pass_known_keywords():
                         if kw.arg is not None and kw.arg not in params]
     assert checked > 0
     assert unknown == []
+
+
+def test_benchmark_calls_resolve():
+    """`perfbench/workloads.py` calls bandgen as `module.attr(...)`; a renamed
+    function or keyword would fail only when the benchmark runs."""
+    source = (ROOT / "perfbench" / "workloads.py").read_text()
+    tree = ast.parse(source, "workloads.py")
+    modules = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "bandgen"):
+            for a in node.names:
+                modules[a.asname or a.name] = importlib.import_module(
+                    f"{node.module}.{a.name}")
+    broken = []
+    checked = 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules):
+            continue
+        checked += 1
+        where = f"workloads.py:{node.lineno}: {node.func.value.id}.{node.func.attr}"
+        target = getattr(modules[node.func.value.id], node.func.attr, None)
+        if target is None:
+            broken.append(f"{where} does not exist")
+            continue
+        params = inspect.signature(target).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        broken += [f"{where}({kw.arg}=...)" for kw in node.keywords
+                   if kw.arg is not None and kw.arg not in params]
+    assert checked >= 40
+    assert broken == []

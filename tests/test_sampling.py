@@ -1,17 +1,24 @@
 """Top-k selection, grammar repair, and conditioned generation."""
 
+import hashlib
+import json
+import random
+
 import numpy as np
 import pytest
 
 from bandgen.bpe import learn_bpe
-from bandgen.errors import DataError, DegenerateVocab, UsageError
+from bandgen.errors import (DataError, DegenerateVocab, MalformedSequence,
+                            UsageError)
 from bandgen.features import extract_expert_features, quantize_features
 from bandgen.neural import (generate, init_params, make_config,
                             repair_track_ids, top_k_count)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.sampling import _topk_sample
+from bandgen.score import INSTRUMENTS
 from bandgen.synth import make_song
-from bandgen.tokens import (BOS_ID, EOS_ID, detokenize, tokenize_song)
+from bandgen.tokens import (BOS_ID, EOS_ID, PAD_ID, build_track_seqs,
+                            detokenize, tokenize_song)
 
 RNG = np.random.default_rng(5)
 
@@ -114,6 +121,25 @@ def test_repair_drops_orphan_tokens_and_counts(vocab):
     assert fixed == [inst, BOS_ID, bar, pos, pitch, dur, vel, EOS_ID]
     assert n == 1
 
+    # a note broken off before its Velocity loses each of its ids at one edit,
+    # and the breaking token is judged as if the note never opened
+    pitch2 = vocab.id_of("Pitch", 64)
+    head = [inst, BOS_ID, bar, pos]
+    for opened in ([pitch], [pitch, dur]):
+        edits = len(opened)
+        # a Bar under the cap is kept, one past it is dropped too
+        assert repair_track_ids(head + opened + [bar, EOS_ID], 2, vocab) == (
+            head + [bar, EOS_ID], edits)
+        assert repair_track_ids(head + opened + [bar, EOS_ID], 1, vocab) == (
+            head + [EOS_ID], edits + 1)
+        # EOS and the end of the list end the track; a dropped PAD is free
+        for tail in ([EOS_ID, pitch, dur, vel], [], [PAD_ID]):
+            assert repair_track_ids(head + opened + tail, 1, vocab) == (
+                head + [EOS_ID], edits)
+        # a second Pitch opens the note that completes
+        assert repair_track_ids(head + opened + [pitch2, dur, vel], 1, vocab) == (
+            head + [pitch2, dur, vel, EOS_ID], edits)
+
     # stray duration and velocity each count
     ids = [inst, BOS_ID, bar, dur, vel, EOS_ID]
     fixed, n = repair_track_ids(ids, 1, vocab)
@@ -177,6 +203,57 @@ def test_repair_makes_any_id_soup_decodable(vocab):
         fixed, _ = repair_track_ids(soup, b_ref, vocab)
         song = detokenize_ok(fixed, vocab)
         assert bar_count(fixed, vocab) == b_ref
+
+
+def _id_soup(rng: random.Random, vocab, by_kind: dict) -> tuple[list[int], int]:
+    """A seeded id list that mixes valid and invalid heads, whole, partial
+    and stray note parts, ends with or without EOS, and a `b_ref` of 1-6."""
+    inst = vocab.id_of("Instrument", rng.choice(INSTRUMENTS))
+    start = [inst, BOS_ID, by_kind["BarNormal"][0], by_kind["Position"][0]]
+    ids = list(rng.choice([start] * 4 + [start[:2]] * 2 + [
+        [inst], [], [BOS_ID, inst],
+        [rng.randrange(vocab.size), rng.randrange(vocab.size)]]))
+    parts = ["BarNormal", "BarEmpty", "Position", "PitchDrum", "Pitch",
+             "Pitch Duration", "framing", "any"] + ["Pitch Duration Velocity"] * 4
+    for _ in range(rng.randrange(20)):
+        ids += [rng.choice(by_kind[kind]) for kind in rng.choice(parts).split()]
+    pitch, duration = by_kind["Pitch"][0], by_kind["Duration"][0]
+    ids += rng.choice([[EOS_ID], [EOS_ID, PAD_ID], [EOS_ID, pitch], [], [PAD_ID],
+                       [pitch], [pitch, duration], [pitch, EOS_ID]])
+    return ids, rng.randint(1, 6)
+
+
+def _decoded(ids, vocab):
+    try:
+        song = detokenize(build_track_seqs([ids], vocab), vocab)
+    except MalformedSequence as e:
+        return str(e)
+    return [song.n_bars] + [[t.instrument] + [[n.pitch, n.onset, n.duration,
+                                               n.velocity] for n in t.notes]
+                            for t in song.tracks]
+
+
+# recorded before `TrackGrammar` read one token at a time, when a Pitch
+# looked two ids ahead for its Duration and Velocity
+SOUP_DIGEST = "e7996b8fcef816a786d8f404314d99b37f190c3f7cd6f7fe5460d4c2e8c67729"
+
+
+def _soup_digest(vocab, n=2000) -> str:
+    by_kind = {"framing": [PAD_ID, BOS_ID, EOS_ID], "any": range(vocab.size)}
+    for i, spec in enumerate(vocab.specs):
+        by_kind.setdefault(spec.kind, []).append(i)
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    for _ in range(n):
+        ids, b_ref = _id_soup(rng, vocab, by_kind)
+        fixed, edits = repair_track_ids(ids, b_ref, vocab)
+        h.update(json.dumps([ids, b_ref, fixed, edits, _decoded(ids, vocab),
+                             _decoded(fixed, vocab)]).encode())
+    return h.hexdigest()
+
+
+def test_repair_and_detokenize_match_golden_soup_digest(vocab):
+    assert _soup_digest(vocab) == SOUP_DIGEST
 
 
 # -- generation --------------------------------------------------------------------

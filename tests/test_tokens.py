@@ -14,10 +14,10 @@ from bandgen.score import TICKS_PER_BAR, Note, Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, DURATION_MESH, EOS_ID, PAD_ID,
                             build_track_seqs, build_vocab, corpus_stats,
-                            detokenize, dump_token_corpus, dump_vocab,
-                            load_token_corpus, load_vocab, snap_song,
-                            snap_to_mesh, tokenize_remi_plus, tokenize_song,
-                            velocity_bin, velocity_decode)
+                            detokenize, drum_key, dump_token_corpus, dump_vocab,
+                            load_token_corpus, load_vocab, snap_position,
+                            snap_song, snap_to_mesh, tokenize_remi_plus,
+                            tokenize_song, velocity_bin, velocity_decode)
 
 
 def test_vocab_layout_is_frozen(vocab):
@@ -72,19 +72,19 @@ def test_snap_to_mesh():
     assert snap_to_mesh(1000) == 384
 
 
-def test_snap_position(vocab):
-    assert vocab.snap_position(0) == 0
-    assert vocab.snap_position(1) == 0
-    assert vocab.snap_position(2) == 4   # half-up
-    assert vocab.snap_position(190) == 188  # clamped to last slot
+def test_snap_position():
+    assert snap_position(0) == 0
+    assert snap_position(1) == 0
+    assert snap_position(2) == 4   # half-up
+    assert snap_position(190) == 188  # clamped to last slot
 
 
-def test_drum_key_folding(vocab):
-    assert vocab.drum_key(36) == 36
-    assert vocab.drum_key(30) == 29  # tie between 29 and 31 -> lower
-    assert vocab.drum_key(33) == 31  # tie between 31 and 35 -> lower
-    assert vocab.drum_key(0) == 25
-    assert vocab.drum_key(127) == 59
+def test_drum_key_folding():
+    assert drum_key(36) == 36
+    assert drum_key(30) == 29  # tie between 29 and 31 -> lower
+    assert drum_key(33) == 31  # tie between 31 and 35 -> lower
+    assert drum_key(0) == 25
+    assert drum_key(127) == 59
 
 
 def test_track_sequence_structure(vocab):
@@ -182,11 +182,13 @@ def test_detokenize_error_positions(vocab):
     dur = vocab.id_of("Duration", 24)
     vel = vocab.id_of("Velocity", 16)
 
-    def err(ids, track=0):
-        seqs = build_track_seqs([ids], vocab)
+    def err_tracks(lists):
         with pytest.raises(MalformedSequence) as e:
-            detokenize(seqs, vocab)
+            detokenize(build_track_seqs(lists, vocab), vocab)
         return e.value
+
+    def err(ids):
+        return err_tracks([ids])
 
     assert err([pos0]).index == 0                 # missing Instrument
     assert err([inst, pos0]).index == 1           # missing BOS
@@ -194,6 +196,19 @@ def test_detokenize_error_positions(vocab):
     assert (e.track, e.index) == (0, 2)
     assert err([inst, BOS_ID, bar, pitch, dur, vel]).index == 3  # no Position
     assert err([inst, BOS_ID, bar, pos0, pitch, dur]).index == 4  # orphan Pitch
+    # a note broken off by any token but its next part, or by the end of the
+    # list, is reported at its Pitch
+    pitch2 = vocab.id_of("Pitch", 64)
+    for opened in ([pitch], [pitch, dur]):
+        for tail in ([bar, pos0, pitch, dur, vel], [EOS_ID], [PAD_ID],
+                     [pitch2, dur, vel], [vel] if opened == [pitch] else [dur], []):
+            e = err([inst, BOS_ID, bar, pos0] + opened + tail)
+            assert (str(e), e.index) == (
+                "Pitch without Duration+Velocity (track 0, index 4)", 4)
+    # a shorter track pads after its open note
+    e = err_tracks([[inst, BOS_ID, bar, EOS_ID, PAD_ID, PAD_ID],
+                    [inst, BOS_ID, bar, pos0, pitch]])
+    assert (e.track, e.index) == (1, 4)
     assert err([inst, BOS_ID, bar, pos0, dur]).index == 4  # stray Duration
     e = err([inst, BOS_ID, bar, EOS_ID, bar])     # content after EOS
     assert e.index == 4

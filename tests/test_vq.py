@@ -49,17 +49,6 @@ def test_quantize_tie_goes_to_lower_index():
     np.testing.assert_array_equal(codes, np.zeros((1, 8), dtype=np.int64))
 
 
-def test_quantize_single_vector_squeezes_batch_axis():
-    codebook = RNG.standard_normal((4, 2))
-    z = RNG.standard_normal(16)
-    codes, z_q = quantize_vectors(z, codebook)
-    assert codes.shape == (8,)
-    assert z_q.shape == (16,)
-    batch_codes, batch_q = quantize_vectors(z[None, :], codebook)
-    np.testing.assert_array_equal(batch_codes[0], codes)
-    np.testing.assert_array_equal(batch_q[0], z_q)
-
-
 def test_quantize_empty_codebook_raises():
     with pytest.raises(EmptyCodebook):
         quantize_vectors(RNG.standard_normal((2, 16)), np.zeros((0, 2)))
