@@ -259,22 +259,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def _normalize(x: np.ndarray):
-    """x normalized over its last axis, and the VJP of that map."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """x normalized over its last axis, the inverse standard deviation it
+    was scaled by, and the VJP of that map. One pass takes the mean and
+    one the variance of the centred x, which also gives the output: the
+    values are those of `x.mean` and `x.var`, bit for bit."""
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    y = (x - mu) * inv
+    y = centred * inv
 
     def vjp(g):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * y).mean(axis=-1, keepdims=True)
         return inv * (g - gm - y * gym)
-    return y, vjp
+    return y, inv, vjp
 
 
 def layer_norm(x: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no gain/bias)."""
-    y, vjp = _normalize(x.data)
+    y, _, vjp = _normalize(x.data)
     return Tensor(y, parents=(x,), vjps=(vjp,), op="layer_norm")
 
 
@@ -285,7 +289,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def layer_norm_affine(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     """layer_norm(x) * g + b over the last axis, as one node."""
-    y, vjp = _normalize(x.data)
+    y, _, vjp = _normalize(x.data)
     return Tensor(y * g.data + b.data, parents=(x, g, b),
                   vjps=(lambda gout: vjp(gout * g.data),
                         lambda gout: _rows(gout * y).sum(axis=0),

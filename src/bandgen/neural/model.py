@@ -18,14 +18,16 @@ attention core and affine layer norm is one autograd node (`linear`,
 `attention`, `layer_norm_affine`) with a hand-written backward.
 
 Decoding is incremental: `model_forward` with a `DecodeCache` runs the grid
-stage once, then on each call only the positions the cache has not seen go
-through the token embedding and both decoder stacks, attending the cached
-keys and values of earlier positions, and only each track's last row is
-projected to logits. The cross-track layer mixes tracks within one bar, so
-bar b's exchange depends on bar b alone: it runs once, when every track has
-reached bar b, and the top decoder is then recomputed for each track from
-its bar-b token onward, nothing earlier. The logits equal the matching rows
-of the full forward to float rounding.
+stage once, and with it projects every decoder layer's cross-attention keys
+and values over E. On each call only the positions the cache has not seen
+are converted, checked and embedded, and go through both decoder stacks,
+attending the cached keys and values of earlier positions and of E; a
+single new position per track needs no causal mask. Only each track's last
+row is projected to logits. The cross-track layer mixes tracks within one
+bar, so bar b's exchange depends on bar b alone: it runs once, when every
+track has reached bar b, and the top decoder is then recomputed for each
+track from its bar-b token onward, nothing earlier. The logits equal the
+matching rows of the full forward to float rounding.
 """
 
 from __future__ import annotations
@@ -274,28 +276,37 @@ def _ffn(x: Tensor, params: dict, name: str) -> Tensor:
     return _linear(_linear(x, params, f"{name}_ffn1").relu(), params, f"{name}_ffn2")
 
 
-def multi_head_attention(x: Tensor, memory: Tensor, params: dict, name: str,
-                         heads: int, causal: bool = False,
-                         smat: Tensor | None = None,
+def _keys_values(memory: Tensor, params: dict, name: str) -> tuple[Tensor, Tensor]:
+    """Attention layer `name`'s keys and values [batch, Tk, d] of memory."""
+    return _linear(memory, params, f"{name}_k"), _linear(memory, params, f"{name}_v")
+
+
+def multi_head_attention(x: Tensor, memory: "Tensor | tuple[Tensor, Tensor]",
+                         params: dict, name: str, heads: int,
+                         causal: bool = False, smat: Tensor | None = None,
                          past: "_CachedRows | None" = None) -> Tensor:
     """Batched attention of the [batch, Tq, d] queries x over the
-    [batch, Tk, d] memory, which gives both keys and values.
+    [batch, Tk, d] memory, which gives both keys and values; memory may also
+    be its keys and values, already projected (`_keys_values`).
 
     With `smat` [batch, Tq, Tk], raw scores are multiplied elementwise by it
     (shared across heads) before scaling and masking. With `past`, memory
     holds only the query rows' own positions; their keys and values are
     cached and the queries attend every cached position up to their last.
-    Under `causal` the queries are the last Tq of the Tk positions. The
-    projections are `linear` nodes; the core between them, from the head
-    split to the head merge, is one `attention` node.
+    Under `causal` the queries are the last Tq of the Tk positions, so one
+    query row blocks nothing and builds no mask. The projections are
+    `linear` nodes; the core between them, from the head split to the head
+    merge, is one `attention` node.
     """
     q = _linear(x, params, f"{name}_q")
-    k = _linear(memory, params, f"{name}_k")
-    v = _linear(memory, params, f"{name}_v")
+    if isinstance(memory, tuple):
+        k, v = memory
+    else:
+        k, v = _keys_values(memory, params, name)
     if past is not None:
         k, v = past.attend(name, k, v)
     blocked = None
-    if causal:
+    if causal and q.shape[1] > 1:
         tq, tk = q.shape[1], k.shape[1]
         blocked = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
     return _linear(attention(q, k, v, heads, smat, blocked), params, f"{name}_o")
@@ -387,23 +398,26 @@ def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig,
                  stop: int | None = None, songs: int = 1) -> Tensor:
     """x~ [I, T, d]: token + position + bar + instrument embeddings; with
     `tracks`, `start` and `stop`, only positions start..stop-1 of those
-    tracks. The whole of `seqs` is validated either way. For `songs`
-    stacked songs, track r takes the instrument embedding of its slot
-    r % (I / songs) within its song."""
-    ids = np.asarray(seqs.seqs, dtype=np.int64)
-    bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
+    tracks. Only the embedded ids and bar indices are converted and checked
+    against the vocabulary and `b_max` (the cached path checked the earlier
+    positions when they were new); the width of `seqs` is checked against
+    `t_max` either way. For `songs` stacked songs, track r takes the
+    instrument embedding of its slot r % (I / songs) within its song."""
+    I = seqs.n_tracks
+    tracks = np.arange(I) if tracks is None else tracks
+    stop = seqs.length if stop is None else stop
+    ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
+    bar_idx = np.array([seqs.bar_index[i][start:stop] for i in tracks],
+                       dtype=np.int64)
     if ids.size and ids.max() >= cfg.vocab_size:
         raise IdOutOfVocab(f"token id {ids.max()} >= vocab {cfg.vocab_size}")
-    if ids.shape[1] > cfg.t_max:
-        raise DataError(f"sequence length {ids.shape[1]} exceeds t_max {cfg.t_max}")
+    if seqs.length > cfg.t_max:
+        raise DataError(f"sequence length {seqs.length} exceeds t_max {cfg.t_max}")
     if bar_idx.size and bar_idx.max() >= cfg.b_max:
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
-    I, T = ids.shape
-    tracks = np.arange(I) if tracks is None else tracks
-    stop = T if stop is None else stop
-    x = take(params["te"], ids[tracks, start:stop])
+    x = take(params["te"], ids)
     x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d)[start:stop])
-    x = x + take(params["be"], bar_idx[tracks, start:stop])
+    x = x + take(params["be"], bar_idx)
     x = x + take(params["ie"], tracks % (I // songs)).reshape(len(tracks), 1, cfg.d)
     return x
 
@@ -436,25 +450,28 @@ def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
                                 causal=True, smat=smat, past=past)
 
 
-def _decoder_stack(x: Tensor, E: Tensor, smat: Tensor, params: dict,
+def _decoder_stack(x: Tensor, E: Tensor | None, smat: Tensor, params: dict,
                    prefix: str, n_layers: int, cfg: ModelConfig,
                    past: "_CachedRows | None") -> Tensor:
+    """Decoder layers over x; with `past`, E is not read: the cache holds the
+    cross-attention keys and values over it."""
     for l in range(n_layers):
         name = f"{prefix}{l}"
         a = _ln_affine(x + se_attention(x, smat, params, f"{name}_self", cfg, past),
                        params, f"{name}_ln1")
-        b = _ln_affine(a + multi_head_attention(a, E, params, f"{name}_cross",
+        memory = E if past is None else past.memory(f"{name}_cross")
+        b = _ln_affine(a + multi_head_attention(a, memory, params, f"{name}_cross",
                                                 cfg.heads), params, f"{name}_ln2")
         x = _ln_affine(b + _ffn(b, params, name), params, f"{name}_ln3")
     return x
 
 
-def bottom_decode(x: Tensor, E: Tensor, smat: Tensor, params: dict,
+def bottom_decode(x: Tensor, E: Tensor | None, smat: Tensor, params: dict,
                   cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
     return _decoder_stack(x, E, smat, params, "bot", cfg.layers_bottom, cfg, past)
 
 
-def top_decode(x: Tensor, E: Tensor, smat: Tensor, params: dict,
+def top_decode(x: Tensor, E: Tensor | None, smat: Tensor, params: dict,
                cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
     return _decoder_stack(x, E, smat, params, "top", cfg.layers_top, cfg, past)
 
@@ -497,21 +514,24 @@ def project_logits(O: Tensor, params: dict, songs: int = 1) -> Tensor:
 
 class DecodeCache:
     """What incremental decoding keeps between `model_forward` calls: the
-    grid and its stage, the ids each track was decoded through, the
-    self-attention keys and values of every decoder layer, the top-decoder
-    input rows (bottom outputs, cross-track outputs at exchanged bar tokens),
-    each track's last top-decoder output and how many bars were exchanged.
-    Keys, values and top-decoder inputs are all [I, capacity, d] (heads side
-    by side along d, as the projections make them) and grow along the
+    grid and its stage (S, and each decoder layer's cross-attention keys and
+    values over E, projected once), the ids each track was decoded through
+    and their bar indices, the self-attention keys and values of every
+    decoder layer, the top-decoder input rows (bottom outputs, cross-track
+    outputs at exchanged bar tokens), each track's last top-decoder output
+    and how many bars were exchanged. Bar indices are [I, capacity]; keys,
+    values and top-decoder inputs are [I, capacity, d] (heads side by side
+    along d, as the projections make them). All of them grow along the
     position axis by doubling. One cache serves one decoded piece; after a
     call that raised, start a new one."""
 
     def __init__(self):
         self.grid: FeatureGrid | None = None
-        self.E: Tensor | None = None
         self.S: Tensor | None = None
+        self.memory: dict[str, tuple[Tensor, Tensor]] = {}  # layer -> K, V [I, B, d]
         self.ids: list[list[int]] = []
         self.bars_exchanged = 0
+        self.bars = np.zeros((0, 0), dtype=np.int64)  # [I, capacity]
         self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
         self.last = np.zeros((0, 0))               # [I, d]
         self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
@@ -522,6 +542,7 @@ class DecodeCache:
         cached."""
         if not self.ids:
             self.ids = [[] for _ in seqs.seqs]
+            self.bars = np.zeros((len(seqs.seqs), seqs.length), dtype=np.int64)
             self.top_in = np.zeros((len(seqs.seqs), seqs.length, d))
             self.last = np.zeros((len(seqs.seqs), d))
         if any(n < len(done) or ids[:len(done)] != done
@@ -530,6 +551,7 @@ class DecodeCache:
         if seqs.length > self.top_in.shape[1]:
             size = max(seqs.length, 2 * self.top_in.shape[1])
             pad = ((0, 0), (0, size - self.top_in.shape[1]), (0, 0))
+            self.bars = np.pad(self.bars, pad[:2])
             self.top_in = np.pad(self.top_in, pad)
             for pair in self.kv.values():
                 pair[:] = [np.pad(a, pad) for a in pair]
@@ -557,6 +579,12 @@ class _CachedRows:
             out.append(Tensor(buf[self.tracks, :stop]))
         return out[0], out[1]
 
+    def memory(self, name: str) -> tuple[Tensor, Tensor]:
+        """Cross-attention layer `name`'s keys and values over the query
+        tracks' bars."""
+        k, v = self.cache.memory[name]
+        return k[self.tracks], v[self.tracks]
+
 
 def _row_groups(first: np.ndarray, lengths: list[int]):
     """Tracks grouped by the positions first[i]..lengths[i]-1 left to
@@ -572,18 +600,22 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
                     cfg: ModelConfig, cache: DecodeCache) -> Tensor:
     """`model_forward` with a cache: see the module docstring."""
     if cache.grid is None:
+        E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
+        cache.S = bar_similarity(E, params, cfg)
+        layers = ([f"bot{l}_cross" for l in range(cfg.layers_bottom)]
+                  + [f"top{l}_cross" for l in range(cfg.layers_top)])
+        cache.memory = {name: _keys_values(E, params, name) for name in layers}
         cache.grid = grid
-        cache.E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
-        cache.S = bar_similarity(cache.E, params, cfg)
     elif grid is not cache.grid:
         raise UsageError("the decode cache holds another grid")
-    E, S = cache.E, cache.S
+    S = cache.S
     seen = cache._admit(seqs, cfg.d)
-    bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
     for (start, stop), tracks in _row_groups(seen, seqs.lengths):
-        smat = expand_similarity(S[tracks], bar_idx[tracks, :stop], start)
+        cache.bars[tracks, start:stop] = [seqs.bar_index[i][start:stop]
+                                          for i in tracks]
+        smat = expand_similarity(S[tracks], cache.bars[tracks, :stop], start)
         x = embed_tokens(seqs, params, cfg, tracks, start, stop)
-        O = bottom_decode(x, E[tracks], smat, params, cfg,
+        O = bottom_decode(x, None, smat, params, cfg,
                           _CachedRows(cache, tracks, start))
         cache.top_in[tracks, start:stop] = O.data
     redo = seen
@@ -597,8 +629,8 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
             redo = np.minimum(redo, [p[0] for p in fresh])
             cache.bars_exchanged += shared
     for (start, stop), tracks in _row_groups(redo, seqs.lengths):
-        smat = expand_similarity(S[tracks], bar_idx[tracks, :stop], start)
-        O = top_decode(Tensor(cache.top_in[tracks, start:stop]), E[tracks], smat,
+        smat = expand_similarity(S[tracks], cache.bars[tracks, :stop], start)
+        O = top_decode(Tensor(cache.top_in[tracks, start:stop]), None, smat,
                        params, cfg, _CachedRows(cache, tracks, start))
         cache.last[tracks] = O.data[:, -1]
     cache.ids = [ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)]

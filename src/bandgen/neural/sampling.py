@@ -11,7 +11,9 @@ sampling step is recorded in an audit log.
 
 Decoding is incremental and runs without a tape: one `DecodeCache` per call
 keeps the grid stage and every decoder layer's keys and values, so a step
-computes one new position per active track. Only the cross-track layer
+computes one new position per active track. The softmax and the top-k
+order of all active tracks are one batched computation per step; the draws
+then follow in track order. Only the cross-track layer
 reaches back: when all tracks have reached bar b, it exchanges bar b once
 and the top decoder is recomputed from each track's bar-b token onward, so
 a cover of n bars redoes at most n such spans (see `bandgen.neural.model`).
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bpe import BpeModel, bpe_decode
-from ..errors import DegenerateVocab, UsageError
+from ..errors import DataError, DegenerateVocab, UsageError
 from ..features import FeatureGrid
 from ..tokens import (BAR_KINDS, BOS_ID, EOS_ID, TrackGrammar, TrackTokenSeqs,
                       Vocab, build_track_seqs)
@@ -64,17 +66,18 @@ class GenerationResult:
 
 
 def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
-                 ) -> tuple[int, tuple[int, ...]]:
-    order = np.argsort(-probs, kind="stable")
-    top = order[:k]
-    weights = probs[top]
-    total = weights.sum()
-    if total <= 0:
-        weights = np.full(len(top), 1.0 / len(top))
-    else:
-        weights = weights / total
-    choice = int(rng.choice(top, p=weights))
-    return choice, tuple(int(t) for t in top)
+                 ) -> list[tuple[int, tuple[int, ...]]]:
+    """Draw one id per row of probs [n, V] from the row's k most probable
+    ids (ties in id order), renormalized, or uniform over them when their
+    mass is zero. The draws use `rng` in row order; returns (id, top ids)
+    per row."""
+    top = np.argsort(-probs, axis=-1, kind="stable")[:, :k]
+    weights = np.take_along_axis(probs, top, axis=-1)
+    total = weights.sum(axis=-1, keepdims=True)
+    weights = np.divide(weights, total, where=total > 0,
+                        out=np.full(weights.shape, 1.0 / top.shape[1]))
+    return [(int(rng.choice(ids, p=p)), tuple(ids.tolist()))
+            for ids, p in zip(top, weights)]
 
 
 def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
@@ -88,6 +91,10 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     k = top_k_count(cfg.vocab_size, k_frac)
     if cfg.vocab_size < 3:
         raise DegenerateVocab(f"vocab of {cfg.vocab_size} cannot be sampled")
+    decodable = vocab.size if bpe_model is None else bpe_model.vocab_size
+    if cfg.vocab_size > decodable:
+        raise DataError(f"the model samples {cfg.vocab_size} ids, but only "
+                        f"{decodable} can be decoded")
     if t_max is not None and t_max < 3:
         # every track starts with [Instrument, BOS]
         raise UsageError(f"t_max must leave room for a sampled token, got {t_max}")
@@ -107,14 +114,12 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
         seqs = build_track_seqs(lists, vocab)
         logits = model_forward(seqs, grid, params, cfg, cache=cache)
         step = len(step_seconds)
-        for ti, ids in enumerate(lists):
-            if ids[-1] == EOS_ID:
-                continue
-            row = logits.data[ti, 0]
-            row = row - row.max()
-            probs = np.exp(row)
-            probs /= probs.sum()
-            choice, top = _topk_sample(probs, k, rng)
+        active = [ti for ti, ids in enumerate(lists) if ids[-1] != EOS_ID]
+        rows = logits.data[active, 0]
+        probs = np.exp(rows - rows.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        for ti, (choice, top) in zip(active, _topk_sample(probs, k, rng)):
+            ids = lists[ti]
             if choice in bar_ids and len(seqs.bar_token_positions[ti]) >= b_ref:
                 # the bar that would exceed the reference stops the track
                 ids.append(EOS_ID)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bandgen.errors import NonFiniteError
-from bandgen.neural.autograd import (Tensor, attention, concat,
-                                     cross_entropy_logits, layer_norm,
+from bandgen.neural.autograd import (LN_EPS, Tensor, _normalize, attention,
+                                     concat, cross_entropy_logits, layer_norm,
                                      layer_norm_affine, linear, no_grad,
                                      put_pairs, softmax, straight_through, take)
 from bandgen.neural.model import expand_similarity
@@ -351,6 +351,31 @@ def test_attention_blocked_scores_get_exactly_zero_gradient():
     k, v, _ = run(seed_last_row=False)
     assert np.all(k.grad[:, -1] == 0.0) and np.all(v.grad[:, -1] == 0.0)
     assert np.all(k.grad[:, 0] != 0.0)
+
+
+def two_pass_normalize(x):
+    """`_normalize` as `x.mean` and `x.var` compute it."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    y = (x - mu) * inv
+
+    def vjp(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        return inv * (g - gm - y * gym)
+    return y, inv, vjp
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 32), (3, 37, 32), (2, 50, 256)])
+def test_normalize_is_bit_identical_to_mean_and_var(shape):
+    x = RNG.standard_normal(shape) * 3 + 5
+    g = RNG.standard_normal(shape)
+    y, inv, vjp = _normalize(x)
+    y_ref, inv_ref, vjp_ref = two_pass_normalize(x)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(inv, inv_ref)
+    assert np.array_equal(vjp(g), vjp_ref(g))
 
 
 def test_layer_norm_affine_matches_the_composition():

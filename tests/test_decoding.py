@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bandgen.bpe import bpe_encode, learn_bpe
-from bandgen.errors import BarCountMismatch, DataError, UsageError
+from bandgen.errors import (BarCountMismatch, BarIndexOutOfRange, DataError,
+                            IdOutOfVocab, UsageError)
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
 from bandgen.neural import (DecodeCache, batch_loss, generate, init_params,
@@ -308,3 +309,70 @@ def test_generate_step_cost_does_not_grow_with_the_prefix(vocab, monkeypatch):
     assert embedded[1:] == list(per_step[:len(steps) - 1])
     redone = sum(rows["top_decode"]) - sum(embedded)
     assert 0 < redone <= grid.n_bars * tracks * max(map(len, result.raw_lists))
+
+
+@pytest.mark.parametrize("preset, per_step", [("toy", 17), ("paper", 49)])
+def test_decode_step_census(vocab, monkeypatch, preset, per_step):
+    """Counted rather than timed: a steady cached step (every track active,
+    no bar exchanged) makes 8 `linear` calls per decoder layer (self q, k,
+    v, o; cross q, o; two feed-forward) and one for the heads. The
+    cross-attention keys and values over E are projected once per cover,
+    in the first call, one call each per decoder layer."""
+    weights = []
+    real = model_module.linear
+
+    def counting(x, w, b):
+        weights.append(id(w))
+        return real(x, w, b)
+
+    monkeypatch.setattr(model_module, "linear", counting)
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = make_config(preset, vocab_size=vocab.size)
+    params = init_params(cfg)
+    layers = cfg.layers_bottom + cfg.layers_top
+    assert per_step == 8 * layers + 1
+    cross = {id(params[f"{prefix}{l}_cross_{kv}_w"]) for kv in "kv"
+             for prefix, n in (("bot", cfg.layers_bottom), ("top", cfg.layers_top))
+             for l in range(n)}
+    cache, grid = DecodeCache(), grid_of(song)
+    calls, steady = [], []
+    for t in range(2, 12):
+        before, exchanged = len(weights), cache.bars_exchanged
+        model_forward(build_track_seqs([ids[:t] for ids in lists], vocab), grid,
+                      params, cfg, cache=cache)
+        calls.append(weights[before:])
+        if t > 2 and cache.bars_exchanged == exchanged:
+            steady.append(len(weights) - before)
+    assert cache.bars_exchanged == 1 and len(steady) == 8
+    assert steady == [per_step] * len(steady)
+    cross_calls = [sum(w in cross for w in call) for call in calls]
+    assert cross_calls == [2 * layers] + [0] * (len(calls) - 1)
+
+
+def test_cached_path_checks_new_positions(vocab):
+    """An id past the vocabulary or a bar past `b_max` at a new position
+    raises on the cached path, after a prefix it accepted, as on the full
+    forward; so does a width past `t_max`."""
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg(t_max=40, b_max=2)
+    params, grid = init_params(cfg), grid_of(song)
+    bar = vocab.id_of("BarNormal", 0)
+    ok = [ids[:30] for ids in lists]
+    # each track through its second bar token, the last bar b_max allows
+    bars = [ids[:p[1] + 1] for ids, p in
+            zip(lists, tokenize_song(song, vocab).bar_token_positions)]
+    cases = [(IdOutOfVocab, ok, [ids + [vocab.size + 5] for ids in ok]),
+             (BarIndexOutOfRange, bars, [ids + [bar] for ids in bars]),
+             (DataError, ok, [ids[:40] for ids in lists[:3]] + [lists[3][:41]])]
+    for error, prefix, bad in cases:
+        seqs = build_track_seqs(bad, vocab)
+        assert seqs.length <= cfg.t_max or error is DataError
+        with pytest.raises(error):
+            model_forward(seqs, grid, params, cfg)
+        cache = DecodeCache()
+        model_forward(build_track_seqs(prefix, vocab), grid, params, cfg,
+                      cache=cache)
+        with pytest.raises(error):
+            model_forward(seqs, grid, params, cfg, cache=cache)

@@ -13,6 +13,7 @@ from bandgen.errors import (DataError, DegenerateVocab, MalformedSequence,
 from bandgen.features import extract_expert_features, quantize_features
 from bandgen.neural import (generate, init_params, make_config,
                             repair_track_ids, top_k_count)
+from bandgen.neural import sampling
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.sampling import _topk_sample
 from bandgen.score import INSTRUMENTS
@@ -39,29 +40,59 @@ def test_top_k_count_oracles():
 
 
 def test_topk_sample_picks_from_largest():
-    probs = np.array([0.4, 0.1, 0.35, 0.15])
+    probs = np.array([[0.4, 0.1, 0.35, 0.15]])
     rng = np.random.default_rng(0)
     for _ in range(20):
-        choice, top = _topk_sample(probs, 2, rng)
+        [(choice, top)] = _topk_sample(probs, 2, rng)
         assert top == (0, 2)
         assert choice in (0, 2)
 
 
 def test_topk_sample_stable_tie_order():
-    probs = np.array([0.25, 0.25, 0.25, 0.25])
-    _, top = _topk_sample(probs, 3, np.random.default_rng(0))
+    probs = np.array([[0.25, 0.25, 0.25, 0.25]])
+    [(_, top)] = _topk_sample(probs, 3, np.random.default_rng(0))
     assert top == (0, 1, 2)
 
 
 def test_topk_sample_degenerate_mass_falls_back_to_uniform():
-    probs = np.zeros(5)
+    probs = np.zeros((1, 5))
     seen = set()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        choice, top = _topk_sample(probs, 3, rng)
+        [(choice, top)] = _topk_sample(probs, 3, rng)
         assert top == (0, 1, 2)
         seen.add(choice)
     assert seen == {0, 1, 2}
+
+
+def test_topk_sample_rows_of_pure_ties_and_of_zero_mass():
+    """Each row keeps its own top-k and fallback: a row of ties takes its
+    first k ids, a row without mass draws uniformly over its top k, and
+    neither changes the ordinary row between them."""
+    probs = np.array([[0.2] * 5, [0.0] * 5, [0.1, 0.5, 0.0, 0.4, 0.0],
+                      [1 / 3] * 3 + [0.0] * 2])
+    seen = [set() for _ in probs]
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        picks = _topk_sample(probs, 3, rng)
+        assert [top for _, top in picks] == [(0, 1, 2), (0, 1, 2), (1, 3, 0),
+                                             (0, 1, 2)]
+        for row, (choice, _) in zip(seen, picks):
+            row.add(choice)
+    assert seen == [{0, 1, 2}, {0, 1, 2}, {0, 1, 3}, {0, 1, 2}]
+
+
+def test_topk_sample_draws_rows_in_order_as_one_at_a_time():
+    """A batch of rows gives the ids and draws of the same rows sampled one
+    at a time from one generator, ties and zero-mass rows included."""
+    probs = RNG.dirichlet(np.ones(40), size=7)
+    probs[2] = 0.0
+    probs[4, :10] = probs[4, 10:20]
+    for k in (1, 3, 40, 50):
+        batched = _topk_sample(probs, k, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        single = [_topk_sample(row[None], k, rng)[0] for row in probs]
+        assert batched == single
 
 
 # -- repair ------------------------------------------------------------------------
@@ -329,6 +360,25 @@ def test_generate_rejects_degenerate_vocab(vocab, gen_setup):
     cfg = small_cfg(vocab_size=2)
     with pytest.raises(DegenerateVocab):
         generate(grid, init_params(cfg), cfg, vocab)
+
+
+def test_generate_rejects_a_model_vocab_it_cannot_decode(vocab, monkeypatch):
+    """A model that samples ids the vocabulary (and merges) cannot decode is
+    refused before the first step, not after the whole cover."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("model_forward ran")
+
+    monkeypatch.setattr(sampling, "model_forward", no_step)
+    grid = quantize_features(extract_expert_features(make_song(seed=4, n_bars=2)))
+    cfg = make_config("toy", vocab_size=vocab.size + 200)
+    with pytest.raises(DataError):
+        generate(grid, init_params(cfg), cfg, vocab)
+    seqs = tokenize_song(make_song(seed=1, n_bars=2), vocab)
+    model = learn_bpe([ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)],
+                      vocab, target_size=vocab.size + 5)
+    cfg = small_cfg(vocab_size=model.vocab_size + 1)
+    with pytest.raises(DataError):
+        generate(grid, init_params(cfg), cfg, vocab, bpe_model=model)
 
 
 def test_generate_rejects_parameters_that_do_not_fit_the_config(vocab, gen_setup):
