@@ -5,8 +5,8 @@ every (track chunk, channel) pair with notes becomes one Track. Channel 10
 (index 9) is percussion. Tempo events are ignored: all songs are treated as
 120 BPM. Any meter event other than 4/4 rejects the file.
 
-The writer emits a format-1 file at a configurable division so quantized
-songs round-trip exactly.
+The writer emits a format-1 file at the song's own resolution (its
+division), so quantized songs round-trip exactly.
 """
 
 from __future__ import annotations

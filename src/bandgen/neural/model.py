@@ -398,17 +398,16 @@ def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig,
                  stop: int | None = None, songs: int = 1) -> Tensor:
     """x~ [I, T, d]: token + position + bar + instrument embeddings; with
     `tracks`, `start` and `stop`, only positions start..stop-1 of those
-    tracks. Only the embedded ids and bar indices are converted and checked
-    against the vocabulary and `b_max` (the cached path checked the earlier
-    positions when they were new); the width of `seqs` is checked against
-    `t_max` either way. For `songs` stacked songs, track r takes the
-    instrument embedding of its slot r % (I / songs) within its song."""
+    tracks. Only the embedded ids and bar indices are checked against the
+    vocabulary and `b_max` (the cached path checked the earlier positions
+    when they were new); the width of `seqs` is checked against `t_max`
+    either way. For `songs` stacked songs, track r takes the instrument
+    embedding of its slot r % (I / songs) within its song."""
     I = seqs.n_tracks
     tracks = np.arange(I) if tracks is None else tracks
     stop = seqs.length if stop is None else stop
     ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
-    bar_idx = np.array([seqs.bar_index[i][start:stop] for i in tracks],
-                       dtype=np.int64)
+    bar_idx = seqs.bar_index()[tracks, start:stop]
     if ids.size and ids.max() >= cfg.vocab_size:
         raise IdOutOfVocab(f"token id {ids.max()} >= vocab {cfg.vocab_size}")
     if seqs.length > cfg.t_max:
@@ -435,7 +434,6 @@ def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tenso
     """S~ [I, T - start, T] tiling bar-level scores over token positions:
     S~[i, t1, t2] = S[i, bar_index[i, start + t1], bar_index[i, t2]]; the
     rows are the query positions from `start` on."""
-    bar_index = np.asarray(bar_index, dtype=np.int64)
     if bar_index.size and bar_index.max() >= S.shape[-1]:
         raise BarIndexOutOfRange(
             f"bar index {bar_index.max()} >= {S.shape[-1]} bars")
@@ -515,15 +513,16 @@ def project_logits(O: Tensor, params: dict, songs: int = 1) -> Tensor:
 class DecodeCache:
     """What incremental decoding keeps between `model_forward` calls: the
     grid and its stage (S, and each decoder layer's cross-attention keys and
-    values over E, projected once), the ids each track was decoded through
-    and their bar indices, the self-attention keys and values of every
-    decoder layer, the top-decoder input rows (bottom outputs, cross-track
-    outputs at exchanged bar tokens), each track's last top-decoder output
-    and how many bars were exchanged. Bar indices are [I, capacity]; keys,
-    values and top-decoder inputs are [I, capacity, d] (heads side by side
-    along d, as the projections make them). All of them grow along the
-    position axis by doubling. One cache serves one decoded piece; after a
-    call that raised, start a new one."""
+    values over E, projected once), the ids each track was decoded through,
+    the self-attention keys and values of every decoder layer, the
+    top-decoder input rows (bottom outputs, cross-track outputs at exchanged
+    bar tokens), each track's last top-decoder output and how many bars
+    were exchanged. Bar indices are not kept: each call derives them from
+    its sequences (`TrackTokenSeqs.bar_index`). Keys, values and top-decoder
+    inputs are [I, capacity, d] (heads side by side along d, as the
+    projections make them) and grow along the position axis by doubling.
+    One cache serves one decoded piece; after a call that raised, start a
+    new one."""
 
     def __init__(self):
         self.grid: FeatureGrid | None = None
@@ -531,7 +530,6 @@ class DecodeCache:
         self.memory: dict[str, tuple[Tensor, Tensor]] = {}  # layer -> K, V [I, B, d]
         self.ids: list[list[int]] = []
         self.bars_exchanged = 0
-        self.bars = np.zeros((0, 0), dtype=np.int64)  # [I, capacity]
         self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
         self.last = np.zeros((0, 0))               # [I, d]
         self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
@@ -542,7 +540,6 @@ class DecodeCache:
         cached."""
         if not self.ids:
             self.ids = [[] for _ in seqs.seqs]
-            self.bars = np.zeros((len(seqs.seqs), seqs.length), dtype=np.int64)
             self.top_in = np.zeros((len(seqs.seqs), seqs.length, d))
             self.last = np.zeros((len(seqs.seqs), d))
         if any(n < len(done) or ids[:len(done)] != done
@@ -551,7 +548,6 @@ class DecodeCache:
         if seqs.length > self.top_in.shape[1]:
             size = max(seqs.length, 2 * self.top_in.shape[1])
             pad = ((0, 0), (0, size - self.top_in.shape[1]), (0, 0))
-            self.bars = np.pad(self.bars, pad[:2])
             self.top_in = np.pad(self.top_in, pad)
             for pair in self.kv.values():
                 pair[:] = [np.pad(a, pad) for a in pair]
@@ -610,10 +606,9 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
         raise UsageError("the decode cache holds another grid")
     S = cache.S
     seen = cache._admit(seqs, cfg.d)
+    bars = seqs.bar_index()
     for (start, stop), tracks in _row_groups(seen, seqs.lengths):
-        cache.bars[tracks, start:stop] = [seqs.bar_index[i][start:stop]
-                                          for i in tracks]
-        smat = expand_similarity(S[tracks], cache.bars[tracks, :stop], start)
+        smat = expand_similarity(S[tracks], bars[tracks, :stop], start)
         x = embed_tokens(seqs, params, cfg, tracks, start, stop)
         O = bottom_decode(x, None, smat, params, cfg,
                           _CachedRows(cache, tracks, start))
@@ -629,7 +624,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
             redo = np.minimum(redo, [p[0] for p in fresh])
             cache.bars_exchanged += shared
     for (start, stop), tracks in _row_groups(redo, seqs.lengths):
-        smat = expand_similarity(S[tracks], cache.bars[tracks, :stop], start)
+        smat = expand_similarity(S[tracks], bars[tracks, :stop], start)
         O = top_decode(Tensor(cache.top_in[tracks, start:stop]), None, smat,
                        params, cfg, _CachedRows(cache, tracks, start))
         cache.last[tracks] = O.data[:, -1]
@@ -672,8 +667,7 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     C = embed_conditions(grid, params, cfg)
     E = encode_features(C, params, cfg)
     S = bar_similarity(E, params, cfg)
-    bar_idx = np.asarray(seqs.bar_index, dtype=np.int64)
-    smat = expand_similarity(S, bar_idx)
+    smat = expand_similarity(S, seqs.bar_index())
     x = embed_tokens(seqs, params, cfg, songs=songs)
     O = bottom_decode(x, E, smat, params, cfg)
     if cfg.layers_ctt:

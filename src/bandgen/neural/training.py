@@ -1,24 +1,25 @@
 """Training loop and gradient verification for the sequence model.
 
-Training pairs must be aligned: the sequences have the grid's tracks, each
-holding `grid.n_bars` bar tokens (`model_forward` accepts tracks bars apart,
-as decoding makes them); `check_pair` is the rule, and `batch_loss` applies
-it to every pair once. A batch runs as one graph per group of songs that
-share their track and bar counts, in the order the groups first appear: the
-songs of a group are stacked along the track axis and padded with PAD to the
-group's longest sequence (see `model_forward`). Padding is never a target
-and no real position attends it, so the summed loss and its gradients are
-those of the songs run one at a time, up to float rounding. Songs of
-different bar counts are never padded to one another: they run as separate
-graphs.
+Training pairs must be aligned: the sequences have the grid's tracks, at
+most `MAX_TRACKS` of them, each holding `grid.n_bars` bar tokens
+(`model_forward` accepts tracks bars apart, as decoding makes them);
+`check_pair` is the rule, and `batch_loss` applies it to every pair once. A
+batch runs as one graph per group of songs that share their track and bar
+counts, in the order the groups first appear: the songs of a group are
+stacked along the track axis and padded with PAD to the group's longest
+sequence (see `model_forward`). Padding is never a target and no real
+position attends it, so the summed loss and its gradients are those of the
+songs run one at a time, up to float rounding. Songs of different bar counts
+are never padded to one another: they run as separate graphs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BarCountMismatch
+from ..errors import BarCountMismatch, DataError, UsageError
 from ..features import N_VQ_GROUPS, FeatureGrid
+from ..score import MAX_TRACKS
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import Tensor, no_grad
 from .model import ModelConfig, init_params, model_forward, sequence_loss
@@ -28,8 +29,12 @@ Pair = tuple[TrackTokenSeqs, FeatureGrid]
 
 
 def check_pair(seqs: TrackTokenSeqs, grid: FeatureGrid) -> None:
-    """Raise `BarCountMismatch` unless the sequences have the grid's tracks,
-    each holding `grid.n_bars` bar tokens."""
+    """Raise `DataError` for more than `MAX_TRACKS` tracks, and
+    `BarCountMismatch` unless the sequences have the grid's tracks, each
+    holding `grid.n_bars` bar tokens."""
+    if seqs.n_tracks > MAX_TRACKS:
+        raise DataError(f"{seqs.n_tracks} tracks exceed the {MAX_TRACKS} "
+                        f"track slots")
     counts = [len(p) for p in seqs.bar_token_positions]
     if seqs.n_tracks != grid.n_tracks or set(counts) - {grid.n_bars}:
         raise BarCountMismatch(f"bar token counts {counts} do not fit a grid "
@@ -47,17 +52,11 @@ def _groups(pairs: list[Pair]) -> list[list[Pair]]:
 
 
 def _stack_seqs(parts: list[TrackTokenSeqs]) -> TrackTokenSeqs:
-    """The tracks of every part, padded to the longest as `build_track_seqs`
-    pads: PAD ids, and the bar index of each track's last position."""
+    """The tracks of every part, padded with PAD to the longest."""
     width = max(s.length for s in parts)
-    seqs, bar_index = [], []
-    for s in parts:
-        pad = width - s.length
-        seqs += [row + [PAD_ID] * pad for row in s.seqs]
-        bar_index += [row + (row[-1:] or [0]) * pad for row in s.bar_index]
-    return TrackTokenSeqs(seqs, bar_index,
+    return TrackTokenSeqs([row + [PAD_ID] * (width - s.length)
+                           for s in parts for row in s.seqs],
                           [p for s in parts for p in s.bar_token_positions],
-                          max(s.n_bars for s in parts),
                           [n for s in parts for n in s.lengths])
 
 
@@ -116,6 +115,8 @@ def train_model(pairs: list[Pair], cfg: ModelConfig, steps: int,
                 params: dict[str, Tensor] | None = None,
                 log=None) -> tuple[dict[str, Tensor], list[float]]:
     """Deterministic full-batch training; returns params and the loss trace."""
+    if steps < 0:
+        raise UsageError(f"steps must not be negative, got {steps}")
     if params is None:
         params = init_params(cfg)
     opt = Adam(params, lr=cfg.lr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError, EmptyCodebook
+from ..errors import DataError, EmptyCodebook, UsageError
 from ..tokens import EOS_ID, PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, cross_entropy_logits, no_grad, straight_through,
                        take)
@@ -147,6 +147,8 @@ def train_vqvae(corpus: list[TrackTokenSeqs], cfg: ModelConfig,
                 steps: int = 200, log=None) -> tuple[dict[str, Tensor], list[float]]:
     """Fit the autoencoder on all bar units of the corpus; returns the
     parameters and the per-step mean reconstruction-objective trace."""
+    if steps < 0:
+        raise UsageError(f"steps must not be negative, got {steps}")
     units: list[list[int]] = []
     for seqs in corpus:
         for track_units in bar_units(seqs):

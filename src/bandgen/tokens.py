@@ -22,6 +22,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, EmptyCorpus, MalformedSequence, NoteOutOfRange
 from .score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS, TICKS_PER_BAR,
                     Note, Song, Track, dump_records, load_records,
@@ -120,11 +122,11 @@ def build_vocab() -> Vocab:
 
 @dataclass(slots=True)
 class TrackTokenSeqs:
-    """Parallel per-track id sequences padded to a common length T."""
+    """Parallel per-track id sequences padded to a common length T, with
+    the positions of each track's bar tokens; `bar_index` derives every
+    position's bar from them."""
     seqs: list[list[int]]
-    bar_index: list[list[int]]            # bar number per position, per track
     bar_token_positions: list[list[int]]  # indices of Bar* tokens, per track
-    n_bars: int
     lengths: list[int]                    # unpadded lengths
 
     @property
@@ -134,6 +136,15 @@ class TrackTokenSeqs:
     @property
     def length(self) -> int:
         return len(self.seqs[0]) if self.seqs else 0
+
+    def bar_index(self) -> np.ndarray:
+        """The bar of every position, int64 [I, T]. Framing tokens before the
+        first bar token belong to bar 0; every later position, padding
+        included, belongs to its latest bar token."""
+        marks = np.zeros((self.n_tracks, self.length), dtype=np.int64)
+        for row, bars in zip(marks, self.bar_token_positions):
+            row[bars[1:]] = 1
+        return marks.cumsum(axis=1)
 
 
 def _bar_notes(track: Track, n_bars: int) -> list[list[Note]]:
@@ -195,31 +206,18 @@ def tokenize_song(song: Song, vocab: Vocab) -> TrackTokenSeqs:
 
 
 def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
-    """Assemble padded parallel sequences from raw id lists.
-
-    Bar indices: framing tokens before the first bar token map to bar 0;
-    every other position belongs to the most recent bar token. Works over
-    extended (BPE) vocabularies: ids >= vocab.size are treated as note runs.
-    """
-    lengths = [len(ids) for ids in lists]
-    width = max(lengths, default=0)
-    seqs, bar_index, bar_positions = [], [], []
+    """Assemble padded parallel sequences from raw id lists. Works over
+    extended (BPE) vocabularies: ids >= vocab.size are note runs, never bar
+    tokens."""
+    width = max(map(len, lists), default=0)
+    seqs, bar_positions = [], []
     bar_ids = vocab.bar_ids
     for ids in lists:
         if ids and min(ids) < 0:
             raise DataError(f"token id {min(ids)} out of vocab")
-        bars = [k for k, tid in enumerate(ids) if tid in bar_ids]
-        # bar j spans its token up to the next bar token (the last one, the
-        # padding too); framing tokens before the first bar belong to bar 0
-        bidx = [0] * width
-        for j, (first, end) in enumerate(zip(bars, bars[1:] + [width])):
-            bidx[first:end] = [j] * (end - first)
-        padded = ids + [PAD_ID] * (width - len(ids))
-        seqs.append(padded)
-        bar_index.append(bidx)
-        bar_positions.append(bars)
-    n_bars = max((len(b) for b in bar_positions), default=0)
-    return TrackTokenSeqs(seqs, bar_index, bar_positions, n_bars, lengths)
+        bar_positions.append([k for k, tid in enumerate(ids) if tid in bar_ids])
+        seqs.append(ids + [PAD_ID] * (width - len(ids)))
+    return TrackTokenSeqs(seqs, bar_positions, [len(ids) for ids in lists])
 
 
 class TrackGrammar:

@@ -280,6 +280,17 @@ def test_negative_seed_is_rejected(tmp_path, work):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--vq-steps"])
+def test_negative_steps_are_a_usage_error(tmp_path, work, flag):
+    steps = {"--steps": "1", "--vq-steps": "1", flag: "-1"}
+    assert main(["train", "--tokens", str(work / "tokens.txt"),
+                 "--vocab", str(work / "vocab.txt"),
+                 "--features", str(work / "features.txt"),
+                 "--out", str(tmp_path / "m.ckpt"),
+                 *[x for kv in steps.items() for x in kv]]) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_mismatched_corpora_is_data_error(tmp_path, work):
     feats = tmp_path / "wrong.txt"
     text = (work / "features.txt").read_text()
@@ -305,6 +316,31 @@ def test_train_checks_pairs_before_vq_training(tmp_path, monkeypatch):
                  str(tokens), "--vocab", str(vocab)]) == 0
     assert main(["features", "--in", str(tmp_path / "bars4"),
                  "--out", str(feats)]) == 0
+
+    def no_vq(*args, **kwargs):
+        raise AssertionError("VQ-VAE trained before the pairs were checked")
+
+    monkeypatch.setattr(cli, "train_vqvae", no_vq)
+    assert main(["train", "--tokens", str(tokens), "--vocab", str(vocab),
+                 "--features", str(feats), "--out", str(tmp_path / "m.ckpt"),
+                 "--steps", "1"]) == 2
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_rejects_five_tracks_before_vq_training(tmp_path, monkeypatch):
+    """Songs with a fifth track, aligned with their grids, fail on the pair
+    rule before any VQ-VAE training is spent on them."""
+    songs = tmp_path / "songs"
+    songs.mkdir()
+    for i in range(4):
+        song = make_song(seed=60 + i, n_bars=2)
+        song.tracks.append(song.tracks[1])
+        (songs / f"s{i}.song").write_text(dump_song(song))
+    tokens, vocab = tmp_path / "tokens.txt", tmp_path / "vocab.txt"
+    feats = tmp_path / "features.txt"
+    assert main(["tokenize", "--in", str(songs), "--out", str(tokens),
+                 "--vocab", str(vocab)]) == 0
+    assert main(["features", "--in", str(songs), "--out", str(feats)]) == 0
 
     def no_vq(*args, **kwargs):
         raise AssertionError("VQ-VAE trained before the pairs were checked")

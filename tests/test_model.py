@@ -24,7 +24,7 @@ from bandgen.neural.model import (bottom_decode, ctt_forward,
                                   top_decode)
 from bandgen.neural.vqvae import init_vq_params
 from bandgen.synth import make_song
-from bandgen.tokens import TrackTokenSeqs, tokenize_song
+from bandgen.tokens import build_track_seqs, tokenize_song
 
 RNG = np.random.default_rng(7)
 
@@ -323,22 +323,24 @@ def test_more_tracks_than_track_slots_is_a_data_error(vocab):
         generate(grid, params, cfg, vocab, seed=0, t_max=8)
 
 
-def test_embed_tokens_guardrails():
+def test_embed_tokens_guardrails(vocab):
     cfg = small_cfg(t_max=8, b_max=4)
     params = init_params(cfg)
 
-    def seqs_for(ids, bars):
-        return TrackTokenSeqs(seqs=[ids], bar_index=[bars],
-                              bar_token_positions=[[2]], n_bars=1, lengths=[len(ids)])
+    def seqs_for(ids):
+        return build_track_seqs([ids], vocab)
 
-    ok = seqs_for([1, 3, 9, 2], [0, 0, 0, 0])
+    ok = seqs_for([1, 3, 9, 2])
     assert embed_tokens(ok, params, cfg).shape == (1, 4, cfg.d)
     with pytest.raises(IdOutOfVocab):
-        embed_tokens(seqs_for([1, 3, 282, 2], [0, 0, 0, 0]), params, cfg)
+        embed_tokens(seqs_for([1, 3, 282, 2]), params, cfg)
     with pytest.raises(DataError):
-        embed_tokens(seqs_for(list(range(9)), [0] * 9), params, cfg)
+        embed_tokens(seqs_for(list(range(9))), params, cfg)
+    # five bar tokens: the last two positions fall in bar 4 = b_max
+    five_bars = seqs_for([1, 3, 9, 9, 9, 9, 9, 2])
+    assert five_bars.bar_index()[0, -2:].tolist() == [4, 4]
     with pytest.raises(BarIndexOutOfRange):
-        embed_tokens(seqs_for([1, 3, 9, 2], [0, 0, 4, 4]), params, cfg)
+        embed_tokens(five_bars, params, cfg)
 
 
 # -- full forward ------------------------------------------------------------------
@@ -372,8 +374,7 @@ def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
     logits = model_forward(seqs, grid, params, cfg)
 
     E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
-    smat = expand_similarity(bar_similarity(E, params, cfg),
-                             np.asarray(seqs.bar_index, dtype=np.int64))
+    smat = expand_similarity(bar_similarity(E, params, cfg), seqs.bar_index())
     O = bottom_decode(embed_tokens(seqs, params, cfg), E, smat, params, cfg)
     expected = project_logits(top_decode(O, E, smat, params, cfg), params)
     assert np.array_equal(logits.data, expected.data)

@@ -2,8 +2,9 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgen.errors import (DataError, EmptyCorpus, MalformedSequence,
@@ -110,7 +111,8 @@ def test_bar_index_and_positions(vocab):
     seqs = tokenize_song(song, vocab)
     bars = seqs.bar_token_positions[0]
     assert len(bars) == 2
-    bidx = seqs.bar_index[0]
+    bidx = seqs.bar_index()[0]
+    assert bidx.dtype == np.int64 and bidx.shape == (seqs.length,)
     assert bidx[0] == bidx[1] == 0          # framing maps to bar 0
     assert bidx[bars[1]] == 1
     assert all(bidx[k] == 1 for k in range(bars[1], seqs.lengths[0]))
@@ -118,12 +120,18 @@ def test_bar_index_and_positions(vocab):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 320), max_size=30), max_size=5))
+@example([])                                    # zero tracks
+@example([[], [4, 1, 9, 11, 300, 10, 2], []])   # empty lists, a merged id
+@example([[4, 1, 290, 11, 9, 9, 10, 2], [10]])  # note runs before a bar
 def test_build_track_seqs_matches_a_token_loop(lists):
     """Against the per-token loop: merged ids (>= vocab size) are note runs,
-    padding keeps the last bar's index."""
+    padding keeps the last bar's index, and the derived bar index is the
+    loop's."""
     vocab = build_vocab()
     seqs = build_track_seqs([list(ids) for ids in lists], vocab)
     width = max(map(len, lists), default=0)
+    derived = seqs.bar_index()
+    assert derived.dtype == np.int64 and derived.shape == (len(lists), width)
     for ti, ids in enumerate(lists):
         bars, bidx, current = [], [], 0
         for k, tid in enumerate(ids + [PAD_ID] * (width - len(ids))):
@@ -133,7 +141,7 @@ def test_build_track_seqs_matches_a_token_loop(lists):
                 current = len(bars) - 1
             bidx.append(current)
         assert seqs.bar_token_positions[ti] == bars
-        assert seqs.bar_index[ti] == bidx
+        assert derived[ti].tolist() == bidx
         assert seqs.seqs[ti] == ids + [PAD_ID] * (width - len(ids))
     with pytest.raises(DataError):
         build_track_seqs([[3, 1, -1]], vocab)

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from bandgen.errors import BarCountMismatch
+from bandgen.errors import BarCountMismatch, DataError, UsageError
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
 from bandgen.neural import (Adam, batch_loss, dump_checkpoint, generate,
                             gradient_check, init_params, make_config,
                             mean_loss, model_forward, no_grad, schedule_lr,
-                            sequence_loss, train_model, train_step)
+                            sequence_loss, train_model, train_step,
+                            train_vqvae)
 from bandgen.neural.autograd import Tensor
+from bandgen.neural.training import check_pair
 from bandgen.score import Song
 from bandgen.synth import make_song
 from bandgen.tokens import build_track_seqs, tokenize_song
@@ -123,6 +125,16 @@ def test_training_is_deterministic_on_rerun(vocab):
     assert h1 == h2
     for name in p1:
         assert np.array_equal(p1[name].data, p2[name].data)
+
+
+def test_negative_steps_are_a_usage_error(vocab):
+    cfg = small_cfg()
+    pair = make_pair(vocab)
+    with pytest.raises(UsageError):
+        train_model([pair], cfg, steps=-3)
+    with pytest.raises(UsageError):
+        train_vqvae([pair[0]], cfg, steps=-3)
+    assert train_model([pair], cfg, steps=0)[1] == []
 
 
 def test_training_reduces_loss(vocab):
@@ -309,6 +321,17 @@ def test_batch_loss_rejects_a_pair_of_unequal_track_counts(vocab):
            (three[0], quantize_features(extract_expert_features(two)))]
     with pytest.raises(BarCountMismatch):
         batch_loss(bad, params, cfg)
+
+
+def test_check_pair_rejects_more_tracks_than_track_slots(vocab):
+    """A fifth track is aligned with its grid, bar for bar, but has no
+    instrument embedding or head slot."""
+    song = make_song(seed=3, n_bars=2)
+    song.tracks.append(song.tracks[1])
+    seqs, grid = pair_of(song, vocab)
+    assert seqs.n_tracks == grid.n_tracks == 5
+    with pytest.raises(DataError, match="5 tracks"):
+        check_pair(seqs, grid)
 
 
 def test_a_three_track_song_trains_and_generates(vocab):

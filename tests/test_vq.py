@@ -101,7 +101,7 @@ def test_bar_units_slices_frames(vocab):
     units = bar_units(seqs)
     assert len(units) == seqs.n_tracks
     for ti, track_units in enumerate(units):
-        assert len(track_units) == seqs.n_bars
+        assert len(track_units) == song.n_bars
         ids = seqs.seqs[ti]
         rebuilt = ids[:2] + [t for u in track_units for t in u] + [EOS_ID]
         assert rebuilt == ids[:seqs.lengths[ti]]
@@ -112,8 +112,7 @@ def test_bar_units_slices_frames(vocab):
 
 def test_bar_units_truncates_overlong_bars():
     ids = [3, 1, 9] + [59] * 120 + [2]
-    seqs = TrackTokenSeqs(seqs=[ids], bar_index=[[0] * len(ids)],
-                          bar_token_positions=[[2]], n_bars=1, lengths=[len(ids)])
+    seqs = TrackTokenSeqs(seqs=[ids], bar_token_positions=[[2]], lengths=[len(ids)])
     units = bar_units(seqs)
     assert len(units[0][0]) == MAX_BAR_TOKENS
     assert units[0][0][0] == 9
@@ -139,8 +138,8 @@ def test_assign_codes_shape_and_determinism(vocab):
     assert len(codes) == len(corpus)
     for seqs, song_codes in zip(corpus, codes):
         assert len(song_codes) == seqs.n_tracks
-        for track_codes in song_codes:
-            assert len(track_codes) == seqs.n_bars
+        for track_codes, bars in zip(song_codes, seqs.bar_token_positions):
+            assert len(track_codes) == len(bars) == 2
             for tup in track_codes:
                 assert len(tup) == 8
                 assert all(0 <= c < cfg.codebook_size for c in tup)
