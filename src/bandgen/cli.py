@@ -27,12 +27,11 @@ from .features import (dump_feature_corpus, extract_expert_features,
                        load_feature_corpus, quantize_features)
 from .metrics import evaluate_pair, mean_report, report_csv, report_text
 from .midi import load_midi_file, write_midi
-from .neural import (assign_codes, check_blocks, dump_checkpoint, generate,
-                     load_checkpoint_file, make_config, mean_loss, model_spec,
-                     train_model, train_vqvae)
-from .neural.sampling import K_FRAC
-from .neural.training import check_pair
-from .neural.vqvae import vq_spec
+from .neural.checkpoint import dump_checkpoint, load_checkpoint_file
+from .neural.model import check_blocks, make_config, model_spec
+from .neural.sampling import K_FRAC, generate
+from .neural.training import check_pair, mean_loss, train_model
+from .neural.vqvae import assign_codes, train_vqvae, vq_spec
 from .score import (Song, compress_instruments, dedupe_corpus, dump_song,
                     filter_song, load_song, quantize_song, split_windows)
 from .tokens import (build_track_seqs, build_vocab, corpus_stats, detokenize,

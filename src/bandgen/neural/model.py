@@ -17,17 +17,19 @@ local autograd. Every linear layer (the per-track heads included),
 attention core and affine layer norm is one autograd node (`linear`,
 `attention`, `layer_norm_affine`) with a hand-written backward.
 
-Decoding is incremental: `model_forward` with a `DecodeCache` runs the grid
-stage once, and with it projects every decoder layer's cross-attention keys
-and values over E. On each call only the positions the cache has not seen
-are converted, checked and embedded, and go through both decoder stacks,
-attending the cached keys and values of earlier positions and of E; a
-single new position per track needs no causal mask. Only each track's last
-row is projected to logits. The cross-track layer mixes tracks within one
-bar, so bar b's exchange depends on bar b alone: it runs once, when every
-track has reached bar b, and the top decoder is then recomputed for each
-track from its bar-b token onward, nothing earlier. The logits equal the
-matching rows of the full forward to float rounding.
+`grid_stage` is the one conditioning pass: C, E, S and every decoder
+layer's cross-attention keys and values over E (attention reads only
+projected keys and values). Each forward derives its bar index once, for
+the tiling and the token embedding. Decoding is incremental: with a
+`DecodeCache`, the first call runs the grid stage and the cache keeps it;
+each call converts, checks and embeds only the positions the cache has not
+seen and sends them through both decoder stacks, attending the cached keys
+and values; one new position per track needs no causal mask. Only each
+track's last row is projected to logits. The cross-track layer mixes tracks
+within one bar, so bar b's exchange depends on bar b alone: it runs once,
+when every track has reached bar b, and the top decoder is then recomputed
+for each track from its bar-b token onward, nothing earlier. The logits
+equal the matching rows of the full forward to float rounding.
 """
 
 from __future__ import annotations
@@ -281,28 +283,24 @@ def _keys_values(memory: Tensor, params: dict, name: str) -> tuple[Tensor, Tenso
     return _linear(memory, params, f"{name}_k"), _linear(memory, params, f"{name}_v")
 
 
-def multi_head_attention(x: Tensor, memory: "Tensor | tuple[Tensor, Tensor]",
-                         params: dict, name: str, heads: int,
-                         causal: bool = False, smat: Tensor | None = None,
+def multi_head_attention(x: Tensor, k: Tensor, v: Tensor, params: dict,
+                         name: str, heads: int, causal: bool = False,
+                         smat: Tensor | None = None,
                          past: "_CachedRows | None" = None) -> Tensor:
-    """Batched attention of the [batch, Tq, d] queries x over the
-    [batch, Tk, d] memory, which gives both keys and values; memory may also
-    be its keys and values, already projected (`_keys_values`).
+    """Batched attention of the [batch, Tq, d] queries x over the keys and
+    values [batch, Tk, d] that layer `name` projected of its memory
+    (`_keys_values`).
 
     With `smat` [batch, Tq, Tk], raw scores are multiplied elementwise by it
-    (shared across heads) before scaling and masking. With `past`, memory
-    holds only the query rows' own positions; their keys and values are
-    cached and the queries attend every cached position up to their last.
+    (shared across heads) before scaling and masking. With `past`, k and v
+    hold only the query rows' own positions; they are cached and the
+    queries attend every cached position up to their last.
     Under `causal` the queries are the last Tq of the Tk positions, so one
     query row blocks nothing and builds no mask. The projections are
     `linear` nodes; the core between them, from the head split to the head
     merge, is one `attention` node.
     """
     q = _linear(x, params, f"{name}_q")
-    if isinstance(memory, tuple):
-        k, v = memory
-    else:
-        k, v = _keys_values(memory, params, name)
     if past is not None:
         k, v = past.attend(name, k, v)
     blocked = None
@@ -316,7 +314,8 @@ def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
                    cfg: ModelConfig) -> Tensor:
     for l in range(n_layers):
         name = f"{prefix}{l}"
-        a = _ln_affine(x + multi_head_attention(x, x, params, f"{name}_attn",
+        kv = _keys_values(x, params, f"{name}_attn")
+        a = _ln_affine(x + multi_head_attention(x, *kv, params, f"{name}_attn",
                                                 cfg.heads), params, f"{name}_ln1")
         x = _ln_affine(a + _ffn(a, params, name), params, f"{name}_ln2")
     return x
@@ -336,12 +335,16 @@ def _cell_bins(grid: FeatureGrid, tracks: list[int], feats) -> np.ndarray:
 
 
 def _vq_codes(grid: FeatureGrid) -> np.ndarray:
-    """VQ codes [I, B, 8]; code 0 throughout for a grid without them."""
+    """VQ codes [I, B, 8]; code 0 throughout for a grid without them. Codes
+    that are not one row per track of one 8-tuple per bar raise `DataError`."""
     shape = (grid.n_tracks, grid.n_bars, N_VQ_GROUPS)
     if grid.vq_entries is None:
         return np.zeros(shape, dtype=np.int64)
-    return np.array([[grid.vq_entries[ti][b] for b in range(grid.n_bars)]
-                     for ti in range(grid.n_tracks)], dtype=np.int64).reshape(shape)
+    widths = [[len(codes) for codes in row] for row in grid.vq_entries]
+    if widths != [[N_VQ_GROUPS] * grid.n_bars] * grid.n_tracks:
+        raise DataError(f"VQ codes do not cover {grid.n_tracks} tracks of "
+                        f"{grid.n_bars} bars with {N_VQ_GROUPS} codes each")
+    return np.array(grid.vq_entries, dtype=np.int64).reshape(shape)
 
 
 def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tensor:
@@ -352,18 +355,21 @@ def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tenso
     The 8 VQ-code embeddings follow; a linear map projects to width d.
     Grids without VQ codes embed code 0 throughout. All tracks of one kind
     (drum, pitched) go through each lookup and projection together, so the
-    number of ops does not grow with the number of tracks.
+    number of ops does not grow with the number of tracks. A grid without
+    tracks or bars raises `DataError`.
     """
     if not grid.binned:
         raise DataError("embed_conditions needs a binned grid")
+    if not grid.n_tracks or not grid.n_bars:
+        raise DataError("a grid without tracks or bars has nothing to condition on")
     if grid.n_bars > cfg.b_max:
         raise DataError(f"{grid.n_bars} bars exceeds b_max {cfg.b_max}")
     B = grid.n_bars
     drum = [ti for ti, inst in enumerate(grid.instruments) if inst == "Drum"]
     pitched = [ti for ti, inst in enumerate(grid.instruments) if inst != "Drum"]
     parts: list[Tensor] = []
+    codes = _vq_codes(grid)
     try:
-        codes = _vq_codes(grid)
         for kind, tracks, keys in (("drum", drum, DRUM_KEYS_FEATURE),
                                    ("pitched", pitched, PITCHED_KEYS_FEATURE)):
             if not tracks:
@@ -393,21 +399,23 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     return _encoder_stack(x, params, "enc", cfg.layers_enc, cfg)
 
 
-def embed_tokens(seqs: TrackTokenSeqs, params: dict, cfg: ModelConfig,
-                 tracks: np.ndarray | None = None, start: int = 0,
-                 stop: int | None = None, songs: int = 1) -> Tensor:
-    """x~ [I, T, d]: token + position + bar + instrument embeddings; with
-    `tracks`, `start` and `stop`, only positions start..stop-1 of those
-    tracks. Only the embedded ids and bar indices are checked against the
-    vocabulary and `b_max` (the cached path checked the earlier positions
-    when they were new); the width of `seqs` is checked against `t_max`
-    either way. For `songs` stacked songs, track r takes the instrument
-    embedding of its slot r % (I / songs) within its song."""
+def embed_tokens(seqs: TrackTokenSeqs, bar_index: np.ndarray, params: dict,
+                 cfg: ModelConfig, tracks: np.ndarray | None = None,
+                 start: int = 0, stop: int | None = None,
+                 songs: int = 1) -> Tensor:
+    """x~ [I, T, d]: token + position + bar + instrument embeddings, each
+    position's bar read from `bar_index` (`seqs.bar_index()`); with `tracks`,
+    `start` and `stop`, only positions start..stop-1 of those tracks. Only
+    the embedded ids and bar indices are checked against the vocabulary and
+    `b_max` (the cached path checked the earlier positions when they were
+    new); the width of `seqs` is checked against `t_max` either way. For
+    `songs` stacked songs, track r takes the instrument embedding of its
+    slot r % (I / songs) within its song."""
     I = seqs.n_tracks
     tracks = np.arange(I) if tracks is None else tracks
     stop = seqs.length if stop is None else stop
     ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
-    bar_idx = seqs.bar_index()[tracks, start:stop]
+    bar_idx = bar_index[tracks, start:stop]
     if ids.size and ids.max() >= cfg.vocab_size:
         raise IdOutOfVocab(f"token id {ids.max()} >= vocab {cfg.vocab_size}")
     if seqs.length > cfg.t_max:
@@ -444,34 +452,48 @@ def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tenso
 def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
                  cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
     """Causal self-attention with scores modulated by the tiled similarity."""
-    return multi_head_attention(x, x, params, name, cfg.heads,
-                                causal=True, smat=smat, past=past)
+    return multi_head_attention(x, *_keys_values(x, params, name), params, name,
+                                cfg.heads, causal=True, smat=smat, past=past)
 
 
-def _decoder_stack(x: Tensor, E: Tensor | None, smat: Tensor, params: dict,
+Memory = dict[str, tuple[Tensor, Tensor]]  # cross-attention layer -> K, V [I, B, d]
+
+
+def grid_stage(grid: FeatureGrid, params: dict, cfg: ModelConfig
+               ) -> tuple[Tensor, Memory]:
+    """S [I, B, B] and, by layer name, every decoder layer's cross-attention
+    keys and values over E. `embed_conditions` checks the grid."""
+    E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
+    layers = ([f"bot{l}_cross" for l in range(cfg.layers_bottom)]
+              + [f"top{l}_cross" for l in range(cfg.layers_top)])
+    return (bar_similarity(E, params, cfg),
+            {name: _keys_values(E, params, name) for name in layers})
+
+
+def _decoder_stack(x: Tensor, memory: Memory, smat: Tensor, params: dict,
                    prefix: str, n_layers: int, cfg: ModelConfig,
                    past: "_CachedRows | None") -> Tensor:
-    """Decoder layers over x; with `past`, E is not read: the cache holds the
-    cross-attention keys and values over it."""
+    """Decoder layers over x; `memory` holds the cross-attention keys and
+    values over the bars of x's tracks."""
     for l in range(n_layers):
         name = f"{prefix}{l}"
         a = _ln_affine(x + se_attention(x, smat, params, f"{name}_self", cfg, past),
                        params, f"{name}_ln1")
-        memory = E if past is None else past.memory(f"{name}_cross")
-        b = _ln_affine(a + multi_head_attention(a, memory, params, f"{name}_cross",
-                                                cfg.heads), params, f"{name}_ln2")
+        b = _ln_affine(a + multi_head_attention(a, *memory[f"{name}_cross"], params,
+                                                f"{name}_cross", cfg.heads),
+                       params, f"{name}_ln2")
         x = _ln_affine(b + _ffn(b, params, name), params, f"{name}_ln3")
     return x
 
 
-def bottom_decode(x: Tensor, E: Tensor | None, smat: Tensor, params: dict,
+def bottom_decode(x: Tensor, memory: Memory, smat: Tensor, params: dict,
                   cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
-    return _decoder_stack(x, E, smat, params, "bot", cfg.layers_bottom, cfg, past)
+    return _decoder_stack(x, memory, smat, params, "bot", cfg.layers_bottom, cfg, past)
 
 
-def top_decode(x: Tensor, E: Tensor | None, smat: Tensor, params: dict,
+def top_decode(x: Tensor, memory: Memory, smat: Tensor, params: dict,
                cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
-    return _decoder_stack(x, E, smat, params, "top", cfg.layers_top, cfg, past)
+    return _decoder_stack(x, memory, smat, params, "top", cfg.layers_top, cfg, past)
 
 
 def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
@@ -512,12 +534,12 @@ def project_logits(O: Tensor, params: dict, songs: int = 1) -> Tensor:
 
 class DecodeCache:
     """What incremental decoding keeps between `model_forward` calls: the
-    grid and its stage (S, and each decoder layer's cross-attention keys and
-    values over E, projected once), the ids each track was decoded through,
-    the self-attention keys and values of every decoder layer, the
-    top-decoder input rows (bottom outputs, cross-track outputs at exchanged
-    bar tokens), each track's last top-decoder output and how many bars
-    were exchanged. Bar indices are not kept: each call derives them from
+    grid and what the first call's `grid_stage` returned for it (S, and each
+    decoder layer's cross-attention keys and values over E), the ids each
+    track was decoded through, the self-attention keys and values of every
+    decoder layer, the top-decoder input rows (bottom outputs, cross-track
+    outputs at exchanged bar tokens), each track's last top-decoder output
+    and how many bars were exchanged. Bar indices are not kept: each call derives them from
     its sequences (`TrackTokenSeqs.bar_index`). Keys, values and top-decoder
     inputs are [I, capacity, d] (heads side by side along d, as the
     projections make them) and grow along the position axis by doubling.
@@ -527,7 +549,7 @@ class DecodeCache:
     def __init__(self):
         self.grid: FeatureGrid | None = None
         self.S: Tensor | None = None
-        self.memory: dict[str, tuple[Tensor, Tensor]] = {}  # layer -> K, V [I, B, d]
+        self.memory: Memory = {}
         self.ids: list[list[int]] = []
         self.bars_exchanged = 0
         self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
@@ -575,12 +597,6 @@ class _CachedRows:
             out.append(Tensor(buf[self.tracks, :stop]))
         return out[0], out[1]
 
-    def memory(self, name: str) -> tuple[Tensor, Tensor]:
-        """Cross-attention layer `name`'s keys and values over the query
-        tracks' bars."""
-        k, v = self.cache.memory[name]
-        return k[self.tracks], v[self.tracks]
-
 
 def _row_groups(first: np.ndarray, lengths: list[int]):
     """Tracks grouped by the positions first[i]..lengths[i]-1 left to
@@ -592,15 +608,17 @@ def _row_groups(first: np.ndarray, lengths: list[int]):
     return [(rows, np.array(tracks)) for rows, tracks in groups.items()]
 
 
+def _memory_rows(memory: Memory, prefix: str, tracks: np.ndarray) -> Memory:
+    """The `prefix` layers' cross-attention keys and values over `tracks`."""
+    return {name: (k[tracks], v[tracks]) for name, (k, v) in memory.items()
+            if name.startswith(prefix)}
+
+
 def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
                     cfg: ModelConfig, cache: DecodeCache) -> Tensor:
     """`model_forward` with a cache: see the module docstring."""
     if cache.grid is None:
-        E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
-        cache.S = bar_similarity(E, params, cfg)
-        layers = ([f"bot{l}_cross" for l in range(cfg.layers_bottom)]
-                  + [f"top{l}_cross" for l in range(cfg.layers_top)])
-        cache.memory = {name: _keys_values(E, params, name) for name in layers}
+        cache.S, cache.memory = grid_stage(grid, params, cfg)
         cache.grid = grid
     elif grid is not cache.grid:
         raise UsageError("the decode cache holds another grid")
@@ -609,9 +627,9 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     bars = seqs.bar_index()
     for (start, stop), tracks in _row_groups(seen, seqs.lengths):
         smat = expand_similarity(S[tracks], bars[tracks, :stop], start)
-        x = embed_tokens(seqs, params, cfg, tracks, start, stop)
-        O = bottom_decode(x, None, smat, params, cfg,
-                          _CachedRows(cache, tracks, start))
+        x = embed_tokens(seqs, bars, params, cfg, tracks, start, stop)
+        O = bottom_decode(x, _memory_rows(cache.memory, "bot", tracks), smat,
+                          params, cfg, _CachedRows(cache, tracks, start))
         cache.top_in[tracks, start:stop] = O.data
     redo = seen
     if cfg.layers_ctt:
@@ -625,7 +643,8 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
             cache.bars_exchanged += shared
     for (start, stop), tracks in _row_groups(redo, seqs.lengths):
         smat = expand_similarity(S[tracks], bars[tracks, :stop], start)
-        O = top_decode(Tensor(cache.top_in[tracks, start:stop]), None, smat,
+        O = top_decode(Tensor(cache.top_in[tracks, start:stop]),
+                       _memory_rows(cache.memory, "top", tracks), smat,
                        params, cfg, _CachedRows(cache, tracks, start))
         cache.last[tracks] = O.data[:, -1]
     cache.ids = [ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)]
@@ -664,15 +683,14 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
             raise UsageError(f"a decode cache holds one song, not {songs}")
         with no_grad():
             return _decode_forward(seqs, grid, params, cfg, cache)
-    C = embed_conditions(grid, params, cfg)
-    E = encode_features(C, params, cfg)
-    S = bar_similarity(E, params, cfg)
-    smat = expand_similarity(S, seqs.bar_index())
-    x = embed_tokens(seqs, params, cfg, songs=songs)
-    O = bottom_decode(x, E, smat, params, cfg)
+    S, memory = grid_stage(grid, params, cfg)
+    bars = seqs.bar_index()
+    smat = expand_similarity(S, bars)
+    x = embed_tokens(seqs, bars, params, cfg, songs=songs)
+    O = bottom_decode(x, memory, smat, params, cfg)
     if cfg.layers_ctt:
         O = ctt_forward(O, seqs.bar_token_positions, params, cfg, songs)
-    O = top_decode(O, E, smat, params, cfg)
+    O = top_decode(O, memory, smat, params, cfg)
     return project_logits(O, params, songs)
 
 

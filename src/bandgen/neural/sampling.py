@@ -98,6 +98,8 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     if t_max is not None and t_max < 3:
         # every track starts with [Instrument, BOS]
         raise UsageError(f"t_max must leave room for a sampled token, got {t_max}")
+    if not grid.n_tracks:  # no track would reach the grid stage's check
+        raise DataError("a grid without tracks has nothing to cover")
     t_max = cfg.t_max if t_max is None else min(t_max, cfg.t_max)
     rng = np.random.default_rng(seed)
     b_ref = grid.n_bars

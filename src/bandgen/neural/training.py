@@ -1,16 +1,17 @@
 """Training loop and gradient verification for the sequence model.
 
-Training pairs must be aligned: the sequences have the grid's tracks, at
-most `MAX_TRACKS` of them, each holding `grid.n_bars` bar tokens
-(`model_forward` accepts tracks bars apart, as decoding makes them);
-`check_pair` is the rule, and `batch_loss` applies it to every pair once. A
-batch runs as one graph per group of songs that share their track and bar
-counts, in the order the groups first appear: the songs of a group are
-stacked along the track axis and padded with PAD to the group's longest
-sequence (see `model_forward`). Padding is never a target and no real
-position attends it, so the summed loss and its gradients are those of the
-songs run one at a time, up to float rounding. Songs of different bar counts
-are never padded to one another: they run as separate graphs.
+Training pairs must be aligned: the sequences have the grid's 1 to
+`MAX_TRACKS` tracks, in its order, each opening with its Instrument token
+and holding the grid's `n_bars` > 0 bar tokens (`model_forward` accepts
+tracks bars apart, as decoding makes them); `check_pair` is the rule, and
+`batch_loss` applies it to every pair once. A batch runs as one graph per
+group of songs that share their track and bar counts, in the order the
+groups first appear: the songs of a group are stacked along the track axis
+and padded with PAD to the group's longest sequence (see `model_forward`).
+Padding is never a target and no real position attends it, so the summed
+loss and its gradients are those of the songs run one at a time, up to float
+rounding. Songs of different bar counts are never padded to one another:
+they run as separate graphs.
 """
 
 from __future__ import annotations
@@ -20,18 +21,23 @@ import numpy as np
 from ..errors import BarCountMismatch, DataError, UsageError
 from ..features import N_VQ_GROUPS, FeatureGrid
 from ..score import MAX_TRACKS
-from ..tokens import PAD_ID, TrackTokenSeqs
+from ..tokens import PAD_ID, TrackTokenSeqs, build_vocab
 from .autograd import Tensor, no_grad
 from .model import ModelConfig, init_params, model_forward, sequence_loss
 from .optim import Adam, schedule_lr
 
 Pair = tuple[TrackTokenSeqs, FeatureGrid]
 
+_VOCAB = build_vocab()  # fixed: every token corpus uses these ids
+
 
 def check_pair(seqs: TrackTokenSeqs, grid: FeatureGrid) -> None:
-    """Raise `DataError` for more than `MAX_TRACKS` tracks, and
-    `BarCountMismatch` unless the sequences have the grid's tracks, each
-    holding `grid.n_bars` bar tokens."""
+    """Raise `DataError` for a grid without tracks or bars, more than
+    `MAX_TRACKS` tracks or a token track that does not open with its grid
+    track's Instrument token; `BarCountMismatch` unless the sequences have
+    the grid's tracks, each holding `grid.n_bars` bar tokens."""
+    if not grid.n_tracks or not grid.n_bars:
+        raise DataError("a pair needs at least one track and one bar")
     if seqs.n_tracks > MAX_TRACKS:
         raise DataError(f"{seqs.n_tracks} tracks exceed the {MAX_TRACKS} "
                         f"track slots")
@@ -39,11 +45,15 @@ def check_pair(seqs: TrackTokenSeqs, grid: FeatureGrid) -> None:
     if seqs.n_tracks != grid.n_tracks or set(counts) - {grid.n_bars}:
         raise BarCountMismatch(f"bar token counts {counts} do not fit a grid "
                                f"of {grid.n_tracks} tracks, {grid.n_bars} bars")
+    for ti, (ids, inst) in enumerate(zip(seqs.seqs, grid.instruments)):
+        if ids[:1] != [_VOCAB.index.get(("Instrument", inst))]:
+            raise DataError(f"token track {ti} does not open with the "
+                            f"Instrument token of grid track {ti} ({inst})")
 
 
 def _groups(pairs: list[Pair]) -> list[list[Pair]]:
     """Pairs grouped by track and bar counts, in order of first appearance;
-    a pair that is not aligned raises `BarCountMismatch`."""
+    a pair that is not aligned raises (`check_pair`)."""
     groups: dict[tuple[int, int], list[Pair]] = {}
     for seqs, grid in pairs:
         check_pair(seqs, grid)

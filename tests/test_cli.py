@@ -10,10 +10,14 @@ import pytest
 from bandgen import cli
 from bandgen.cli import is_test_song, main
 from bandgen.midi import load_midi_file, save_midi_file
-from bandgen.neural import Tensor, load_checkpoint_file, save_checkpoint_file
-from bandgen.score import dump_song
+from bandgen.neural.autograd import Tensor
+from bandgen.neural.checkpoint import load_checkpoint_file, save_checkpoint_file
+from bandgen.features import (dump_feature_corpus, extract_expert_features,
+                              quantize_features)
+from bandgen.score import Song, Track, dump_song
 from bandgen.synth import make_song
-from bandgen.tokens import load_token_corpus, load_vocab
+from bandgen.tokens import (build_vocab, dump_token_corpus, dump_vocab,
+                            load_token_corpus, load_vocab, tokenize_song)
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +351,41 @@ def test_train_rejects_five_tracks_before_vq_training(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "train_vqvae", no_vq)
     assert main(["train", "--tokens", str(tokens), "--vocab", str(vocab),
+                 "--features", str(feats), "--out", str(tmp_path / "m.ckpt"),
+                 "--steps", "1"]) == 2
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("case", ["zero_bars", "no_tracks", "reversed_tracks"])
+def test_train_rejects_unusable_pairs_before_vq_training(tmp_path, monkeypatch,
+                                                         case):
+    """A song without bars or without tracks, or token tracks in another
+    order than the grid's, fails on the pair rule before any VQ-VAE training
+    is spent on it."""
+    vocab = build_vocab()
+    songs = [make_song(seed=60 + i, n_bars=2) for i in range(4)]
+    if case == "zero_bars":
+        songs[1] = Song([Track("Drum", []), Track("Piano", [])], 0)
+    elif case == "no_tracks":
+        songs[1] = Song([], 2)
+    token_lists = [[ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)]
+                   for seqs in (tokenize_song(song, vocab) for song in songs)]
+    if case == "reversed_tracks":
+        token_lists[1].reverse()
+    names = [f"s{i}" for i in range(len(songs))]
+    tokens, vocab_file = tmp_path / "tokens.txt", tmp_path / "vocab.txt"
+    feats = tmp_path / "features.txt"
+    tokens.write_text(dump_token_corpus(list(zip(names, token_lists))))
+    vocab_file.write_text(dump_vocab(vocab))
+    feats.write_text(dump_feature_corpus(
+        [(name, quantize_features(extract_expert_features(song)))
+         for name, song in zip(names, songs)]))
+
+    def no_vq(*args, **kwargs):
+        raise AssertionError("VQ-VAE trained before the pairs were checked")
+
+    monkeypatch.setattr(cli, "train_vqvae", no_vq)
+    assert main(["train", "--tokens", str(tokens), "--vocab", str(vocab_file),
                  "--features", str(feats), "--out", str(tmp_path / "m.ckpt"),
                  "--steps", "1"]) == 2
     assert not (tmp_path / "m.ckpt").exists()

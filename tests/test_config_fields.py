@@ -6,7 +6,7 @@ import ast
 from dataclasses import fields
 from pathlib import Path
 
-from bandgen.neural import ModelConfig
+from bandgen.neural.model import ModelConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src/bandgen"
 CONFIG_NAMES = {"cfg", "config"}  # what the program calls a ModelConfig

@@ -9,13 +9,16 @@ from bandgen.errors import (BarCountMismatch, BarIndexOutOfRange, DataError,
                             IdOutOfVocab, UsageError)
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
-from bandgen.neural import (DecodeCache, batch_loss, generate, init_params,
-                            make_config, model_forward)
 from bandgen.neural import model as model_module
 from bandgen.neural import sampling
+from bandgen.neural.model import (DecodeCache, init_params, make_config,
+                                  model_forward)
+from bandgen.neural.sampling import generate
+from bandgen.neural.training import batch_loss
 from bandgen.score import Song
 from bandgen.synth import make_song
-from bandgen.tokens import EOS_ID, build_track_seqs, tokenize_song
+from bandgen.tokens import (EOS_ID, TrackTokenSeqs, build_track_seqs,
+                            tokenize_song)
 
 TOL = 1e-10
 
@@ -272,6 +275,59 @@ def test_generate_runs_the_grid_stage_once(vocab, monkeypatch):
                       t_max=40)
     assert calls["embed_conditions"] == 1
     assert calls["model_forward"] == len(result.step_seconds) > 30
+
+
+def test_generate_builds_each_forward_input_right_before_it(vocab, monkeypatch):
+    """Every step runs `build_track_seqs`, then `model_forward` on the
+    sequences it built; per-step tracing attributes both to the step."""
+    log = []
+    build, forward = sampling.build_track_seqs, sampling.model_forward
+
+    def logged_build(*args):
+        seqs = build(*args)
+        log.append(("build", seqs))
+        return seqs
+
+    def logged_forward(seqs, *args, **kwargs):
+        log.append(("forward", seqs))
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "build_track_seqs", logged_build)
+    monkeypatch.setattr(sampling, "model_forward", logged_forward)
+    cfg = small_cfg(t_max=64)
+    grid = grid_of(make_song(seed=4, n_bars=4))
+    result = generate(grid, bar_leaning_params(cfg, vocab), cfg, vocab, seed=1,
+                      t_max=40)
+    steps = len(result.step_seconds)
+    assert steps > 30
+    # the last build makes the repaired output
+    assert [kind for kind, _ in log] == ["build", "forward"] * steps + ["build"]
+    assert all(log[i][1] is log[i + 1][1] for i in range(0, 2 * steps, 2))
+
+
+def test_each_forward_derives_the_bar_index_once(vocab, monkeypatch):
+    """The tiling and the token embedding read one derived bar index, on the
+    cached path for every row group too: tracks cut at four different
+    lengths make four row groups per cached call."""
+    calls = []
+    real = TrackTokenSeqs.bar_index
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TrackTokenSeqs, "bar_index", counting)
+    song = make_song(seed=3, n_bars=3)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid = init_params(cfg), grid_of(song)
+    cache = DecodeCache()
+    for cut in ([5, 9, 14, 20], [30, 31, 32, 33], [40] * 4):
+        seqs = build_track_seqs([ids[:c] for ids, c in zip(lists, cut)], vocab)
+        for kwargs in ({}, {"cache": cache}):
+            del calls[:]
+            model_forward(seqs, grid, params, cfg, **kwargs)
+            assert calls == [seqs]
 
 
 def test_generate_step_cost_does_not_grow_with_the_prefix(vocab, monkeypatch):

@@ -11,18 +11,21 @@ from bandgen.errors import (BarIndexOutOfRange, BinOutOfVocab, DataError,
                             IdOutOfVocab)
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
-from bandgen.neural import (ModelConfig, bar_similarity, dump_checkpoint,
-                            dump_config, embed_conditions, embed_tokens,
-                            encode_features, expand_similarity, generate,
-                            init_params, load_checkpoint, load_checkpoint_file,
-                            load_config, make_config, model_forward,
-                            model_spec, save_checkpoint_file, se_attention,
-                            sequence_loss)
 from bandgen.neural.autograd import Tensor
-from bandgen.neural.model import (bottom_decode, ctt_forward,
+from bandgen.neural.checkpoint import (dump_checkpoint, load_checkpoint,
+                                       load_checkpoint_file,
+                                       save_checkpoint_file)
+from bandgen.neural.model import (DecodeCache, ModelConfig, _keys_values,
+                                  bar_similarity, bottom_decode, ctt_forward,
+                                  dump_config, embed_conditions, embed_tokens,
+                                  encode_features, expand_similarity,
+                                  grid_stage, init_params, load_config,
+                                  make_config, model_forward, model_spec,
                                   multi_head_attention, project_logits,
-                                  top_decode)
+                                  se_attention, sequence_loss, top_decode)
+from bandgen.neural.sampling import generate
 from bandgen.neural.vqvae import init_vq_params
+from bandgen.score import Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import build_track_seqs, tokenize_song
 
@@ -141,8 +144,9 @@ def test_se_attention_with_unit_similarity_matches_vanilla():
     ref = vanilla_causal_attention(x.data, params, "bot0_self", cfg.heads)
     assert np.max(np.abs(out.data - ref)) < 1e-12
     # all-ones modulation is exactly a no-op against the unmodulated path
-    plain = multi_head_attention(x, x, params, "bot0_self", cfg.heads,
-                                 causal=True, smat=None)
+    plain = multi_head_attention(x, *_keys_values(x, params, "bot0_self"),
+                                 params, "bot0_self", cfg.heads, causal=True,
+                                 smat=None)
     assert np.array_equal(out.data, plain.data)
 
 
@@ -311,6 +315,44 @@ def test_embed_conditions_rows_are_those_of_each_track_alone(vocab):
         np.testing.assert_array_equal(C.data[row], alone.data[0])
 
 
+@pytest.mark.parametrize("song", [Song([Track("Drum", []), Track("Piano", [])], 0),
+                                  Song([], 2)], ids=["zero_bars", "no_tracks"])
+def test_grid_stage_rejects_a_grid_without_tracks_or_bars(vocab, song):
+    """Both forward paths and `generate` raise `DataError`, not a numpy
+    error from an empty reshape or concatenation."""
+    seqs, grid = tokenize_song(song, vocab), quantize_features(extract_expert_features(song))
+    cfg = small_cfg()
+    params = init_params(cfg)
+    for run in (lambda: grid_stage(grid, params, cfg),
+                lambda: model_forward(seqs, grid, params, cfg),
+                lambda: model_forward(seqs, grid, params, cfg, cache=DecodeCache()),
+                lambda: generate(grid, params, cfg, vocab, seed=0, t_max=8)):
+        with pytest.raises(DataError, match="tracks"):
+            run()
+
+
+def test_grid_stage_rejects_vq_codes_that_do_not_cover_the_grid(vocab):
+    """Codes of another bar or track count, or tuples of another width, are
+    a `DataError` (not truncated, and not a numpy error or a misleading
+    `BinOutOfVocab`); a code past the codebook stays `BinOutOfVocab`."""
+    cfg = small_cfg()
+    params = init_params(cfg)
+    _, grid = make_pair(vocab, n_bars=2)
+    row = [(1,) * 8] * grid.n_bars
+    cases = {"more bars": [row * 2] * 4, "fewer bars": [row[:1]] * 4,
+             "fewer tracks": [row] * 3, "7 codes": [[(1,) * 7] * 2] * 4}
+    for name, codes in cases.items():
+        grid.vq_entries = codes
+        with pytest.raises(DataError, match="VQ codes") as info:
+            grid_stage(grid, params, cfg)
+        assert type(info.value) is DataError, name
+    grid.vq_entries = [row] * 4
+    grid_stage(grid, params, cfg)
+    grid.vq_entries = [row, row, [(cfg.codebook_size,) * 8] * 2, row]
+    with pytest.raises(BinOutOfVocab):
+        grid_stage(grid, params, cfg)
+
+
 def test_more_tracks_than_track_slots_is_a_data_error(vocab):
     song = make_song(3, 2)
     song.tracks.append(song.tracks[1])
@@ -330,17 +372,19 @@ def test_embed_tokens_guardrails(vocab):
     def seqs_for(ids):
         return build_track_seqs([ids], vocab)
 
-    ok = seqs_for([1, 3, 9, 2])
-    assert embed_tokens(ok, params, cfg).shape == (1, 4, cfg.d)
+    def embed(seqs):
+        return embed_tokens(seqs, seqs.bar_index(), params, cfg)
+
+    assert embed(seqs_for([1, 3, 9, 2])).shape == (1, 4, cfg.d)
     with pytest.raises(IdOutOfVocab):
-        embed_tokens(seqs_for([1, 3, 282, 2]), params, cfg)
+        embed(seqs_for([1, 3, 282, 2]))
     with pytest.raises(DataError):
-        embed_tokens(seqs_for(list(range(9))), params, cfg)
+        embed(seqs_for(list(range(9))))
     # five bar tokens: the last two positions fall in bar 4 = b_max
     five_bars = seqs_for([1, 3, 9, 9, 9, 9, 9, 2])
     assert five_bars.bar_index()[0, -2:].tolist() == [4, 4]
     with pytest.raises(BarIndexOutOfRange):
-        embed_tokens(five_bars, params, cfg)
+        embed(five_bars)
 
 
 # -- full forward ------------------------------------------------------------------
@@ -374,9 +418,13 @@ def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
     logits = model_forward(seqs, grid, params, cfg)
 
     E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
-    smat = expand_similarity(bar_similarity(E, params, cfg), seqs.bar_index())
-    O = bottom_decode(embed_tokens(seqs, params, cfg), E, smat, params, cfg)
-    expected = project_logits(top_decode(O, E, smat, params, cfg), params)
+    memory = {name: _keys_values(E, params, name)
+              for name in ("bot0_cross", "top0_cross")}
+    bars = seqs.bar_index()
+    smat = expand_similarity(bar_similarity(E, params, cfg), bars)
+    O = bottom_decode(embed_tokens(seqs, bars, params, cfg), memory, smat,
+                      params, cfg)
+    expected = project_logits(top_decode(O, memory, smat, params, cfg), params)
     assert np.array_equal(logits.data, expected.data)
     with_ctt = model_forward(seqs, grid, params, small_cfg())
     assert not np.array_equal(logits.data, with_ctt.data)

@@ -11,11 +11,11 @@ from bandgen.bpe import learn_bpe
 from bandgen.errors import (DataError, DegenerateVocab, MalformedSequence,
                             UsageError)
 from bandgen.features import extract_expert_features, quantize_features
-from bandgen.neural import (generate, init_params, make_config,
-                            repair_track_ids, top_k_count)
 from bandgen.neural import sampling
 from bandgen.neural.autograd import Tensor
-from bandgen.neural.sampling import _topk_sample
+from bandgen.neural.model import init_params, make_config
+from bandgen.neural.sampling import (_topk_sample, generate, repair_track_ids,
+                                     top_k_count)
 from bandgen.score import INSTRUMENTS
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, EOS_ID, PAD_ID, build_track_seqs,

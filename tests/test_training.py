@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from bandgen.bpe import bpe_encode, learn_bpe
 from bandgen.errors import BarCountMismatch, DataError, UsageError
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
-from bandgen.neural import (Adam, batch_loss, dump_checkpoint, generate,
-                            gradient_check, init_params, make_config,
-                            mean_loss, model_forward, no_grad, schedule_lr,
-                            sequence_loss, train_model, train_step,
-                            train_vqvae)
-from bandgen.neural.autograd import Tensor
-from bandgen.neural.training import check_pair
-from bandgen.score import Song
+from bandgen.neural.autograd import Tensor, no_grad
+from bandgen.neural.checkpoint import dump_checkpoint
+from bandgen.neural.model import (init_params, make_config, model_forward,
+                                  sequence_loss)
+from bandgen.neural.optim import Adam, schedule_lr
+from bandgen.neural.sampling import generate
+from bandgen.neural.training import (batch_loss, check_pair, gradient_check,
+                                     mean_loss, train_model, train_step)
+from bandgen.neural.vqvae import train_vqvae
+from bandgen.score import Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import build_track_seqs, tokenize_song
 
@@ -332,6 +335,34 @@ def test_check_pair_rejects_more_tracks_than_track_slots(vocab):
     assert seqs.n_tracks == grid.n_tracks == 5
     with pytest.raises(DataError, match="5 tracks"):
         check_pair(seqs, grid)
+
+
+@pytest.mark.parametrize("song", [Song([Track("Drum", []), Track("Piano", [])], 0),
+                                  Song([], 2)], ids=["zero_bars", "no_tracks"])
+def test_check_pair_rejects_a_pair_without_tracks_or_bars(vocab, song):
+    seqs, grid = pair_of(song, vocab)
+    with pytest.raises(DataError, match="at least one track"):
+        check_pair(seqs, grid)
+
+
+def test_check_pair_rejects_tracks_in_another_order_than_the_grid(vocab):
+    """Reversed token tracks hold the grid's bar counts, but each would be
+    conditioned on another instrument's features."""
+    cfg = small_cfg()
+    params = init_params(cfg)
+    seqs, grid = make_pair(vocab, n_bars=2, seed=1)
+    lists = [ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)]
+    reversed_seqs = build_track_seqs(lists[::-1], vocab)
+    for pairs in ([(reversed_seqs, grid)], [(seqs, grid), (reversed_seqs, grid)]):
+        with pytest.raises(DataError, match="token track 0 .*Drum") as info:
+            batch_loss(pairs, params, cfg)
+        assert type(info.value) is DataError
+    # merged ids never absorb the Instrument token
+    model = learn_bpe(lists, vocab, target_size=vocab.size + 20)
+    merged = build_track_seqs([bpe_encode(ids, model, vocab) for ids in lists],
+                              vocab)
+    assert merged.length < seqs.length
+    check_pair(merged, grid)
 
 
 def test_a_three_track_song_trains_and_generates(vocab):

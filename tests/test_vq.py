@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from bandgen.errors import DataError, EmptyCodebook
-from bandgen.neural import (assign_codes, bar_units, init_params, make_config,
-                            quantize_vectors, train_vqvae, vq_layer)
 from bandgen.neural.autograd import Tensor
-from bandgen.neural.model import draw_params
-from bandgen.neural.vqvae import MAX_BAR_TOKENS, init_vq_params, vq_spec
+from bandgen.neural.model import draw_params, init_params, make_config
+from bandgen.neural.vqvae import (MAX_BAR_TOKENS, assign_codes, bar_units,
+                                  init_vq_params, quantize_vectors,
+                                  train_vqvae, vq_layer, vq_spec)
 from bandgen.synth import make_corpus, make_song
 from bandgen.tokens import (EOS_ID, PAD_ID, TrackTokenSeqs, build_vocab,
                             tokenize_song)
