@@ -247,7 +247,7 @@ def cmd_train(args) -> int:
               [args.tokens, args.vocab, args.features] +
               ([args.merges] if args.merges else []),
               [args.out], args.seed, started,
-              {"steps": args.steps, "preset": args.preset,
+              {"steps": args.steps, "preset": args.preset, "dtype": cfg.dtype,
                "train_songs": len(train_ids), "test_songs": len(test_ids),
                "final_loss_per_token": history[-1] if history else None})
     print(f"checkpoint written to {args.out}")
@@ -292,7 +292,7 @@ def cmd_generate(args) -> int:
               [args.checkpoint, args.vocab, args.reference] +
               ([args.merges] if args.merges else []),
               [args.out, tokens_out], args.seed, started,
-              {"bars": song.n_bars, "repairs": result.repairs,
+              {"dtype": cfg.dtype, "bars": song.n_bars, "repairs": result.repairs,
                "tokens_generated": result.tokens_generated,
                "tokens_per_second": (result.tokens_generated /
                                      result.wall_seconds

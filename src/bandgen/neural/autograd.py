@@ -1,4 +1,10 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense numpy arrays.
+
+A Tensor holds float32 data as float32 and anything else as float64. Ops
+keep their operands' dtype: a scalar operand takes the tensor's dtype and
+the backward seed the root's, so a graph of float32 parameters computes,
+and backpropagates, in float32 throughout. Float64 is the exact path the
+tests compare against.
 
 A Tensor wraps an ndarray and records the op that produced it. An op is one
 constructor call: its output value, its parent tensors and one vector-Jacobian
@@ -52,7 +58,8 @@ def no_grad():
 
 
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
@@ -141,7 +148,8 @@ class Tensor:
         for node in topo:  # a second pass must not start from the first one's sums
             if node._parents:
                 node.grad = None
-        self._accumulate(np.array(seed, dtype=np.float64))  # the caller may reuse theirs
+        # a copy, as the caller may reuse theirs
+        self._accumulate(np.array(seed, dtype=self.data.dtype))
         for node in reversed(topo):
             if node.grad is None:
                 continue
@@ -151,8 +159,15 @@ class Tensor:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _operand(self, other) -> "Tensor":
+        """other as a Tensor; a constant takes this tensor's dtype (a 0-d
+        float64 array would turn a float32 result into float64)."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
+
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         return Tensor(self.data + other.data, parents=(self, other),
                       vjps=(lambda g: _unbroadcast(g, self.data.shape),
                             lambda g: _unbroadcast(g, other.data.shape)),
@@ -164,11 +179,11 @@ class Tensor:
         return Tensor(-self.data, parents=(self,), vjps=(np.negative,), op="neg")
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         return self + (-other)
 
     def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
         return Tensor(self.data * other.data, parents=(self, other),
                       vjps=(lambda g: _unbroadcast(g * other.data, self.data.shape),
                             lambda g: _unbroadcast(g * self.data, other.data.shape)),
@@ -180,7 +195,7 @@ class Tensor:
         return self * (1.0 / scalar)
 
     def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._operand(other)
 
         def vjp_self(g):
             da = np.matmul(g, np.swapaxes(other.data, -1, -2))
@@ -206,7 +221,23 @@ class Tensor:
                       op="transpose")
 
     def __getitem__(self, key):
+        """Indexing as numpy does it. The VJP adds the gradient of an element
+        selected more than once once per selection, in element order. For a
+        key of one integer array per axis it sums with `np.bincount`, which
+        adds in that order in float64, so a float64 gradient is that of
+        `np.add.at` bit for bit and a float32 one is summed in float64 and
+        cast back; other keys use `np.add.at`."""
+        per_axis = (isinstance(key, tuple) and len(key) == self.data.ndim
+                    and all(isinstance(k, np.ndarray) and k.dtype.kind in "iu"
+                            for k in key))
+
         def vjp(g):
+            if per_axis:
+                flat = np.ravel_multi_index(np.broadcast_arrays(*key),
+                                            self.data.shape, mode="wrap")
+                sums = np.bincount(flat.reshape(-1), weights=g.reshape(-1),
+                                   minlength=self.data.size)
+                return sums.astype(self.data.dtype, copy=False).reshape(self.data.shape)
             full = np.zeros_like(self.data)
             if _is_basic(key):  # selects each element at most once
                 full[key] = g

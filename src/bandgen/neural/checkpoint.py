@@ -1,10 +1,14 @@
 """Self-describing binary checkpoints.
 
 Layout: magic "BGCK", format version, UTF-8 config block, then each named
-float64 block as (name, shape, row-major little-endian payload), in sorted
-name order. Loading reproduces every array bit-exactly. Every block is a
-trained weight; fixed position tables are recomputed from the config. A
-repeated block name or bytes after the last block make a blob malformed.
+block as (name, shape, row-major little-endian payload), in sorted name
+order. A payload holds float32 or float64 values, as the config's `dtype`
+says. A config without a `dtype` line is float64: every checkpoint written
+before the key existed loads as it did, so the version stays 4, and a
+reader older than the key refuses it as unknown. Loading reproduces every
+array bit-exactly. Every block is a trained weight; fixed position tables
+are recomputed from the config. A repeated block name or bytes after the
+last block make a blob malformed.
 
 Older versions are refused. Version 1 stored the position tables as
 blocks; version 2 configs carried `use_ctt`, `lr_max` and `preset` (now
@@ -26,6 +30,7 @@ from .model import ModelConfig, dump_config, load_config
 
 _MAGIC = b"BGCK"
 _VERSION = 4
+_PAYLOAD = {"float32": "<f4", "float64": "<f8"}  # by config dtype
 
 
 def _pack_bytes(payload: bytes) -> bytes:
@@ -36,8 +41,9 @@ def dump_checkpoint(params: dict[str, Tensor], config: ModelConfig) -> bytes:
     out = [_MAGIC, struct.pack("<I", _VERSION)]
     out.append(_pack_bytes(dump_config(config).encode("utf-8")))
     out.append(struct.pack("<I", len(params)))
+    payload = _PAYLOAD[config.dtype]
     for name in sorted(params):
-        data = np.ascontiguousarray(params[name].data, dtype="<f8")
+        data = np.ascontiguousarray(params[name].data, dtype=payload)
         out.append(_pack_bytes(name.encode("utf-8")))
         out.append(struct.pack("<I", data.ndim))
         out.append(struct.pack(f"<{data.ndim}I", *data.shape))
@@ -78,6 +84,7 @@ def _parse(cur: _Cursor) -> tuple[dict[str, Tensor], ModelConfig]:
     if version != _VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     config = load_config(cur.block().decode("utf-8"))
+    payload = _PAYLOAD[config.dtype]
     n_params = cur.u32()
     params: dict[str, Tensor] = {}
     for _ in range(n_params):
@@ -86,7 +93,7 @@ def _parse(cur: _Cursor) -> tuple[dict[str, Tensor], ModelConfig]:
             raise DataError(f"checkpoint: block {name!r} repeats")
         ndim = cur.u32()
         shape = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
-        data = np.frombuffer(cur.block(), dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(cur.block(), dtype=payload).reshape(shape).copy()
         params[name] = Tensor(data, requires_grad=True)
     if cur.pos != len(cur.blob):
         raise DataError("checkpoint: trailing bytes after the last block")

@@ -12,9 +12,12 @@ Encoder/decoder weights are shared across tracks; only the instrument
 embedding and the output heads are per track slot. A training forward may
 stack several songs of the same track and bar counts along the track axis:
 every stage but the cross-track layer works per track anyway, and that
-layer exchanges bars within each song. All arrays are float64 under the
-local autograd. Every linear layer (the per-track heads included),
-attention core and affine layer norm is one autograd node (`linear`,
+layer exchanges bars within each song. Every array follows the config's
+`dtype`: parameters are drawn in float64 and cast, position tables and
+decode-cache buffers are kept in it, and the local autograd keeps float32
+as float32. `paper` computes in float32; float64, the default, is the
+exact path. Every linear layer (the per-track heads included), attention
+core and affine layer norm is one autograd node (`linear`,
 `attention`, `layer_norm_affine`) with a hand-written backward.
 
 `grid_stage` is the one conditioning pass: C, E, S and every decoder
@@ -53,6 +56,7 @@ from .autograd import (Tensor, attention, concat, cross_entropy_logits,
 _SIZE_FIELDS = ("d", "heads", "ffn", "b_max", "t_max", "vocab_size", "codebook_size")
 _LAYER_FIELDS = ("layers_enc", "layers_bottom", "layers_top", "layers_ctt")
 _LR_SCHEDULES = ("constant", "warmup")
+_DTYPES = ("float32", "float64")
 
 
 @dataclass(slots=True)
@@ -74,6 +78,7 @@ class ModelConfig:
     lr: float = 1e-3               # the constant rate, or the warmup peak
     lr_schedule: str = "constant"  # "constant" | "warmup"
     seed: int = 0
+    dtype: str = "float64"         # "float32" | "float64": what the model computes in
 
     def __post_init__(self):
         for name in _SIZE_FIELDS:
@@ -88,6 +93,8 @@ class ModelConfig:
             raise DataError("seed must not be negative")
         if self.lr_schedule not in _LR_SCHEDULES:
             raise DataError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if self.dtype not in _DTYPES:
+            raise DataError(f"unsupported dtype {self.dtype!r}")
         if self.d % self.heads:
             raise DataError("model width must divide evenly across heads")
         if self.d % (2 * N_VQ_GROUPS):  # the latent, d/2, splits into 8 groups
@@ -98,7 +105,7 @@ _PRESETS = {
     "toy": {},
     "paper": dict(d=256, heads=8, ffn=1024, layers_enc=4, layers_bottom=3,
                   layers_top=3, layers_ctt=2, codebook_size=1024, t_max=4096,
-                  lr_schedule="warmup", lr=4e-4),
+                  lr_schedule="warmup", lr=4e-4, dtype="float32"),
 }
 
 
@@ -146,8 +153,9 @@ def load_config(text: str) -> ModelConfig:
 
 
 @functools.cache
-def sinusoidal_table(length: int, d: int) -> np.ndarray:
-    """Fixed position table [length, d]; built once per shape, read-only.
+def sinusoidal_table(length: int, d: int, dtype: str = "float64") -> np.ndarray:
+    """Fixed position table [length, d]; built once per shape and dtype (in
+    float64, then cast), read-only.
 
     Callers slice the table built at the configured maximum length, so the
     values do not depend on how many rows a forward pass uses."""
@@ -155,6 +163,7 @@ def sinusoidal_table(length: int, d: int) -> np.ndarray:
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table = table.astype(dtype, copy=False)
     table.flags.writeable = False
     return table
 
@@ -234,7 +243,9 @@ def model_spec(cfg: ModelConfig) -> Spec:
     return spec
 
 
-def draw_params(spec: Spec, seed: int) -> dict[str, Tensor]:
+def draw_params(spec: Spec, seed: int, dtype: str = "float64") -> dict[str, Tensor]:
+    """The blocks of `spec`, drawn in float64 and cast to `dtype`: a float32
+    block is its float64 draw, rounded."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, (shape, init) in spec.items():
@@ -244,12 +255,12 @@ def draw_params(spec: Spec, seed: int) -> dict[str, Tensor]:
             value = np.ones(shape)
         else:
             value = rng.normal(0.0, init, size=shape)
-        params[name] = Tensor(value, requires_grad=True)
+        params[name] = Tensor(value.astype(dtype, copy=False), requires_grad=True)
     return params
 
 
 def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
-    return draw_params(model_spec(cfg), cfg.seed)
+    return draw_params(model_spec(cfg), cfg.seed, cfg.dtype)
 
 
 def check_blocks(params: dict[str, Tensor], spec: Spec) -> None:
@@ -395,7 +406,7 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     """E [I, B, d]: full self-attention over bars, bar index added as
     sinusoidal position information; weights shared across tracks."""
     B = C.shape[1]
-    x = C + Tensor(sinusoidal_table(cfg.b_max, cfg.d)[:B])
+    x = C + Tensor(sinusoidal_table(cfg.b_max, cfg.d, cfg.dtype)[:B])
     return _encoder_stack(x, params, "enc", cfg.layers_enc, cfg)
 
 
@@ -423,7 +434,7 @@ def embed_tokens(seqs: TrackTokenSeqs, bar_index: np.ndarray, params: dict,
     if bar_idx.size and bar_idx.max() >= cfg.b_max:
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
     x = take(params["te"], ids)
-    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d)[start:stop])
+    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop])
     x = x + take(params["be"], bar_idx)
     x = x + take(params["ie"], tracks % (I // songs)).reshape(len(tracks), 1, cfg.d)
     return x
@@ -542,7 +553,8 @@ class DecodeCache:
     and how many bars were exchanged. Bar indices are not kept: each call derives them from
     its sequences (`TrackTokenSeqs.bar_index`). Keys, values and top-decoder
     inputs are [I, capacity, d] (heads side by side along d, as the
-    projections make them) and grow along the position axis by doubling.
+    projections make them) in the config's dtype, and grow along the
+    position axis by doubling.
     One cache serves one decoded piece; after a call that raised, start a
     new one."""
 
@@ -556,14 +568,14 @@ class DecodeCache:
         self.last = np.zeros((0, 0))               # [I, d]
         self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
 
-    def _admit(self, seqs: TrackTokenSeqs, d: int) -> np.ndarray:
+    def _admit(self, seqs: TrackTokenSeqs, cfg: ModelConfig) -> np.ndarray:
         """Check that `seqs` extends the cached prefix of every track, make
         room for its length and return how many positions each track has
         cached."""
         if not self.ids:
             self.ids = [[] for _ in seqs.seqs]
-            self.top_in = np.zeros((len(seqs.seqs), seqs.length, d))
-            self.last = np.zeros((len(seqs.seqs), d))
+            self.top_in = np.zeros((len(seqs.seqs), seqs.length, cfg.d), cfg.dtype)
+            self.last = np.zeros((len(seqs.seqs), cfg.d), cfg.dtype)
         if any(n < len(done) or ids[:len(done)] != done
                for ids, n, done in zip(seqs.seqs, seqs.lengths, self.ids)):
             raise UsageError("sequences do not extend the decode cache's prefix")
@@ -623,7 +635,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     elif grid is not cache.grid:
         raise UsageError("the decode cache holds another grid")
     S = cache.S
-    seen = cache._admit(seqs, cfg.d)
+    seen = cache._admit(seqs, cfg)
     bars = seqs.bar_index()
     for (start, stop), tracks in _row_groups(seen, seqs.lengths):
         smat = expand_similarity(S[tracks], bars[tracks, :stop], start)

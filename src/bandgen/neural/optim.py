@@ -13,14 +13,17 @@ LR_MIN = 4e-5  # where the warmup schedule's decay ends
 
 
 class Adam:
+    """Adam over named parameters; each block's moments take its dtype, so
+    a float32 block updates in float32."""
+
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
         # np.zeros takes zeroed pages from the OS lazily; zeros_like would
         # write both moment buffers in full before the first step
-        self.m = {k: np.zeros(v.data.shape) for k, v in self.params.items()}
-        self.v = {k: np.zeros(v.data.shape) for k, v in self.params.items()}
+        self.m = {k: np.zeros(v.data.shape, v.data.dtype) for k, v in self.params.items()}
+        self.v = {k: np.zeros(v.data.shape, v.data.dtype) for k, v in self.params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -11,9 +11,10 @@ sampling step is recorded in an audit log.
 
 Decoding is incremental and runs without a tape: one `DecodeCache` per call
 keeps the grid stage and every decoder layer's keys and values, so a step
-computes one new position per active track. The softmax and the top-k
-order of all active tracks are one batched computation per step; the draws
-then follow in track order. Only the cross-track layer
+computes one new position per active track. The softmax, the top-k order
+and the draws of all active tracks are one batched computation per step,
+in float64 whatever the model computes in; the draws use the generator in
+track order. Only the cross-track layer
 reaches back: when all tracks have reached bar b, it exchanges bar b once
 and the top decoder is recomputed from each track's bar-b token onward, so
 a cover of n bars redoes at most n such spans (see `bandgen.neural.model`).
@@ -67,17 +68,23 @@ class GenerationResult:
 
 def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
                  ) -> list[tuple[int, tuple[int, ...]]]:
-    """Draw one id per row of probs [n, V] from the row's k most probable
-    ids (ties in id order), renormalized, or uniform over them when their
-    mass is zero. The draws use `rng` in row order; returns (id, top ids)
-    per row."""
+    """Draw one id per row of probs [n, V] (float64) from the row's k most
+    probable ids (ties in id order), renormalized, or uniform over them
+    when their mass is zero. Returns (id, top ids) per row.
+
+    The draws are those of `rng.choice(ids, p=row)` row after row: one
+    uniform per row, in row order, searched (right side) in the row's
+    cumulative weights divided by their total."""
     top = np.argsort(-probs, axis=-1, kind="stable")[:, :k]
     weights = np.take_along_axis(probs, top, axis=-1)
     total = weights.sum(axis=-1, keepdims=True)
     weights = np.divide(weights, total, where=total > 0,
                         out=np.full(weights.shape, 1.0 / top.shape[1]))
-    return [(int(rng.choice(ids, p=p)), tuple(ids.tolist()))
-            for ids, p in zip(top, weights)]
+    cdf = weights.cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    picks = (cdf <= rng.random(len(top))[:, None]).sum(axis=-1)
+    chosen = top[np.arange(len(top)), picks]
+    return [(int(c), tuple(ids.tolist())) for c, ids in zip(chosen, top)]
 
 
 def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
@@ -117,7 +124,7 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
         logits = model_forward(seqs, grid, params, cfg, cache=cache)
         step = len(step_seconds)
         active = [ti for ti, ids in enumerate(lists) if ids[-1] != EOS_ID]
-        rows = logits.data[active, 0]
+        rows = logits.data[active, 0].astype(np.float64, copy=False)
         probs = np.exp(rows - rows.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         for ti, (choice, top) in zip(active, _topk_sample(probs, k, rng)):

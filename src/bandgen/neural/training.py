@@ -149,7 +149,10 @@ def gradient_check(pairs: list[Pair], params: dict[str, Tensor],
     Coordinates where both sides sit below the difference quotient's own
     roundoff resolution (eps * |loss| / 2h) are unresolvable by this method
     and are skipped; blocks whose true gradient is identically zero report 0.
+    It runs in float64 only: another config dtype is a `UsageError`.
     """
+    if cfg.dtype != "float64":
+        raise UsageError(f"gradient_check runs in float64, not {cfg.dtype}")
     loss, _ = batch_loss(pairs, params, cfg)
     for p in params.values():
         p.grad = None

@@ -5,6 +5,8 @@ Each (track, bar) token sub-sequence is pooled to a latent z_e, split into
 The 8 row indices are the bar's learned feature codes. A positional decoder
 reconstructs the sub-sequence from the quantized latent; training minimizes
 reconstruction cross-entropy plus the usual codebook and commitment terms.
+The blocks take the config's dtype, and so does every array of a step;
+only the nearest-row search measures its distances in float64.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def vq_spec(vocab_size: int, d: int, codebook_size: int) -> Spec:
 
 def init_vq_params(cfg: ModelConfig) -> dict[str, Tensor]:
     return draw_params(vq_spec(cfg.vocab_size, cfg.d, cfg.codebook_size),
-                       cfg.seed + 17)
+                       cfg.seed + 17, cfg.dtype)
 
 
 def _pad_units(units: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -110,9 +112,10 @@ def encode_units(ids: np.ndarray, mask: np.ndarray,
                  params: dict[str, Tensor]) -> Tensor:
     """Mean-pool embedded tokens (with positions) and project to z_e."""
     n, width = ids.shape
-    d_l = params["vq_te"].shape[1]
-    emb = take(params["vq_te"], ids) + Tensor(
-        sinusoidal_table(MAX_BAR_TOKENS, d_l)[:width])
+    table = params["vq_te"]
+    mask = mask.astype(table.data.dtype, copy=False)  # float64 would promote all
+    emb = take(table, ids) + Tensor(
+        sinusoidal_table(MAX_BAR_TOKENS, table.shape[1], mask.dtype.name)[:width])
     m = Tensor(mask[:, :, None])
     inv_counts = Tensor(1.0 / np.maximum(mask.sum(axis=1), 1.0)[:, None])
     pooled = (emb * m).sum(axis=1) * inv_counts
@@ -126,7 +129,7 @@ def decode_units(st: Tensor, width: int, params: dict[str, Tensor]) -> Tensor:
     n = h.shape[0]
     hidden = h.shape[1]
     pos = (h.reshape(n, 1, hidden) + Tensor(
-        sinusoidal_table(MAX_BAR_TOKENS, hidden)[:width])).relu()
+        sinusoidal_table(MAX_BAR_TOKENS, hidden, h.data.dtype.name)[:width])).relu()
     return _linear(pos, params, "vq_out")
 
 

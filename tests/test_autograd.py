@@ -510,7 +510,14 @@ def test_cross_entropy_gradient_is_the_softmax_formula_bit_for_bit():
 @pytest.mark.parametrize("key", [(slice(None), slice(0, 3), slice(None)),
                                  (1, Ellipsis, None), 2,
                                  (np.array([0, 2, 0, 0]), slice(1, 4)),
-                                 (np.array([1, 1]), np.array([3, 3]))])
+                                 (np.array([1, 1]), np.array([3, 3])),
+                                 # one array per axis, broadcast, with
+                                 # repeats and a negative index (np.bincount)
+                                 (np.array([[0], [2], [0]]), np.array([1, 1, 3]),
+                                  np.array([4, -1, 4])),
+                                 (np.arange(3)[:, None, None],
+                                  np.array([[[0], [0], [3]]]),
+                                  np.array([[[1, 1, 2, 1]]]))])
 def test_getitem_gradient_matches_add_at(key):
     x = RNG.standard_normal((3, 4, 5))
     t = Tensor(x.copy(), requires_grad=True)

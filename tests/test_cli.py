@@ -115,6 +115,7 @@ def test_train_manifest_and_checkpoint(work):
     manifest = json.loads((work / "model.ckpt.manifest.json").read_text())
     assert manifest["seed"] == 0
     assert manifest["steps"] == 2
+    assert (manifest["preset"], manifest["dtype"]) == ("toy", "float64")
     assert manifest["final_loss_per_token"] > 0
 
 
@@ -126,6 +127,7 @@ def test_generate_outputs(work):
     assert tokens_text.startswith("#SONG")
     manifest = json.loads((work / "cover.mid.manifest.json").read_text())
     assert manifest["bars"] == 2
+    assert manifest["dtype"] == "float64"
     assert manifest["tokens_generated"] > 0
     assert 0 < manifest["step_ms_p50"] <= manifest["step_ms_p90"]
 

@@ -20,7 +20,8 @@ from bandgen.synth import make_song
 from bandgen.tokens import (EOS_ID, TrackTokenSeqs, build_track_seqs,
                             tokenize_song)
 
-TOL = 1e-10
+TOL = 1e-10      # cached against full logits, float64
+TOL_F32 = 1e-5   # the same in float32
 
 
 def small_cfg(**overrides):
@@ -43,11 +44,11 @@ def merges(vocab, n_merges=20):
                      target_size=vocab.size + n_merges)
 
 
-def check_prefixes(prefixes, grid, params, cfg, vocab):
+def check_prefixes(prefixes, grid, params, cfg, vocab, atol=TOL):
     """Feed each prefix (a list of per-track id lists, each extending the
     last) to one cached forward; every track's logits must equal the last
-    row of the full forward. Returns the cache and the exchanged bar count
-    after each prefix."""
+    row of the full forward within `atol`. Returns the cache and the
+    exchanged bar count after each prefix."""
     cache = DecodeCache()
     exchanged = []
     for lists in prefixes:
@@ -56,8 +57,9 @@ def check_prefixes(prefixes, grid, params, cfg, vocab):
         full = model_forward(seqs, grid, params, cfg).data
         last = full[np.arange(len(lists)), np.array(seqs.lengths) - 1]
         assert got.shape == (len(lists), 1, cfg.vocab_size)
+        assert got.data.dtype == full.dtype == cfg.dtype
         assert not got.requires_grad and got._parents == ()
-        np.testing.assert_allclose(got.data[:, 0], last, rtol=0, atol=TOL)
+        np.testing.assert_allclose(got.data[:, 0], last, rtol=0, atol=atol)
         exchanged.append(cache.bars_exchanged)
     return cache, exchanged
 
@@ -67,14 +69,14 @@ def lockstep(lists):
     return [[ids[:t] for ids in lists] for t in range(2, max(map(len, lists)) + 1)]
 
 
-@pytest.mark.parametrize("variant", ["plain", "bpe", "no_ctt"])
+@pytest.mark.parametrize("variant", ["plain", "bpe", "no_ctt", "float32"])
 def test_cached_logits_match_full_forward(vocab, variant):
     """A real 3-bar song in lockstep: every track reaches bar 0 at position
     2, bar 1 at 24/23/19/35 and bar 2 at 45/44/36/64, and ends with EOS at
     its own length (54 for the bass, 98 for the synth). So bar 1 is
     exchanged when the synth reaches it and the other tracks' top decoders
     are recomputed from earlier positions; bar 2 is exchanged after the
-    bass track has finished."""
+    bass track has finished. In float32 both paths compute in float32."""
     song = make_song(seed=3, n_bars=3)
     lists = song_lists(tokenize_song(song, vocab))
     cfg = small_cfg(layers_ctt=0 if variant == "no_ctt" else 1)
@@ -83,9 +85,12 @@ def test_cached_logits_match_full_forward(vocab, variant):
         lists = [bpe_encode(ids, model, vocab) for ids in lists]
         assert any(t >= vocab.size for ids in lists for t in ids)
         cfg = small_cfg(vocab_size=model.vocab_size)
+    if variant == "float32":
+        cfg = small_cfg(dtype="float32")
     prefixes = lockstep(lists)
     _, exchanged = check_prefixes(prefixes, grid_of(song), init_params(cfg),
-                                  cfg, vocab)
+                                  cfg, vocab,
+                                  TOL_F32 if variant == "float32" else TOL)
     if variant == "no_ctt":
         assert set(exchanged) == {0}
     else:
@@ -238,15 +243,20 @@ def bar_leaning_params(cfg, vocab):
     return params
 
 
-def test_generate_matches_golden_ids(vocab):
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_generate_matches_golden_ids(vocab, dtype):
+    """The goldens were recorded in float64. The float32 covers draw the same
+    ids: no draw of these covers falls within float32 rounding of a boundary
+    between two ids. A change that separates them records float32 goldens
+    of their own rather than loosening this."""
     grid4 = grid_of(make_song(seed=4, n_bars=4))
-    cfg = small_cfg(t_max=64)
+    cfg = small_cfg(t_max=64, dtype=dtype)
     result = generate(grid4, bar_leaning_params(cfg, vocab), cfg, vocab, seed=1,
                       t_max=40)
     assert result.raw_lists == GOLDEN_BARS
 
     model = merges(vocab)
-    cfg_bpe = small_cfg(t_max=64, vocab_size=model.vocab_size)
+    cfg_bpe = small_cfg(t_max=64, vocab_size=model.vocab_size, dtype=dtype)
     result = generate(grid4, bar_leaning_params(cfg_bpe, vocab), cfg_bpe, vocab,
                       bpe_model=model, seed=1, t_max=40)
     assert result.raw_lists == GOLDEN_BPE

@@ -50,11 +50,17 @@ def make_pair(vocab, n_bars=4, seed=3):
 
 def test_config_round_trip_and_presets():
     for preset in ("toy", "paper"):
-        cfg = make_config(preset, seed=11)
-        again = load_config(dump_config(cfg))
-        assert again == cfg
+        for cfg in (make_config(preset, seed=11),
+                    make_config(preset, dtype="float64"),
+                    make_config(preset, dtype="float32")):
+            again = load_config(dump_config(cfg))
+            assert again == cfg
     assert make_config("paper").d == 256
     assert make_config("toy").vocab_size == 282
+    # paper computes in float32; float64, the default, is the oracle
+    assert make_config("paper").dtype == "float32"
+    assert make_config("toy").dtype == ModelConfig().dtype == "float64"
+    assert load_config("d = 32").dtype == "float64"  # written before the key
     with pytest.raises(DataError):
         make_config("huge")
     with pytest.raises(DataError):
@@ -75,7 +81,9 @@ def test_config_round_trip_and_presets():
                 "use_ctt = False", "lr_max = 4e-4", "preset = toy",
                 # keys of version 3 configs: the widths follow d, and the
                 # track slots and the lr floor are constants
-                "e_vq = 8", "d_latent = 16", "n_tracks = 4", "lr_min = 4e-5"):
+                "e_vq = 8", "d_latent = 16", "n_tracks = 4", "lr_min = 4e-5",
+                # float32 and float64 are the only dtypes
+                "dtype = float16", "dtype = int64", "dtype = Float32", "dtype = "):
         with pytest.raises(DataError):
             load_config(bad)
     assert load_config("layers_ctt = 0").layers_ctt == 0
@@ -480,15 +488,17 @@ def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
 # -- checkpoints -------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip_bit_exact(vocab, tmp_path):
-    cfg = small_cfg(seed=5)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_checkpoint_round_trip_bit_exact(vocab, tmp_path, dtype):
+    cfg = small_cfg(seed=5, dtype=dtype)
     params = init_params(cfg)
     blob = dump_checkpoint(params, cfg)
     loaded, cfg2 = load_checkpoint(blob)
     assert cfg2 == cfg
     assert set(loaded) == set(params)
     for name, p in params.items():
-        assert np.array_equal(loaded[name].data, p.data)
+        assert loaded[name].data.dtype == p.data.dtype == dtype
+        assert loaded[name].data.tobytes() == p.data.tobytes()
         assert loaded[name].requires_grad == p.requires_grad
 
     seqs, grid = make_pair(vocab)
@@ -536,5 +546,31 @@ def test_checkpoint_rejects_garbage():
                            for name in ("w1", "w2")}, cfg)
     assert set(load_checkpoint(two)[0]) == {"w1", "w2"}
     for bad in (two.replace(b"w2", b"w1"), blob + b"garbage"):
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_payload_follows_the_config_dtype():
+    """A float32 config writes 4-byte payloads; a config block without a
+    `dtype` line, as every checkpoint had before the key, reads float64.
+    A float32 payload cut short, or a dtype the model does not compute
+    in, is a `DataError`."""
+    w = np.array([0.1, -2.5, 3.0])
+    blobs = {dtype: dump_checkpoint({"w": Tensor(w.astype(dtype))},
+                                    small_cfg(dtype=dtype))
+             for dtype in ("float32", "float64")}
+    assert blobs["float32"].endswith(w.astype("<f4").tobytes())
+    assert blobs["float64"].endswith(w.astype("<f8").tobytes())
+    line = b"dtype = float64\n"
+    old = blobs["float64"].replace(line, b"")
+    (n,) = struct.unpack("<I", old[8:12])
+    old = old[:8] + struct.pack("<I", n - len(line)) + old[12:]
+    params, cfg = load_checkpoint(old)
+    assert cfg.dtype == "float64" and params["w"].data.dtype == np.float64
+    assert np.array_equal(params["w"].data, w)
+    # a 2-float payload under a 3-float shape, and an unsupported dtype
+    f32 = blobs["float32"]
+    truncated = f32[:-16] + struct.pack("<I", 8) + f32[-12:-4]
+    for bad in (truncated, f32.replace(b"dtype = float32", b"dtype = float16")):
         with pytest.raises(DataError):
             load_checkpoint(bad)

@@ -9,13 +9,15 @@ from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
 from bandgen.neural.autograd import Tensor, no_grad
 from bandgen.neural.checkpoint import dump_checkpoint
-from bandgen.neural.model import (init_params, make_config, model_forward,
+from bandgen.neural.model import (DecodeCache, init_params, make_config,
+                                  model_forward,
                                   sequence_loss)
 from bandgen.neural.optim import Adam, schedule_lr
 from bandgen.neural.sampling import generate
 from bandgen.neural.training import (batch_loss, check_pair, gradient_check,
                                      mean_loss, train_model, train_step)
-from bandgen.neural.vqvae import train_vqvae
+from bandgen.neural.vqvae import (_pad_units, bar_units, init_vq_params,
+                                  train_vqvae, vqvae_batch_loss)
 from bandgen.score import Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import build_track_seqs, tokenize_song
@@ -163,6 +165,56 @@ def test_gradient_check_all_blocks(vocab):
     worst = max(report.values())
     bad = {k: v for k, v in report.items() if v >= 1e-4}
     assert worst < 1e-4, f"blocks over tolerance: {bad}"
+    # finite differences resolve nothing at float32's precision
+    cfg32 = small_cfg(dtype="float32")
+    with pytest.raises(UsageError):
+        gradient_check([pair], init_params(cfg32), cfg32)
+
+
+def test_a_float32_config_makes_only_float32_arrays(vocab, monkeypatch):
+    """Counted through `Tensor.__init__`: a float32 training step, VQ-VAE
+    step and cached decode step make no array of another dtype, be it a
+    tensor's value or gradient, an Adam moment or a decode-cache buffer (a
+    0-d float64 constant would turn a whole graph into float64)."""
+    made = []
+    init = Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    cfg = small_cfg(dtype="float32")
+    seqs, grid = make_pair(vocab)
+    params, vq_params = init_params(cfg), init_vq_params(cfg)
+    opts = [Adam(params), Adam(vq_params)]
+    loss, _ = batch_loss([(seqs, grid)], params, cfg)
+    ids, mask = _pad_units([u for units in bar_units(seqs) for u in units if u])
+    vq_loss, _ = vqvae_batch_loss(ids, mask, vq_params)
+    for root, opt in zip((loss, vq_loss), opts):
+        root.backward()
+        opt.step()
+    cache = DecodeCache()
+    model_forward(build_track_seqs([ids[:3] for ids in seqs.seqs], vocab), grid,
+                  params, cfg, cache=cache)
+    assert len(generate(grid, params, cfg, vocab, t_max=3).step_seconds) == 1
+    arrays = [t.data for t in made] + [t.grad for t in made if t.grad is not None]
+    arrays += [m for opt in opts for m in (*opt.m.values(), *opt.v.values())]
+    arrays += [cache.top_in, cache.last, *(a for kv in cache.kv.values() for a in kv)]
+    assert len(made) > 400 and len(cache.kv) == 2
+    assert sum(a.dtype != np.float32 for a in arrays) == 0
+
+
+@pytest.mark.parametrize("preset, steps, n_bars", [("toy", 15, 2), ("paper", 3, 1)])
+def test_float32_loss_trace_follows_float64(vocab, preset, steps, n_bars):
+    """The float32 loss trace stays within 1e-4 relative of the float64 one,
+    from the float64 draw rounded to float32."""
+    pairs = [make_pair(vocab, n_bars=n_bars, seed=s) for s in (1, 2)]
+    traces = {dtype: train_model(pairs, make_config(preset, dtype=dtype,
+                                                    vocab_size=vocab.size),
+                                 steps)[1]
+              for dtype in ("float64", "float32")}
+    np.testing.assert_allclose(traces["float32"], traces["float64"], rtol=1e-4)
 
 
 def test_tape_free_passes_leave_training_bit_identical(vocab):
