@@ -488,29 +488,29 @@ def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
 # -- checkpoints -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_checkpoint_round_trip_bit_exact(vocab, tmp_path, dtype):
-    cfg = small_cfg(seed=5, dtype=dtype)
-    params = init_params(cfg)
-    blob = dump_checkpoint(params, cfg)
-    loaded, cfg2 = load_checkpoint(blob)
-    assert cfg2 == cfg
-    assert set(loaded) == set(params)
-    for name, p in params.items():
-        assert loaded[name].data.dtype == p.data.dtype == dtype
-        assert loaded[name].data.tobytes() == p.data.tobytes()
-        assert loaded[name].requires_grad == p.requires_grad
-
+def test_checkpoint_round_trip_bit_exact(vocab, tmp_path):
     seqs, grid = make_pair(vocab)
-    a = model_forward(seqs, grid, params, cfg)
-    b = model_forward(seqs, grid, loaded, cfg2)
-    assert np.array_equal(a.data, b.data)
+    for dtype in ("float64", "float32"):
+        cfg = small_cfg(seed=5, dtype=dtype)
+        params = init_params(cfg)
+        blob = dump_checkpoint(params, cfg)
+        loaded, cfg2 = load_checkpoint(blob)
+        assert cfg2 == cfg
+        assert set(loaded) == set(params)
+        for name, p in params.items():
+            assert loaded[name].data.dtype == p.data.dtype == dtype
+            assert loaded[name].data.tobytes() == p.data.tobytes()
+            assert loaded[name].requires_grad == p.requires_grad
 
-    path = tmp_path / "model.ckpt"
-    save_checkpoint_file(str(path), params, cfg)
-    again, cfg3 = load_checkpoint_file(str(path))
-    assert cfg3 == cfg
-    assert np.array_equal(again["te"].data, params["te"].data)
+        a = model_forward(seqs, grid, params, cfg)
+        b = model_forward(seqs, grid, loaded, cfg2)
+        assert np.array_equal(a.data, b.data)
+
+        path = tmp_path / f"model_{dtype}.ckpt"
+        save_checkpoint_file(str(path), params, cfg)
+        again, cfg3 = load_checkpoint_file(str(path))
+        assert cfg3 == cfg
+        assert np.array_equal(again["te"].data, params["te"].data)
 
 
 def test_params_hold_only_trained_weights():

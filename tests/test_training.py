@@ -10,8 +10,7 @@ from bandgen.features import (FeatureGrid, extract_expert_features,
 from bandgen.neural.autograd import Tensor, no_grad
 from bandgen.neural.checkpoint import dump_checkpoint
 from bandgen.neural.model import (DecodeCache, init_params, make_config,
-                                  model_forward,
-                                  sequence_loss)
+                                  model_forward, sequence_loss)
 from bandgen.neural.optim import Adam, schedule_lr
 from bandgen.neural.sampling import generate
 from bandgen.neural.training import (batch_loss, check_pair, gradient_check,
@@ -195,7 +194,7 @@ def test_a_float32_config_makes_only_float32_arrays(vocab, monkeypatch):
         root.backward()
         opt.step()
     cache = DecodeCache()
-    model_forward(build_track_seqs([ids[:3] for ids in seqs.seqs], vocab), grid,
+    model_forward(build_track_seqs([row[:3] for row in seqs.seqs], vocab), grid,
                   params, cfg, cache=cache)
     assert len(generate(grid, params, cfg, vocab, t_max=3).step_seconds) == 1
     arrays = [t.data for t in made] + [t.grad for t in made if t.grad is not None]
