@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .score import (INSTRUMENTS, TICKS_PER_BAR, TICKS_PER_QUARTER, Song,
-                    dump_records, load_records)
+from .score import (INSTRUMENTS, TICKS_PER_BAR, TICKS_PER_QUARTER, NoteColumns,
+                    Song, dump_records, load_records, note_columns)
 
 QUALITIES = ("maj", "min", "dim", "aug", "sus2", "sus4",
              "maj7", "min7", "dom7", "hdim7", "dim7")
@@ -110,20 +110,36 @@ def detect_chord(pitch_classes) -> ChordLabel:
     return NO_CHORD if len(pcs) < 2 else _chord_of(pcs)
 
 
+# chord index per 12-bit pitch-class mask, -1 until a beat first sounds it
+_MASK_CHORD = np.full(1 << 12, -1, dtype=np.int64)
+_LABELS = tuple(chord_from_index(i) for i in range(CT_SIZE))
+
+
+def beat_chord_ids(cols: NoteColumns, n_beats: int) -> np.ndarray:
+    """Chord index of each of the first n_beats beats over the pitched notes
+    of `cols`. A note sounds in every beat from its onset's to the one
+    holding its last tick (at least its onset's); its pitch-class bit is
+    ORed into each of them."""
+    onset, pitch = cols.onset[cols.pitched], cols.pitch[cols.pitched]
+    first = onset // TICKS_PER_QUARTER
+    end = (onset + cols.duration[cols.pitched] - 1) // TICKS_PER_QUARTER
+    counts = np.clip(np.minimum(np.maximum(first, end) + 1, n_beats) - first, 0, None)
+    starts = np.cumsum(counts) - counts
+    beats = np.repeat(first - starts, counts) + np.arange(counts.sum())
+    masks = np.zeros(n_beats, dtype=np.int64)
+    np.bitwise_or.at(masks, beats, np.repeat(1 << pitch % 12, counts))
+    unseen = _MASK_CHORD[masks] < 0
+    if unseen.any():
+        for m in set(masks[unseen].tolist()):
+            pcs = [pc for pc in range(12) if m >> pc & 1]
+            _MASK_CHORD[m] = chord_index(detect_chord(pcs))
+    return _MASK_CHORD[masks]
+
+
 def beat_chords(song: Song) -> list[ChordLabel]:
     """One chord per beat over the union of pitched tracks; held notes count."""
-    n_beats = song.n_bars * 4
-    sounding: list[set[int]] = [set() for _ in range(n_beats)]
-    tpq = TICKS_PER_QUARTER
-    for t in song.tracks:
-        if t.instrument == "Drum":
-            continue
-        for n in t.notes:
-            first = n.onset // tpq
-            last = max(first, (n.onset + n.duration - 1) // tpq)
-            for beat in range(first, min(last + 1, n_beats)):
-                sounding[beat].add(n.pitch % 12)
-    return [detect_chord(pcs) for pcs in sounding]
+    ids = beat_chord_ids(note_columns(song), song.n_bars * 4)
+    return [_LABELS[i] for i in ids.tolist()]
 
 
 @dataclass(slots=True)
@@ -142,12 +158,13 @@ class FeatureGrid:
 
 def extract_expert_features(song: Song) -> FeatureGrid:
     """Raw (unbinned) grid; empty cells get an empty dict."""
+    chords = beat_chords(song)  # checks the song's grid and onsets first
     entries: list[list[dict]] = []
     for t in song.tracks:
         bars: list[list] = [[] for _ in range(song.n_bars)]
         for n in t.notes:
             b = n.onset // TICKS_PER_BAR
-            if 0 <= b < song.n_bars:
+            if b < song.n_bars:
                 bars[b].append(n)
         row: list[dict] = []
         for notes in bars:
@@ -163,7 +180,7 @@ def extract_expert_features(song: Song) -> FeatureGrid:
                             "mv": sum(n.velocity for n in notes) / len(notes)})
         entries.append(row)
     return FeatureGrid([t.instrument for t in song.tracks], song.n_bars,
-                       entries, beat_chords(song), binned=False)
+                       entries, chords, binned=False)
 
 
 def dt_bin(raw: float) -> int:

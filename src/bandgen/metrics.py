@@ -1,11 +1,18 @@
 """Fidelity metrics between a reference song and a cover.
 
-All metrics compare the first min(n_bars) bars of both songs, and all but
-chord accuracy read one bar table per song, filled in a single pass over its
-notes. Conventions for degenerate bars: a similarity over two empty bars is
-1, over exactly one empty bar 0; distances are 0 for identical inputs by
-construction. Drum notes are excluded from pitch, velocity and chroma
-comparisons.
+All metrics compare the first min(n_bars) bars of both songs. Each song is
+read once into note columns (`score.note_columns`); each bar table is one
+`np.bincount` over them and each metric a row-wise or matrix operation, with
+no Python loop per bar or note. Degenerate bars: a similarity over two empty
+or two identical bars is 1, over exactly one empty bar 0. Drum notes are
+excluded from pitch, velocity and chroma comparisons.
+
+The array form is exact: every table entry is an integer count, so sums,
+norms and dot products (the self-similarity matrices' too) are exact in any
+order, and each overlap divides and sums each bar's row as a per-bar loop
+does. A song off the 48-ticks-per-quarter grid raises DataError, a note
+before the song start NoteOutOfRange; notes past the compared bars are
+skipped.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ZeroBars
-from .features import beat_chords
-from .score import Song, TICKS_PER_BAR
-from .tokens import DURATION_MESH, VELOCITY_BINS, snap_to_mesh, velocity_bin
+from .features import beat_chord_ids
+from .score import NoteColumns, Song, TICKS_PER_BAR, note_columns
+from .tokens import DURATION_MESH, VELOCITY_BINS, velocity_bin
 
 _SIXTEENTH = TICKS_PER_BAR // 16
-_MESH_INDEX = {d: i for i, d in enumerate(DURATION_MESH)}
+# a left search of the midpoints is `snap_to_mesh`: nearest, ties to the smaller
+_MESH_MIDPOINTS = (np.array(DURATION_MESH[:-1]) + DURATION_MESH[1:]) / 2
+_VELOCITY_BIN = np.array([velocity_bin(v) for v in range(128)])
 
 
 @dataclass(slots=True)
@@ -41,69 +50,58 @@ class MetricsReport:
 @dataclass(slots=True)
 class _BarTable:
     """Per-bar counts of one song's notes, one row per compared bar."""
-    onsets: np.ndarray    # [n]
+    duration: np.ndarray  # [n, len(DURATION_MESH)]; row sums are onset counts
     pitch: np.ndarray     # [n, 128], drums excluded
-    duration: np.ndarray  # [n, len(DURATION_MESH)]
     velocity: np.ndarray  # [n, VELOCITY_BINS], drums excluded
     chroma: np.ndarray    # [n, 12], drums excluded
     groove: np.ndarray    # [n, 16], 1.0 where some note starts in the slot
 
 
-def _bar_table(song: Song, n: int) -> _BarTable:
-    tab = _BarTable(np.zeros(n), np.zeros((n, 128)),
-                    np.zeros((n, len(DURATION_MESH))),
-                    np.zeros((n, VELOCITY_BINS)), np.zeros((n, 12)),
-                    np.zeros((n, 16)))
-    for t in song.tracks:
-        pitched = t.instrument != "Drum"
-        for note in t.notes:
-            b, tick = divmod(note.onset, TICKS_PER_BAR)
-            if b >= n:
-                continue
-            tab.onsets[b] += 1
-            tab.duration[b, _MESH_INDEX[snap_to_mesh(note.duration)]] += 1
-            tab.groove[b, tick // _SIXTEENTH] = 1.0
-            if pitched:
-                tab.pitch[b, note.pitch] += 1
-                tab.velocity[b, velocity_bin(note.velocity)] += 1
-                tab.chroma[b, note.pitch % 12] += 1
-    return tab
+def _counts(bar: np.ndarray, col: np.ndarray, width: int, n: int) -> np.ndarray:
+    return np.bincount(bar * width + col, minlength=n * width).reshape(n, width) * 1.0
+
+
+def _bar_table(cols: NoteColumns, n: int) -> _BarTable:
+    keep = cols.onset < n * TICKS_PER_BAR
+    bar, tick = np.divmod(cols.onset[keep], TICKS_PER_BAR)
+    pitched = cols.pitched[keep]
+    p_bar, pitch = bar[pitched], cols.pitch[keep][pitched]
+    mesh = np.searchsorted(_MESH_MIDPOINTS, cols.duration[keep])
+    return _BarTable(
+        _counts(bar, mesh, len(DURATION_MESH), n),
+        _counts(p_bar, pitch, 128, n),
+        _counts(p_bar, _VELOCITY_BIN[cols.velocity[keep][pitched]], VELOCITY_BINS, n),
+        _counts(p_bar, pitch % 12, 12, n),
+        (_counts(bar, tick // _SIXTEENTH, 16, n) > 0) * 1.0)
 
 
 def _overlap(h_ref: np.ndarray, h_cov: np.ndarray) -> float:
-    """Mean per-bar overlap of normalized histograms."""
-    scores = []
-    for p, q in zip(h_ref, h_cov):
-        sp, sq = p.sum(), q.sum()
-        if np.array_equal(p, q):  # identical distributions overlap fully
-            scores.append(1.0)
-        elif sp == 0 or sq == 0:
-            scores.append(0.0)
-        else:
-            scores.append(float(np.minimum(p / sp, q / sq).sum()))
+    """Mean per-bar overlap of normalized histograms. An empty row stays all
+    zero (it is divided by 1), so it overlaps nothing unless both are empty."""
+    sp, sq = h_ref.sum(1, keepdims=True), h_cov.sum(1, keepdims=True)
+    scores = np.minimum(h_ref / np.maximum(sp, 1), h_cov / np.maximum(sq, 1)).sum(1)
+    scores[(h_ref == h_cov).all(1)] = 1.0  # identical distributions overlap fully
     return float(np.mean(scores))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    if np.array_equal(a, b):  # covers the all-zero pair and exact self-similarity
-        return 1.0
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return min(1.0, float(np.dot(a, b) / (na * nb)))
+def _cosine(dot: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    """Cosines capped at 1 from exact dot products and squared norms. As
+    |a - b|^2 = sq_a + sq_b - 2 dot, equal vectors are those with
+    sq_a == dot == sq_b: they score 1. One empty vector gives dot 0."""
+    norms = np.sqrt(sq_a) * np.sqrt(sq_b)
+    cos = np.minimum(1.0, dot / np.where(norms == 0, 1.0, norms))
+    return np.where((sq_a == dot) & (sq_b == dot), 1.0, cos)
 
 
 def _mean_cosine(v_ref: np.ndarray, v_cov: np.ndarray) -> float:
-    return float(np.mean([_cosine(a, b) for a, b in zip(v_ref, v_cov)]))
+    sq = (v_ref * v_ref).sum(1), (v_cov * v_cov).sum(1)
+    return float(np.mean(_cosine((v_ref * v_cov).sum(1), *sq)))
 
 
 def _ssm(chroma: np.ndarray) -> np.ndarray:
-    n = len(chroma)
-    out = np.empty((n, n))
-    for i in range(n):  # _cosine is symmetric bit for bit: fill j >= i and mirror
-        for j in range(i, n):
-            out[i, j] = out[j, i] = _cosine(chroma[i], chroma[j])
-    return out
+    gram = chroma @ chroma.T
+    sq = np.diag(gram)
+    return _cosine(gram, sq[:, None], sq[None, :])
 
 
 def evaluate_pair(ref: Song, cov: Song) -> MetricsReport:
@@ -111,17 +109,19 @@ def evaluate_pair(ref: Song, cov: Song) -> MetricsReport:
     n = min(ref.n_bars, cov.n_bars)
     if n <= 0:
         raise ZeroBars("no bars to compare")
-    r, c = _bar_table(ref, n), _bar_table(cov, n)
-    rmse = float(np.sqrt(np.mean((r.onsets - c.onsets) ** 2)))
-    beats = zip(beat_chords(ref)[:n * 4], beat_chords(cov)[:n * 4])
+    ref_cols, cov_cols = note_columns(ref), note_columns(cov)
+    r, c = _bar_table(ref_cols, n), _bar_table(cov_cols, n)
+    onsets = r.duration.sum(1)
+    rmse = float(np.sqrt(np.mean((onsets - c.duration.sum(1)) ** 2)))
+    same_chord = beat_chord_ids(ref_cols, n * 4) == beat_chord_ids(cov_cols, n * 4)
     return MetricsReport(
-        nde=rmse / max(1.0, float(r.onsets.max())),
+        nde=rmse / max(1.0, float(onsets.max())),
         oap=_overlap(r.pitch, c.pitch),
         oad=_overlap(r.duration, c.duration),
         oav=_overlap(r.velocity, c.velocity),
         ccs=_mean_cosine(r.chroma, c.chroma),
         gcs=_mean_cosine(r.groove, c.groove),
-        ca=sum(1 for a, b in beats if a == b) / (n * 4),
+        ca=int(np.count_nonzero(same_chord)) / (n * 4),
         ssmd=float(np.mean(np.abs(_ssm(r.chroma) - _ssm(c.chroma)))),
         n_bars_compared=n,
     )

@@ -6,7 +6,9 @@ The 8 row indices are the bar's learned feature codes. A positional decoder
 reconstructs the sub-sequence from the quantized latent; training minimizes
 reconstruction cross-entropy plus the usual codebook and commitment terms.
 The blocks take the config's dtype, and so does every array of a step;
-only the nearest-row search measures its distances in float64.
+only the nearest-row search measures its distances in float64, a chunk of
+rows at a time so that its difference array stays within DIST_BUDGET
+elements.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .optim import Adam
 MAX_BAR_TOKENS = 96
 COMMITMENT_WEIGHT = 0.25
 BATCH_UNITS = 256  # bar units per step; a larger corpus is sampled without replacement
+DIST_BUDGET = 1 << 22  # difference elements per chunk of the nearest-row search
 
 
 def quantize_vectors(z_e: np.ndarray, codebook: np.ndarray
@@ -37,10 +40,13 @@ def quantize_vectors(z_e: np.ndarray, codebook: np.ndarray
     n, d_l = z.shape
     g = d_l // N_VQ_GROUPS
     groups = z.reshape(n, N_VQ_GROUPS, g)
-    # [N, 8, K] squared distances
-    diff = groups[:, :, None, :] - codebook[None, None, :, :]
-    dists = (diff * diff).sum(axis=-1)
-    codes = dists.argmin(axis=-1)
+    # [rows, 8, K, g] differences, a chunk of rows at a time; each row's
+    # distances and argmin are its own, so the codes do not depend on the cut
+    rows = max(1, DIST_BUDGET // max(1, N_VQ_GROUPS * codebook.shape[0] * g))
+    codes = np.empty((n, N_VQ_GROUPS), dtype=np.intp)
+    for lo in range(0, n, rows):
+        diff = groups[lo:lo + rows, :, None, :] - codebook[None, None, :, :]
+        codes[lo:lo + rows] = (diff * diff).sum(axis=-1).argmin(axis=-1)
     return codes, codebook[codes].reshape(n, d_l)
 
 

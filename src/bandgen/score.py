@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DataError, NoDrumTrack, NoMelodyTrack, UsageError
+import numpy as np
+
+from .errors import (DataError, NoDrumTrack, NoMelodyTrack, NoteOutOfRange,
+                     UsageError)
 
 TICKS_PER_QUARTER = 48
 TICKS_PER_BAR = 192
@@ -68,6 +71,36 @@ class Song:
 
     def note_count(self) -> int:
         return sum(len(t.notes) for t in self.tracks)
+
+
+@dataclass(frozen=True, slots=True)
+class NoteColumns:
+    """One song's notes as parallel int64 columns, track after track."""
+    onset: np.ndarray
+    duration: np.ndarray
+    pitch: np.ndarray
+    velocity: np.ndarray
+    pitched: np.ndarray  # bool, False on drum tracks
+
+
+def note_columns(song: Song) -> NoteColumns:
+    """The columns that bar and beat tables are counted from. A song off the
+    canonical grid is a DataError, and so is a pitch or velocity outside
+    0-127; a negative onset is NoteOutOfRange. Onsets past the
+    song's bars are kept: each table skips what lies past its own span."""
+    if song.resolution != TICKS_PER_QUARTER:
+        raise DataError(f"song at {song.resolution} ticks per quarter; "
+                        f"quantize it to {TICKS_PER_QUARTER} first")
+    flat = [v for t in song.tracks for n in t.notes
+            for v in (n.onset, n.duration, n.pitch, n.velocity)]
+    onset, duration, pitch, velocity = np.array(flat, np.int64).reshape(-1, 4).T
+    if (onset < 0).any():
+        raise NoteOutOfRange(f"note onset {onset.min()} before the song start")
+    if ((pitch < 0) | (pitch > 127) | (velocity < 0) | (velocity > 127)).any():
+        raise DataError("note pitch or velocity outside 0-127")
+    pitched = np.repeat(np.array([t.instrument != "Drum" for t in song.tracks], bool),
+                        [len(t.notes) for t in song.tracks])
+    return NoteColumns(onset, duration, pitch, velocity, pitched)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,10 +1,13 @@
 """Grouped vector quantization: nearest-row assignment, straight-through
 gradients, bar-unit slicing, and code assignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bandgen.errors import DataError, EmptyCodebook
+from bandgen.neural import vqvae as vqvae_module
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import draw_params, init_params, make_config
 from bandgen.neural.vqvae import (MAX_BAR_TOKENS, assign_codes, bar_units,
@@ -47,6 +50,47 @@ def test_quantize_tie_goes_to_lower_index():
     codes, _ = quantize_vectors(z, codebook)
     # 1.0 is equidistant from rows 0 and 1 (and their duplicates)
     np.testing.assert_array_equal(codes, np.zeros((1, 8), dtype=np.int64))
+
+
+def unchunked_codes(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """The whole [N, 8, K, g] difference array at once."""
+    groups = z.reshape(len(z), 8, -1)
+    diff = groups[:, :, None, :] - codebook[None, None, :, :]
+    return (diff * diff).sum(-1).argmin(-1)
+
+
+def test_quantize_chunks_match_the_unchunked_search(monkeypatch):
+    """Chunks of 3 rows over 10 (the last one cut to 1 row) give the codes
+    and z_q of the one-array search bit for bit, ties included."""
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((10, 32))
+    z[4] = 0.5  # equidistant from the duplicated rows below, far from the rest
+    codebook = rng.standard_normal((12, 4)) + 3.0
+    codebook[[3, 7]] = 0.0
+    codebook[[5, 9]] = 1.0
+    want = unchunked_codes(z, codebook)
+    monkeypatch.setattr(vqvae_module, "DIST_BUDGET", 3 * 8 * 12 * 4 + 5)
+    codes, z_q = quantize_vectors(z, codebook)
+    np.testing.assert_array_equal(codes, want)
+    assert codes.dtype == want.dtype and codes[4].tolist() == [3] * 8
+    np.testing.assert_array_equal(z_q, codebook[want].reshape(10, 32))
+
+
+def test_quantize_memory_peak_is_bounded_at_paper_sizes():
+    """256 units, K = 1024, g = 16: the one-array search peaks at 554 MB
+    (difference plus square); a chunk stays within the element budget."""
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((256, 128))
+    codebook = rng.standard_normal((1024, 16))
+    quantize_vectors(z[:1], codebook)
+    tracemalloc.start()
+    try:
+        codes, _ = quantize_vectors(z, codebook)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * vqvae_module.DIST_BUDGET + 8 * 1024 * 1024
+    np.testing.assert_array_equal(codes[:8], unchunked_codes(z[:8], codebook))
 
 
 def test_quantize_empty_codebook_raises():
