@@ -157,82 +157,115 @@ class FeatureGrid:
 
 
 def extract_expert_features(song: Song) -> FeatureGrid:
-    """Raw (unbinned) grid; empty cells get an empty dict."""
-    chords = beat_chords(song)  # checks the song's grid and onsets first
+    """Raw (unbinned) grid; empty cells get an empty dict. Every cell's note
+    count, distinct drum pitches and pitch, duration and velocity sums are
+    one np.bincount each over the song's note columns (the sums are of
+    integers, so exact); notes past the song's bars are skipped."""
+    cols = note_columns(song)  # checks the song's grid and onsets first
+    n_bars = song.n_bars
+    chords = [_LABELS[i] for i in beat_chord_ids(cols, n_bars * 4).tolist()]
+    keep = cols.onset < n_bars * TICKS_PER_BAR
+    cell = (np.repeat(np.arange(len(song.tracks)) * n_bars,
+                      [len(t.notes) for t in song.tracks])
+            + cols.onset // TICKS_PER_BAR)[keep]
+    size = len(song.tracks) * n_bars
+    count = np.bincount(cell, minlength=size)
+
+    def mean(values: np.ndarray) -> list[float]:
+        return (np.bincount(cell, values[keep], size) / np.maximum(count, 1)).tolist()
+
+    pitches = np.unique(cell * 128 + cols.pitch[keep])
+    distinct = np.bincount(pitches // 128, minlength=size).tolist()
+    mp, md, mv = mean(cols.pitch), mean(cols.duration), mean(cols.velocity)
+    count = count.tolist()
     entries: list[list[dict]] = []
-    for t in song.tracks:
-        bars: list[list] = [[] for _ in range(song.n_bars)]
-        for n in t.notes:
-            b = n.onset // TICKS_PER_BAR
-            if b < song.n_bars:
-                bars[b].append(n)
-        row: list[dict] = []
-        for notes in bars:
-            if not notes:
-                row.append({})
-            elif t.instrument == "Drum":
-                row.append({"dt": float(len({n.pitch for n in notes})),
-                            "dd": len(notes) / 4.0})
-            else:
-                row.append({"nd": len(notes) / 4.0,
-                            "mp": sum(n.pitch for n in notes) / len(notes),
-                            "md": sum(n.duration for n in notes) / len(notes),
-                            "mv": sum(n.velocity for n in notes) / len(notes)})
-        entries.append(row)
-    return FeatureGrid([t.instrument for t in song.tracks], song.n_bars,
+    for ti, t in enumerate(song.tracks):
+        cells = range(ti * n_bars, (ti + 1) * n_bars)
+        if t.instrument == "Drum":
+            entries.append([{"dt": float(distinct[c]), "dd": count[c] / 4.0}
+                            if count[c] else {} for c in cells])
+        else:
+            entries.append([{"nd": count[c] / 4.0, "mp": mp[c], "md": md[c], "mv": mv[c]}
+                            if count[c] else {} for c in cells])
+    return FeatureGrid([t.instrument for t in song.tracks], n_bars,
                        entries, chords, binned=False)
 
 
+# Each bin rule over an array of raw values. Each clips before it casts to
+# int64, so a huge raw value cannot overflow; the cast truncates toward zero
+# as int() does.
+_BIN_RULES = {
+    "dt": lambda raw: np.minimum(raw, DT_SIZE - 1).astype(np.int64),
+    "dd": lambda raw: np.minimum(raw / 0.25, DD_SIZE - 1).astype(np.int64),
+    "nd": lambda raw: np.minimum(raw / 0.25, ND_SIZE - 1).astype(np.int64),
+    "mp": lambda raw: (np.clip(raw, 32, 99).astype(np.int64) - 32) // 2,
+    "md": lambda raw: np.clip(np.searchsorted(_MD_EDGES, raw, side="right") - 1,
+                              0, MD_SIZE - 1),
+    "mv": lambda raw: np.clip(raw, 0, 135).astype(np.int64) // 4,
+}
+
+
+def _bin(key: str, raw: float) -> int:
+    return int(_BIN_RULES[key](np.float64(raw)))
+
+
 def dt_bin(raw: float) -> int:
-    return min(int(raw), DT_SIZE - 1)
+    return _bin("dt", raw)
 
 
 def dd_bin(raw: float) -> int:
-    return min(int(raw / 0.25), DD_SIZE - 1)
+    return _bin("dd", raw)
 
 
 def nd_bin(raw: float) -> int:
-    return min(int(raw / 0.25), ND_SIZE - 1)
+    return _bin("nd", raw)
 
 
 def mp_bin(raw: float) -> int:
-    return (min(max(int(raw), 32), 99) - 32) // 2
+    return _bin("mp", raw)
 
 
 def md_bin(raw: float) -> int:
-    i = int(np.searchsorted(_MD_EDGES, raw, side="right")) - 1
-    return min(max(i, 0), MD_SIZE - 1)
+    return _bin("md", raw)
 
 
 def mv_bin(raw: float) -> int:
-    return min(max(int(raw), 0), 135) // 4
+    return _bin("mv", raw)
+
+
+def _binned_rows(rows: list[list[dict]], keys: tuple[str, ...]) -> list[list[dict]]:
+    """Bin `keys` of every non-empty cell of the rows, one array per key;
+    empty cells take each key's sentinel bin (index = table size)."""
+    filled = [cell for row in rows for cell in row if cell]
+    raw = np.array([[cell[k] for k in keys] for cell in filled], float)
+    raw = raw.reshape(len(filled), len(keys))
+    bins = iter(zip(*(_BIN_RULES[k](raw[:, j]).tolist() for j, k in enumerate(keys))))
+    empty = tuple(FEATURE_SIZES[k] for k in keys)
+    return [[dict(zip(keys, next(bins) if cell else empty)) for cell in row]
+            for row in rows]
 
 
 def quantize_features(grid: FeatureGrid) -> FeatureGrid:
     """Bin every raw cell; empty cells take each feature's sentinel bin
-    (index = table size). Identity on already-binned grids."""
+    (index = table size). Pitched cells also take the four beat chords of
+    their bar. Identity on already-binned grids."""
     if grid.binned:
         return grid
+    drum = [inst == "Drum" for inst in grid.instruments]
+    rows = [row[:grid.n_bars] for row in grid.entries]
+    drum_rows = iter(_binned_rows([r for r, d in zip(rows, drum) if d],
+                                  DRUM_KEYS_FEATURE))
+    pitched_rows = iter(_binned_rows([r for r, d in zip(rows, drum) if not d],
+                                     PITCHED_KEYS_FEATURE))
+    cts = [chord_index(label) for label in grid.chords]
     entries: list[list[dict]] = []
-    for ti, inst in enumerate(grid.instruments):
-        row: list[dict] = []
-        for b in range(grid.n_bars):
-            raw = grid.entries[ti][b]
-            if inst == "Drum":
-                if raw:
-                    cell = {"dt": dt_bin(raw["dt"]), "dd": dd_bin(raw["dd"])}
-                else:
-                    cell = {"dt": DT_SIZE, "dd": DD_SIZE}
-            else:
-                if raw:
-                    cell = {"nd": nd_bin(raw["nd"]), "mp": mp_bin(raw["mp"]),
-                            "md": md_bin(raw["md"]), "mv": mv_bin(raw["mv"])}
-                else:
-                    cell = {"nd": ND_SIZE, "mp": MP_SIZE, "md": MD_SIZE, "mv": MV_SIZE}
-                cts = grid.chords[b * 4:(b + 1) * 4]
-                for j, label in enumerate(cts):
-                    cell[f"ct{j}"] = chord_index(label)
-            row.append(cell)
+    for is_drum in drum:
+        if is_drum:
+            entries.append(next(drum_rows))
+            continue
+        row = next(pitched_rows)
+        for b, cell in enumerate(row):
+            cell.update(zip(("ct0", "ct1", "ct2", "ct3"), cts[b * 4:(b + 1) * 4]))
         entries.append(row)
     return FeatureGrid(list(grid.instruments), grid.n_bars, entries,
                        list(grid.chords), binned=True, vq_entries=grid.vq_entries)

@@ -26,12 +26,9 @@ import numpy as np
 from .errors import ZeroBars
 from .features import beat_chord_ids
 from .score import NoteColumns, Song, TICKS_PER_BAR, note_columns
-from .tokens import DURATION_MESH, VELOCITY_BINS, velocity_bin
+from .tokens import DURATION_MESH, VELOCITY_BIN, VELOCITY_BINS, mesh_index
 
 _SIXTEENTH = TICKS_PER_BAR // 16
-# a left search of the midpoints is `snap_to_mesh`: nearest, ties to the smaller
-_MESH_MIDPOINTS = (np.array(DURATION_MESH[:-1]) + DURATION_MESH[1:]) / 2
-_VELOCITY_BIN = np.array([velocity_bin(v) for v in range(128)])
 
 
 @dataclass(slots=True)
@@ -66,11 +63,11 @@ def _bar_table(cols: NoteColumns, n: int) -> _BarTable:
     bar, tick = np.divmod(cols.onset[keep], TICKS_PER_BAR)
     pitched = cols.pitched[keep]
     p_bar, pitch = bar[pitched], cols.pitch[keep][pitched]
-    mesh = np.searchsorted(_MESH_MIDPOINTS, cols.duration[keep])
+    mesh = mesh_index(cols.duration[keep])
     return _BarTable(
         _counts(bar, mesh, len(DURATION_MESH), n),
         _counts(p_bar, pitch, 128, n),
-        _counts(p_bar, _VELOCITY_BIN[cols.velocity[keep][pitched]], VELOCITY_BINS, n),
+        _counts(p_bar, VELOCITY_BIN[cols.velocity[keep][pitched]], VELOCITY_BINS, n),
         _counts(p_bar, pitch % 12, 12, n),
         (_counts(bar, tick // _SIXTEENTH, 16, n) > 0) * 1.0)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 
 from .errors import MalformedMidi, UnsupportedTimeSignature
-from .score import Note, Song, Track, program_to_class
+from .score import NOTE_ORDER, Note, Song, Track, program_to_class
 
 DRUM_CHANNEL = 9
 
@@ -27,41 +27,32 @@ _META_TEMPO = 0x51
 _META_TIME_SIGNATURE = 0x58
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedMidi("unexpected end of data")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def varlen(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.u8()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MalformedMidi("variable-length quantity longer than 4 bytes")
+def _varlen(data: bytes, i: int) -> tuple[int, int]:
+    """The variable-length quantity at data[i] and the index after it. Past
+    the end of `data` it raises IndexError, which the caller reports."""
+    value = 0
+    for i in range(i, i + 4):
+        b = data[i]
+        value = value << 7 | b & 0x7F
+        if not b & 0x80:
+            return value, i + 1
+    raise MalformedMidi("variable-length quantity longer than 4 bytes")
 
 
-def _read_chunk(r: _Reader) -> tuple[bytes, bytes]:
-    tag = r.take(4)
-    (length,) = struct.unpack(">I", r.take(4))
-    return tag, r.take(length)
+def _chunk(data: bytes, pos: int) -> tuple[bytes, bytes, int]:
+    """(tag, body, index after the chunk) of the chunk at data[pos]."""
+    body = pos + 8
+    if body > len(data):
+        raise MalformedMidi("unexpected end of data")
+    (length,) = struct.unpack_from(">I", data, pos + 4)
+    if body + length > len(data):
+        raise MalformedMidi("unexpected end of data")
+    return data[pos:pos + 4], data[body:body + length], body + length
 
 
 def parse_midi(data: bytes) -> Song:
     """Parse SMF bytes into a Song at the file's native resolution."""
-    r = _Reader(data)
-    tag, header = _read_chunk(r)
+    tag, header, pos = _chunk(data, 0)
     if tag != b"MThd" or len(header) < 6:
         raise MalformedMidi("missing MThd header")
     fmt, ntrks, division = struct.unpack(">HHH", header[:6])
@@ -79,7 +70,7 @@ def parse_midi(data: bytes) -> Song:
 
     for chunk_idx in range(ntrks):
         try:
-            tag, body = _read_chunk(r)
+            tag, body, pos = _chunk(data, pos)
         except MalformedMidi:
             raise MalformedMidi(f"truncated track chunk {chunk_idx}")
         if tag != b"MTrk":
@@ -89,8 +80,6 @@ def parse_midi(data: bytes) -> Song:
     tracks: list[Track] = []
     for (ci, ch) in sorted(notes):
         ns = notes[(ci, ch)]
-        if not ns:
-            continue
         program = programs.get((ci, ch), 0)
         name = names.get(ci, "")
         melody = "melody" in name.lower()
@@ -100,11 +89,11 @@ def parse_midi(data: bytes) -> Song:
             inst = "SquareSynth"
         else:
             inst = program_to_class(program)
-        ns.sort(key=lambda n: (n.onset, n.pitch, n.duration, n.velocity))
+        ns.sort(key=NOTE_ORDER)
         tracks.append(Track(inst, ns, program, name, melody and ch != DRUM_CHANNEL))
 
     tpb = division * 4
-    last = max((n.onset for t in tracks for n in t.notes), default=-1)
+    last = max((t.notes[-1].onset for t in tracks), default=-1)
     n_bars = 0 if last < 0 else last // tpb + 1
     return Song(tracks, n_bars, division)
 
@@ -113,65 +102,78 @@ def _parse_track(body: bytes, chunk_idx: int,
                  notes: dict[tuple[int, int], list[Note]],
                  programs: dict[tuple[int, int], int],
                  names: dict[int, str]) -> None:
-    r = _Reader(body)
-    tick = 0
-    status = 0
+    """Read one track body in a single pass over its bytes. Reading past
+    its end is MalformedMidi("unexpected end of data")."""
+    end = len(body)
+    i = tick = status = 0
     # (channel, pitch) -> FIFO of (start tick, velocity)
     open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def close(ch: int, pitch: int, end: int) -> None:
-        stack = open_notes.get((ch, pitch))
-        if not stack:
-            return
-        start, vel = stack.pop(0)
-        key = (chunk_idx, ch)
-        notes.setdefault(key, []).append(
-            Note(pitch, start, max(1, end - start), max(1, vel)))
-
-    while r.pos < len(r.data):
-        tick += r.varlen()
-        b = r.u8()
-        if b == 0xFF:
-            mtype = r.u8()
-            meta = r.take(r.varlen())
-            if mtype == _META_TIME_SIGNATURE:
-                if len(meta) < 2 or meta[0] != 4 or meta[1] != 2:
-                    raise UnsupportedTimeSignature(
-                        f"meter {meta[0] if meta else '?'}/2^{meta[1] if len(meta) > 1 else '?'}")
-            elif mtype == _META_TRACK_NAME:
-                names.setdefault(chunk_idx, meta.decode("latin-1", "replace"))
-            elif mtype == _META_END_OF_TRACK:
-                break
-            continue
-        if b in (0xF0, 0xF7):
-            r.take(r.varlen())
-            status = 0
-            continue
-        if b & 0x80:
-            status = b
-            d0 = r.u8()
-        else:
-            if not status & 0x80:
+    try:
+        while i < end:
+            delta = body[i]
+            i += 1
+            if delta & 0x80:
+                delta, i = _varlen(body, i - 1)
+            tick += delta
+            b = body[i]
+            i += 1
+            if b == 0xFF:
+                mtype = body[i]
+                length, i = _varlen(body, i + 1)
+                if i + length > end:
+                    raise MalformedMidi("unexpected end of data")
+                meta = body[i:i + length]
+                i += length
+                if mtype == _META_TIME_SIGNATURE:
+                    if len(meta) < 2 or meta[0] != 4 or meta[1] != 2:
+                        raise UnsupportedTimeSignature(
+                            f"meter {meta[0] if meta else '?'}/2^{meta[1] if len(meta) > 1 else '?'}")
+                elif mtype == _META_TRACK_NAME:
+                    names.setdefault(chunk_idx, meta.decode("latin-1", "replace"))
+                elif mtype == _META_END_OF_TRACK:
+                    break
+                continue
+            if b in (0xF0, 0xF7):
+                length, i = _varlen(body, i)
+                if i + length > end:
+                    raise MalformedMidi("unexpected end of data")
+                i += length
+                status = 0
+                continue
+            if b & 0x80:
+                status = b
+                d0 = body[i]
+                i += 1
+            elif status & 0x80:
+                d0 = b
+            else:
                 raise MalformedMidi("data byte with no running status")
-            d0 = b
-        kind = status & 0xF0
-        ch = status & 0x0F
-        if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            d1 = r.u8()
-        else:
-            d1 = 0
-        if kind == 0x90 and d1 > 0:
-            open_notes.setdefault((ch, d0), []).append((tick, d1))
-            programs.setdefault((chunk_idx, ch), programs.get((chunk_idx, ch), 0))
-        elif kind == 0x80 or (kind == 0x90 and d1 == 0):
-            close(ch, d0, tick)
-        elif kind == 0xC0:
-            programs.setdefault((chunk_idx, ch), d0)
+            kind = status & 0xF0
+            if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
+                d1 = body[i]
+                i += 1
+            else:
+                d1 = 0
+            ch = status & 0x0F
+            if kind == 0x90 and d1:
+                open_notes.setdefault((ch, d0), []).append((tick, d1))
+                programs.setdefault((chunk_idx, ch), 0)
+            elif kind == 0x80 or kind == 0x90:
+                stack = open_notes.get((ch, d0))
+                if stack:
+                    start, vel = stack.pop(0)
+                    notes.setdefault((chunk_idx, ch), []).append(
+                        Note(d0, start, max(1, tick - start), vel))
+            elif kind == 0xC0:
+                programs.setdefault((chunk_idx, ch), d0)
+    except IndexError:
+        raise MalformedMidi("unexpected end of data") from None
 
     # close anything still sounding at the final tick
-    for (ch, pitch), stack in list(open_notes.items()):
-        while stack:
-            close(ch, pitch, tick)
+    for (ch, pitch), stack in open_notes.items():
+        for start, vel in stack:
+            notes.setdefault((chunk_idx, ch), []).append(
+                Note(pitch, start, max(1, tick - start), vel))
 
 
 # -- writer -------------------------------------------------------------------

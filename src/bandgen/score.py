@@ -10,6 +10,7 @@ window -> dedupe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,10 @@ class Note:
     velocity: int   # 1-127
 
 
+# the one note order: sorted_unique_notes, dump_song and the MIDI reader use it
+NOTE_ORDER = operator.attrgetter("onset", "pitch", "duration", "velocity")
+
+
 @dataclass(slots=True)
 class Track:
     instrument: str
@@ -84,16 +89,18 @@ class NoteColumns:
 
 
 def note_columns(song: Song) -> NoteColumns:
-    """The columns that bar and beat tables are counted from. A song off the
-    canonical grid is a DataError, and so is a pitch or velocity outside
-    0-127; a negative onset is NoteOutOfRange. Onsets past the
-    song's bars are kept: each table skips what lies past its own span."""
+    """The columns that the tokenizer, the feature grid, the metrics and
+    empty_bar_count read. A song off the canonical grid is a DataError, and
+    so is a pitch or velocity outside 0-127; a negative onset is
+    NoteOutOfRange. Onsets past the song's bars are kept: each reader
+    rejects or skips them."""
     if song.resolution != TICKS_PER_QUARTER:
         raise DataError(f"song at {song.resolution} ticks per quarter; "
                         f"quantize it to {TICKS_PER_QUARTER} first")
     flat = [v for t in song.tracks for n in t.notes
             for v in (n.onset, n.duration, n.pitch, n.velocity)]
-    onset, duration, pitch, velocity = np.array(flat, np.int64).reshape(-1, 4).T
+    table = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 4)
+    onset, duration, pitch, velocity = table.T
     if (onset < 0).any():
         raise NoteOutOfRange(f"note onset {onset.min()} before the song start")
     if ((pitch < 0) | (pitch > 127) | (velocity < 0) | (velocity > 127)).any():
@@ -120,7 +127,7 @@ def sorted_unique_notes(notes: list[Note]) -> list[Note]:
     """Sort by (onset, pitch, duration, velocity) and drop same-onset+pitch dups."""
     out: list[Note] = []
     seen: set[tuple[int, int]] = set()
-    for n in sorted(notes, key=lambda n: (n.onset, n.pitch, n.duration, n.velocity)):
+    for n in sorted(notes, key=NOTE_ORDER):
         key = (n.onset, n.pitch)
         if key in seen:
             continue
@@ -230,12 +237,14 @@ def compress_instruments(song: Song) -> Song:
 
 
 def empty_bar_count(song: Song) -> int:
-    tpb = song.ticks_per_bar
-    occupied = [False] * song.n_bars
-    for t in song.tracks:
-        for n in t.notes:
-            occupied[n.onset // tpb] = True
-    return occupied.count(False)
+    """Bars in which no note starts. The song must be on the canonical grid
+    (see `note_columns`); a note past its bars is NoteOutOfRange."""
+    onset = note_columns(song).onset
+    past = onset >= song.n_bars * TICKS_PER_BAR
+    if past.any():
+        raise NoteOutOfRange(f"note onset {onset[past].max()} outside {song.n_bars} bars")
+    occupied = np.bincount(onset // TICKS_PER_BAR, minlength=song.n_bars)
+    return int(np.count_nonzero(occupied == 0))
 
 
 def filter_song(song: Song) -> FilterVerdict:
@@ -316,7 +325,7 @@ def dump_song(song: Song) -> str:
         if not t.notes:
             lines.append(f"T{i} {t.instrument}")
     for i, t in enumerate(song.tracks):
-        for n in sorted(t.notes, key=lambda n: (n.onset, n.pitch, n.duration, n.velocity)):
+        for n in sorted(t.notes, key=NOTE_ORDER):
             lines.append(f"T{i} {t.instrument} {n.onset} {n.pitch} {n.duration} {n.velocity}")
     return "\n".join(lines) + "\n"
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, EmptyCorpus, MalformedSequence, NoteOutOfRange
 from .score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS, TICKS_PER_BAR,
-                    Note, Song, Track, dump_records, load_records,
+                    Note, Song, Track, dump_records, load_records, note_columns,
                     sorted_unique_notes)
 
 PAD_ID = 0
@@ -40,6 +40,7 @@ BAR_KINDS = frozenset({"BarNormal", "BarEmpty"})
 DRUM_KEYS = tuple(sorted(set(range(35, 60)) | {25, 26, 27, 28, 29, 31}))
 # nearest listed drum key per raw pitch, ties to the lower key
 _DRUM_MAP = tuple(min(DRUM_KEYS, key=lambda k: (abs(k - p), k)) for p in range(128))
+_DRUM_KEY = np.array(_DRUM_MAP)
 
 POSITION_GRID = 4
 DURATION_MESH = tuple(
@@ -50,6 +51,10 @@ VELOCITY_BINS = 32
 
 def velocity_bin(velocity: int) -> int:
     return min(velocity // 4, VELOCITY_BINS - 1)
+
+
+# velocity_bin of each velocity 0-127, its array form
+VELOCITY_BIN = np.array([velocity_bin(v) for v in range(128)])
 
 
 def velocity_decode(bin_idx: int) -> int:
@@ -65,6 +70,15 @@ def snap_to_mesh(duration: int) -> int:
         return DURATION_MESH[-1]
     lo, hi = DURATION_MESH[i - 1], DURATION_MESH[i]
     return lo if duration - lo <= hi - duration else hi
+
+
+_MESH_MIDPOINTS = (np.array(DURATION_MESH[:-1]) + DURATION_MESH[1:]) / 2
+
+
+def mesh_index(durations: np.ndarray) -> np.ndarray:
+    """Array form of snap_to_mesh, as indices into DURATION_MESH: a left
+    search of the midpoints takes the nearest value, ties the smaller."""
+    return np.searchsorted(_MESH_MIDPOINTS, durations)
 
 
 def snap_position(tick_in_bar: int) -> int:
@@ -100,6 +114,16 @@ class Vocab:
         self.size = len(specs)
         self._note_mask = tuple(s.kind in NOTE_KINDS for s in specs)
         self.bar_ids = frozenset(i for i, s in enumerate(specs) if s.kind in BAR_KINDS)
+
+        def ids(kind: str, values) -> np.ndarray:
+            return np.array([self.index[(kind, str(v))] for v in values])
+
+        # the array tokenizer's id tables, indexed by value, bin or mesh index
+        self.position_ids = ids("Position", range(0, TICKS_PER_BAR, POSITION_GRID))
+        self.pitch_ids = ids("Pitch", range(128))
+        self.drum_ids = ids("PitchDrum", _DRUM_MAP)  # by raw pitch
+        self.duration_ids = ids("Duration", DURATION_MESH)
+        self.velocity_ids = ids("Velocity", range(VELOCITY_BINS))
 
     def id_of(self, kind: str, value) -> int:
         try:
@@ -165,43 +189,67 @@ def _note_ids(n: Note, is_drum: bool, vocab: Vocab) -> list[int]:
             vocab.id_of("Velocity", velocity_bin(n.velocity))]
 
 
-def _note_group_ids(notes: list[Note], is_drum: bool, vocab: Vocab) -> list[int]:
-    """Token ids for one onset-position group, duplicates dropped."""
-    ids: list[int] = []
-    seen: set[int] = set()
-    for n in sorted(notes, key=lambda n: (n.pitch, n.duration, n.velocity)):
-        key = drum_key(n.pitch) if is_drum else n.pitch
-        if key not in seen:
-            seen.add(key)
-            ids += _note_ids(n, is_drum, vocab)
-    return ids
-
-
-def _track_body_ids(track: Track, n_bars: int, vocab: Vocab) -> list[int]:
-    """Bar groups only (no framing tokens)."""
-    is_drum = track.instrument == "Drum"
-    ids: list[int] = []
-    for notes in _bar_notes(track, n_bars):
-        if not notes:
-            ids.append(vocab.id_of("BarEmpty", 0))
-            continue
-        ids.append(vocab.id_of("BarNormal", 0))
-        groups: dict[int, list[Note]] = {}
-        for n in notes:
-            groups.setdefault(snap_position(n.onset % TICKS_PER_BAR), []).append(n)
-        for pos in sorted(groups):
-            ids.append(vocab.id_of("Position", pos))
-            ids.extend(_note_group_ids(groups[pos], is_drum, vocab))
-    return ids
+def _body_ids(song: Song, vocab: Vocab) -> list[list[int]]:
+    """Each track's bar groups (no framing tokens), from the song's note
+    columns. Notes sort by (track, bar, position, pitch, duration,
+    velocity); the first of each (track, bar, position, key) stays, where
+    the key is the pitch, or on a drum track the drum key (monotone in the
+    pitch, so equal keys are neighbours). The ids are written into one flat
+    array, (track, bar) cell after cell: its bar token, then per note a
+    Position token if it opens its position, and the note's one or three
+    ids."""
+    cols = note_columns(song)
+    n_bars = song.n_bars
+    bar, tick = np.divmod(cols.onset, TICKS_PER_BAR)
+    if (bar >= n_bars).any():
+        raise NoteOutOfRange(f"onset {cols.onset[bar >= n_bars].max()} "
+                             f"outside {n_bars} bars")
+    position = np.minimum((tick + POSITION_GRID // 2) // POSITION_GRID,
+                          len(vocab.position_ids) - 1)
+    pitched = cols.pitched
+    cell = np.repeat(np.arange(len(song.tracks)) * n_bars,
+                     [len(t.notes) for t in song.tracks]) + bar
+    key = np.where(pitched, cols.pitch, _DRUM_KEY[cols.pitch])
+    order = np.lexsort((cols.velocity, cols.duration, cols.pitch, position, cell))
+    cell, position, key, pitched = (a[order] for a in (cell, position, key, pitched))
+    slot = cell * len(vocab.position_ids) + position
+    first = np.ones(len(order), bool)
+    first[1:] = (slot[1:] != slot[:-1]) | (key[1:] != key[:-1])
+    order, cell, position, pitched, slot = (
+        a[first] for a in (order, cell, position, pitched, slot))
+    opens = np.ones(len(order), bool)
+    opens[1:] = slot[1:] != slot[:-1]
+    # a note's block: its Position if it opens one, then its one or three ids
+    width = opens + np.where(pitched, 3, 1)
+    ends = np.cumsum(width)
+    # a cell's bar token follows the bar tokens and blocks of all earlier
+    # cells; one more entry past the last cell is the total length
+    cells = np.arange(len(song.tracks) * n_bars + 1)
+    before = np.searchsorted(cell, cells)  # kept notes in earlier cells
+    bar_at = cells + np.concatenate(([0], ends))[before]
+    out = np.empty(bar_at[-1], np.int64)
+    out[bar_at[:-1]] = np.where(before[1:] > before[:-1], vocab.id_of("BarNormal", 0),
+                                vocab.id_of("BarEmpty", 0))
+    at = ends - width + cell + 1  # each block's start, after its cell's bar token
+    out[at[opens]] = vocab.position_ids[position[opens]]
+    at = at + opens
+    note = order[~pitched]
+    out[at[~pitched]] = vocab.drum_ids[cols.pitch[note]]
+    note, at = order[pitched], at[pitched]
+    out[at] = vocab.pitch_ids[cols.pitch[note]]
+    out[at + 1] = vocab.duration_ids[mesh_index(cols.duration[note])]
+    out[at + 2] = vocab.velocity_ids[VELOCITY_BIN[cols.velocity[note]]]
+    flat = out.tolist()
+    bounds = bar_at[::n_bars].tolist() if n_bars else [0] * (len(song.tracks) + 1)
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def tokenize_song(song: Song, vocab: Vocab) -> TrackTokenSeqs:
-    lists = []
-    for t in song.tracks:
-        ids = [vocab.id_of("Instrument", t.instrument), BOS_ID]
-        ids += _track_body_ids(t, song.n_bars, vocab)
-        ids.append(EOS_ID)
-        lists.append(ids)
+    """Track-parallel ids of a song on the canonical grid. A song off the
+    grid, or with a pitch or velocity outside 0-127, is a DataError; a note
+    outside the song's bars is NoteOutOfRange."""
+    lists = [[vocab.id_of("Instrument", t.instrument), BOS_ID] + body + [EOS_ID]
+             for t, body in zip(song.tracks, _body_ids(song, vocab))]
     return build_track_seqs(lists, vocab)
 
 

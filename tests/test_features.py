@@ -1,17 +1,22 @@
-"""Expert feature grid: chords, bin tables, sentinels, serialization."""
+"""Expert feature grid: chords, bin tables, sentinels, serialization, and
+the per-note and per-cell loops the array form replaced, as its oracle."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandgen.errors import DataError
 from bandgen.features import (CT_SIZE, DD_SIZE, DT_SIZE, FEATURE_SIZES,
                               MD_SIZE, MP_SIZE, MV_SIZE, ND_SIZE, NO_CHORD,
-                              ChordLabel, beat_chords, chord_from_index,
-                              chord_index, dd_bin, detect_chord, dt_bin,
+                              ChordLabel, FeatureGrid, beat_chords,
+                              chord_from_index, chord_index, dd_bin,
+                              detect_chord, dt_bin,
                               dump_feature_corpus, dump_feature_grid,
                               extract_expert_features, load_feature_corpus,
                               load_feature_grid, md_bin, mp_bin, mv_bin,
                               nd_bin, quantize_features)
-from bandgen.score import Note, Song, Track
+from bandgen.score import TICKS_PER_BAR, Note, Song, Track, dedupe_corpus
 from bandgen.synth import make_song
 
 
@@ -192,3 +197,130 @@ def test_serialization_rejects_raw_grids_and_garbage():
     ]:
         with pytest.raises(DataError):
             load_feature_grid(bad)
+
+
+# -- the straightforward path: per-note and per-cell loops, the oracle -----------
+
+
+def oracle_extract(song):
+    chords = beat_chords(song)
+    entries = []
+    for t in song.tracks:
+        bars = [[] for _ in range(song.n_bars)]
+        for n in t.notes:
+            b = n.onset // TICKS_PER_BAR
+            if b < song.n_bars:
+                bars[b].append(n)
+        row = []
+        for notes in bars:
+            if not notes:
+                row.append({})
+            elif t.instrument == "Drum":
+                row.append({"dt": float(len({n.pitch for n in notes})),
+                            "dd": len(notes) / 4.0})
+            else:
+                row.append({"nd": len(notes) / 4.0,
+                            "mp": sum(n.pitch for n in notes) / len(notes),
+                            "md": sum(n.duration for n in notes) / len(notes),
+                            "mv": sum(n.velocity for n in notes) / len(notes)})
+        entries.append(row)
+    return entries, chords
+
+
+# the scalar bin rules as first written
+ORACLE_BINS = {
+    "dt": lambda raw: min(int(raw), DT_SIZE - 1),
+    "dd": lambda raw: min(int(raw / 0.25), DD_SIZE - 1),
+    "nd": lambda raw: min(int(raw / 0.25), ND_SIZE - 1),
+    "mp": lambda raw: (min(max(int(raw), 32), 99) - 32) // 2,
+    "md": lambda raw: min(max(int(np.searchsorted(
+        np.geomspace(4.0, 384.0, MD_SIZE + 1), raw, side="right")) - 1, 0), MD_SIZE - 1),
+    "mv": lambda raw: min(max(int(raw), 0), 135) // 4,
+}
+
+
+def oracle_quantize(instruments, entries, chords):
+    out = []
+    for ti, inst in enumerate(instruments):
+        row = []
+        for raw in entries[ti]:
+            keys = ("dt", "dd") if inst == "Drum" else ("nd", "mp", "md", "mv")
+            cell = {k: ORACLE_BINS[k](raw[k]) if raw else FEATURE_SIZES[k] for k in keys}
+            if inst != "Drum":
+                b = len(row)
+                for j, label in enumerate(chords[b * 4:(b + 1) * 4]):
+                    cell[f"ct{j}"] = chord_index(label)
+            row.append(cell)
+        out.append(row)
+    return out
+
+
+def typed(entries):
+    """The cells with the type of every value, which must be Python's."""
+    return [[{k: (type(v), v) for k, v in cell.items()} for cell in row]
+            for row in entries]
+
+
+def test_grids_match_the_loop_oracle(micro_corpus, edge_songs):
+    """Raw and binned cells, chords, key order and value types of the
+    micro-corpus and of 300 edge-case songs, some with a note past their
+    bars, equal the loops'."""
+    songs = micro_corpus + edge_songs + [Song([], 0), Song([Track("Piano")], 0)]
+    for j, song in enumerate(edge_songs[:100]):
+        past = Note(60 + j % 5, song.n_bars * TICKS_PER_BAR + j, 48, 90)
+        song = Song([Track(t.instrument, t.notes + [past]) for t in song.tracks],
+                    song.n_bars)
+        songs.append(song)
+    for song in songs:
+        raw = extract_expert_features(song)
+        entries, chords = oracle_extract(song)
+        assert typed(raw.entries) == typed(entries)
+        assert raw.chords == chords and not raw.binned
+        binned = quantize_features(raw)
+        want = oracle_quantize(raw.instruments, entries, chords)
+        assert typed(binned.entries) == typed(want)
+        assert [[list(c) for c in row] for row in binned.entries] == [
+            [list(c) for c in row] for row in want]
+        assert binned.chords == chords and binned.binned
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 127), st.integers(0, 383),
+                          st.integers(1, 400), st.integers(1, 127)),
+                min_size=1, max_size=30))
+def test_grids_match_the_loop_oracle_property(raw):
+    notes = [Note(p, o, d, v) for p, o, d, v in raw]
+    song = Song([Track("Piano", notes), Track("Drum", list(notes))], 2)
+    grid = extract_expert_features(song)
+    entries, chords = oracle_extract(song)
+    assert typed(grid.entries) == typed(entries)
+    assert typed(quantize_features(grid).entries) == typed(
+        oracle_quantize(grid.instruments, entries, chords))
+
+
+def test_bin_rules_match_the_scalar_oracle():
+    values = np.concatenate([np.arange(-3, 500, 0.125), np.geomspace(4, 384, 301),
+                             [1e6, 1e30]])
+    public = {"dt": dt_bin, "dd": dd_bin, "nd": nd_bin, "mp": mp_bin,
+              "md": md_bin, "mv": mv_bin}
+    for key, rule in ORACLE_BINS.items():
+        for raw in values.tolist():
+            got = public[key](raw)
+            assert type(got) is int and got == rule(raw), (key, raw)
+
+
+def test_dedupe_picks_match_the_oracle(micro_corpus, edge_songs):
+    songs = micro_corpus + micro_corpus[::7] + edge_songs[:60] + edge_songs[:60:3]
+    seen, want = set(), []
+    for song in songs:
+        entries, chords = oracle_extract(song)
+        instruments = [t.instrument for t in song.tracks]
+        grid = FeatureGrid(instruments, song.n_bars,
+                           oracle_quantize(instruments, entries, chords), chords,
+                           binned=True)
+        key = dump_feature_grid(grid)
+        if key not in seen:
+            seen.add(key)
+            want.append(song)
+    got = dedupe_corpus(songs)
+    assert len(want) < len(songs) and [id(s) for s in got] == [id(s) for s in want]

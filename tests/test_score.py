@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgen.errors import DataError, NoDrumTrack, NoMelodyTrack, UsageError
+from bandgen.errors import (DataError, NoDrumTrack, NoMelodyTrack,
+                            NoteOutOfRange, UsageError)
 from bandgen.score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS,
                            TICKS_PER_BAR, FilterVerdict, Note, Song, Track,
                            compress_instruments, dedupe_corpus,
@@ -168,6 +169,24 @@ def test_filter_empty_bars():
         t.notes = [n for n in t.notes if n.onset >= 5 * TICKS_PER_BAR]
     assert empty_bar_count(s) == 5
     assert "MaxEmptyBars" in filter_song(s).reasons
+
+
+def test_empty_bar_count_on_hand_built_songs():
+    """Notes before the song start used to count in its last bar, and notes
+    past its bars raised a bare IndexError."""
+    def song(*onsets, n_bars=4):
+        return Song([Track("Piano", [Note(60, o, 24, 90) for o in onsets]),
+                     Track("Drum", [])], n_bars)
+
+    assert empty_bar_count(song()) == 4
+    assert empty_bar_count(song(0, 5, 2 * TICKS_PER_BAR + 191)) == 2
+    assert empty_bar_count(song(3 * TICKS_PER_BAR)) == 3
+    assert empty_bar_count(song(n_bars=0)) == 0
+    for bad in (song(-10, n_bars=2), song(0, 4 * TICKS_PER_BAR), song(1, n_bars=0)):
+        with pytest.raises(NoteOutOfRange):
+            empty_bar_count(bad)
+    with pytest.raises(DataError):
+        empty_bar_count(Song(song(0).tracks, 4, resolution=24))
 
 
 def test_split_windows_cases():

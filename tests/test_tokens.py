@@ -7,18 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bandgen.bpe import learn_bpe
 from bandgen.errors import (DataError, EmptyCorpus, MalformedSequence,
                             NoteOutOfRange)
 from bandgen.features import (dump_feature_corpus, extract_expert_features,
                               load_feature_corpus, quantize_features)
 from bandgen.score import TICKS_PER_BAR, Note, Song, Track
 from bandgen.synth import make_song
-from bandgen.tokens import (BOS_ID, DURATION_MESH, EOS_ID, PAD_ID,
-                            build_track_seqs, build_vocab, corpus_stats,
-                            detokenize, drum_key, dump_token_corpus, dump_vocab,
-                            load_token_corpus, load_vocab, snap_position,
-                            snap_song, snap_to_mesh, tokenize_remi_plus,
-                            tokenize_song, velocity_bin, velocity_decode)
+from bandgen.tokens import (BOS_ID, DRUM_KEYS, DURATION_MESH, EOS_ID, PAD_ID,
+                            VELOCITY_BIN, build_track_seqs, build_vocab,
+                            corpus_stats, detokenize, drum_key,
+                            dump_token_corpus, dump_vocab, load_token_corpus,
+                            load_vocab, mesh_index, snap_position, snap_song,
+                            snap_to_mesh, tokenize_remi_plus, tokenize_song,
+                            velocity_bin, velocity_decode)
 
 
 def test_vocab_layout_is_frozen(vocab):
@@ -71,6 +73,16 @@ def test_snap_to_mesh():
     assert snap_to_mesh(204) == 192  # tie again
     assert snap_to_mesh(205) == 216
     assert snap_to_mesh(1000) == 384
+
+
+def test_array_snaps_match_the_scalar_ones():
+    durations = np.arange(-5, 1000)
+    assert [DURATION_MESH[i] for i in mesh_index(durations)] == [
+        snap_to_mesh(int(d)) for d in durations]
+    assert VELOCITY_BIN.tolist() == [velocity_bin(v) for v in range(128)]
+    # the tokenizer dedupes on neighbouring drum keys: the map is monotone
+    keys = [drum_key(p) for p in range(128)]
+    assert keys == sorted(keys) and set(keys) == set(DRUM_KEYS)
 
 
 def test_snap_position():
@@ -159,6 +171,24 @@ def test_tokenize_rejects_out_of_range_notes(vocab):
     song = Song([Track("Piano", [Note(60, 500, 24, 90)])], 1)
     with pytest.raises(NoteOutOfRange):
         tokenize_song(song, vocab)
+    with pytest.raises(NoteOutOfRange):
+        tokenize_song(Song([Track("Drum", [Note(36, -4, 24, 64)])], 1), vocab)
+
+
+def test_tokenize_rejects_songs_off_the_grid_and_out_of_range_values(vocab):
+    """A song at 24 ticks per quarter used to tokenize as if it were at 48;
+    a drum pitch past 127 was folded and a velocity past 127 binned."""
+    notes = [Note(60, 0, 24, 90), Note(64, 96, 24, 90)]
+    off_grid = Song([Track("Piano", notes)], 2, resolution=24)
+    with pytest.raises(DataError):
+        tokenize_song(off_grid, vocab)
+    with pytest.raises(DataError):
+        extract_expert_features(off_grid)
+    for bad in (Note(128, 0, 24, 64), Note(-1, 0, 24, 64),
+                Note(60, 0, 24, 128), Note(60, 0, 24, -1)):
+        for inst in ("Piano", "Drum"):
+            with pytest.raises(DataError):
+                tokenize_song(Song([Track(inst, [bad])], 1), vocab)
 
 
 def test_round_trip_equals_snap(vocab):
@@ -168,7 +198,9 @@ def test_round_trip_equals_snap(vocab):
         Track("Piano", [Note(60, 1, 55, 91), Note(64, 241, 204, 17)]),
         Track("SquareSynth", [Note(72, 100, 13, 77)]),
     ], 2)
-    back = detokenize(tokenize_song(song, vocab), vocab)
+    seqs = tokenize_song(song, vocab)
+    assert same_seqs(seqs, oracle_tokenize(song, vocab))
+    back = detokenize(seqs, vocab)
     snap = snap_song(song, vocab)
     for a, b in zip(back.tracks, snap.tracks):
         assert a.notes == b.notes
@@ -322,7 +354,77 @@ def test_round_trip_matches_snap_property(raw):
     vocab = build_vocab()
     notes = [Note(p, o, d, v) for p, o, d, v in raw]
     song = Song([Track("Piano", notes), Track("Drum", list(notes))], 2)
-    back = detokenize(tokenize_song(song, vocab), vocab)
+    seqs = tokenize_song(song, vocab)
+    assert same_seqs(seqs, oracle_tokenize(song, vocab))
+    back = detokenize(seqs, vocab)
     snap = snap_song(song, vocab)
     for a, b in zip(back.tracks, snap.tracks):
         assert a.notes == b.notes
+
+
+# -- the straightforward path: per-note loops with a vocab lookup per token ---------
+
+
+def _oracle_bar_notes(track, n_bars):
+    bars = [[] for _ in range(n_bars)]
+    for n in track.notes:
+        b = n.onset // TICKS_PER_BAR
+        if n.onset < 0 or b >= n_bars:
+            raise NoteOutOfRange(f"onset {n.onset} outside {n_bars} bars")
+        bars[b].append(n)
+    return bars
+
+
+def _oracle_note_ids(n, is_drum, vocab):
+    if is_drum:
+        return [vocab.id_of("PitchDrum", drum_key(n.pitch))]
+    return [vocab.id_of("Pitch", n.pitch),
+            vocab.id_of("Duration", snap_to_mesh(n.duration)),
+            vocab.id_of("Velocity", velocity_bin(n.velocity))]
+
+
+def _oracle_body_ids(track, n_bars, vocab):
+    is_drum = track.instrument == "Drum"
+    ids = []
+    for notes in _oracle_bar_notes(track, n_bars):
+        if not notes:
+            ids.append(vocab.id_of("BarEmpty", 0))
+            continue
+        ids.append(vocab.id_of("BarNormal", 0))
+        groups = {}
+        for n in notes:
+            groups.setdefault(snap_position(n.onset % TICKS_PER_BAR), []).append(n)
+        for pos in sorted(groups):
+            ids.append(vocab.id_of("Position", pos))
+            seen = set()
+            for n in sorted(groups[pos], key=lambda n: (n.pitch, n.duration, n.velocity)):
+                key = drum_key(n.pitch) if is_drum else n.pitch
+                if key not in seen:
+                    seen.add(key)
+                    ids += _oracle_note_ids(n, is_drum, vocab)
+    return ids
+
+
+def oracle_tokenize(song, vocab):
+    return build_track_seqs(
+        [[vocab.id_of("Instrument", t.instrument), BOS_ID]
+         + _oracle_body_ids(t, song.n_bars, vocab) + [EOS_ID] for t in song.tracks],
+        vocab)
+
+
+def same_seqs(a, b) -> bool:
+    return (a.seqs, a.lengths, a.bar_token_positions) == (
+        b.seqs, b.lengths, b.bar_token_positions)
+
+
+def test_tokenizer_matches_the_loop_oracle(vocab, micro_corpus, edge_songs):
+    """Token ids of the micro-corpus and of 300 edge-case songs (empty bars,
+    drum-only songs, durations past the mesh, notes that share a position
+    and a pitch or drum key) equal the per-note loop's, and so do the BPE
+    merges learned from them; zero tracks and zero bars too."""
+    for song in micro_corpus + edge_songs + [Song([], 0), Song([Track("Piano")], 0)]:
+        assert same_seqs(tokenize_song(song, vocab), oracle_tokenize(song, vocab))
+    windows = micro_corpus[:12]
+    assert learn_bpe([tokenize_song(w, vocab) for w in windows], vocab,
+                     vocab.size + 100).merges == learn_bpe(
+        [oracle_tokenize(w, vocab) for w in windows], vocab, vocab.size + 100).merges
