@@ -136,12 +136,6 @@ def beat_chord_ids(cols: NoteColumns, n_beats: int) -> np.ndarray:
     return _MASK_CHORD[masks]
 
 
-def beat_chords(song: Song) -> list[ChordLabel]:
-    """One chord per beat over the union of pitched tracks; held notes count."""
-    ids = beat_chord_ids(note_columns(song), song.n_bars * 4)
-    return [_LABELS[i] for i in ids.tolist()]
-
-
 @dataclass(slots=True)
 class FeatureGrid:
     instruments: list[str]
@@ -203,34 +197,6 @@ _BIN_RULES = {
                               0, MD_SIZE - 1),
     "mv": lambda raw: np.clip(raw, 0, 135).astype(np.int64) // 4,
 }
-
-
-def _bin(key: str, raw: float) -> int:
-    return int(_BIN_RULES[key](np.float64(raw)))
-
-
-def dt_bin(raw: float) -> int:
-    return _bin("dt", raw)
-
-
-def dd_bin(raw: float) -> int:
-    return _bin("dd", raw)
-
-
-def nd_bin(raw: float) -> int:
-    return _bin("nd", raw)
-
-
-def mp_bin(raw: float) -> int:
-    return _bin("mp", raw)
-
-
-def md_bin(raw: float) -> int:
-    return _bin("md", raw)
-
-
-def mv_bin(raw: float) -> int:
-    return _bin("mv", raw)
 
 
 def _binned_rows(rows: list[list[dict]], keys: tuple[str, ...]) -> list[list[dict]]:

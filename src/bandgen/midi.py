@@ -154,6 +154,8 @@ def _parse_track(body: bytes, chunk_idx: int,
                 i += 1
             else:
                 d1 = 0
+            if (d0 | d1) > 0x7F:
+                raise MalformedMidi("status byte in place of a data byte")
             ch = status & 0x0F
             if kind == 0x90 and d1:
                 open_notes.setdefault((ch, d0), []).append((tick, d1))

@@ -299,12 +299,14 @@ def split_windows(song: Song, min_bars: int, max_bars: int, stride: int) -> list
 
 def dedupe_corpus(songs: list[Song]) -> list[Song]:
     """Keep the first song of each class keyed by the binned expert-feature grid."""
-    from .features import extract_expert_features, quantize_features, dump_feature_grid
+    from .features import extract_expert_features, quantize_features
 
     out: list[Song] = []
-    seen: set[str] = set()
+    seen: set[tuple] = set()
     for s in songs:
-        key = dump_feature_grid(quantize_features(extract_expert_features(s)))
+        grid = quantize_features(extract_expert_features(s))
+        key = (grid.n_bars, tuple(grid.instruments),
+               tuple(tuple(cell.items()) for row in grid.entries for cell in row))
         if key in seen:
             continue
         seen.add(key)

@@ -13,21 +13,23 @@ values of `DURATION_MESH`. `TrackGrammar` reads the body grammar per token:
 - Duration, Velocity, Instrument, BOS and PAD never stand alone;
 - EOS, or the end of the list, may end the body anywhere but inside a note.
 
+Each quantization rule has one form, over whole arrays; the tests keep the
+scalar forms as oracles.
+
 A single-sequence interleaved form (tokenize_remi_plus) is kept for length
 statistics only.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, EmptyCorpus, MalformedSequence, NoteOutOfRange
 from .score import (DRUM_DURATION, DRUM_VELOCITY, INSTRUMENTS, TICKS_PER_BAR,
-                    Note, Song, Track, dump_records, load_records, note_columns,
-                    sorted_unique_notes)
+                    Note, NoteColumns, Song, Track, dump_records, load_records,
+                    note_columns, sorted_unique_notes)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -38,56 +40,38 @@ BAR_KINDS = frozenset({"BarNormal", "BarEmpty"})
 
 # 31 percussion keys: GM 35-59 plus a folded low-range group
 DRUM_KEYS = tuple(sorted(set(range(35, 60)) | {25, 26, 27, 28, 29, 31}))
-# nearest listed drum key per raw pitch, ties to the lower key
-_DRUM_MAP = tuple(min(DRUM_KEYS, key=lambda k: (abs(k - p), k)) for p in range(128))
-_DRUM_KEY = np.array(_DRUM_MAP)
+# nearest listed drum key per raw pitch 0-127, ties to the lower key
+_DRUM_KEY = np.array([min(DRUM_KEYS, key=lambda k: (abs(k - p), k)) for p in range(128)])
 
 POSITION_GRID = 4
 DURATION_MESH = tuple(
     list(range(4, 49, 4)) + list(range(60, 193, 12)) + list(range(216, 385, 24)))
 
 VELOCITY_BINS = 32
+# the bin of each velocity 0-127
+VELOCITY_BIN = np.minimum(np.arange(128) // 4, VELOCITY_BINS - 1)
 
 
-def velocity_bin(velocity: int) -> int:
-    return min(velocity // 4, VELOCITY_BINS - 1)
-
-
-# velocity_bin of each velocity 0-127, its array form
-VELOCITY_BIN = np.array([velocity_bin(v) for v in range(128)])
-
-
-def velocity_decode(bin_idx: int) -> int:
+def velocity_decode(bin_idx: int | np.ndarray) -> int | np.ndarray:
+    """A bin's midpoint velocity; takes an int or an int array."""
     return 4 * bin_idx + 2
 
 
-def snap_to_mesh(duration: int) -> int:
-    """Nearest DURATION_MESH value; equidistant ties take the smaller one."""
-    i = bisect.bisect_left(DURATION_MESH, duration)
-    if i == 0:
-        return DURATION_MESH[0]
-    if i == len(DURATION_MESH):
-        return DURATION_MESH[-1]
-    lo, hi = DURATION_MESH[i - 1], DURATION_MESH[i]
-    return lo if duration - lo <= hi - duration else hi
-
-
-_MESH_MIDPOINTS = (np.array(DURATION_MESH[:-1]) + DURATION_MESH[1:]) / 2
+_MESH = np.array(DURATION_MESH)
+_MESH_MIDPOINTS = (_MESH[:-1] + _MESH[1:]) / 2
 
 
 def mesh_index(durations: np.ndarray) -> np.ndarray:
-    """Array form of snap_to_mesh, as indices into DURATION_MESH: a left
-    search of the midpoints takes the nearest value, ties the smaller."""
+    """Each duration's nearest DURATION_MESH value, as an index into it: a
+    left search of the midpoints takes the nearest value, ties the smaller."""
     return np.searchsorted(_MESH_MIDPOINTS, durations)
 
 
-def snap_position(tick_in_bar: int) -> int:
-    pos = int(tick_in_bar / POSITION_GRID + 0.5) * POSITION_GRID
-    return min(pos, TICKS_PER_BAR - POSITION_GRID)
-
-
-def drum_key(pitch: int) -> int:
-    return _DRUM_MAP[min(max(pitch, 0), 127)]
+def _slot(tick: np.ndarray) -> np.ndarray:
+    """Each tick-in-bar's position slot: the nearest POSITION_GRID multiple,
+    ties up, with the ticks past the last slot in the last."""
+    return np.minimum((tick + POSITION_GRID // 2) // POSITION_GRID,
+                      TICKS_PER_BAR // POSITION_GRID - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +105,7 @@ class Vocab:
         # the array tokenizer's id tables, indexed by value, bin or mesh index
         self.position_ids = ids("Position", range(0, TICKS_PER_BAR, POSITION_GRID))
         self.pitch_ids = ids("Pitch", range(128))
-        self.drum_ids = ids("PitchDrum", _DRUM_MAP)  # by raw pitch
+        self.drum_ids = ids("PitchDrum", _DRUM_KEY)  # by raw pitch
         self.duration_ids = ids("Duration", DURATION_MESH)
         self.velocity_ids = ids("Velocity", range(VELOCITY_BINS))
 
@@ -171,101 +155,99 @@ class TrackTokenSeqs:
         return marks.cumsum(axis=1)
 
 
-def _bar_notes(track: Track, n_bars: int) -> list[list[Note]]:
-    bars: list[list[Note]] = [[] for _ in range(n_bars)]
-    for n in track.notes:
-        b = n.onset // TICKS_PER_BAR
-        if n.onset < 0 or b >= n_bars:
-            raise NoteOutOfRange(f"onset {n.onset} outside {n_bars} bars")
-        bars[b].append(n)
-    return bars
-
-
-def _note_ids(n: Note, is_drum: bool, vocab: Vocab) -> list[int]:
-    if is_drum:
-        return [vocab.id_of("PitchDrum", drum_key(n.pitch))]
-    return [vocab.id_of("Pitch", n.pitch),
-            vocab.id_of("Duration", snap_to_mesh(n.duration)),
-            vocab.id_of("Velocity", velocity_bin(n.velocity))]
-
-
-def _body_ids(song: Song, vocab: Vocab) -> list[list[int]]:
-    """Each track's bar groups (no framing tokens), from the song's note
-    columns. Notes sort by (track, bar, position, pitch, duration,
-    velocity); the first of each (track, bar, position, key) stays, where
-    the key is the pitch, or on a drum track the drum key (monotone in the
-    pitch, so equal keys are neighbours). The ids are written into one flat
-    array, (track, bar) cell after cell: its bar token, then per note a
-    Position token if it opens its position, and the note's one or three
-    ids."""
+def _placed(song: Song) -> tuple[NoteColumns, np.ndarray, np.ndarray, np.ndarray]:
+    """The song's note columns and each note's track, bar and position slot.
+    A note outside the song's bars is NoteOutOfRange."""
     cols = note_columns(song)
-    n_bars = song.n_bars
     bar, tick = np.divmod(cols.onset, TICKS_PER_BAR)
-    if (bar >= n_bars).any():
-        raise NoteOutOfRange(f"onset {cols.onset[bar >= n_bars].max()} "
-                             f"outside {n_bars} bars")
-    position = np.minimum((tick + POSITION_GRID // 2) // POSITION_GRID,
-                          len(vocab.position_ids) - 1)
-    pitched = cols.pitched
-    cell = np.repeat(np.arange(len(song.tracks)) * n_bars,
-                     [len(t.notes) for t in song.tracks]) + bar
-    key = np.where(pitched, cols.pitch, _DRUM_KEY[cols.pitch])
-    order = np.lexsort((cols.velocity, cols.duration, cols.pitch, position, cell))
-    cell, position, key, pitched = (a[order] for a in (cell, position, key, pitched))
-    slot = cell * len(vocab.position_ids) + position
-    first = np.ones(len(order), bool)
-    first[1:] = (slot[1:] != slot[:-1]) | (key[1:] != key[:-1])
-    order, cell, position, pitched, slot = (
-        a[first] for a in (order, cell, position, pitched, slot))
-    opens = np.ones(len(order), bool)
-    opens[1:] = slot[1:] != slot[:-1]
-    # a note's block: its Position if it opens one, then its one or three ids
-    width = opens + np.where(pitched, 3, 1)
+    if (bar >= song.n_bars).any():
+        raise NoteOutOfRange(f"onset {cols.onset[bar >= song.n_bars].max()} "
+                             f"outside {song.n_bars} bars")
+    track = np.repeat(np.arange(len(song.tracks)), [len(t.notes) for t in song.tracks])
+    return cols, track, bar, _slot(tick)
+
+
+def _lay_out(cols: NoteColumns, note: np.ndarray, cell: np.ndarray, slot: np.ndarray,
+             n_cells: int, vocab: Vocab, empty_bar: int,
+             lead: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Write notes into one flat id array of `n_cells` cells. Each cell opens
+    with a bar token: BarNormal, or `empty_bar` if it holds no note. Then
+    come its notes, in the order of `note` (indices into `cols`, sorted by
+    `cell` and `slot`): a Position token if the note opens its (cell, slot),
+    its `lead` id if given, and its one or three ids. Returns the ids and
+    each cell's bar-token index, with the total length after the last."""
+    pitched = cols.pitched[note]
+    opens = np.ones(len(note), bool)
+    opens[1:] = (cell[1:] != cell[:-1]) | (slot[1:] != slot[:-1])
+    width = opens + np.where(pitched, 3, 1) + int(lead is not None)
     ends = np.cumsum(width)
-    # a cell's bar token follows the bar tokens and blocks of all earlier
+    # a cell's bar token follows the bar tokens and notes of all earlier
     # cells; one more entry past the last cell is the total length
-    cells = np.arange(len(song.tracks) * n_bars + 1)
-    before = np.searchsorted(cell, cells)  # kept notes in earlier cells
+    cells = np.arange(n_cells + 1)
+    before = np.searchsorted(cell, cells)  # notes in earlier cells
     bar_at = cells + np.concatenate(([0], ends))[before]
     out = np.empty(bar_at[-1], np.int64)
     out[bar_at[:-1]] = np.where(before[1:] > before[:-1], vocab.id_of("BarNormal", 0),
-                                vocab.id_of("BarEmpty", 0))
-    at = ends - width + cell + 1  # each block's start, after its cell's bar token
-    out[at[opens]] = vocab.position_ids[position[opens]]
+                                empty_bar)
+    at = ends - width + cell + 1  # each note's start, after its cell's bar token
+    out[at[opens]] = vocab.position_ids[slot[opens]]
     at = at + opens
-    note = order[~pitched]
-    out[at[~pitched]] = vocab.drum_ids[cols.pitch[note]]
-    note, at = order[pitched], at[pitched]
+    if lead is not None:
+        out[at] = lead
+        at = at + 1
+    out[at[~pitched]] = vocab.drum_ids[cols.pitch[note[~pitched]]]
+    note, at = note[pitched], at[pitched]
     out[at] = vocab.pitch_ids[cols.pitch[note]]
     out[at + 1] = vocab.duration_ids[mesh_index(cols.duration[note])]
     out[at + 2] = vocab.velocity_ids[VELOCITY_BIN[cols.velocity[note]]]
-    flat = out.tolist()
-    bounds = bar_at[::n_bars].tolist() if n_bars else [0] * (len(song.tracks) + 1)
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    return out, bar_at
 
 
 def tokenize_song(song: Song, vocab: Vocab) -> TrackTokenSeqs:
     """Track-parallel ids of a song on the canonical grid. A song off the
     grid, or with a pitch or velocity outside 0-127, is a DataError; a note
-    outside the song's bars is NoteOutOfRange."""
-    lists = [[vocab.id_of("Instrument", t.instrument), BOS_ID] + body + [EOS_ID]
-             for t, body in zip(song.tracks, _body_ids(song, vocab))]
-    return build_track_seqs(lists, vocab)
+    outside the song's bars is NoteOutOfRange.
+
+    Notes sort by (track, bar, position, pitch, duration, velocity); the
+    first of each (track, bar, position, key) stays, where the key is the
+    pitch, or on a drum track the drum key (monotone in the pitch, so equal
+    keys are neighbours). Each (track, bar) is one cell of `_lay_out`, whose
+    bar-token indices give each track's bar positions."""
+    cols, track, bar, slot = _placed(song)
+    n_tracks, n_bars = len(song.tracks), song.n_bars
+    cell = track * n_bars + bar
+    key = np.where(cols.pitched, cols.pitch, _DRUM_KEY[cols.pitch])
+    order = np.lexsort((cols.velocity, cols.duration, cols.pitch, slot, cell))
+    cell, slot, key = cell[order], slot[order], key[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (cell[1:] != cell[:-1]) | (slot[1:] != slot[:-1]) | (key[1:] != key[:-1])
+    out, bar_at = _lay_out(cols, order[first], cell[first], slot[first],
+                           n_tracks * n_bars, vocab, vocab.id_of("BarEmpty", 0))
+    starts = bar_at[::n_bars] if n_bars else np.zeros(n_tracks + 1, np.int64)
+    # each track's bar tokens follow its Instrument and BOS
+    bars = bar_at[:-1].reshape(n_tracks, n_bars) - starts[:-1, None] + 2
+    flat, bounds = out.tolist(), starts.tolist()
+    return _padded([[vocab.id_of("Instrument", t.instrument), BOS_ID] + flat[a:b] + [EOS_ID]
+                    for t, a, b in zip(song.tracks, bounds, bounds[1:])], bars.tolist())
 
 
 def build_track_seqs(lists: list[list[int]], vocab) -> TrackTokenSeqs:
     """Assemble padded parallel sequences from raw id lists. Works over
     extended (BPE) vocabularies: ids >= vocab.size are note runs, never bar
     tokens."""
-    width = max(map(len, lists), default=0)
-    seqs, bar_positions = [], []
     bar_ids = vocab.bar_ids
+    bar_positions = []
     for ids in lists:
         if ids and min(ids) < 0:
             raise DataError(f"token id {min(ids)} out of vocab")
         bar_positions.append([k for k, tid in enumerate(ids) if tid in bar_ids])
-        seqs.append(ids + [PAD_ID] * (width - len(ids)))
-    return TrackTokenSeqs(seqs, bar_positions, [len(ids) for ids in lists])
+    return _padded(lists, bar_positions)
+
+
+def _padded(lists: list[list[int]], bar_positions: list[list[int]]) -> TrackTokenSeqs:
+    width = max(map(len, lists), default=0)
+    return TrackTokenSeqs([ids + [PAD_ID] * (width - len(ids)) for ids in lists],
+                          bar_positions, [len(ids) for ids in lists])
 
 
 class TrackGrammar:
@@ -360,46 +342,42 @@ def detokenize(seqs: TrackTokenSeqs, vocab: Vocab) -> Song:
 
 def snap_song(song: Song, vocab: Vocab) -> Song:
     """The tokenizer's quantization as a Song->Song map: onsets to the
-    position grid, durations to the mesh, velocities to bin midpoints.
-    detokenize(tokenize_song(s)) == snap_song(s) for well-formed songs."""
-    tracks = []
-    for t in song.tracks:
-        notes = []
-        for n in t.notes:
-            bar, tick = divmod(n.onset, TICKS_PER_BAR)
-            onset = bar * TICKS_PER_BAR + snap_position(tick)
-            if t.instrument == "Drum":
-                notes.append(Note(drum_key(n.pitch), onset,
-                                  DRUM_DURATION, DRUM_VELOCITY))
-            else:
-                notes.append(Note(n.pitch, onset, snap_to_mesh(n.duration),
-                                  velocity_decode(velocity_bin(n.velocity))))
-        tracks.append(Track(t.instrument, sorted_unique_notes(notes),
-                            t.program, t.name, t.is_melody))
-    return Song(tracks, song.n_bars, song.resolution)
+    position grid, durations to the mesh, velocities to bin midpoints and
+    drum pitches to drum keys; each track keeps the first note per (onset,
+    pitch) in NOTE_ORDER. detokenize(tokenize_song(s)) == snap_song(s) for
+    well-formed songs. It refuses the songs that tokenize_song refuses."""
+    cols, track, bar, slot = _placed(song)
+    pitched = cols.pitched
+    columns = (track, bar * TICKS_PER_BAR + slot * POSITION_GRID,
+               np.where(pitched, cols.pitch, _DRUM_KEY[cols.pitch]),
+               np.where(pitched, _MESH[mesh_index(cols.duration)], DRUM_DURATION),
+               np.where(pitched, velocity_decode(VELOCITY_BIN[cols.velocity]),
+                        DRUM_VELOCITY))
+    order = np.lexsort(columns[::-1])
+    track, onset, pitch, duration, velocity = (c[order] for c in columns)
+    keep = np.ones(len(order), bool)
+    keep[1:] = ((track[1:] != track[:-1]) | (onset[1:] != onset[:-1])
+                | (pitch[1:] != pitch[:-1]))
+    notes = list(map(Note, *(c[keep].tolist() for c in (pitch, onset, duration, velocity))))
+    bounds = np.searchsorted(track[keep], np.arange(len(song.tracks) + 1)).tolist()
+    return Song([Track(t.instrument, notes[a:b], t.program, t.name, t.is_melody)
+                 for t, a, b in zip(song.tracks, bounds, bounds[1:])],
+                song.n_bars, song.resolution)
 
 
 def tokenize_remi_plus(song: Song, vocab: Vocab) -> list[int]:
-    """Single interleaved sequence: Bar, Position, then per note either
-    Instrument+Pitch+Duration+Velocity or Instrument+PitchDrum."""
-    per_bar: list[dict[int, list[tuple[int, int, Note]]]] = [
-        {} for _ in range(song.n_bars)]
-    for ti, t in enumerate(song.tracks):
-        for b, notes in enumerate(_bar_notes(t, song.n_bars)):
-            for n in notes:
-                pos = snap_position(n.onset % TICKS_PER_BAR)
-                per_bar[b].setdefault(pos, []).append((ti, n.pitch, n))
-    ids = [BOS_ID]
-    for b, groups in enumerate(per_bar):
-        ids.append(vocab.id_of("BarNormal", 0))
-        for pos in sorted(groups):
-            ids.append(vocab.id_of("Position", pos))
-            for ti, _, n in sorted(groups[pos], key=lambda x: (x[0], x[1])):
-                inst = song.tracks[ti].instrument
-                ids.append(vocab.id_of("Instrument", inst))
-                ids += _note_ids(n, inst == "Drum", vocab)
-    ids.append(EOS_ID)
-    return ids
+    """Single interleaved sequence: BOS, then per bar a BarNormal (an empty
+    bar too) and per position a Position, then its notes in (track, pitch)
+    order, each as Instrument+Pitch+Duration+Velocity or Instrument+PitchDrum;
+    then EOS. Every note is kept, and ties keep their track's note order.
+    Each bar is one cell of `_lay_out`."""
+    cols, track, bar, slot = _placed(song)
+    order = np.lexsort((cols.pitch, track, slot, bar))  # stable
+    instrument_ids = np.array([vocab.id_of("Instrument", t.instrument)
+                               for t in song.tracks], np.int64)
+    out, _ = _lay_out(cols, order, bar[order], slot[order], song.n_bars, vocab,
+                      vocab.id_of("BarNormal", 0), lead=instrument_ids[track[order]])
+    return [BOS_ID] + out.tolist() + [EOS_ID]
 
 
 @dataclass(frozen=True, slots=True)

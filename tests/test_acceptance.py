@@ -23,8 +23,8 @@ from bandgen.neural.vqvae import quantize_vectors
 from bandgen.score import Note, Song, Track
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, EOS_ID, PAD_ID, corpus_stats, detokenize,
-                            snap_song, tokenize_remi_plus, tokenize_song,
-                            velocity_bin)
+                            snap_song, tokenize_remi_plus, tokenize_song)
+from scalar_oracles import velocity_bin
 
 SPECIAL_IDS = {PAD_ID, BOS_ID, EOS_ID}
 

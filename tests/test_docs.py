@@ -1,6 +1,7 @@
 """The demos and the README's Python import only names that exist, and
 call them only with keywords their signatures take; the benchmark's
-workloads call only bandgen module attributes that exist, the same way."""
+workloads call only bandgen module attributes that exist, the same way;
+and the README's prose names only bandgen module attributes that exist."""
 
 import ast
 import importlib
@@ -107,3 +108,39 @@ def test_benchmark_calls_resolve():
                    if kw.arg is not None and kw.arg not in params]
     assert checked >= 40
     assert broken == []
+
+
+
+def _bandgen_module(name: str):
+    """The bandgen module `name` names, as `score`, `bandgen.score` or
+    `training` (in `bandgen.neural`), or None."""
+    for full in (name, f"bandgen.{name}", f"bandgen.neural.{name}"):
+        if full.split(".")[0] == "bandgen":
+            try:
+                return importlib.import_module(full)
+            except ModuleNotFoundError:
+                pass
+    return None
+
+
+def test_readme_module_references_resolve():
+    """Every backticked `module.attr` in the README's prose whose module is
+    a bandgen module names an attribute that exists."""
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    dangling = []
+    checked = 0
+    for ref in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", prose))):
+        parts = ref.split(".")
+        for n in range(len(parts), 0, -1):
+            owner = _bandgen_module(".".join(parts[:n]))
+            if owner is not None:
+                break
+        else:
+            continue  # not a bandgen module, such as `np.bincount`
+        checked += 1
+        for part in parts[n:]:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            dangling.append(ref)
+    assert checked >= 10
+    assert dangling == []

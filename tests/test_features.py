@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandgen.errors import DataError
-from bandgen.features import (CT_SIZE, DD_SIZE, DT_SIZE, FEATURE_SIZES,
-                              MD_SIZE, MP_SIZE, MV_SIZE, ND_SIZE, NO_CHORD,
-                              ChordLabel, FeatureGrid, beat_chords,
-                              chord_from_index, chord_index, dd_bin,
-                              detect_chord, dt_bin,
+from bandgen.features import (_BIN_RULES, CT_SIZE, DD_SIZE, DT_SIZE,
+                              FEATURE_SIZES, MD_SIZE, MP_SIZE, MV_SIZE,
+                              ND_SIZE, NO_CHORD, ChordLabel, FeatureGrid,
+                              chord_from_index, chord_index, detect_chord,
                               dump_feature_corpus, dump_feature_grid,
                               extract_expert_features, load_feature_corpus,
-                              load_feature_grid, md_bin, mp_bin, mv_bin,
-                              nd_bin, quantize_features)
+                              load_feature_grid, quantize_features)
 from bandgen.score import TICKS_PER_BAR, Note, Song, Track, dedupe_corpus
 from bandgen.synth import make_song
+from scalar_oracles import beat_chords
 
 
 def test_table_sizes_are_frozen():
@@ -65,7 +64,7 @@ def test_detect_chord_octave_folding():
 def test_beat_chords_counts_held_notes():
     song = Song([Track("Piano", [Note(60, 0, 96, 90), Note(64, 0, 96, 90),
                                  Note(67, 0, 96, 90)])], 1)
-    chords = beat_chords(song)
+    chords = extract_expert_features(song).chords
     assert chords == [ChordLabel(0, "maj"), ChordLabel(0, "maj"),
                       NO_CHORD, NO_CHORD]
 
@@ -73,36 +72,28 @@ def test_beat_chords_counts_held_notes():
 def test_beat_chords_skips_drums():
     song = Song([Track("Drum", [Note(36, 0, 24, 64), Note(38, 0, 24, 64),
                                 Note(42, 0, 24, 64)])], 1)
-    assert beat_chords(song) == [NO_CHORD] * 4
+    assert extract_expert_features(song).chords == [NO_CHORD] * 4
+
+
+def bins(key, values):
+    return _BIN_RULES[key](np.array(values, float)).tolist()
 
 
 def test_bin_oracles():
-    assert nd_bin(2.0) == 8
-    assert nd_bin(0.0) == 0
-    assert nd_bin(1000.0) == ND_SIZE - 1
-    assert dd_bin(2.5) == 10
-    assert dd_bin(99.0) == DD_SIZE - 1
-    assert mv_bin(64) == 16
-    assert mv_bin(0) == 0
-    assert mv_bin(999) == 33
-    assert mp_bin(31) == 0   # clamped up to 32
-    assert mp_bin(33) == 0
-    assert mp_bin(34) == 1
-    assert mp_bin(99) == 33
-    assert mp_bin(120) == 33
-    assert dt_bin(5) == 5
-    assert dt_bin(99) == DT_SIZE - 1
+    assert bins("nd", [2.0, 0.0, 1000.0]) == [8, 0, ND_SIZE - 1]
+    assert bins("dd", [2.5, 99.0]) == [10, DD_SIZE - 1]
+    assert bins("mv", [64, 0, 999]) == [16, 0, 33]
+    # 31 is clamped up to 32
+    assert bins("mp", [31, 33, 34, 99, 120]) == [0, 0, 1, 33, 33]
+    assert bins("dt", [5, 99]) == [5, DT_SIZE - 1]
 
 
 def test_md_bin_log_spacing():
-    assert md_bin(4) == 0
-    assert md_bin(1) == 0
-    assert md_bin(384) == MD_SIZE - 1
-    assert md_bin(10000) == MD_SIZE - 1
+    assert bins("md", [4, 1, 384, 10000]) == [0, 0, MD_SIZE - 1, MD_SIZE - 1]
     # 4 * (384/4)^(k/30) midpoints fall into bin k
-    assert md_bin(4 * (96 ** (1 / 30)) * 1.001) == 1
-    assert md_bin(4 * (96 ** (14 / 30)) * 1.001) == 14
-    values = [md_bin(d) for d in range(4, 385)]
+    assert bins("md", [4 * (96 ** (1 / 30)) * 1.001,
+                       4 * (96 ** (14 / 30)) * 1.001]) == [1, 14]
+    values = bins("md", range(4, 385))
     assert values == sorted(values)  # monotone
 
 
@@ -301,12 +292,10 @@ def test_grids_match_the_loop_oracle_property(raw):
 def test_bin_rules_match_the_scalar_oracle():
     values = np.concatenate([np.arange(-3, 500, 0.125), np.geomspace(4, 384, 301),
                              [1e6, 1e30]])
-    public = {"dt": dt_bin, "dd": dd_bin, "nd": nd_bin, "mp": mp_bin,
-              "md": md_bin, "mv": mv_bin}
     for key, rule in ORACLE_BINS.items():
-        for raw in values.tolist():
-            got = public[key](raw)
-            assert type(got) is int and got == rule(raw), (key, raw)
+        got = _BIN_RULES[key](values)
+        assert got.dtype == np.int64, key
+        assert got.tolist() == [rule(raw) for raw in values.tolist()], key
 
 
 def test_dedupe_picks_match_the_oracle(micro_corpus, edge_songs):

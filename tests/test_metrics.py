@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from bandgen.errors import DataError, NoteOutOfRange, ZeroBars
-from bandgen.features import beat_chords, detect_chord, extract_expert_features
+from bandgen.features import extract_expert_features
 from bandgen.metrics import (MetricsReport, evaluate_pair, mean_report,
                              report_csv, report_text)
-from bandgen.score import (TICKS_PER_BAR, TICKS_PER_QUARTER, Note, Song, Track,
-                           quantize_song)
+from bandgen.score import TICKS_PER_BAR, Note, Song, Track, quantize_song
 from bandgen.synth import make_song
-from bandgen.tokens import (DURATION_MESH, VELOCITY_BINS, snap_to_mesh,
+from bandgen.tokens import DURATION_MESH, VELOCITY_BINS
+from scalar_oracles import (beat_chords as loop_beat_chords, snap_to_mesh,
                             velocity_bin)
 
 RNG = np.random.default_rng(17)
@@ -243,20 +243,6 @@ def loop_ssm(chroma):
     return out
 
 
-def loop_beat_chords(song):
-    n_beats = song.n_bars * 4
-    sounding = [set() for _ in range(n_beats)]
-    for t in song.tracks:
-        if t.instrument == "Drum":
-            continue
-        for n in t.notes:
-            first = n.onset // TICKS_PER_QUARTER
-            last = max(first, (n.onset + n.duration - 1) // TICKS_PER_QUARTER)
-            for beat in range(first, min(last + 1, n_beats)):
-                sounding[beat].add(n.pitch % 12)
-    return [detect_chord(pcs) for pcs in sounding]
-
-
 def loop_report(ref, cov):
     n = min(ref.n_bars, cov.n_bars)
     r, c = loop_bar_table(ref, n), loop_bar_table(cov, n)
@@ -316,20 +302,24 @@ def test_array_form_matches_the_loop_oracle_at_64_bars():
             ref, make_song(seed, n_bars=40))
 
 
+def chords_of(song):
+    return extract_expert_features(song).chords
+
+
 def test_beat_chords_match_the_set_loop():
     rng = np.random.default_rng(7)
     for trial in range(300):
         song = oracle_song(rng, ("full", "sparse")[trial % 2])
-        assert beat_chords(song) == loop_beat_chords(song)
+        assert chords_of(song) == loop_beat_chords(song)
     # one chord held from the last beat far past the end of the song
     held = one_track_song([(60, 3 * 48, 900, 64), (64, 3 * 48, 900, 64),
                            (67, 0, 48, 64), (67, 190, 1, 64)], 1)
-    assert [str(c) for c in beat_chords(held)] == ["None", "None", "None", "0:maj"]
-    assert beat_chords(held) == loop_beat_chords(held)
+    assert [str(c) for c in chords_of(held)] == ["None", "None", "None", "0:maj"]
+    assert chords_of(held) == loop_beat_chords(held)
     # a zero-tick note still sounds in its onset's beat
     blip = one_track_song([(60, 48, 0, 64), (64, 48, 0, 64), (67, 48, 0, 64)], 1)
-    assert [str(c) for c in beat_chords(blip)] == ["None", "0:maj", "None", "None"]
-    assert beat_chords(blip) == loop_beat_chords(blip)
+    assert [str(c) for c in chords_of(blip)] == ["None", "0:maj", "None", "None"]
+    assert chords_of(blip) == loop_beat_chords(blip)
 
 
 # -- typed errors and the call census -------------------------------------------

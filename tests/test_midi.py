@@ -116,6 +116,16 @@ def test_parse_rejects_malformed_files():
         parse_midi(smpte + CONDUCTOR)
 
 
+def test_parse_rejects_a_data_byte_with_its_top_bit_set():
+    """`90 C8 40` used to read as a note of pitch 200, and `C0 80` as
+    program 128, a DataError."""
+    for event in ([0x90, 0xC8, 0x40], [0x90, 0x3C, 0x80], [0xC0, 0x80]):
+        body = chunk(b"MTrk", bytes([0x00] + event + [0x00, 0xFF, 0x2F, 0x00]))
+        for parse in (parse_midi, oracle_parse_midi):
+            with pytest.raises(MalformedMidi, match="status byte in place"):
+                parse(header(ntrks=1) + body)
+
+
 def test_parse_rejects_overlong_varlen():
     body = bytes([0xFF, 0xFF, 0xFF, 0xFF, 0x7F,  # 5-byte delta
                   0xFF, 0x2F, 0x00])
@@ -257,6 +267,8 @@ def _oracle_track(body, chunk_idx, notes, programs, names):
         kind = status & 0xF0
         ch = status & 0x0F
         d1 = r.u8() if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0) else 0
+        if d0 > 0x7F or d1 > 0x7F:
+            raise MalformedMidi("status byte in place of a data byte")
         if kind == 0x90 and d1 > 0:
             open_notes.setdefault((ch, d0), []).append((tick, d1))
             programs.setdefault((chunk_idx, ch), programs.get((chunk_idx, ch), 0))

@@ -12,15 +12,17 @@ from bandgen.errors import (DataError, EmptyCorpus, MalformedSequence,
                             NoteOutOfRange)
 from bandgen.features import (dump_feature_corpus, extract_expert_features,
                               load_feature_corpus, quantize_features)
-from bandgen.score import TICKS_PER_BAR, Note, Song, Track
+from bandgen.score import (DRUM_DURATION, DRUM_VELOCITY, TICKS_PER_BAR, Note,
+                           Song, Track, sorted_unique_notes)
 from bandgen.synth import make_song
 from bandgen.tokens import (BOS_ID, DRUM_KEYS, DURATION_MESH, EOS_ID, PAD_ID,
-                            VELOCITY_BIN, build_track_seqs, build_vocab,
-                            corpus_stats, detokenize, drum_key,
-                            dump_token_corpus, dump_vocab, load_token_corpus,
-                            load_vocab, mesh_index, snap_position, snap_song,
-                            snap_to_mesh, tokenize_remi_plus, tokenize_song,
-                            velocity_bin, velocity_decode)
+                            POSITION_GRID, VELOCITY_BIN, _slot,
+                            build_track_seqs, build_vocab, corpus_stats,
+                            detokenize, dump_token_corpus, dump_vocab,
+                            load_token_corpus, load_vocab, mesh_index,
+                            snap_song, tokenize_remi_plus, tokenize_song,
+                            velocity_decode)
+from scalar_oracles import drum_key, snap_position, snap_to_mesh, velocity_bin
 
 
 def test_vocab_layout_is_frozen(vocab):
@@ -80,9 +82,14 @@ def test_array_snaps_match_the_scalar_ones():
     assert [DURATION_MESH[i] for i in mesh_index(durations)] == [
         snap_to_mesh(int(d)) for d in durations]
     assert VELOCITY_BIN.tolist() == [velocity_bin(v) for v in range(128)]
+    ticks = np.arange(TICKS_PER_BAR)
+    assert (_slot(ticks) * POSITION_GRID).tolist() == [
+        snap_position(int(t)) for t in ticks]
     # the tokenizer dedupes on neighbouring drum keys: the map is monotone
     keys = [drum_key(p) for p in range(128)]
     assert keys == sorted(keys) and set(keys) == set(DRUM_KEYS)
+    vocab = build_vocab()
+    assert vocab.drum_ids.tolist() == [vocab.id_of("PitchDrum", k) for k in keys]
 
 
 def test_snap_position():
@@ -177,18 +184,22 @@ def test_tokenize_rejects_out_of_range_notes(vocab):
 
 def test_tokenize_rejects_songs_off_the_grid_and_out_of_range_values(vocab):
     """A song at 24 ticks per quarter used to tokenize as if it were at 48;
-    a drum pitch past 127 was folded and a velocity past 127 binned."""
+    a drum pitch past 127 was folded and a velocity past 127 binned.
+    snap_song and tokenize_remi_plus refuse the same songs."""
     notes = [Note(60, 0, 24, 90), Note(64, 96, 24, 90)]
     off_grid = Song([Track("Piano", notes)], 2, resolution=24)
-    with pytest.raises(DataError):
-        tokenize_song(off_grid, vocab)
+    quantizers = (tokenize_song, snap_song, tokenize_remi_plus)
+    for quantize in quantizers:
+        with pytest.raises(DataError):
+            quantize(off_grid, vocab)
     with pytest.raises(DataError):
         extract_expert_features(off_grid)
     for bad in (Note(128, 0, 24, 64), Note(-1, 0, 24, 64),
                 Note(60, 0, 24, 128), Note(60, 0, 24, -1)):
         for inst in ("Piano", "Drum"):
-            with pytest.raises(DataError):
-                tokenize_song(Song([Track(inst, [bad])], 1), vocab)
+            for quantize in quantizers:
+                with pytest.raises(DataError):
+                    quantize(Song([Track(inst, [bad])], 1), vocab)
 
 
 def test_round_trip_equals_snap(vocab):
@@ -360,6 +371,8 @@ def test_round_trip_matches_snap_property(raw):
     snap = snap_song(song, vocab)
     for a, b in zip(back.tracks, snap.tracks):
         assert a.notes == b.notes
+    assert snap == oracle_snap_song(song)
+    assert tokenize_remi_plus(song, vocab) == oracle_remi_plus(song, vocab)
 
 
 # -- the straightforward path: per-note loops with a vocab lookup per token ---------
@@ -405,6 +418,43 @@ def _oracle_body_ids(track, n_bars, vocab):
     return ids
 
 
+def oracle_snap_song(song):
+    tracks = []
+    for t in song.tracks:
+        notes = []
+        for n in t.notes:
+            bar, tick = divmod(n.onset, TICKS_PER_BAR)
+            onset = bar * TICKS_PER_BAR + snap_position(tick)
+            if t.instrument == "Drum":
+                notes.append(Note(drum_key(n.pitch), onset, DRUM_DURATION, DRUM_VELOCITY))
+            else:
+                notes.append(Note(n.pitch, onset, snap_to_mesh(n.duration),
+                                  velocity_decode(velocity_bin(n.velocity))))
+        tracks.append(Track(t.instrument, sorted_unique_notes(notes),
+                            t.program, t.name, t.is_melody))
+    return Song(tracks, song.n_bars, song.resolution)
+
+
+def oracle_remi_plus(song, vocab):
+    per_bar = [{} for _ in range(song.n_bars)]
+    for ti, t in enumerate(song.tracks):
+        for b, notes in enumerate(_oracle_bar_notes(t, song.n_bars)):
+            for n in notes:
+                pos = snap_position(n.onset % TICKS_PER_BAR)
+                per_bar[b].setdefault(pos, []).append((ti, n.pitch, n))
+    ids = [BOS_ID]
+    for groups in per_bar:
+        ids.append(vocab.id_of("BarNormal", 0))
+        for pos in sorted(groups):
+            ids.append(vocab.id_of("Position", pos))
+            for ti, _, n in sorted(groups[pos], key=lambda x: (x[0], x[1])):
+                inst = song.tracks[ti].instrument
+                ids.append(vocab.id_of("Instrument", inst))
+                ids += _oracle_note_ids(n, inst == "Drum", vocab)
+    ids.append(EOS_ID)
+    return ids
+
+
 def oracle_tokenize(song, vocab):
     return build_track_seqs(
         [[vocab.id_of("Instrument", t.instrument), BOS_ID]
@@ -428,3 +478,20 @@ def test_tokenizer_matches_the_loop_oracle(vocab, micro_corpus, edge_songs):
     assert learn_bpe([tokenize_song(w, vocab) for w in windows], vocab,
                      vocab.size + 100).merges == learn_bpe(
         [oracle_tokenize(w, vocab) for w in windows], vocab, vocab.size + 100).merges
+
+
+def test_snap_and_remi_plus_match_the_loop_oracles(vocab, micro_corpus, edge_songs):
+    """snap_song and the interleaved ids of the micro-corpus and the 300
+    edge-case songs equal the per-note loops', zero tracks and zero bars
+    too. A note past the song's bars is NoteOutOfRange in snap_song and in
+    both REMI+ forms, as in tokenize_song."""
+    empty = [Song([], 0), Song([Track("Piano")], 0), Song([], 2),
+             Song([Track("Drum"), Track("Bass")], 2)]
+    for song in micro_corpus + edge_songs + empty:
+        assert snap_song(song, vocab) == oracle_snap_song(song)
+        assert tokenize_remi_plus(song, vocab) == oracle_remi_plus(song, vocab)
+    past = Song([Track("Piano", [Note(60, 0, 24, 90)]),
+                 Track("Drum", [Note(36, TICKS_PER_BAR, 24, 64)])], 1)
+    for quantize in (tokenize_remi_plus, oracle_remi_plus, snap_song, tokenize_song):
+        with pytest.raises(NoteOutOfRange):
+            quantize(past, vocab)
