@@ -29,8 +29,12 @@ replace.
 
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
 the op that produced it. Only `detach` and `__getitem__` (they reuse checked
-values) skip the check; `attention` checks its scores before the causal
-mask writes -inf into them.
+values) skip the check, and so does one site outside this module:
+`model._CachedRows.attend` wraps a decode cache's key and value rows
+unchecked, because each row was checked as a `linear` output when it was
+new, and checking the whole cached prefix again would make every decoding
+step grow with it. `attention` checks its scores before the causal mask
+writes -inf into them.
 """
 
 from __future__ import annotations

@@ -27,12 +27,18 @@ the tiling and the token embedding. Decoding is incremental: with a
 `DecodeCache`, the first call runs the grid stage and the cache keeps it;
 each call converts, checks and embeds only the positions the cache has not
 seen and sends them through both decoder stacks, attending the cached keys
-and values; one new position per track needs no causal mask. Only each
-track's last row is projected to logits. The cross-track layer mixes tracks
-within one bar, so bar b's exchange depends on bar b alone: it runs once,
-when every track has reached bar b, and the top decoder is then recomputed
-for each track from its bar-b token onward, nothing earlier. The logits
-equal the matching rows of the full forward to float rounding.
+and values; one new position per track needs no causal mask. The tracks
+decoded together (a row group) read their rows of S and of the
+cross-attention keys and values from the cache, gathered once per set of
+tracks; when the set is contiguous, they attend views of the key and value
+buffers, and cached rows are not checked for finiteness again. The top
+decoder reuses the bottom decoder's tiling of S unless a bar was
+exchanged. Only each track's last row is projected to logits. The
+cross-track layer mixes tracks within one bar, so bar b's exchange depends
+on bar b alone: it runs once, when every track has reached bar b, and the
+top decoder is then recomputed for each track from its bar-b token onward,
+nothing earlier. The logits equal the matching rows of the full forward to
+float rounding.
 """
 
 from __future__ import annotations
@@ -547,14 +553,21 @@ class DecodeCache:
     """What incremental decoding keeps between `model_forward` calls: the
     grid and what the first call's `grid_stage` returned for it (S, and each
     decoder layer's cross-attention keys and values over E), the ids each
-    track was decoded through, the self-attention keys and values of every
-    decoder layer, the top-decoder input rows (bottom outputs, cross-track
-    outputs at exchanged bar tokens), each track's last top-decoder output
-    and how many bars were exchanged. Bar indices are not kept: each call derives them from
-    its sequences (`TrackTokenSeqs.bar_index`). Keys, values and top-decoder
+    track was decoded through (each call appends its new ones), the
+    self-attention keys and values of every decoder layer, the top-decoder
+    input rows (bottom outputs, cross-track outputs at exchanged bar
+    tokens), each track's last top-decoder output and how many bars were
+    exchanged. Bar indices are not kept: each call derives them from its
+    sequences (`TrackTokenSeqs.bar_index`). Keys, values and top-decoder
     inputs are [I, capacity, d] (heads side by side along d, as the
     projections make them) in the config's dtype, and grow along the
     position axis by doubling.
+
+    `sets` keeps, for every set of tracks a row group has held, their rows
+    of S and of every cross-attention key and value (`track_set`), so a
+    step over a set seen before gathers none of them; in lockstep decoding
+    the set of active tracks changes only when a track halts. A contiguous
+    set reads the key and value buffers through views (`_CachedRows`).
     One cache serves one decoded piece; after a call that raised, start a
     new one."""
 
@@ -567,6 +580,7 @@ class DecodeCache:
         self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
         self.last = np.zeros((0, 0))               # [I, d]
         self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
+        self.sets: dict[tuple[int, ...], _TrackSet] = {}
 
     def _admit(self, seqs: TrackTokenSeqs, cfg: ModelConfig) -> np.ndarray:
         """Check that `seqs` extends the cached prefix of every track, make
@@ -587,26 +601,54 @@ class DecodeCache:
                 pair[:] = [np.pad(a, pad) for a in pair]
         return np.array([len(done) for done in self.ids])
 
+    def track_set(self, tracks: tuple[int, ...]) -> "_TrackSet":
+        """The state of a set of tracks, gathered the first time a row group
+        holds it."""
+        found = self.sets.get(tracks)
+        if found is None:
+            rows = (slice(tracks[0], tracks[-1] + 1)
+                    if tracks[-1] - tracks[0] + 1 == len(tracks) else np.array(tracks))
+            found = self.sets[tracks] = _TrackSet(
+                np.array(tracks), rows, self.S[rows],
+                {name: (k[rows], v[rows]) for name, (k, v) in self.memory.items()})
+        return found
+
+
+@dataclass(slots=True)
+class _TrackSet:
+    """A set of tracks, in track order, as a `DecodeCache` keeps it: the
+    index that selects it along the track axis (a slice when its tracks
+    are contiguous, so that buffers read through it are views) and its rows
+    of S and of every decoder layer's cross-attention keys and values."""
+    tracks: np.ndarray
+    rows: slice | np.ndarray
+    S: Tensor
+    memory: Memory
+
 
 class _CachedRows:
-    """Query rows at positions `start`.. of `tracks`, decoded against a cache."""
+    """Query rows at positions `start`.. of a track set, decoded against a
+    cache."""
 
-    __slots__ = ("cache", "tracks", "start")
+    __slots__ = ("cache", "rows", "start")
 
-    def __init__(self, cache: DecodeCache, tracks: np.ndarray, start: int):
-        self.cache, self.tracks, self.start = cache, tracks, start
+    def __init__(self, cache: DecodeCache, rows: slice | np.ndarray, start: int):
+        self.cache, self.rows, self.start = cache, rows, start
 
     def attend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Cache layer `name`'s keys and values [n, rows, d] of the query
-        rows; return those of positions 0.. through the last query row."""
+        rows; return those of positions 0.. through the last query row, as
+        views of the buffers for a contiguous set. Every returned row was
+        checked for finiteness as a `linear` output when it was new, so the
+        rows are not checked again."""
         kv = self.cache.kv
         if name not in kv:
             kv[name] = [np.zeros_like(self.cache.top_in) for _ in range(2)]
         stop = self.start + k.shape[1]
         out = []
         for buf, new in zip(kv[name], (k, v)):
-            buf[self.tracks, self.start:stop] = new.data
-            out.append(Tensor(buf[self.tracks, :stop]))
+            buf[self.rows, self.start:stop] = new.data
+            out.append(Tensor(buf[self.rows, :stop], check=False))
         return out[0], out[1]
 
 
@@ -617,13 +659,17 @@ def _row_groups(first: np.ndarray, lengths: list[int]):
     for i, (start, stop) in enumerate(zip(first, lengths)):
         if start < stop:
             groups.setdefault((int(start), stop), []).append(i)
-    return [(rows, np.array(tracks)) for rows, tracks in groups.items()]
+    return [(span, tuple(tracks)) for span, tracks in groups.items()]
 
 
-def _memory_rows(memory: Memory, prefix: str, tracks: np.ndarray) -> Memory:
-    """The `prefix` layers' cross-attention keys and values over `tracks`."""
-    return {name: (k[tracks], v[tracks]) for name, (k, v) in memory.items()
-            if name.startswith(prefix)}
+def _tiled(cache: DecodeCache, bars: np.ndarray, groups):
+    """(start, stop, track set, tiling of its query rows) per row group."""
+    out = []
+    for (start, stop), tracks in groups:
+        ts = cache.track_set(tracks)
+        out.append((start, stop, ts,
+                    expand_similarity(ts.S, bars[ts.rows, :stop], start)))
+    return out
 
 
 def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
@@ -634,32 +680,31 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
         cache.grid = grid
     elif grid is not cache.grid:
         raise UsageError("the decode cache holds another grid")
-    S = cache.S
     seen = cache._admit(seqs, cfg)
     bars = seqs.bar_index()
-    for (start, stop), tracks in _row_groups(seen, seqs.lengths):
-        smat = expand_similarity(S[tracks], bars[tracks, :stop], start)
-        x = embed_tokens(seqs, bars, params, cfg, tracks, start, stop)
-        O = bottom_decode(x, _memory_rows(cache.memory, "bot", tracks), smat,
-                          params, cfg, _CachedRows(cache, tracks, start))
-        cache.top_in[tracks, start:stop] = O.data
-    redo = seen
+    steps = _tiled(cache, bars, _row_groups(seen, seqs.lengths))
+    for start, stop, ts, smat in steps:
+        x = embed_tokens(seqs, bars, params, cfg, ts.tracks, start, stop)
+        O = bottom_decode(x, ts.memory, smat, params, cfg,
+                          _CachedRows(cache, ts.rows, start))
+        cache.top_in[ts.rows, start:stop] = O.data
     if cfg.layers_ctt:
         fresh = [p[cache.bars_exchanged:] for p in seqs.bar_token_positions]
         shared = min(len(p) for p in fresh)
         if shared:
             cache.top_in = ctt_forward(Tensor(cache.top_in), fresh, params,
                                        cfg).data
-            # the exchanged bar tokens feed every later top-decoder row
-            redo = np.minimum(redo, [p[0] for p in fresh])
             cache.bars_exchanged += shared
-    for (start, stop), tracks in _row_groups(redo, seqs.lengths):
-        smat = expand_similarity(S[tracks], bars[tracks, :stop], start)
-        O = top_decode(Tensor(cache.top_in[tracks, start:stop]),
-                       _memory_rows(cache.memory, "top", tracks), smat,
-                       params, cfg, _CachedRows(cache, tracks, start))
-        cache.last[tracks] = O.data[:, -1]
-    cache.ids = [ids[:n] for ids, n in zip(seqs.seqs, seqs.lengths)]
+            # the exchanged bar tokens feed every later top-decoder row
+            redo = np.minimum(seen, [p[0] for p in fresh])
+            steps = _tiled(cache, bars, _row_groups(redo, seqs.lengths))
+    # with no bar exchanged, the top decoder takes the bottom's row groups and tilings
+    for start, stop, ts, smat in steps:
+        O = top_decode(Tensor(cache.top_in[ts.rows, start:stop]), ts.memory, smat,
+                       params, cfg, _CachedRows(cache, ts.rows, start))
+        cache.last[ts.rows] = O.data[:, -1]
+    for done, ids, n in zip(cache.ids, seqs.seqs, seqs.lengths):
+        done += ids[len(done):n]
     return project_logits(Tensor(cache.last[:, None, :]), params)
 
 

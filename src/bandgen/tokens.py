@@ -343,18 +343,19 @@ def detokenize(seqs: TrackTokenSeqs, vocab: Vocab) -> Song:
 def snap_song(song: Song, vocab: Vocab) -> Song:
     """The tokenizer's quantization as a Song->Song map: onsets to the
     position grid, durations to the mesh, velocities to bin midpoints and
-    drum pitches to drum keys; each track keeps the first note per (onset,
-    pitch) in NOTE_ORDER. detokenize(tokenize_song(s)) == snap_song(s) for
-    well-formed songs. It refuses the songs that tokenize_song refuses."""
+    drum pitches to drum keys; each track keeps one note per (onset, key),
+    the one `tokenize_song` keeps: the first by raw pitch, duration and
+    velocity. detokenize(tokenize_song(s)) == snap_song(s) for well-formed
+    songs. It refuses the songs that tokenize_song refuses."""
     cols, track, bar, slot = _placed(song)
     pitched = cols.pitched
-    columns = (track, bar * TICKS_PER_BAR + slot * POSITION_GRID,
-               np.where(pitched, cols.pitch, _DRUM_KEY[cols.pitch]),
-               np.where(pitched, _MESH[mesh_index(cols.duration)], DRUM_DURATION),
-               np.where(pitched, velocity_decode(VELOCITY_BIN[cols.velocity]),
-                        DRUM_VELOCITY))
-    order = np.lexsort(columns[::-1])
-    track, onset, pitch, duration, velocity = (c[order] for c in columns)
+    onset = bar * TICKS_PER_BAR + slot * POSITION_GRID
+    key = np.where(pitched, cols.pitch, _DRUM_KEY[cols.pitch])
+    order = np.lexsort((cols.velocity, cols.duration, cols.pitch, key, onset, track))
+    track, onset, pitch = track[order], onset[order], key[order]
+    duration = np.where(pitched, _MESH[mesh_index(cols.duration)], DRUM_DURATION)[order]
+    velocity = np.where(pitched, velocity_decode(VELOCITY_BIN[cols.velocity]),
+                        DRUM_VELOCITY)[order]
     keep = np.ones(len(order), bool)
     keep[1:] = ((track[1:] != track[:-1]) | (onset[1:] != onset[:-1])
                 | (pitch[1:] != pitch[:-1]))

@@ -6,11 +6,12 @@ import pytest
 
 from bandgen.bpe import bpe_encode, learn_bpe
 from bandgen.errors import (BarCountMismatch, BarIndexOutOfRange, DataError,
-                            IdOutOfVocab, UsageError)
+                            IdOutOfVocab, NonFiniteError, UsageError)
 from bandgen.features import (FeatureGrid, extract_expert_features,
                               quantize_features)
 from bandgen.neural import model as model_module
 from bandgen.neural import sampling
+from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import (DecodeCache, init_params, make_config,
                                   model_forward)
 from bandgen.neural.sampling import generate
@@ -76,7 +77,9 @@ def test_cached_logits_match_full_forward(vocab, variant):
     its own length (54 for the bass, 98 for the synth). So bar 1 is
     exchanged when the synth reaches it and the other tracks' top decoders
     are recomputed from earlier positions; bar 2 is exchanged after the
-    bass track has finished. In float32 both paths compute in float32."""
+    bass track has finished, so the last steps decode tracks 0, 1 and 3,
+    a set whose rows are not contiguous. In float32 both paths compute in
+    float32."""
     song = make_song(seed=3, n_bars=3)
     lists = song_lists(tokenize_song(song, vocab))
     cfg = small_cfg(layers_ctt=0 if variant == "no_ctt" else 1)
@@ -88,9 +91,10 @@ def test_cached_logits_match_full_forward(vocab, variant):
     if variant == "float32":
         cfg = small_cfg(dtype="float32")
     prefixes = lockstep(lists)
-    _, exchanged = check_prefixes(prefixes, grid_of(song), init_params(cfg),
-                                  cfg, vocab,
-                                  TOL_F32 if variant == "float32" else TOL)
+    cache, exchanged = check_prefixes(prefixes, grid_of(song), init_params(cfg),
+                                      cfg, vocab,
+                                      TOL_F32 if variant == "float32" else TOL)
+    assert (0, 1, 3) in cache.sets and (0, 1, 2, 3) in cache.sets
     if variant == "no_ctt":
         assert set(exchanged) == {0}
     else:
@@ -116,6 +120,52 @@ def test_cached_logits_match_with_uneven_growth(vocab):
                                       cfg, vocab)
     assert exchanged[-1] == 3
     assert cache.ids == lists
+
+
+def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypatch):
+    """While all four tracks decode, every self-attention layer attends
+    views of the cache's key and value buffers; once the bass (track 2) has
+    ended, tracks 0, 1 and 3 attend gathered copies."""
+    attended = []
+    real = model_module.attention
+
+    def recording(q, k, v, *args):
+        attended.append((k.data, v.data))
+        return real(q, k, v, *args)
+
+    monkeypatch.setattr(model_module, "attention", recording)
+    song = make_song(seed=3, n_bars=3)
+    lists = song_lists(tokenize_song(song, vocab))
+    assert len(lists[2]) == min(map(len, lists))
+    cfg = small_cfg()
+    params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
+    views = []
+    for t in (10, 11, len(lists[2]) + 5, len(lists[2]) + 6):
+        seqs = build_track_seqs([ids[:t] for ids in lists], vocab)
+        del attended[:]
+        model_forward(seqs, grid, params, cfg, cache=cache)
+        views.append(sum(np.shares_memory(k, kv[0]) and np.shares_memory(v, kv[1])
+                         for k, v in attended for kv in cache.kv.values()))
+    # steps 2 and 4 are steady: one row group, tracks 0-3 and then 0, 1, 3
+    assert len(cache.kv) == 2 and views[1::2] == [2, 0]
+    assert {(0, 1, 2, 3), (0, 1, 3)} <= set(cache.sets)
+
+
+@pytest.mark.parametrize("name", ["bot0_self_k_b", "top0_self_v_b"])
+def test_cached_path_checks_new_key_and_value_rows(vocab, name):
+    """Cached rows are not checked again when attention reads them; a new
+    row is checked as it is made, so an inf in it raises."""
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
+    for t in range(2, 6):
+        model_forward(build_track_seqs([ids[:t] for ids in lists], vocab), grid,
+                      params, cfg, cache=cache)
+    params[name].data[0] = np.inf
+    with pytest.raises(NonFiniteError):
+        model_forward(build_track_seqs([ids[:6] for ids in lists], vocab), grid,
+                      params, cfg, cache=cache)
 
 
 def test_cache_rejects_a_prefix_or_grid_it_did_not_see(vocab):
@@ -414,6 +464,54 @@ def test_decode_step_census(vocab, monkeypatch, preset, per_step):
     assert steady == [per_step] * len(steady)
     cross_calls = [sum(w in cross for w in call) for call in calls]
     assert cross_calls == [2 * layers] + [0] * (len(calls) - 1)
+
+
+def test_steady_step_census(vocab, monkeypatch):
+    """Counted rather than timed, over a lockstep cover whose tracks end at
+    four different steps: a steady step (no bar exchanged, the same tracks
+    decoded as in the step before) tiles the similarity once, for its one
+    row group, and gathers no rows of S or of the cross-attention keys and
+    values. Each set of tracks that a row group holds is gathered once per
+    cover."""
+    tilings, gathered, steps = [], [], []
+    expand, getitem = model_module.expand_similarity, Tensor.__getitem__
+    forward = sampling.model_forward
+
+    def counting_expand(*args):
+        tilings.append(args)
+        return expand(*args)
+
+    def recording_getitem(self, key):
+        gathered.append(self)
+        return getitem(self, key)
+
+    def step(seqs, grid, params, cfg, cache):
+        done = [len(ids) for ids in cache.ids] or [0] * seqs.n_tracks
+        decoded = tuple(i for i, n in enumerate(seqs.lengths) if done[i] < n)
+        before = len(tilings), len(gathered), cache.bars_exchanged
+        out = forward(seqs, grid, params, cfg, cache=cache)
+        steps.append((cache, decoded, cache.bars_exchanged != before[2],
+                       len(tilings) - before[0], gathered[before[1]:]))
+        return out
+
+    monkeypatch.setattr(model_module, "expand_similarity", counting_expand)
+    monkeypatch.setattr(Tensor, "__getitem__", recording_getitem)
+    monkeypatch.setattr(sampling, "model_forward", step)
+    cfg = small_cfg(t_max=64)
+    grid = grid_of(make_song(seed=4, n_bars=4))
+    result = generate(grid, bar_leaning_params(cfg, vocab), cfg, vocab, seed=1,
+                      t_max=40)
+    assert result.raw_lists == GOLDEN_BARS
+    cache = steps[0][0]
+    held = [cache.S] + [t for kv in cache.memory.values() for t in kv]
+    steady = [(tiled, [t for t in got if any(t is h for h in held)])
+              for (_, decoded, exchanged, tiled, got), (_, previous, *_) in
+              zip(steps[1:], steps) if decoded == previous and not exchanged]
+    assert len(steady) > 30
+    assert steady == [(1, [])] * len(steady)
+    assert len(cache.sets) >= 4
+    for tensor in held:
+        assert sum(t is tensor for t in gathered) == len(cache.sets)
 
 
 def test_cached_path_checks_new_positions(vocab):

@@ -360,10 +360,20 @@ def test_vocab_file_round_trip(vocab):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 127), st.integers(0, 383),
                           st.integers(1, 400), st.integers(1, 127)),
-                min_size=1, max_size=30))
-def test_round_trip_matches_snap_property(raw):
+                min_size=1, max_size=30),
+       st.lists(st.tuples(st.integers(0, 29), st.integers(-1, 1),
+                          st.integers(-3, 3), st.integers(1, 127)), max_size=10))
+def test_round_trip_matches_snap_property(raw, twins):
+    """Each twin repeats the pitch of a drawn note at its onset or a tick
+    off it, mostly in its position slot, with a duration a few ticks off
+    (often snapping to the same mesh value) and a velocity of its own: which
+    of the two each quantizer keeps must agree."""
     vocab = build_vocab()
     notes = [Note(p, o, d, v) for p, o, d, v in raw]
+    for i, shift, stretch, v in twins:
+        n = notes[i % len(raw)]
+        notes.append(Note(n.pitch, min(max(n.onset + shift, 0), 383),
+                          max(n.duration + stretch, 1), v))
     song = Song([Track("Piano", notes), Track("Drum", list(notes))], 2)
     seqs = tokenize_song(song, vocab)
     assert same_seqs(seqs, oracle_tokenize(song, vocab))
@@ -373,6 +383,17 @@ def test_round_trip_matches_snap_property(raw):
         assert a.notes == b.notes
     assert snap == oracle_snap_song(song)
     assert tokenize_remi_plus(song, vocab) == oracle_remi_plus(song, vocab)
+
+
+def test_snap_keeps_the_note_the_tokenizer_keeps(vocab):
+    """Two notes of one pitch in one slot whose raw order (duration 49
+    before 50) differs from their snapped one (both 48, velocity 10 before
+    102): both quantizers keep the first by raw values."""
+    song = Song([Track("Piano", [Note(60, 0, 49, 100), Note(60, 0, 50, 10)])], 1)
+    kept = [Note(60, 0, 48, 102)]
+    assert detokenize(tokenize_song(song, vocab), vocab).tracks[0].notes == kept
+    assert snap_song(song, vocab).tracks[0].notes == kept
+    assert oracle_snap_song(song).tracks[0].notes == kept
 
 
 # -- the straightforward path: per-note loops with a vocab lookup per token ---------
@@ -419,18 +440,21 @@ def _oracle_body_ids(track, n_bars, vocab):
 
 
 def oracle_snap_song(song):
+    """Each track keeps, per snapped (onset, key), the first note by raw
+    (pitch, duration, velocity), as the tokenizer does."""
     tracks = []
     for t in song.tracks:
-        notes = []
-        for n in t.notes:
+        kept = {}
+        for n in sorted(t.notes, key=lambda n: (n.pitch, n.duration, n.velocity)):
             bar, tick = divmod(n.onset, TICKS_PER_BAR)
             onset = bar * TICKS_PER_BAR + snap_position(tick)
             if t.instrument == "Drum":
-                notes.append(Note(drum_key(n.pitch), onset, DRUM_DURATION, DRUM_VELOCITY))
+                note = Note(drum_key(n.pitch), onset, DRUM_DURATION, DRUM_VELOCITY)
             else:
-                notes.append(Note(n.pitch, onset, snap_to_mesh(n.duration),
-                                  velocity_decode(velocity_bin(n.velocity))))
-        tracks.append(Track(t.instrument, sorted_unique_notes(notes),
+                note = Note(n.pitch, onset, snap_to_mesh(n.duration),
+                            velocity_decode(velocity_bin(n.velocity)))
+            kept.setdefault((note.onset, note.pitch), note)
+        tracks.append(Track(t.instrument, sorted_unique_notes(list(kept.values())),
                             t.program, t.name, t.is_melody))
     return Song(tracks, song.n_bars, song.resolution)
 
