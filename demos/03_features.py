@@ -5,7 +5,8 @@ the fixed bin tables, and then fits the small vector-quantized autoencoder
 whose per-bar code tuples form the second conditioning channel.
 """
 
-from bandgen.features import extract_expert_features, quantize_features
+from bandgen.features import (CELL_KEYS, DRUM_COLS, PITCHED_COLS,
+                              extract_expert_features, quantize_features)
 from bandgen.neural.model import make_config
 from bandgen.neural.vqvae import assign_codes, train_vqvae
 from bandgen.synth import make_corpus, make_song
@@ -20,17 +21,25 @@ labels = [str(c) for c in grid.chords[:8]]
 print(f"first two bars of chords (root pitch class : quality):")
 print("  " + "  ".join(labels))
 
-# raw descriptors: drums carry (dt, dd); pitched tracks (nd, mp, md, mv)
+# one array [tracks, bars, 10] whose columns are CELL_KEYS; a drum track
+# fills DRUM_COLS (dt, dd), a pitched track PITCHED_COLS (nd, mp, md, mv,
+# ct0-ct3). Raw values are floats, NaN where empty or not yet known.
+def own_columns(inst, row):
+    cols = DRUM_COLS if inst == "Drum" else PITCHED_COLS
+    return zip(CELL_KEYS[cols], row[cols].tolist())
+
+
 print("\nraw features for bar 0:")
-for inst, row in zip(grid.instruments, grid.entries):
-    cell = ", ".join(f"{k}={v:.1f}" for k, v in row[0].items())
+for inst, row in zip(grid.instruments, grid.cells):
+    cell = ", ".join(f"{k}={v:.1f}" for k, v in own_columns(inst, row[0]))
     print(f"  {inst:<12} {cell}")
 
-# quantized grid: every value becomes a bin index, chords join pitched cells
+# quantized grid: every value becomes an int64 bin index, the beat chords
+# fill ct0-ct3, and the other kind's columns hold -1
 binned = quantize_features(grid)
 print("\nbinned features for bar 0:")
-for inst, row in zip(binned.instruments, binned.entries):
-    cell = ", ".join(f"{k}={v}" for k, v in row[0].items())
+for inst, row in zip(binned.instruments, binned.cells):
+    cell = ", ".join(f"{k}={v}" for k, v in own_columns(inst, row[0]))
     print(f"  {inst:<12} {cell}")
 
 # fit the bar autoencoder on a small token corpus; loss is per token

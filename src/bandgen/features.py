@@ -5,12 +5,19 @@ The feature grid holds, for every (track, bar) cell, either the drum tuple
 mean pitch MP, mean duration MD, mean velocity MV, plus four beat-level chord
 labels CT shared by all pitched tracks). Raw values are quantized to fixed
 bin tables; one extra sentinel bin per numeric feature marks empty bars.
+
+`FeatureGrid.cells` is one array [tracks, bars, 10] whose columns are
+`CELL_KEYS`; a drum track uses the `DRUM_COLS` columns and a pitched track
+the `PITCHED_COLS` ones. A raw grid is float64, with NaN in an empty cell
+and in the other kind's columns (and in the CT columns, which quantizing
+fills from `chords`). A binned grid is int64: an empty cell holds each
+numeric feature's sentinel bin and the other kind's columns hold -1.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +59,10 @@ _MD_EDGES = np.geomspace(4.0, 384.0, MD_SIZE + 1)
 
 DRUM_KEYS_FEATURE = ("dt", "dd")
 PITCHED_KEYS_FEATURE = ("nd", "mp", "md", "mv")
+CELL_KEYS = DRUM_KEYS_FEATURE + PITCHED_KEYS_FEATURE + ("ct0", "ct1", "ct2", "ct3")
+DRUM_COLS = slice(0, 2)       # dt, dd
+PITCHED_COLS = slice(2, 10)   # nd, mp, md, mv, ct0-ct3
+_N_NUMERIC = 6                # the columns before the chords
 
 N_VQ_GROUPS = 8  # VQ codes per (track, bar) cell
 
@@ -140,54 +151,58 @@ def beat_chord_ids(cols: NoteColumns, n_beats: int) -> np.ndarray:
 class FeatureGrid:
     instruments: list[str]
     n_bars: int
-    entries: list[list[dict]]        # [track][bar] -> feature dict
+    cells: np.ndarray                # [track, bar, CELL_KEYS]: float64 raw, int64 binned
     chords: list[ChordLabel]         # per beat, 4 per bar
-    binned: bool
     vq_entries: list[list[tuple[int, ...]]] | None = None
 
     @property
     def n_tracks(self) -> int:
         return len(self.instruments)
 
+    @property
+    def binned(self) -> bool:
+        return self.cells.dtype.kind == "i"
+
+
+def _fill_other_kind(cells: np.ndarray, instruments: list[str], fill) -> np.ndarray:
+    """`cells` with `fill` in each track's columns of the other kind."""
+    drum = np.array([inst == "Drum" for inst in instruments], dtype=bool)
+    cells[drum, :, PITCHED_COLS] = fill
+    cells[~drum, :, DRUM_COLS] = fill
+    return cells
+
 
 def extract_expert_features(song: Song) -> FeatureGrid:
-    """Raw (unbinned) grid; empty cells get an empty dict. Every cell's note
-    count, distinct drum pitches and pitch, duration and velocity sums are
-    one np.bincount each over the song's note columns (the sums are of
-    integers, so exact); notes past the song's bars are skipped."""
+    """Raw (unbinned) grid. Every cell's note count, distinct drum pitches
+    and pitch, duration and velocity sums are one np.bincount each over the
+    song's note columns (the sums are of integers, so exact); notes past
+    the song's bars are skipped."""
     cols = note_columns(song)  # checks the song's grid and onsets first
-    n_bars = song.n_bars
+    n_tracks, n_bars = len(song.tracks), song.n_bars
     chords = [_LABELS[i] for i in beat_chord_ids(cols, n_bars * 4).tolist()]
     keep = cols.onset < n_bars * TICKS_PER_BAR
-    cell = (np.repeat(np.arange(len(song.tracks)) * n_bars,
-                      [len(t.notes) for t in song.tracks])
+    cell = (np.repeat(np.arange(n_tracks) * n_bars, [len(t.notes) for t in song.tracks])
             + cols.onset // TICKS_PER_BAR)[keep]
-    size = len(song.tracks) * n_bars
+    size = n_tracks * n_bars
     count = np.bincount(cell, minlength=size)
 
-    def mean(values: np.ndarray) -> list[float]:
-        return (np.bincount(cell, values[keep], size) / np.maximum(count, 1)).tolist()
+    def mean(values: np.ndarray) -> np.ndarray:
+        return np.bincount(cell, values[keep], size) / np.maximum(count, 1)
 
-    pitches = np.unique(cell * 128 + cols.pitch[keep])
-    distinct = np.bincount(pitches // 128, minlength=size).tolist()
-    mp, md, mv = mean(cols.pitch), mean(cols.duration), mean(cols.velocity)
-    count = count.tolist()
-    entries: list[list[dict]] = []
-    for ti, t in enumerate(song.tracks):
-        cells = range(ti * n_bars, (ti + 1) * n_bars)
-        if t.instrument == "Drum":
-            entries.append([{"dt": float(distinct[c]), "dd": count[c] / 4.0}
-                            if count[c] else {} for c in cells])
-        else:
-            entries.append([{"nd": count[c] / 4.0, "mp": mp[c], "md": md[c], "mv": mv[c]}
-                            if count[c] else {} for c in cells])
-    return FeatureGrid([t.instrument for t in song.tracks], n_bars,
-                       entries, chords, binned=False)
+    distinct = np.bincount(np.unique(cell * 128 + cols.pitch[keep]) // 128, minlength=size)
+    raw = np.stack([distinct, count / 4.0, count / 4.0, mean(cols.pitch),
+                    mean(cols.duration), mean(cols.velocity)], axis=-1)
+    raw[count == 0] = np.nan
+    instruments = [t.instrument for t in song.tracks]
+    cells = np.full((n_tracks, n_bars, len(CELL_KEYS)), np.nan)
+    cells[..., :_N_NUMERIC] = raw.reshape(n_tracks, n_bars, _N_NUMERIC)
+    return FeatureGrid(instruments, n_bars, _fill_other_kind(cells, instruments, np.nan),
+                       chords)
 
 
 # Each bin rule over an array of raw values. Each clips before it casts to
 # int64, so a huge raw value cannot overflow; the cast truncates toward zero
-# as int() does.
+# as int() does. A NaN cast to int64 is garbage, so callers mask it first.
 _BIN_RULES = {
     "dt": lambda raw: np.minimum(raw, DT_SIZE - 1).astype(np.int64),
     "dd": lambda raw: np.minimum(raw / 0.25, DD_SIZE - 1).astype(np.int64),
@@ -199,42 +214,24 @@ _BIN_RULES = {
 }
 
 
-def _binned_rows(rows: list[list[dict]], keys: tuple[str, ...]) -> list[list[dict]]:
-    """Bin `keys` of every non-empty cell of the rows, one array per key;
-    empty cells take each key's sentinel bin (index = table size)."""
-    filled = [cell for row in rows for cell in row if cell]
-    raw = np.array([[cell[k] for k in keys] for cell in filled], float)
-    raw = raw.reshape(len(filled), len(keys))
-    bins = iter(zip(*(_BIN_RULES[k](raw[:, j]).tolist() for j, k in enumerate(keys))))
-    empty = tuple(FEATURE_SIZES[k] for k in keys)
-    return [[dict(zip(keys, next(bins) if cell else empty)) for cell in row]
-            for row in rows]
-
-
 def quantize_features(grid: FeatureGrid) -> FeatureGrid:
-    """Bin every raw cell; empty cells take each feature's sentinel bin
-    (index = table size). Pitched cells also take the four beat chords of
-    their bar. Identity on already-binned grids."""
+    """Bin every raw cell, one column at a time; empty cells take each
+    feature's sentinel bin (index = table size). Pitched cells also take
+    the four beat chords of their bar; each track's columns of the other
+    kind hold -1. Identity on already-binned grids."""
     if grid.binned:
         return grid
-    drum = [inst == "Drum" for inst in grid.instruments]
-    rows = [row[:grid.n_bars] for row in grid.entries]
-    drum_rows = iter(_binned_rows([r for r, d in zip(rows, drum) if d],
-                                  DRUM_KEYS_FEATURE))
-    pitched_rows = iter(_binned_rows([r for r, d in zip(rows, drum) if not d],
-                                     PITCHED_KEYS_FEATURE))
-    cts = [chord_index(label) for label in grid.chords]
-    entries: list[list[dict]] = []
-    for is_drum in drum:
-        if is_drum:
-            entries.append(next(drum_rows))
-            continue
-        row = next(pitched_rows)
-        for b, cell in enumerate(row):
-            cell.update(zip(("ct0", "ct1", "ct2", "ct3"), cts[b * 4:(b + 1) * 4]))
-        entries.append(row)
-    return FeatureGrid(list(grid.instruments), grid.n_bars, entries,
-                       list(grid.chords), binned=True, vq_entries=grid.vq_entries)
+    cells = np.empty(grid.cells.shape, dtype=np.int64)
+    for j, key in enumerate(CELL_KEYS[:_N_NUMERIC]):
+        raw = grid.cells[..., j]
+        empty = np.isnan(raw)
+        cells[..., j] = np.where(empty, FEATURE_SIZES[key],
+                                 _BIN_RULES[key](np.where(empty, 0.0, raw)))
+    cells[..., _N_NUMERIC:] = np.array([chord_index(label) for label in grid.chords],
+                                       dtype=np.int64).reshape(grid.n_bars, 4)
+    return FeatureGrid(list(grid.instruments), grid.n_bars,
+                       _fill_other_kind(cells, grid.instruments, -1),
+                       list(grid.chords), grid.vq_entries)
 
 
 # -- text format ----------------------------------------------------------------
@@ -244,7 +241,8 @@ def quantize_features(grid: FeatureGrid) -> FeatureGrid:
 # F <track> <bar> k=v ...
 # V <track> <bar> c0,...,c7        (optional VQ codes)
 
-_KEY_ORDER = ("dt", "dd", "nd", "mp", "md", "mv", "ct0", "ct1", "ct2", "ct3")
+def _kind_cols(instrument: str) -> slice:
+    return DRUM_COLS if instrument == "Drum" else PITCHED_COLS
 
 
 def dump_feature_grid(grid: FeatureGrid) -> str:
@@ -253,10 +251,10 @@ def dump_feature_grid(grid: FeatureGrid) -> str:
     lines = [f"GRID n_bars={grid.n_bars}"]
     for ti, inst in enumerate(grid.instruments):
         lines.append(f"G {ti} {inst}")
-    for ti in range(grid.n_tracks):
-        for b in range(grid.n_bars):
-            cell = grid.entries[ti][b]
-            kv = " ".join(f"{k}={cell[k]}" for k in _KEY_ORDER if k in cell)
+    for ti, (inst, row) in enumerate(zip(grid.instruments, grid.cells.tolist())):
+        cols = _kind_cols(inst)
+        for b, cell in enumerate(row):
+            kv = " ".join(f"{k}={v}" for k, v in zip(CELL_KEYS[cols], cell[cols]))
             lines.append(f"F {ti} {b} {kv}")
     if grid.vq_entries is not None:
         for ti in range(grid.n_tracks):
@@ -266,13 +264,14 @@ def dump_feature_grid(grid: FeatureGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DRUM_CELL_KEYS = frozenset(DRUM_KEYS_FEATURE)
-_PITCHED_CELL_KEYS = frozenset(PITCHED_KEYS_FEATURE + ("ct0", "ct1", "ct2", "ct3"))
+# one past the largest value of each F key: the sentinel bin, or the last chord
+_F_LIMITS = {k: FEATURE_SIZES[k] + 1 if k in FEATURE_SIZES else CT_SIZE for k in CELL_KEYS}
 
 
 def load_feature_grid(text: str) -> FeatureGrid:
-    """Parse one grid: one F line with the instrument's keys per cell, and
-    optionally one V line of N_VQ_GROUPS codes per cell."""
+    """Parse one grid: one F line with the instrument's keys per cell, each
+    value in its table, and optionally one V line of N_VQ_GROUPS codes in
+    int64 range, none negative, per cell. A grid without tracks has no bars."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("GRID n_bars="):
         raise DataError("feature grid: missing GRID header")
@@ -288,7 +287,7 @@ def load_feature_grid(text: str) -> FeatureGrid:
     for ln in lines[1:]:
         parts = ln.split()
         try:
-            if parts[0] == "G":
+            if parts[0] == "G" and len(parts) == 3:
                 inst = parts[2]
                 if inst not in INSTRUMENTS:
                     raise DataError(f"feature grid: unknown instrument {inst!r}")
@@ -300,12 +299,12 @@ def load_feature_grid(text: str) -> FeatureGrid:
                 table, value = cells, {k: int(v) for k, v in pairs}
                 if len(value) != len(pairs):
                     raise DataError(f"feature grid: repeated key in {ln!r}")
-            elif parts[0] == "V":
+            elif parts[0] == "V" and len(parts) == 4:
                 key = (int(parts[1]), int(parts[2]))
                 table, value = vq, tuple(int(x) for x in parts[3].split(","))
-                if len(value) != N_VQ_GROUPS:
-                    raise DataError(f"feature grid: {len(value)} VQ codes, "
-                                    f"expected {N_VQ_GROUPS}: {ln!r}")
+                if len(value) != N_VQ_GROUPS or not all(0 <= c < 1 << 63 for c in value):
+                    raise DataError(f"feature grid: expected {N_VQ_GROUPS} VQ codes "
+                                    f"in 0..2**63-1: {ln!r}")
             else:
                 raise DataError(f"feature grid: bad line {ln!r}")
         except (ValueError, IndexError) as e:
@@ -316,24 +315,30 @@ def load_feature_grid(text: str) -> FeatureGrid:
     if sorted(instruments) != list(range(len(instruments))):
         raise DataError("feature grid: track indices not dense")
     n_tracks = len(instruments)
-    grid_cells = {(ti, b) for ti in range(n_tracks) for b in range(n_bars)}
-    if cells.keys() != grid_cells or (vq and vq.keys() != grid_cells):
+    if n_bars and not n_tracks:   # only the header would size the chord list
+        raise DataError(f"feature grid: {n_bars} bars but no tracks")
+    # the keys are distinct, so in range and as many as the cells means a cover
+    if (len(cells) != n_tracks * n_bars
+            or not all(0 <= ti < n_tracks and 0 <= b < n_bars for ti, b in cells)
+            or (vq and vq.keys() != cells.keys())):
         raise DataError(f"feature grid: F lines, and V lines if any, must cover "
                         f"the {n_tracks} x {n_bars} cells exactly")
+    grid_cells = np.full((n_tracks, n_bars, len(CELL_KEYS)), -1, dtype=np.int64)
     for (ti, b), cell in cells.items():
-        keys = _DRUM_CELL_KEYS if instruments[ti] == "Drum" else _PITCHED_CELL_KEYS
-        if cell.keys() != keys:
-            raise DataError(f"feature grid: cell ({ti}, {b}) has keys {sorted(cell)}")
-    entries = [[cells[(ti, b)] for b in range(n_bars)] for ti in range(n_tracks)]
+        cols = _kind_cols(instruments[ti])
+        keys = CELL_KEYS[cols]
+        if cell.keys() != set(keys) or not all(0 <= cell[k] < _F_LIMITS[k] for k in keys):
+            raise DataError(f"feature grid: cell ({ti}, {b}) needs the keys {keys}, "
+                            f"each in its table: {cell}")
+        grid_cells[ti, b, cols] = [cell[k] for k in keys]
     # the beat chords are shared by all pitched rows; read them from the first
-    pitched = [row for ti, row in enumerate(entries) if instruments[ti] != "Drum"]
-    chords = [chord_from_index(pitched[0][b][f"ct{j}"]) if pitched else NO_CHORD
-              for b in range(n_bars) for j in range(4)]
-    vq_entries = None
-    if vq:
-        vq_entries = [[vq[(ti, b)] for b in range(n_bars)] for ti in range(n_tracks)]
-    return FeatureGrid([instruments[i] for i in range(n_tracks)], n_bars,
-                       entries, chords, binned=True, vq_entries=vq_entries)
+    pitched = [ti for ti in range(n_tracks) if instruments[ti] != "Drum"]
+    chords = ([_LABELS[i] for i in grid_cells[pitched[0], :, _N_NUMERIC:].ravel().tolist()]
+              if pitched else [NO_CHORD] * (4 * n_bars))
+    vq_entries = ([[vq[(ti, b)] for b in range(n_bars)] for ti in range(n_tracks)]
+                  if vq else None)
+    return FeatureGrid([instruments[i] for i in range(n_tracks)], n_bars, grid_cells,
+                       chords, vq_entries)
 
 
 def dump_feature_corpus(entries: list[tuple[str, FeatureGrid]]) -> str:

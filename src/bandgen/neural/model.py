@@ -50,8 +50,9 @@ import numpy as np
 
 from ..errors import (BarIndexOutOfRange, BinOutOfVocab, DataError,
                       IdOutOfVocab, UsageError)
-from ..features import (DRUM_KEYS_FEATURE, FEATURE_SIZES, N_VQ_GROUPS,
-                        PITCHED_KEYS_FEATURE, FeatureGrid)
+from ..features import (DRUM_COLS, DRUM_KEYS_FEATURE, FEATURE_SIZES,
+                        N_VQ_GROUPS, PITCHED_COLS, PITCHED_KEYS_FEATURE,
+                        FeatureGrid)
 from ..score import MAX_TRACKS
 from ..tokens import PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, attention, concat, cross_entropy_logits,
@@ -341,16 +342,6 @@ def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
 # -- the network ------------------------------------------------------------------
 
 
-_CHORD_KEYS = ("ct0", "ct1", "ct2", "ct3")
-
-
-def _cell_bins(grid: FeatureGrid, tracks: list[int], feats) -> np.ndarray:
-    """Bins [len(tracks), B, len(feats)] of the given features."""
-    return np.array([[[grid.entries[ti][b][f] for f in feats]
-                      for b in range(grid.n_bars)] for ti in tracks],
-                    dtype=np.int64).reshape(len(tracks), grid.n_bars, len(feats))
-
-
 def _vq_codes(grid: FeatureGrid) -> np.ndarray:
     """VQ codes [I, B, 8]; code 0 throughout for a grid without them. Codes
     that are not one row per track of one 8-tuple per bar raise `DataError`."""
@@ -387,15 +378,16 @@ def embed_conditions(grid: FeatureGrid, params: dict, cfg: ModelConfig) -> Tenso
     parts: list[Tensor] = []
     codes = _vq_codes(grid)
     try:
-        for kind, tracks, keys in (("drum", drum, DRUM_KEYS_FEATURE),
-                                   ("pitched", pitched, PITCHED_KEYS_FEATURE)):
+        for kind, tracks, cols, keys in (
+                ("drum", drum, DRUM_COLS, DRUM_KEYS_FEATURE),
+                ("pitched", pitched, PITCHED_COLS, PITCHED_KEYS_FEATURE)):
             if not tracks:
                 continue
+            bins = grid.cells[tracks, :, cols]   # the kind's keys, then any ct0-ct3
             segs = []
             if kind == "pitched":
-                cts = take(params["fe_ct"], _cell_bins(grid, tracks, _CHORD_KEYS))
+                cts = take(params["fe_ct"], bins[..., len(keys):])
                 segs.append(cts.sum(axis=2) * 0.25)
-            bins = _cell_bins(grid, tracks, keys)
             segs += [take(params[f"fe_{f}"], bins[..., j]) for j, f in enumerate(keys)]
             vq = take(params["fe_vq"], codes[tracks]).reshape(len(tracks), B, -1)
             parts.append(_linear(concat(segs + [vq], axis=-1), params, f"proj_{kind}"))

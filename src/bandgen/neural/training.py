@@ -80,9 +80,8 @@ def _stack_grids(grids: list[FeatureGrid]) -> FeatureGrid:
         vq = [row for g in grids for row in
               (g.vq_entries if g.vq_entries is not None else [zero] * g.n_tracks)]
     return FeatureGrid([inst for g in grids for inst in g.instruments],
-                       grids[0].n_bars,
-                       [row for g in grids for row in g.entries],
-                       grids[0].chords, all(g.binned for g in grids), vq)
+                       grids[0].n_bars, np.concatenate([g.cells for g in grids]),
+                       grids[0].chords, vq)
 
 
 def batch_loss(pairs: list[Pair], params: dict[str, Tensor],

@@ -305,8 +305,7 @@ def dedupe_corpus(songs: list[Song]) -> list[Song]:
     seen: set[tuple] = set()
     for s in songs:
         grid = quantize_features(extract_expert_features(s))
-        key = (grid.n_bars, tuple(grid.instruments),
-               tuple(tuple(cell.items()) for row in grid.entries for cell in row))
+        key = (grid.n_bars, tuple(grid.instruments), grid.cells.tobytes())
         if key in seen:
             continue
         seen.add(key)

@@ -215,7 +215,7 @@ def test_a_cache_serves_one_song(vocab):
     grid = grid_of(song)
     stacked = build_track_seqs([ids[:5] for ids in lists * 2], vocab)
     stacked_grid = FeatureGrid(grid.instruments * 2, grid.n_bars,
-                               grid.entries * 2, grid.chords, grid.binned)
+                               np.concatenate([grid.cells] * 2), grid.chords)
     cfg = small_cfg()
     params = init_params(cfg)
     assert model_forward(stacked, stacked_grid, params, cfg, songs=2).shape[0] == 4

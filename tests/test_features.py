@@ -1,19 +1,25 @@
-"""Expert feature grid: chords, bin tables, sentinels, serialization, and
-the per-note and per-cell loops the array form replaced, as its oracle."""
+"""Expert feature grid: chords, bin tables, sentinels, serialization and
+mutated grid files, and the per-note and per-cell loops the array form
+replaced, as its oracle."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgen.errors import DataError
-from bandgen.features import (_BIN_RULES, CT_SIZE, DD_SIZE, DT_SIZE,
-                              FEATURE_SIZES, MD_SIZE, MP_SIZE, MV_SIZE,
-                              ND_SIZE, NO_CHORD, ChordLabel, FeatureGrid,
-                              chord_from_index, chord_index, detect_chord,
-                              dump_feature_corpus, dump_feature_grid,
-                              extract_expert_features, load_feature_corpus,
-                              load_feature_grid, quantize_features)
+from bandgen.errors import BinOutOfVocab, DataError
+from bandgen.features import (_BIN_RULES, CELL_KEYS, CT_SIZE, DD_SIZE,
+                              DT_SIZE, FEATURE_SIZES, MD_SIZE, MP_SIZE,
+                              MV_SIZE, ND_SIZE, NO_CHORD,
+                              ChordLabel, FeatureGrid, chord_from_index,
+                              chord_index, detect_chord, dump_feature_corpus,
+                              dump_feature_grid, extract_expert_features,
+                              load_feature_corpus, load_feature_grid,
+                              quantize_features)
+from bandgen.neural.model import embed_conditions, init_params, make_config
 from bandgen.score import TICKS_PER_BAR, Note, Song, Track, dedupe_corpus
 from bandgen.synth import make_song
 from scalar_oracles import beat_chords
@@ -104,9 +110,13 @@ def test_extract_raw_features():
         Track("Piano", [Note(60, 0, 48, 80), Note(64, 96, 96, 100)]),
     ], 2)
     grid = extract_expert_features(song)
-    assert grid.entries[0][0] == {"dt": 2.0, "dd": 0.75}
-    assert grid.entries[0][1] == {}
-    assert grid.entries[1][0] == {"nd": 0.5, "mp": 62.0, "md": 72.0, "mv": 90.0}
+    nan = np.nan
+    assert CELL_KEYS == ("dt", "dd", "nd", "mp", "md", "mv", "ct0", "ct1", "ct2", "ct3")
+    assert grid.cells.dtype == np.float64 and grid.cells.shape == (2, 2, 10)
+    np.testing.assert_array_equal(grid.cells[0, 0], [2.0, 0.75] + [nan] * 8)
+    np.testing.assert_array_equal(grid.cells[0, 1], [nan] * 10)
+    np.testing.assert_array_equal(grid.cells[1, 0],
+                                  [nan, nan, 0.5, 62.0, 72.0, 90.0] + [nan] * 4)
     assert not grid.binned
 
 
@@ -117,13 +127,13 @@ def test_quantize_features_and_sentinels():
                         Note(67, 0, 192, 90)]),
     ], 2)
     grid = quantize_features(extract_expert_features(song))
-    assert grid.binned
-    assert grid.entries[0][0] == {"dt": 1, "dd": 1}
-    assert grid.entries[0][1] == {"dt": DT_SIZE, "dd": DD_SIZE}  # sentinels
-    cell = grid.entries[1][0]
-    assert cell["nd"] == 3
+    assert grid.binned and grid.cells.dtype == np.int64
+    assert grid.cells[0, 0].tolist() == [1, 1] + [-1] * 8
+    assert grid.cells[0, 1].tolist() == [DT_SIZE, DD_SIZE] + [-1] * 8  # sentinels
+    cell = dict(zip(CELL_KEYS, grid.cells[1, 0].tolist()))
+    assert cell["nd"] == 3 and cell["dt"] == cell["dd"] == -1
     assert cell["ct0"] == chord_index(ChordLabel(0, "maj"))
-    empty = grid.entries[1][1]
+    empty = dict(zip(CELL_KEYS, grid.cells[1, 1].tolist()))
     assert empty["nd"] == ND_SIZE and empty["mp"] == MP_SIZE
     assert empty["md"] == MD_SIZE and empty["mv"] == MV_SIZE
     # chords stay a shared per-beat channel even over an empty bar
@@ -138,7 +148,8 @@ def test_feature_grid_round_trip():
     text = dump_feature_grid(grid)
     loaded = load_feature_grid(text)
     assert loaded.instruments == grid.instruments
-    assert loaded.entries == grid.entries
+    assert loaded.cells.dtype == np.int64
+    assert np.array_equal(loaded.cells, grid.cells)
     assert loaded.chords == grid.chords
     assert loaded.vq_entries == grid.vq_entries
     assert dump_feature_grid(loaded) == text
@@ -150,8 +161,15 @@ def test_feature_corpus_round_trip():
     text = dump_feature_corpus([("a", grids[0]), ("b", grids[1])])
     loaded = load_feature_corpus(text)
     assert [name for name, _ in loaded] == ["a", "b"]
-    assert loaded[0][1].entries == grids[0].entries
+    assert np.array_equal(loaded[0][1].cells, grids[0].cells)
     assert dump_feature_corpus(loaded) == text
+
+
+PITCHED = "nd=1 mp=1 md=1 mv=1 ct0=0 ct1=0 ct2=0 ct3=0"
+GOOD = ("GRID n_bars=2\nG 0 Drum\nG 1 Piano\n"
+        "F 0 0 dt=1 dd=1\nF 0 1 dt=1 dd=1\n"
+        f"F 1 0 {PITCHED}\nF 1 1 {PITCHED}\n")
+VQ = "".join(f"V {ti} {b} 0,1,2,3,4,5,6,7\n" for ti in range(2) for b in range(2))
 
 
 def test_serialization_rejects_raw_grids_and_garbage():
@@ -163,31 +181,151 @@ def test_serialization_rejects_raw_grids_and_garbage():
     with pytest.raises(DataError):
         load_feature_grid("GRID n_bars=1\nG 0 Flute\n")
 
-    pitched = "nd=1 mp=1 md=1 mv=1 ct0=0 ct1=0 ct2=0 ct3=0"
-    good = ("GRID n_bars=2\nG 0 Drum\nG 1 Piano\n"
-            "F 0 0 dt=1 dd=1\nF 0 1 dt=1 dd=1\n"
-            f"F 1 0 {pitched}\nF 1 1 {pitched}\n")
-    vq = "".join(f"V {ti} {b} 0,1,2,3,4,5,6,7\n" for ti in range(2) for b in range(2))
-    assert load_feature_grid(good).vq_entries is None
-    assert load_feature_grid(good + vq).vq_entries[1][1] == tuple(range(8))
+    assert load_feature_grid(GOOD).vq_entries is None
+    assert load_feature_grid(GOOD + VQ).vq_entries[1][1] == tuple(range(8))
     for bad in [
         "GRID n_bars=-1\n",
         "GRID n_bars=2\nG 0 Drum\nF 0 0 dt=1 dd=1\n",        # cell without F
-        good + "F 2 0 dt=1 dd=1\n",                            # track out of range
-        good + "F 0 2 dt=1 dd=1\n",                            # bar out of range
-        good + vq + "V 0 -1 0,1,2,3,4,5,6,7\n",                # bar out of range
-        good + "G 1 Bass\n",                                   # duplicate lines
-        good + "F 0 0 dt=1 dd=1\n",
-        good + vq + "V 0 0 0,1,2,3,4,5,6,7\n",
-        good.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1"),         # wrong keys
-        good.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1 dd=1 nd=1"),
-        good.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1 dd=1 dd=2"),
-        good.replace(f"F 1 0 {pitched}", "F 1 0 dt=1 dd=1"),
-        good + vq.replace("0,1,2,3,4,5,6,7", "0,1", 1),         # 2 codes
-        good + vq.split("\n", 1)[1],                           # V for 3 of 4 cells
+        GOOD + "F 2 0 dt=1 dd=1\n",                            # track out of range
+        GOOD + "F 0 2 dt=1 dd=1\n",                            # bar out of range
+        GOOD + VQ + "V 0 -1 0,1,2,3,4,5,6,7\n",                # bar out of range
+        GOOD + "G 1 Bass\n",                                   # duplicate lines
+        GOOD + "F 0 0 dt=1 dd=1\n",
+        GOOD + VQ + "V 0 0 0,1,2,3,4,5,6,7\n",
+        GOOD.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1"),         # wrong keys
+        GOOD.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1 dd=1 nd=1"),
+        GOOD.replace("F 0 0 dt=1 dd=1", "F 0 0 dt=1 dd=1 dd=2"),
+        GOOD.replace(f"F 1 0 {PITCHED}", "F 1 0 dt=1 dd=1"),
+        GOOD + VQ.replace("0,1,2,3,4,5,6,7", "0,1", 1),         # 2 codes
+        GOOD + VQ.split("\n", 1)[1],                           # V for 3 of 4 cells
     ]:
         with pytest.raises(DataError):
             load_feature_grid(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    GOOD.replace("G 0 Drum", "G 0 Drum junk"),
+    GOOD + VQ.replace("V 0 0 0,1,2,3,4,5,6,7", "V 0 0 0,1,2,3,4,5,6,7 9,9"),
+    GOOD.replace("dd=1", "dd=99999999999999999999999", 1),
+    GOOD.replace("dd=1", f"dd={DD_SIZE + 1}", 1),
+    GOOD.replace("dt=1", "dt=-1", 1),
+    GOOD.replace("mv=1", f"mv={MV_SIZE + 1}", 1),
+    GOOD.replace("ct0=0", f"ct0={CT_SIZE}", 1),
+    GOOD.replace("ct3=0", "ct3=-1", 1),
+    GOOD + VQ.replace("0,1,2,3,4,5,6,7", "0,1,2,-3,4,5,6,7", 1),
+    GOOD + VQ.replace("0,1,2,3,4,5,6,7", f"0,1,2,3,4,5,6,{2 ** 63}", 1),
+    GOOD.replace("n_bars=2", f"n_bars={2 ** 63}"),
+    f"GRID n_bars={2 ** 63 - 1}\n",
+], ids=["G_trailing_field", "V_trailing_field", "F_past_int64", "F_past_sentinel",
+        "F_negative", "F_mv_past_sentinel", "F_chord_past_table", "F_chord_negative",
+        "V_negative", "V_past_int64", "header_past_int64",
+        "bars_without_tracks"])
+def test_loader_rejects_values_outside_their_tables(bad):
+    with pytest.raises(DataError):
+        load_feature_grid(bad)
+
+
+def test_loader_takes_each_table_up_to_its_top():
+    top = (GOOD.replace("dt=1 dd=1", f"dt={DT_SIZE} dd={DD_SIZE}", 1)
+           .replace(PITCHED, f"nd={ND_SIZE} mp={MP_SIZE} md={MD_SIZE} mv={MV_SIZE} "
+                             f"ct0={CT_SIZE - 1} ct1=0 ct2=0 ct3=0", 1))
+    code = 2 ** 63 - 1
+    grid = load_feature_grid(top + VQ.replace("0,1", f"{code},1", 1))
+    assert grid.cells[0, 0, :2].tolist() == [DT_SIZE, DD_SIZE]
+    assert grid.cells[1, 0, 2:7].tolist() == [ND_SIZE, MP_SIZE, MD_SIZE, MV_SIZE, CT_SIZE - 1]
+    assert grid.chords[0] == chord_from_index(CT_SIZE - 1)
+    assert grid.vq_entries[0][0][0] == code
+
+
+def test_feature_grid_holds_one_array():
+    """Five fields; `binned` is read from the dtype, not set."""
+    assert [f.name for f in dataclasses.fields(FeatureGrid)] == [
+        "instruments", "n_bars", "cells", "chords", "vq_entries"]
+    raw = FeatureGrid(["Piano"], 1, np.full((1, 1, 10), np.nan), [NO_CHORD] * 4)
+    assert not raw.binned and quantize_features(raw).binned
+    with pytest.raises(TypeError):
+        FeatureGrid(["Piano"], 1, raw.cells, [NO_CHORD] * 4, binned=True)
+    with pytest.raises(AttributeError):
+        raw.binned = True
+
+
+# field-level mutations: what a mutation writes over an integer or appends
+HUGE_OR_NEGATIVE = ("-1", "-40", str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64),
+                    "99999999999999999999999", str(-2 ** 63 - 1), str(CT_SIZE),
+                    str(DD_SIZE + 1))
+JUNK = ("junk", "x=1", "dt=1", "ct0=5", "=", ",", "7", "1,2,3,4,5,6,7,8", "#SONG")
+
+
+def _mutate_fields(rng, text: str) -> str:
+    """Drop, duplicate or swap fields of one line, append junk to it, write
+    a huge or negative int over one of its integers, or drop or duplicate
+    the line."""
+    lines = text.splitlines() or [""]
+    i = int(rng.integers(len(lines)))
+    fields = lines[i].split()
+    j, k = (int(x) for x in rng.integers(max(len(fields), 1), size=2))
+    kind = int(rng.integers(7)) if fields else 3
+    if kind == 0:
+        del fields[j]
+    elif kind == 1:
+        fields.insert(j, fields[j])
+    elif kind == 2:
+        fields[j], fields[k] = fields[k], fields[j]
+    elif kind == 3:
+        fields.append(str(rng.choice(JUNK)))
+    elif kind == 4:
+        runs = list(re.finditer(r"-?\d+", fields[j]))
+        if runs:
+            run = runs[int(rng.integers(len(runs)))]
+            fields[j] = (fields[j][:run.start()] + str(rng.choice(HUGE_OR_NEGATIVE))
+                         + fields[j][run.end():])
+    elif kind == 5:
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    else:
+        lines.insert(i, lines[i])
+    lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_grid_files_load_or_raise_data_error():
+    """1,000 seeded mutations of dumped grids and grid corpora: each loads,
+    or raises DataError. A grid that loads dumps to text that loads back to
+    the same text, and embeds, or raises BinOutOfVocab for a VQ code past
+    the codebook."""
+    grids = [quantize_features(extract_expert_features(make_song(seed, n_bars=3)))
+             for seed in range(4)]
+    grids.append(quantize_features(extract_expert_features(Song([], 2))))
+    for grid in grids[::2]:
+        grid.vq_entries = [[tuple(range(b, b + 8)) for b in range(grid.n_bars)]
+                           for _ in grid.instruments]
+    sources = [(load_feature_grid, dump_feature_grid(g)) for g in grids]
+    sources.append((load_feature_corpus,
+                    dump_feature_corpus([(f"s{i}", g) for i, g in enumerate(grids)])))
+    cfg = make_config("toy", d=16, heads=2, ffn=16, b_max=16)
+    params = init_params(cfg)
+    rng = np.random.default_rng(23)
+    failures = 0
+    for trial in range(1000):
+        load, text = sources[trial % len(sources)]
+        text = _mutate_fields(rng, text)
+        if rng.random() < 0.3:
+            text = _mutate_fields(rng, text)
+        try:
+            got = load(text)
+        except DataError:
+            failures += 1
+            continue
+        for grid in ([got] if load is load_feature_grid else [g for _, g in got]):
+            assert grid.cells.dtype == np.int64, trial
+            again = dump_feature_grid(grid)
+            assert dump_feature_grid(load_feature_grid(again)) == again, trial
+            if grid.n_tracks and grid.n_bars:
+                try:
+                    embed_conditions(grid, params, cfg)
+                except BinOutOfVocab:
+                    pass
+    assert 30 < 1000 - failures and 100 < failures, failures  # both outcomes occur
 
 
 # -- the straightforward path: per-note and per-cell loops, the oracle -----------
@@ -246,10 +384,24 @@ def oracle_quantize(instruments, entries, chords):
     return out
 
 
-def typed(entries):
-    """The cells with the type of every value, which must be Python's."""
-    return [[{k: (type(v), v) for k, v in cell.items()} for cell in row]
-            for row in entries]
+def as_cells(entries, n_bars, binned):
+    """The oracle's dict cells in the `cells` layout, one column per
+    CELL_KEYS key: float64 with NaN where a raw cell lacks a key, int64
+    with -1 where a binned one does."""
+    cells = np.full((len(entries), n_bars, len(CELL_KEYS)), -1 if binned else np.nan,
+                    dtype=np.int64 if binned else np.float64)
+    for ti, row in enumerate(entries):
+        for b, cell in enumerate(row):
+            for k, v in cell.items():
+                cells[ti, b, CELL_KEYS.index(k)] = v
+    return cells
+
+
+def typed(cells):
+    """The cells' dtype, which must be float64 raw or int64 binned, shape
+    and bytes."""
+    assert cells.dtype in (np.float64, np.int64)
+    return cells.dtype, cells.shape, cells.tobytes()
 
 
 def test_grids_match_the_loop_oracle(micro_corpus, edge_songs):
@@ -265,13 +417,13 @@ def test_grids_match_the_loop_oracle(micro_corpus, edge_songs):
     for song in songs:
         raw = extract_expert_features(song)
         entries, chords = oracle_extract(song)
-        assert typed(raw.entries) == typed(entries)
+        assert typed(raw.cells) == typed(as_cells(entries, song.n_bars, False))
+        assert raw.cells.dtype == np.float64
         assert raw.chords == chords and not raw.binned
         binned = quantize_features(raw)
         want = oracle_quantize(raw.instruments, entries, chords)
-        assert typed(binned.entries) == typed(want)
-        assert [[list(c) for c in row] for row in binned.entries] == [
-            [list(c) for c in row] for row in want]
+        assert typed(binned.cells) == typed(as_cells(want, song.n_bars, True))
+        assert binned.cells.dtype == np.int64
         assert binned.chords == chords and binned.binned
 
 
@@ -284,9 +436,9 @@ def test_grids_match_the_loop_oracle_property(raw):
     song = Song([Track("Piano", notes), Track("Drum", list(notes))], 2)
     grid = extract_expert_features(song)
     entries, chords = oracle_extract(song)
-    assert typed(grid.entries) == typed(entries)
-    assert typed(quantize_features(grid).entries) == typed(
-        oracle_quantize(grid.instruments, entries, chords))
+    assert typed(grid.cells) == typed(as_cells(entries, 2, False))
+    assert typed(quantize_features(grid).cells) == typed(
+        as_cells(oracle_quantize(grid.instruments, entries, chords), 2, True))
 
 
 def test_bin_rules_match_the_scalar_oracle():
@@ -305,8 +457,8 @@ def test_dedupe_picks_match_the_oracle(micro_corpus, edge_songs):
         entries, chords = oracle_extract(song)
         instruments = [t.instrument for t in song.tracks]
         grid = FeatureGrid(instruments, song.n_bars,
-                           oracle_quantize(instruments, entries, chords), chords,
-                           binned=True)
+                           as_cells(oracle_quantize(instruments, entries, chords),
+                                    song.n_bars, True), chords)
         key = dump_feature_grid(grid)
         if key not in seen:
             seen.add(key)

@@ -9,8 +9,8 @@ import pytest
 
 from bandgen.errors import (BarIndexOutOfRange, BinOutOfVocab, DataError,
                             IdOutOfVocab)
-from bandgen.features import (FeatureGrid, extract_expert_features,
-                              quantize_features)
+from bandgen.features import (CELL_KEYS, FeatureGrid,
+                              extract_expert_features, quantize_features)
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.checkpoint import (dump_checkpoint, load_checkpoint,
                                        load_checkpoint_file,
@@ -299,7 +299,7 @@ def test_embed_conditions_guardrails(vocab):
     with pytest.raises(DataError):
         embed_conditions(grid, params, small_cfg(b_max=2), )
     broken = quantize_features(extract_expert_features(make_song(3, 4)))
-    broken.entries[0][0]["dt"] = 999
+    broken.cells[0, 0, 0] = 999    # track 0 is the drum track; column 0 is dt
     with pytest.raises(BinOutOfVocab):
         embed_conditions(broken, init_params(small_cfg()), small_cfg())
 
@@ -314,13 +314,52 @@ def test_embed_conditions_rows_are_those_of_each_track_alone(vocab):
 
     def tracks(order):
         return FeatureGrid([grid.instruments[i] for i in order], grid.n_bars,
-                           [grid.entries[i] for i in order], grid.chords, True,
-                           [codes[i] for i in order])
+                           grid.cells[order], grid.chords, [codes[i] for i in order])
     order = [2, 0, 3, 1]    # the drum track second
     C = embed_conditions(tracks(order), params, cfg)
     for row, ti in enumerate(order):
         alone = embed_conditions(tracks([ti]), params, cfg)
         np.testing.assert_array_equal(C.data[row], alone.data[0])
+
+
+# each feature family's CELL_KEYS columns
+FAMILIES = {"ct": ("ct0", "ct1", "ct2", "ct3"), "nd": ("nd",), "mp": ("mp",),
+            "md": ("md",), "mv": ("mv",), "dt+dd": ("dt", "dd")}
+
+
+def test_feature_family_swaps_are_exact(vocab):
+    """Copying every family's columns and the VQ codes of grid B into grid
+    A gives B's logits bit for bit, though A keeps its own `chords`: the
+    model reads only `cells` and `vq_entries`. Each copy changes the logits
+    (the two grids differ in every family), and copying a family again,
+    when its columns are already equal, leaves them bit-identical."""
+    cfg = small_cfg()
+    params = init_params(cfg)
+    seqs, a = make_pair(vocab, seed=3)
+    _, b = make_pair(vocab, seed=4)
+    assert a.instruments == b.instruments and a.n_bars == b.n_bars
+    rng = np.random.default_rng(11)
+    for g in (a, b):
+        g.vq_entries = [[tuple(int(c) for c in rng.integers(0, cfg.codebook_size, 8))
+                         for _ in range(g.n_bars)] for _ in g.instruments]
+
+    def logits(grid):
+        return model_forward(seqs, grid, params, cfg).data.tobytes()
+    hybrid = FeatureGrid(list(a.instruments), a.n_bars, a.cells.copy(),
+                         list(a.chords), list(a.vq_entries))
+    before = logits(hybrid)
+    for name, keys in FAMILIES.items():
+        cols = [CELL_KEYS.index(k) for k in keys]
+        assert not np.array_equal(a.cells[..., cols], b.cells[..., cols]), name
+        hybrid.cells[..., cols] = b.cells[..., cols]
+        after = logits(hybrid)
+        assert after != before, name
+        hybrid.cells[..., cols] = b.cells[..., cols]
+        assert logits(hybrid) == after, name
+        before = after
+    hybrid.vq_entries = list(b.vq_entries)
+    assert hybrid.chords == a.chords != b.chords
+    assert logits(hybrid) == logits(b)
 
 
 @pytest.mark.parametrize("song", [Song([Track("Drum", []), Track("Piano", [])], 0),

@@ -326,8 +326,8 @@ def test_a_stacked_song_keeps_its_own_logits(vocab):
         seqs = build_track_seqs([ids[:n] for p in (first, second)
                                  for ids, n in zip(p[0].seqs, p[0].lengths)], vocab)
         grid = FeatureGrid(first[1].instruments + second[1].instruments, 2,
-                           first[1].entries + second[1].entries, first[1].chords,
-                           True)
+                           np.concatenate([first[1].cells, second[1].cells]),
+                           first[1].chords)
         stacked = model_forward(seqs, grid, params, cfg, songs=2).data
         for rows, (s, g) in ((slice(0, 4), first), (slice(4, 8), second)):
             own = model_forward(s, g, params, cfg).data
