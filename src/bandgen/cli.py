@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .bpe import bpe_encode, dump_merges, learn_bpe, load_merges
-from .errors import (BandgenError, DataError, MissingInput, NumericError,
-                     PairMismatch, UsageError)
+from .errors import (BandgenError, DataError, IdOutOfVocab, MissingInput,
+                     NumericError, PairMismatch, UsageError)
 from .features import (dump_feature_corpus, extract_expert_features,
                        load_feature_corpus, quantize_features)
 from .metrics import evaluate_pair, mean_report, report_csv, report_text
@@ -206,6 +206,10 @@ def cmd_train(args) -> int:
     grids = load_feature_corpus(_read_text(args.features, "--features"))
     if [n for n, _ in corpus] != [n for n, _ in grids]:
         raise PairMismatch("token corpus and feature corpus list different songs")
+    for name, tracks in corpus:
+        if any(ids and (min(ids) < 0 or max(ids) >= vocab.size) for ids in tracks):
+            raise IdOutOfVocab(f"song {name}: a token id outside the vocabulary "
+                               f"of {vocab.size}")
     raw_seqs = [build_track_seqs(tracks, vocab) for _, tracks in corpus]
     for seqs, (_, grid) in zip(raw_seqs, grids):
         check_pair(seqs, grid)

@@ -17,24 +17,39 @@ in place, so a tensor may keep the array a VJP returned. A pass first clears
 the gradients of the inner tensors it visits, so two passes over one graph
 leave the leaves the sum of what each pass alone would give.
 
-The model's three hot compositions are one node each, with hand-written
-VJPs: `linear` (x @ w + b; with a shared weight each VJP is one 2-D
-product over the flattened leading axes, with one weight per track one
-batched product), `attention` (multi-head attention between the q, k and
-v projections: it splits the heads, takes the similarity-modulated, scaled,
-masked softmax and merges the heads back, all in numpy; its backward reuses
-the saved probabilities and raw scores) and `layer_norm_affine`. Their
-values are bit-identical to those of the compositions of single ops they
-replace.
+The model's hot compositions are one node each, with hand-written VJPs:
+
+- `linear`: x @ w + b. With a shared weight each VJP is one 2-D product
+  over the flattened leading axes, with one weight per track one batched
+  product.
+- `attention`: multi-head attention between the q, k and v projections.
+  It splits the heads, takes the similarity-modulated, scaled, masked
+  softmax and merges the heads back, all in numpy; its backward reuses the
+  saved probabilities and raw scores.
+- `layer_norm_affine`: layer_norm(x + r) * g + b, the residual sum
+  included; x and r get one gradient array.
+- `model.embed_tokens`: the token, position, bar and instrument embeddings,
+  summed left to right; each table's VJP adds its gradient rows back with
+  `np.add.at`, as `__getitem__` does.
+
+Their values are bit-identical to those of the compositions of single ops
+they replace.
 
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
-the op that produced it. Only `detach` and `__getitem__` (they reuse checked
-values) skip the check, and so does one site outside this module:
-`model._CachedRows.attend` wraps a decode cache's key and value rows
-unchecked, because each row was checked as a `linear` output when it was
-new, and checking the whole cached prefix again would make every decoding
-step grow with it. `attention` checks its scores before the causal mask
-writes -inf into them.
+the op that produced it. A `Tensor` built with `check=False` skips the
+check, and these are the only sites that build one, each over values
+checked before:
+
+- `Tensor.detach` and `Tensor.__getitem__` reuse their input's values.
+- `model._CachedRows.attend` wraps a decode cache's key and value rows,
+  each checked as a `linear` output when it was new.
+- `model._decode_forward` wraps the cache's top-decoder input rows and
+  each track's last top-decoder row, each checked as a layer-norm output
+  when it was written.
+
+Checking a whole cached prefix again would make every decoding step grow
+with it. `attention` checks its scores before the causal mask writes -inf
+into them.
 """
 
 from __future__ import annotations
@@ -61,9 +76,14 @@ def no_grad():
         _taping = saved
 
 
+_NATIVE_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _as_array(x) -> np.ndarray:
+    """x as float32 if it is native float32, else as float64; a native
+    float32 or float64 array comes back as it is."""
     a = np.asarray(x)
-    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+    return a if a.dtype in _NATIVE_FLOATS else a.astype(np.float64)
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
@@ -98,7 +118,7 @@ class Tensor:
                  parents: tuple = (), vjps: tuple = (), op: str = "leaf",
                  check: bool = True):
         self.data = _as_array(data)
-        if check and not np.isfinite(self.data).all():
+        if check and not np.logical_and.reduce(np.isfinite(self.data), axis=None):
             raise NonFiniteError(f"non-finite values out of op {op!r}")
         self.grad: np.ndarray | None = None
         live = _taping and any(p.requires_grad for p in parents)
@@ -322,11 +342,21 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def layer_norm_affine(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    """layer_norm(x) * g + b over the last axis, as one node."""
-    y, _, vjp = _normalize(x.data)
-    return Tensor(y * g.data + b.data, parents=(x, g, b),
-                  vjps=(lambda gout: vjp(gout * g.data),
+def layer_norm_affine(x: Tensor, r: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """layer_norm(x + r) * g + b over the last axis, as one node: x + r is
+    a residual sum of two operands of one shape, and both get the same
+    gradient array, computed once per output gradient."""
+    if x.shape != r.shape:
+        raise ValueError(f"layer_norm_affine: residual {r.shape} for {x.shape}")
+    y, _, vjp = _normalize(x.data + r.data)
+    seen: dict = {}
+
+    def vjp_sum(gout):
+        if seen.get("g") is not gout:
+            seen.update(g=gout, grad=vjp(gout * g.data))
+        return seen["grad"]
+    return Tensor(y * g.data + b.data, parents=(x, r, g, b),
+                  vjps=(vjp_sum, vjp_sum,
                         lambda gout: _rows(gout * y).sum(axis=0),
                         lambda gout: _rows(gout).sum(axis=0)),
                   op="layer_norm_affine")

@@ -17,8 +17,10 @@ layer exchanges bars within each song. Every array follows the config's
 decode-cache buffers are kept in it, and the local autograd keeps float32
 as float32. `paper` computes in float32; float64, the default, is the
 exact path. Every linear layer (the per-track heads included), attention
-core and affine layer norm is one autograd node (`linear`,
-`attention`, `layer_norm_affine`) with a hand-written backward.
+core and affine layer norm (with the residual sum it normalizes) is one
+autograd node (`linear`, `attention`, `layer_norm_affine`) with a
+hand-written backward, and so is the token embedding (`embed_tokens`,
+whose ids are checked against both ends of the vocabulary).
 
 `grid_stage` is the one conditioning pass: C, E, S and every decoder
 layer's cross-attention keys and values over E (attention reads only
@@ -31,7 +33,8 @@ and values; one new position per track needs no causal mask. The tracks
 decoded together (a row group) read their rows of S and of the
 cross-attention keys and values from the cache, gathered once per set of
 tracks; when the set is contiguous, they attend views of the key and value
-buffers, and cached rows are not checked for finiteness again. The top
+buffers. Cached rows (keys, values, top-decoder inputs and last rows) were
+checked for finiteness when written and are not checked again. The top
 decoder reuses the bottom decoder's tiling of S unless a bar was
 exchanged. Only each track's last row is projected to logits. The
 cross-track layer mixes tracks within one bar, so bar b's exchange depends
@@ -288,8 +291,9 @@ def _linear(x: Tensor, params: dict, name: str) -> Tensor:
     return linear(x, params[f"{name}_w"], params[f"{name}_b"])
 
 
-def _ln_affine(x: Tensor, params: dict, name: str) -> Tensor:
-    return layer_norm_affine(x, params[f"{name}_g"], params[f"{name}_b"])
+def _ln_affine(x: Tensor, r: Tensor, params: dict, name: str) -> Tensor:
+    """Layer norm `name` of the residual sum x + r."""
+    return layer_norm_affine(x, r, params[f"{name}_g"], params[f"{name}_b"])
 
 
 def _ffn(x: Tensor, params: dict, name: str) -> Tensor:
@@ -333,9 +337,9 @@ def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
     for l in range(n_layers):
         name = f"{prefix}{l}"
         kv = _keys_values(x, params, f"{name}_attn")
-        a = _ln_affine(x + multi_head_attention(x, *kv, params, f"{name}_attn",
-                                                cfg.heads), params, f"{name}_ln1")
-        x = _ln_affine(a + _ffn(a, params, name), params, f"{name}_ln2")
+        a = _ln_affine(x, multi_head_attention(x, *kv, params, f"{name}_attn",
+                                               cfg.heads), params, f"{name}_ln1")
+        x = _ln_affine(a, _ffn(a, params, name), params, f"{name}_ln2")
     return x
 
 
@@ -408,34 +412,55 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     return _encoder_stack(x, params, "enc", cfg.layers_enc, cfg)
 
 
+def check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    """Raise `IdOutOfVocab` unless every id lies in 0..vocab_size - 1."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        bad = ids[(ids < 0) | (ids >= vocab_size)][0]
+        raise IdOutOfVocab(f"token id {bad} outside vocab of {vocab_size}")
+
+
+def _scatter_add(table: Tensor, index: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of `table` for the rows `index` selected, whose gradient
+    is g: each selection adds its rows, in element order (`np.add.at`)."""
+    full = np.zeros_like(table.data)
+    np.add.at(full, index, g)
+    return full
+
+
 def embed_tokens(seqs: TrackTokenSeqs, bar_index: np.ndarray, params: dict,
                  cfg: ModelConfig, tracks: np.ndarray | None = None,
                  start: int = 0, stop: int | None = None,
                  songs: int = 1) -> Tensor:
     """x~ [I, T, d]: token + position + bar + instrument embeddings, each
     position's bar read from `bar_index` (`seqs.bar_index()`); with `tracks`,
-    `start` and `stop`, only positions start..stop-1 of those tracks. Only
-    the embedded ids and bar indices are checked against the vocabulary and
-    `b_max` (the cached path checked the earlier positions when they were
-    new); the width of `seqs` is checked against `t_max` either way. For
-    `songs` stacked songs, track r takes the instrument embedding of its
-    slot r % (I / songs) within its song."""
+    `start` and `stop`, only positions start..stop-1 of those tracks. One
+    autograd node sums the four lookups left to right; each table's VJP
+    adds the gradient rows back where they were looked up. Only the
+    embedded ids and bar indices are checked against the vocabulary (both
+    ends) and `b_max` (the cached path checked the earlier positions when
+    they were new); the width of `seqs` is checked against `t_max` either
+    way. For `songs` stacked songs, track r takes the instrument embedding
+    of its slot r % (I / songs) within its song."""
     I = seqs.n_tracks
     tracks = np.arange(I) if tracks is None else tracks
     stop = seqs.length if stop is None else stop
     ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
     bar_idx = bar_index[tracks, start:stop]
-    if ids.size and ids.max() >= cfg.vocab_size:
-        raise IdOutOfVocab(f"token id {ids.max()} >= vocab {cfg.vocab_size}")
+    check_ids(ids, cfg.vocab_size)
     if seqs.length > cfg.t_max:
         raise DataError(f"sequence length {seqs.length} exceeds t_max {cfg.t_max}")
     if bar_idx.size and bar_idx.max() >= cfg.b_max:
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
-    x = take(params["te"], ids)
-    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop])
-    x = x + take(params["be"], bar_idx)
-    x = x + take(params["ie"], tracks % (I // songs)).reshape(len(tracks), 1, cfg.d)
-    return x
+    te, be, ie = params["te"], params["be"], params["ie"]
+    slots = tracks % (I // songs)
+    x = te.data[ids] + sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop]
+    x += be.data[bar_idx]
+    x += ie.data[slots][:, None, :]
+    return Tensor(x, parents=(te, be, ie),
+                  vjps=(lambda g: _scatter_add(te, ids, g),
+                        lambda g: _scatter_add(be, bar_idx, g),
+                        lambda g: _scatter_add(ie, slots, g.sum(axis=1))),
+                  op="embed_tokens")
 
 
 def bar_similarity(E: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
@@ -486,12 +511,12 @@ def _decoder_stack(x: Tensor, memory: Memory, smat: Tensor, params: dict,
     values over the bars of x's tracks."""
     for l in range(n_layers):
         name = f"{prefix}{l}"
-        a = _ln_affine(x + se_attention(x, smat, params, f"{name}_self", cfg, past),
+        a = _ln_affine(x, se_attention(x, smat, params, f"{name}_self", cfg, past),
                        params, f"{name}_ln1")
-        b = _ln_affine(a + multi_head_attention(a, *memory[f"{name}_cross"], params,
-                                                f"{name}_cross", cfg.heads),
+        b = _ln_affine(a, multi_head_attention(a, *memory[f"{name}_cross"], params,
+                                               f"{name}_cross", cfg.heads),
                        params, f"{name}_ln2")
-        x = _ln_affine(b + _ffn(b, params, name), params, f"{name}_ln3")
+        x = _ln_affine(b, _ffn(b, params, name), params, f"{name}_ln3")
     return x
 
 
@@ -690,14 +715,20 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
             # the exchanged bar tokens feed every later top-decoder row
             redo = np.minimum(seen, [p[0] for p in fresh])
             steps = _tiled(cache, bars, _row_groups(redo, seqs.lengths))
-    # with no bar exchanged, the top decoder takes the bottom's row groups and tilings
+    # with no bar exchanged, the top decoder takes the bottom's row groups and
+    # tilings; rows of top_in and last were checked for finiteness when written
     for start, stop, ts, smat in steps:
-        O = top_decode(Tensor(cache.top_in[ts.rows, start:stop]), ts.memory, smat,
-                       params, cfg, _CachedRows(cache, ts.rows, start))
+        O = top_decode(Tensor(cache.top_in[ts.rows, start:stop], check=False),
+                       ts.memory, smat, params, cfg,
+                       _CachedRows(cache, ts.rows, start))
         cache.last[ts.rows] = O.data[:, -1]
     for done, ids, n in zip(cache.ids, seqs.seqs, seqs.lengths):
         done += ids[len(done):n]
-    return project_logits(Tensor(cache.last[:, None, :]), params)
+    # Every track's row, halted ones too: with 3 of 4 tracks active, the
+    # product over all 4 took 15 us at toy and 26 us at paper, gathering
+    # the active tracks' heads 23 and 57 us, and one product per active
+    # track 29 and 38 us (2-vCPU Xeon VM, one BLAS thread).
+    return project_logits(Tensor(cache.last[:, None, :], check=False), params)
 
 
 def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,

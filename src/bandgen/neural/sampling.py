@@ -76,15 +76,14 @@ def _topk_sample(probs: np.ndarray, k: int, rng: np.random.Generator
     uniform per row, in row order, searched (right side) in the row's
     cumulative weights divided by their total."""
     top = np.argsort(-probs, axis=-1, kind="stable")[:, :k]
-    weights = np.take_along_axis(probs, top, axis=-1)
+    weights = probs[np.arange(len(top))[:, None], top]
     total = weights.sum(axis=-1, keepdims=True)
     weights = np.divide(weights, total, where=total > 0,
                         out=np.full(weights.shape, 1.0 / top.shape[1]))
     cdf = weights.cumsum(axis=-1)
     cdf /= cdf[:, -1:]
     picks = (cdf <= rng.random(len(top))[:, None]).sum(axis=-1)
-    chosen = top[np.arange(len(top)), picks]
-    return [(int(c), tuple(ids.tolist())) for c, ids in zip(chosen, top)]
+    return [(ids[p], tuple(ids)) for ids, p in zip(top.tolist(), picks)]
 
 
 def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,

@@ -20,7 +20,7 @@ from ..tokens import EOS_ID, PAD_ID, TrackTokenSeqs
 from .autograd import (Tensor, cross_entropy_logits, no_grad, straight_through,
                        take)
 from .model import (ModelConfig, N_VQ_GROUPS, Spec, _linear, _linear_block,
-                    check_blocks, draw_params, sinusoidal_table)
+                    check_blocks, check_ids, draw_params, sinusoidal_table)
 from .optim import Adam
 
 MAX_BAR_TOKENS = 96
@@ -116,11 +116,13 @@ def _pad_units(units: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_units(ids: np.ndarray, mask: np.ndarray,
                  params: dict[str, Tensor]) -> Tensor:
-    """Mean-pool embedded tokens (with positions) and project to z_e."""
+    """Mean-pool embedded tokens (with positions) and project to z_e. An id
+    outside `vq_te`'s rows raises `IdOutOfVocab`."""
     n, width = ids.shape
     table = params["vq_te"]
+    check_ids(ids, table.shape[0])
     mask = mask.astype(table.data.dtype, copy=False)  # float64 would promote all
-    emb = take(table, ids) + Tensor(
+    emb = table[ids] + Tensor(
         sinusoidal_table(MAX_BAR_TOKENS, table.shape[1], mask.dtype.name)[:width])
     m = Tensor(mask[:, :, None])
     inv_counts = Tensor(1.0 / np.maximum(mask.sum(axis=1), 1.0)[:, None])

@@ -179,13 +179,14 @@ def with_heads(fn, heads):
     return lambda q, k, v, *rest, **kw: fn(q, k, v, heads, *rest, **kw)
 
 
-def reference_layer_norm_affine(x, g, b):
-    return layer_norm(x) * g + b
+def reference_layer_norm_affine(x, r, g, b):
+    return layer_norm(x + r) * g + b
 
 
 def assert_fused_matches(fused, reference, arrays, **consts):
     """Same value bit for bit; every input's gradient within 1e-12 of the
-    reference's largest magnitude."""
+    reference's largest magnitude. Returns the fused and the reference
+    inputs, which hold their gradients."""
     runs = []
     for fn in (fused, reference):
         inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -199,6 +200,7 @@ def assert_fused_matches(fused, reference, arrays, **consts):
         assert t.grad.shape == r.grad.shape
         np.testing.assert_allclose(t.grad, r.grad, rtol=0,
                                    atol=1e-12 * np.abs(r.grad).max())
+    return inputs, ref_inputs
 
 
 @pytest.mark.parametrize("lead", [(7,), (3, 5), (2, 3, 4)])
@@ -379,9 +381,35 @@ def test_normalize_is_bit_identical_to_mean_and_var(shape):
 
 
 def test_layer_norm_affine_matches_the_composition():
-    arrays = [RNG.standard_normal((2, 3, 9)) * 2 + 1, RNG.standard_normal(9),
-              RNG.standard_normal(9)]
-    assert_fused_matches(layer_norm_affine, reference_layer_norm_affine, arrays)
+    """The node is layer_norm(x + r) * g + b: its value bit for bit, and so
+    are the residual operands' gradients, which are one array. In float32
+    the gain and bias gradients sum in another order than the reference's,
+    so only the value and the residual gradients are compared there."""
+    for dtype in ("float64", "float32"):
+        arrays = [a.astype(dtype) for a in (
+            RNG.standard_normal((2, 3, 9)) * 2 + 1, RNG.standard_normal((2, 3, 9)),
+            RNG.standard_normal(9), RNG.standard_normal(9))]
+        if dtype == "float64":
+            inputs, ref_inputs = assert_fused_matches(
+                layer_norm_affine, reference_layer_norm_affine, arrays)
+        else:
+            inputs, ref_inputs = ([Tensor(a.copy(), requires_grad=True)
+                                   for a in arrays] for _ in range(2))
+            out = layer_norm_affine(*inputs)
+            ref = reference_layer_norm_affine(*ref_inputs)
+            assert out.data.dtype == dtype
+            np.testing.assert_array_equal(out.data, ref.data)
+            seed = RNG.standard_normal(out.shape)
+            out.backward(seed)
+            ref.backward(seed)
+        (x, r), (x_ref, r_ref) = inputs[:2], ref_inputs[:2]
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, x_ref.grad)
+        assert np.array_equal(r.grad, r_ref.grad)
+        assert np.shares_memory(x.grad, r.grad)
+    with pytest.raises(ValueError):
+        layer_norm_affine(Tensor(np.ones((2, 4))), Tensor(np.ones(4)),
+                          Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 def test_fused_nodes_raise_on_non_finite_input():
@@ -393,8 +421,9 @@ def test_fused_nodes_raise_on_non_finite_input():
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NonFiniteError):
             linear(bad, Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
-        with pytest.raises(NonFiniteError):
-            layer_norm_affine(bad, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        for x, r in ((bad, ok), (ok, bad)):
+            with pytest.raises(NonFiniteError):
+                layer_norm_affine(x, r, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         for q, k in ((bad, ok), (ok, bad)):
             with pytest.raises(NonFiniteError):
                 attention(q, k, ok, 2, blocked=causal(3, 3))
@@ -571,7 +600,7 @@ def test_no_grad_records_no_tape():
         out = [w @ Tensor(b), (w @ Tensor(b)).relu(), layer_norm(w), softmax(w),
                w[0], w.transpose(), concat([w, w]), take(w, np.array([1, 0])),
                put_pairs(w, np.array([0]), np.array([1]), w[0, :1]),
-               linear(w, Tensor(b), w[0, :2]), layer_norm_affine(w, w[0], w[1]),
+               linear(w, Tensor(b), w[0, :2]), layer_norm_affine(w, w, w[0], w[1]),
                attention(*(w.reshape(1, 2, 3),) * 3, 1, blocked=np.eye(2) < 0)]
         out.append(layer_norm((w @ Tensor(b)).relu() + w.sum()))
         with pytest.raises(NonFiniteError):

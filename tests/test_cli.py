@@ -358,12 +358,13 @@ def test_train_rejects_five_tracks_before_vq_training(tmp_path, monkeypatch):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("case", ["zero_bars", "no_tracks", "reversed_tracks"])
+@pytest.mark.parametrize("case", ["zero_bars", "no_tracks", "reversed_tracks",
+                                  "id_past_vocab", "negative_id"])
 def test_train_rejects_unusable_pairs_before_vq_training(tmp_path, monkeypatch,
                                                          case):
-    """A song without bars or without tracks, or token tracks in another
-    order than the grid's, fails on the pair rule before any VQ-VAE training
-    is spent on it."""
+    """A song without bars or without tracks, token tracks in another order
+    than the grid's, or a token id outside the vocabulary fails before any
+    VQ-VAE training is spent on it."""
     vocab = build_vocab()
     songs = [make_song(seed=60 + i, n_bars=2) for i in range(4)]
     if case == "zero_bars":
@@ -374,6 +375,8 @@ def test_train_rejects_unusable_pairs_before_vq_training(tmp_path, monkeypatch,
                    for seqs in (tokenize_song(song, vocab) for song in songs)]
     if case == "reversed_tracks":
         token_lists[1].reverse()
+    elif case in ("id_past_vocab", "negative_id"):
+        token_lists[1][1].insert(2, vocab.size + 5 if case == "id_past_vocab" else -3)
     names = [f"s{i}" for i in range(len(songs))]
     tokens, vocab_file = tmp_path / "tokens.txt", tmp_path / "vocab.txt"
     feats = tmp_path / "features.txt"

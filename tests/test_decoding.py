@@ -466,6 +466,65 @@ def test_decode_step_census(vocab, monkeypatch, preset, per_step):
     assert cross_calls == [2 * layers] + [0] * (len(calls) - 1)
 
 
+@pytest.mark.parametrize("preset, made, checked", [("toy", 37, 30),
+                                                    ("paper", 101, 86)])
+def test_decode_step_tensor_census(vocab, monkeypatch, preset, made, checked):
+    """Counted rather than timed: the `Tensor`s a steady cached step builds,
+    and how many of them check their values for finiteness. A decoder
+    layer builds 16: self-attention's q, k, v and output projections, its
+    two cached key and value views and its core; cross-attention's q and
+    output projections and core; two feed-forward projections and the
+    relu; three layer norms, each of which sums its residual. The step
+    adds 5: one token-embedding node, the tiling of S, the top decoder's
+    input rows, the last rows and the heads. Unchecked are the cached key
+    and value views, the tiling (it reuses S's checked values) and the two
+    row sets the cache checked when they were written."""
+    flags = []
+    init = Tensor.__init__
+
+    def counting(self, data, requires_grad=False, parents=(), vjps=(),
+                 op="leaf", check=True):
+        flags.append(check)
+        init(self, data, requires_grad, parents, vjps, op, check)
+
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = make_config(preset, vocab_size=vocab.size)
+    params = init_params(cfg)
+    layers = cfg.layers_bottom + cfg.layers_top
+    assert (made, made - checked) == (16 * layers + 5, 2 * layers + 3)
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    cache, grid = DecodeCache(), grid_of(song)
+    steady = []
+    for t in range(2, 12):
+        before, exchanged = len(flags), cache.bars_exchanged
+        model_forward(build_track_seqs([ids[:t] for ids in lists], vocab), grid,
+                      params, cfg, cache=cache)
+        if t > 2 and cache.bars_exchanged == exchanged:
+            steady.append((len(flags) - before, sum(flags[before:])))
+    assert len(steady) == 8
+    assert steady == [(made, checked)] * len(steady)
+
+
+def test_negative_id_is_out_of_vocab_on_both_paths(vocab):
+    """`build_track_seqs` rejects a negative id; one in a hand-built
+    `TrackTokenSeqs` at a new position raises `IdOutOfVocab` on the full
+    forward and on the cached path after a prefix the cache accepted."""
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid = init_params(cfg), grid_of(song)
+    seqs = build_track_seqs([ids[:31] for ids in lists], vocab)
+    seqs.seqs[2][30] = -4
+    with pytest.raises(IdOutOfVocab):
+        model_forward(seqs, grid, params, cfg)
+    cache = DecodeCache()
+    model_forward(build_track_seqs([ids[:30] for ids in lists], vocab), grid,
+                  params, cfg, cache=cache)
+    with pytest.raises(IdOutOfVocab):
+        model_forward(seqs, grid, params, cfg, cache=cache)
+
+
 def test_steady_step_census(vocab, monkeypatch):
     """Counted rather than timed, over a lockstep cover whose tracks end at
     four different steps: a steady step (no bar exchanged, the same tracks

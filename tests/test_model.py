@@ -11,7 +11,7 @@ from bandgen.errors import (BarIndexOutOfRange, BinOutOfVocab, DataError,
                             IdOutOfVocab)
 from bandgen.features import (CELL_KEYS, FeatureGrid,
                               extract_expert_features, quantize_features)
-from bandgen.neural.autograd import Tensor
+from bandgen.neural.autograd import Tensor, take
 from bandgen.neural.checkpoint import (dump_checkpoint, load_checkpoint,
                                        load_checkpoint_file,
                                        save_checkpoint_file)
@@ -22,12 +22,14 @@ from bandgen.neural.model import (DecodeCache, ModelConfig, _keys_values,
                                   grid_stage, init_params, load_config,
                                   make_config, model_forward, model_spec,
                                   multi_head_attention, project_logits,
-                                  se_attention, sequence_loss, top_decode)
+                                  se_attention, sequence_loss,
+                                  sinusoidal_table, top_decode)
+from bandgen.neural.training import _stack_seqs
 from bandgen.neural.sampling import generate
 from bandgen.neural.vqvae import init_vq_params
 from bandgen.score import Song, Track
 from bandgen.synth import make_song
-from bandgen.tokens import build_track_seqs, tokenize_song
+from bandgen.tokens import TrackTokenSeqs, build_track_seqs, tokenize_song
 
 RNG = np.random.default_rng(7)
 
@@ -425,6 +427,10 @@ def test_embed_tokens_guardrails(vocab):
     assert embed(seqs_for([1, 3, 9, 2])).shape == (1, 4, cfg.d)
     with pytest.raises(IdOutOfVocab):
         embed(seqs_for([1, 3, 282, 2]))
+    # build_track_seqs rejects a negative id; a hand-built sequence meets
+    # the embedding's check
+    with pytest.raises(IdOutOfVocab):
+        embed(TrackTokenSeqs([[1, 3, -1, 2]], [[]], [4]))
     with pytest.raises(DataError):
         embed(seqs_for(list(range(9))))
     # five bar tokens: the last two positions fall in bar 4 = b_max
@@ -432,6 +438,46 @@ def test_embed_tokens_guardrails(vocab):
     assert five_bars.bar_index()[0, -2:].tolist() == [4, 4]
     with pytest.raises(BarIndexOutOfRange):
         embed(five_bars)
+
+
+def four_lookups(seqs, bar_index, params, cfg, tracks=None, start=0,
+                 stop=None, songs=1):
+    """`embed_tokens` as the composition of single ops it replaces: three
+    `take` lookups and a constant position table, added left to right."""
+    I = seqs.n_tracks
+    tracks = np.arange(I) if tracks is None else tracks
+    stop = seqs.length if stop is None else stop
+    ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
+    x = take(params["te"], ids)
+    x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop])
+    x = x + take(params["be"], bar_index[tracks, start:stop])
+    return x + take(params["ie"], tracks % (I // songs)).reshape(len(tracks), 1,
+                                                                 cfg.d)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_embed_tokens_matches_four_lookups(vocab, dtype):
+    """One node, the value and every table's gradient of the composition
+    bit for bit: two stacked songs, and a window of some tracks' positions
+    as a cached step embeds it."""
+    cfg = small_cfg(dtype=dtype)
+    stacked = _stack_seqs([make_pair(vocab, n_bars=2, seed=s)[0] for s in (1, 2)])
+    one = make_pair(vocab, n_bars=2, seed=1)[0]
+    for seqs, kwargs in ((stacked, dict(songs=2)),
+                         (one, dict(tracks=np.array([0, 2, 3]), start=5, stop=9)),
+                         (one, dict(tracks=np.array([1]), start=20, stop=21))):
+        runs = []
+        for embed in (embed_tokens, four_lookups):
+            params = init_params(cfg)
+            x = embed(seqs, seqs.bar_index(), params, cfg, **kwargs)
+            x.backward(np.random.default_rng(0).standard_normal(x.shape))
+            runs.append((x, params))
+        (x, params), (ref, ref_params) = runs
+        assert x.op == "embed_tokens" and x.data.dtype == dtype
+        assert [p.op for p in x._parents] == ["leaf"] * 3
+        assert np.array_equal(x.data, ref.data)
+        for name in ("te", "be", "ie"):
+            assert np.array_equal(params[name].grad, ref_params[name].grad), name
 
 
 # -- full forward ------------------------------------------------------------------
@@ -507,13 +553,15 @@ def tape_census(root: Tensor) -> collections.Counter:
 
 
 @pytest.mark.parametrize("preset,nodes,attention,reshape,transpose",
-                         [("toy", 104, 6, 6, 1), ("paper", 228, 18, 6, 1)])
+                         [("toy", 88, 6, 5, 1), ("paper", 192, 18, 5, 1)])
 def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
                                              reshape, transpose):
     # one `attention` node per attention layer, which splits and merges its
-    # heads inside. The shape ops left: reshapes of the drum and pitched VQ
-    # embeddings, the instrument embedding, the cross-track layer's input
-    # and output and the loss's logits, and the key transpose of the bar
+    # heads inside; one `embed_tokens` node; one `add`, of the feature
+    # encoder's position table, as each layer norm sums its own residual.
+    # The shape ops left: reshapes of the
+    # drum and pitched VQ embeddings, the cross-track layer's input and
+    # output and the loss's logits, and the key transpose of the bar
     # similarity
     cfg = make_config(preset)
     seqs, grid = make_pair(vocab, n_bars=4, seed=1)
@@ -522,6 +570,10 @@ def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
     assert sum(ops.values()) == nodes
     assert (ops["attention"], ops["reshape"], ops["transpose"]) == (
         attention, reshape, transpose)
+    layer_norms = 2 * (cfg.layers_enc + cfg.layers_ctt) + 3 * (
+        cfg.layers_bottom + cfg.layers_top)
+    assert (ops["embed_tokens"], ops["layer_norm_affine"], ops["add"]) == (
+        1, layer_norms, 1)
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The tape's recording rule lives in three `Tensor` methods. An op only
 passes its value, its parents and one VJP per parent to the constructor, so
-no op may touch the tape's fields or accumulate gradients itself."""
+no op may touch the tape's fields or accumulate gradients itself. Every site
+that builds a `Tensor` without the finiteness check is named in the
+`autograd` docstring."""
 
 import ast
+import collections
 from pathlib import Path
 
 AUTOGRAD = Path(__file__).resolve().parents[1] / "src/bandgen/neural/autograd.py"
@@ -32,3 +35,53 @@ def test_only_the_tape_methods_touch_the_tape():
             offenders.append(f"{name}: {_touches(node)}")
     assert seen_methods == TAPE_METHODS
     assert offenders == []
+
+
+SRC = AUTOGRAD.parents[1]
+# `Tensor(..., check=False)` sites by function, with how many each holds
+UNCHECKED_SITES = {"Tensor.detach": 1, "Tensor.__getitem__": 1,
+                   "model._CachedRows.attend": 1, "model._decode_forward": 2}
+
+
+def _unchecked(node: ast.AST) -> bool:
+    """Whether node is a `Tensor(...)` call whose `check` is not the
+    constant True."""
+    if not isinstance(node, ast.Call):
+        return False
+    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+    return callee == "Tensor" and any(
+        k.arg == "check" and not (isinstance(k.value, ast.Constant)
+                                  and k.value.value is True)
+        for k in node.keywords)
+
+
+def _unchecked_sites() -> collections.Counter:
+    """The functions in `src/` that build a `Tensor` without the finiteness
+    check, by qualified name (prefixed with the module's name outside
+    `autograd`), counted once per construction."""
+    sites: collections.Counter = collections.Counter()
+
+    def visit(node: ast.AST, module: str, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if _unchecked(child):
+                name = ".".join(scope)
+                sites[name if module == "autograd" else f"{module}.{name}"] += 1
+            visit(child, module, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, [])
+    return sites
+
+
+def test_every_unchecked_tensor_site_is_named_in_the_autograd_docstring():
+    """A `Tensor` that skips the finiteness check must wrap values checked
+    before; the `autograd` docstring says which sites do and why, so a new
+    one cannot appear without a word there and a count here."""
+    sites = _unchecked_sites()
+    doc = ast.get_docstring(ast.parse(AUTOGRAD.read_text()))
+    assert sites == UNCHECKED_SITES
+    assert [name for name in sites if f"`{name}`" not in doc] == []

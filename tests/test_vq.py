@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bandgen.errors import DataError, EmptyCodebook
+from bandgen.errors import DataError, EmptyCodebook, IdOutOfVocab
 from bandgen.neural import vqvae as vqvae_module
 from bandgen.neural.autograd import Tensor
 from bandgen.neural.model import draw_params, init_params, make_config
 from bandgen.neural.vqvae import (MAX_BAR_TOKENS, assign_codes, bar_units,
-                                  init_vq_params, quantize_vectors,
+                                  encode_units, init_vq_params, quantize_vectors,
                                   train_vqvae, vq_layer, vq_spec)
 from bandgen.synth import make_corpus, make_song
 from bandgen.tokens import (EOS_ID, PAD_ID, TrackTokenSeqs, build_vocab,
@@ -203,3 +203,21 @@ def test_assign_codes_without_fitting_vq_blocks_is_a_data_error(vocab):
     # blocks that fit each other, with a latent of 12 that 8 groups do not split
     with pytest.raises(DataError):
         assign_codes(corpus, draw_params(vq_spec(282, 24, 16), 0))
+
+
+@pytest.mark.parametrize("bad", [282 + 5, -3])
+def test_id_outside_vq_table_is_out_of_vocab(vocab, bad):
+    """An id past `vq_te`'s rows, or a negative one (in a hand-built
+    sequence, as `build_track_seqs` rejects it), raises `IdOutOfVocab` from
+    the encoder, so from VQ-VAE training and code assignment alike."""
+    cfg = make_config("toy", codebook_size=8)
+    params = init_vq_params(cfg)
+    ids = np.array([[3, 9, 40, bad]])
+    with pytest.raises(IdOutOfVocab):
+        encode_units(ids, np.ones(ids.shape), params)
+    seqs = tokenize_song(make_song(1, 2), vocab)
+    seqs.seqs[1][seqs.bar_token_positions[1][0] + 1] = bad   # in bar 0's unit
+    for run in (lambda: train_vqvae([seqs], cfg, steps=1),
+                lambda: assign_codes([seqs], params)):
+        with pytest.raises(IdOutOfVocab):
+            run()
