@@ -24,8 +24,11 @@ The model's hot compositions are one node each, with hand-written VJPs:
   product.
 - `attention`: multi-head attention between the q, k and v projections.
   It splits the heads, takes the similarity-modulated, scaled, masked
-  softmax and merges the heads back, all in numpy; its backward reuses the
-  saved probabilities and raw scores.
+  softmax and merges the heads back, all in numpy. The scores the causal
+  mask hides are never exponentiated; their probability is written as
+  exactly +0.0, the value exp(-inf) has. It saves the probabilities and,
+  with a modulation, the raw scores, which its backward reuses; the other
+  score-sized arrays are scratch (see `attention`).
 - `layer_norm_affine`: layer_norm(x + r) * g + b, the residual sum
   included; x and r get one gradient array.
 - `model.embed_tokens`: the token, position, bar and instrument embeddings,
@@ -33,7 +36,10 @@ The model's hot compositions are one node each, with hand-written VJPs:
   `np.add.at`, as `__getitem__` does.
 
 Their values are bit-identical to those of the compositions of single ops
-they replace.
+they replace. They, `_softmax`, `_normalize` and `cross_entropy_logits`
+compute in place in arrays they allocated themselves; no VJP writes into
+an input, a saved array or its incoming gradient, which may be a read-only
+view.
 
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
 the op that produced it. A `Tensor` built with `check=False` skips the
@@ -48,8 +54,8 @@ checked before:
   when it was written.
 
 Checking a whole cached prefix again would make every decoding step grow
-with it. `attention` checks its scores before the causal mask writes -inf
-into them.
+with it. `attention` checks its modulated scores before it masks and
+normalizes them in place.
 """
 
 from __future__ import annotations
@@ -296,16 +302,23 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor(data, parents=tuple(tensors), vjps=tuple(vjps), op="concat")
 
 
-def _softmax(x: np.ndarray, axis: int):
-    """softmax of x along axis, and the VJP of that map."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+def _softmax_vjp(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """p * (g - sum(g * p)) along axis, the VJP of the softmax p, in one
+    fresh array: the product g * p takes it, then the result."""
+    ds = g * p
+    inner = ds.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=ds)
+    ds *= p
+    return ds
 
-    def vjp(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        return p * (g - inner)
-    return p, vjp
+
+def _softmax(x: np.ndarray, axis: int):
+    """softmax of x along axis, and the VJP of that map. The shifted x is
+    exponentiated and normalized in place."""
+    p = x - x.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p, lambda g: _softmax_vjp(g, p, axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -316,18 +329,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def _normalize(x: np.ndarray):
     """x normalized over its last axis, the inverse standard deviation it
     was scaled by, and the VJP of that map. One pass takes the mean and
-    one the variance of the centred x, which also gives the output: the
-    values are those of `x.mean` and `x.var`, bit for bit."""
+    one the variance of the centred x, which is then scaled in place into
+    the output: the values are those of `x.mean` and `x.var`, bit for bit.
+    The VJP computes in two fresh arrays."""
     n = x.shape[-1]
-    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+    y = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(y * y, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    y = centred * inv
+    y *= inv
 
     def vjp(g):
         gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return inv * (g - gm - y * gym)
+        gy = g * y
+        np.multiply(y, gy.mean(axis=-1, keepdims=True), out=gy)
+        dx = g - gm
+        dx -= gy
+        dx *= inv
+        return dx
     return y, inv, vjp
 
 
@@ -349,13 +367,15 @@ def layer_norm_affine(x: Tensor, r: Tensor, g: Tensor, b: Tensor) -> Tensor:
     if x.shape != r.shape:
         raise ValueError(f"layer_norm_affine: residual {r.shape} for {x.shape}")
     y, _, vjp = _normalize(x.data + r.data)
+    out = y * g.data
+    out += b.data
     seen: dict = {}
 
     def vjp_sum(gout):
         if seen.get("g") is not gout:
             seen.update(g=gout, grad=vjp(gout * g.data))
         return seen["grad"]
-    return Tensor(y * g.data + b.data, parents=(x, r, g, b),
+    return Tensor(out, parents=(x, r, g, b),
                   vjps=(vjp_sum, vjp_sum,
                         lambda gout: _rows(gout * y).sum(axis=0),
                         lambda gout: _rows(gout).sum(axis=0)),
@@ -384,7 +404,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
         def per_slot(a):   # [n * I, t, k] -> [I, n * t, k]
             return per_song(a).transpose(1, 0, 2, 3).reshape(slots, -1, a.shape[-1])
-        out = per_song(x.data) @ w.data + b.data[:, None, :]
+        out = per_song(x.data) @ w.data
+        out += b.data[:, None, :]
         return Tensor(out.reshape(x.data.shape[:-1] + out.shape[-1:]),
                       parents=(x, w, b),
                       vjps=(lambda g: (per_song(g) @ w.data.transpose(0, 2, 1)
@@ -392,7 +413,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                             lambda g: per_slot(x.data).transpose(0, 2, 1) @ per_slot(g),
                             lambda g: per_slot(g).sum(axis=1)),
                       op="linear")
-    return Tensor(x.data @ w.data + b.data, parents=(x, w, b),
+    out = x.data @ w.data
+    out += b.data
+    return Tensor(out, parents=(x, w, b),
                   vjps=(lambda g: (_rows(g) @ w.data.T).reshape(x.data.shape),
                         lambda g: _rows(x.data).T @ _rows(g),
                         lambda g: _rows(g).sum(axis=0)),
@@ -410,8 +433,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     node splits the last axis into `heads` heads of d / heads, and merges
     them back after the weighted sum; its VJPs undo both. `smat` [b, tq, tk]
     is shared across heads. `blocked` [tq, tk] marks the scores the causal
-    mask hides; their probability is exactly 0, and so is their gradient.
-    The backward reuses the saved probabilities and raw scores.
+    mask hides. They are never exponentiated: the max, the exponential and
+    the zero written at them skip them, so their probability is exactly
+    +0.0, as exp(-inf) would give, and so is their gradient.
+
+    Arrays of [b, h, tq, tk]: the forward saves the raw scores q k^T (only
+    with `smat`, whose gradient reads them) and the probabilities, which it
+    computes in place in one array from the modulated scores on. A
+    backward pass computes in two more: the gradient of the probabilities,
+    scratch that then takes the products for the gradient of `smat`, and
+    the softmax VJP's array, which becomes the gradient of the raw scores
+    that the VJPs of q and k read. The node keeps that one with the graph,
+    as it keeps its saved arrays: freed in mid-pass, its pages went back
+    to the system and the next node's backward faulted them in again,
+    which made a toy training step slower.
     """
     d = q.data.shape[-1]
     dh = d // heads
@@ -425,33 +460,44 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     raw = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     scale = 1.0 / float(np.sqrt(dh))
     if smat is None:
-        scores = raw * scale
+        p = raw     # nothing reads the raw scores without smat
     else:
         smat4 = smat.data.reshape(smat.data.shape[0], 1, *smat.data.shape[1:])
-        scores = raw * smat4 * scale
-    if not np.isfinite(scores).all():
+        p = raw * smat4
+    p *= scale
+    if not np.isfinite(p).all():
         raise NonFiniteError("non-finite values out of op 'attention'")
-    if blocked is not None:
-        scores = np.where(blocked, -np.inf, scores)
-    p, softmax_vjp = _softmax(scores, -1)
+    if blocked is None:
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+    else:
+        visible = ~blocked
+        p -= p.max(axis=-1, keepdims=True, where=visible, initial=-np.inf)
+        np.exp(p, out=p, where=visible)
+        np.copyto(p, 0.0, where=blocked)
+    p /= p.sum(axis=-1, keepdims=True)
     seen: dict = {}
 
     def score_grads(g) -> dict:
-        """Gradients of the modulated scores (raw * smat) and of the raw
-        scores for output gradient g, computed once per gradient array:
-        backward hands the same array to each VJP of the node, and never
-        changes a stored gradient in place."""
+        """Gradients of the raw scores and of `smat` for output gradient g,
+        computed once per gradient array: backward hands the same array to
+        each VJP of the node, and never changes a stored gradient in place."""
         if seen.get("g") is not g:
-            ds = softmax_vjp(np.matmul(split(g), vh.transpose(0, 1, 3, 2)))
+            dp = np.matmul(split(g), vh.transpose(0, 1, 3, 2))
+            ds = _softmax_vjp(dp, p, -1)    # of the modulated scores
             ds *= scale
-            seen.update(g=g, modulated=ds, raw=ds if smat is None else ds * smat4)
+            seen.update(g=g, raw=ds)
+            if smat is not None:
+                if smat.requires_grad:
+                    seen["smat"] = np.multiply(ds, raw, out=dp).sum(axis=1)
+                ds *= smat4                 # now of the raw scores
         return seen
 
     parents = (q, k, v) if smat is None else (q, k, v, smat)
     vjps = (lambda g: merge(np.matmul(score_grads(g)["raw"], kh)),
             lambda g: merge(np.matmul(score_grads(g)["raw"].transpose(0, 1, 3, 2), qh)),
             lambda g: merge(np.matmul(p.transpose(0, 1, 3, 2), split(g))),
-            lambda g: (score_grads(g)["modulated"] * raw).sum(axis=1))
+            lambda g: score_grads(g)["smat"])
     return Tensor(merge(np.matmul(p, vh)), parents=parents,
                   vjps=vjps[:len(parents)], op="attention")
 
@@ -493,15 +539,19 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
     counting only rows where mask is True. Returns (loss sum, counted rows)."""
     targets = np.asarray(targets, dtype=np.int64)
     m = np.asarray(mask, dtype=bool)
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
+    rows = np.arange(len(targets))
+    ez = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = ez[rows, targets]    # read before ez is exponentiated in place
+    np.exp(ez, out=ez)
     total = ez.sum(axis=-1)
-    logp = z[np.arange(len(targets)), targets] - np.log(total)
+    logp -= np.log(total)
     loss_val = -(logp * m).sum()
 
     def vjp(g):
         p = ez / total[:, None]
-        p[np.arange(len(targets)), targets] -= 1.0
-        return g * p * m[:, None]
+        p[rows, targets] -= 1.0
+        p *= g
+        p *= m[:, None]
+        return p
     out = Tensor(loss_val, parents=(logits,), vjps=(vjp,), op="cross_entropy")
     return out, int(m.sum())

@@ -178,6 +178,16 @@ def sinusoidal_table(length: int, d: int, dtype: str = "float64") -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def causal_mask(tq: int, tk: int) -> np.ndarray:
+    """[tq, tk], True where a query, one of the last tq of tk positions,
+    would see a later key; read-only, and kept for the 64 shapes used
+    last."""
+    blocked = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
+    blocked.flags.writeable = False
+    return blocked
+
+
 # A block's spec is its shape and its initial value: the scale of a normal
 # draw, or ZEROS / ONES. Blocks are drawn in spec order from one generator.
 ZEROS, ONES = "zeros", "ones"
@@ -327,8 +337,7 @@ def multi_head_attention(x: Tensor, k: Tensor, v: Tensor, params: dict,
         k, v = past.attend(name, k, v)
     blocked = None
     if causal and q.shape[1] > 1:
-        tq, tk = q.shape[1], k.shape[1]
-        blocked = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
+        blocked = causal_mask(q.shape[1], k.shape[1])
     return _linear(attention(q, k, v, heads, smat, blocked), params, f"{name}_o")
 
 
