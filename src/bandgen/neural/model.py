@@ -22,26 +22,26 @@ autograd node (`linear`, `attention`, `layer_norm_affine`) with a
 hand-written backward, and so is the token embedding (`embed_tokens`,
 whose ids are checked against both ends of the vocabulary).
 
-`grid_stage` is the one conditioning pass: C, E, S and every decoder
-layer's cross-attention keys and values over E (attention reads only
-projected keys and values). Each forward derives its bar index once, for
-the tiling and the token embedding. Decoding is incremental: with a
-`DecodeCache`, the first call runs the grid stage and the cache keeps it;
-each call converts, checks and embeds only the positions the cache has not
-seen and sends them through both decoder stacks, attending the cached keys
-and values; one new position per track needs no causal mask. The tracks
-decoded together (a row group) read their rows of S and of the
-cross-attention keys and values from the cache, gathered once per set of
-tracks; when the set is contiguous, they attend views of the key and value
-buffers. Cached rows (keys, values, top-decoder inputs and last rows) were
-checked for finiteness when written and are not checked again. The top
-decoder reuses the bottom decoder's tiling of S unless a bar was
-exchanged. Only each track's last row is projected to logits. The
-cross-track layer mixes tracks within one bar, so bar b's exchange depends
-on bar b alone: it runs once, when every track has reached bar b, and the
-top decoder is then recomputed for each track from its bar-b token onward,
-nothing earlier. The logits equal the matching rows of the full forward to
-float rounding.
+`grid_stage` is the one conditioning pass: C, E, S and every decoder layer's
+cross-attention keys and values over E (attention reads only projected keys
+and values). A full forward derives its bar index once, for the tiling and
+the token embedding. Decoding is incremental: with a `DecodeCache`, the
+first call runs the grid stage and the cache keeps it. Each call brings only
+each track's new ids; the cache extends its bar index over them by the same
+rule (`tokens.bar_of`), and the call checks and embeds them and sends them
+through both decoder stacks, attending the cached keys and values; one new
+position per track needs no causal mask. The tracks decoded together (a row
+group) read their rows of S and of the cross-attention keys and values from
+the cache, gathered once per set of tracks; when the set is contiguous, they
+attend views of the key and value buffers. Cached rows (keys, values,
+top-decoder inputs and last rows) were checked for finiteness when written
+and are not checked again. The top decoder reuses the bottom decoder's
+tiling of S unless a bar was exchanged. Only each track's last row is
+projected to logits. The cross-track layer mixes tracks within one bar, so
+bar b's exchange depends on bar b alone: it runs once, when every track has
+reached bar b, and the top decoder is then recomputed for each track from
+its bar-b token onward, nothing earlier. The logits equal the matching rows
+of the full forward to float rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from ..features import (DRUM_COLS, DRUM_KEYS_FEATURE, FEATURE_SIZES,
                         N_VQ_GROUPS, PITCHED_COLS, PITCHED_KEYS_FEATURE,
                         FeatureGrid)
 from ..score import MAX_TRACKS
-from ..tokens import PAD_ID, TrackTokenSeqs
+from ..tokens import PAD_ID, TrackTokenSeqs, bar_of
 from .autograd import (Tensor, attention, concat, cross_entropy_logits,
                        layer_norm, layer_norm_affine, linear, no_grad,
                        put_pairs, softmax, take)
@@ -436,32 +436,21 @@ def _scatter_add(table: Tensor, index: np.ndarray, g: np.ndarray) -> np.ndarray:
     return full
 
 
-def embed_tokens(seqs: TrackTokenSeqs, bar_index: np.ndarray, params: dict,
-                 cfg: ModelConfig, tracks: np.ndarray | None = None,
-                 start: int = 0, stop: int | None = None,
-                 songs: int = 1) -> Tensor:
-    """x~ [I, T, d]: token + position + bar + instrument embeddings, each
-    position's bar read from `bar_index` (`seqs.bar_index()`); with `tracks`,
-    `start` and `stop`, only positions start..stop-1 of those tracks. One
-    autograd node sums the four lookups left to right; each table's VJP
-    adds the gradient rows back where they were looked up. Only the
-    embedded ids and bar indices are checked against the vocabulary (both
-    ends) and `b_max` (the cached path checked the earlier positions when
-    they were new); the width of `seqs` is checked against `t_max` either
-    way. For `songs` stacked songs, track r takes the instrument embedding
-    of its slot r % (I / songs) within its song."""
-    I = seqs.n_tracks
-    tracks = np.arange(I) if tracks is None else tracks
-    stop = seqs.length if stop is None else stop
-    ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
-    bar_idx = bar_index[tracks, start:stop]
+def embed_tokens(ids: np.ndarray, bar_idx: np.ndarray, slots: np.ndarray,
+                 start: int, params: dict, cfg: ModelConfig) -> Tensor:
+    """x~ [n, w, d]: token + position + bar + instrument embeddings of ids
+    [n, w] at positions start.. of n tracks, in bars `bar_idx` [n, w] and
+    track slots `slots` [n], summed left to right by one autograd node whose
+    VJPs add each table's gradient rows back where they were looked up. Ids
+    are checked against both ends of the vocabulary, bars against `b_max`
+    and the last position against `t_max`."""
     check_ids(ids, cfg.vocab_size)
-    if seqs.length > cfg.t_max:
-        raise DataError(f"sequence length {seqs.length} exceeds t_max {cfg.t_max}")
+    stop = start + ids.shape[1]
+    if stop > cfg.t_max:
+        raise DataError(f"sequence length {stop} exceeds t_max {cfg.t_max}")
     if bar_idx.size and bar_idx.max() >= cfg.b_max:
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
     te, be, ie = params["te"], params["be"], params["ie"]
-    slots = tracks % (I // songs)
     x = te.data[ids] + sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop]
     x += be.data[bar_idx]
     x += ie.data[slots][:, None, :]
@@ -577,55 +566,56 @@ def project_logits(O: Tensor, params: dict, songs: int = 1) -> Tensor:
 
 class DecodeCache:
     """What incremental decoding keeps between `model_forward` calls: the
-    grid and what the first call's `grid_stage` returned for it (S, and each
-    decoder layer's cross-attention keys and values over E), the ids each
-    track was decoded through (each call appends its new ones), the
-    self-attention keys and values of every decoder layer, the top-decoder
-    input rows (bottom outputs, cross-track outputs at exchanged bar
-    tokens), each track's last top-decoder output and how many bars were
-    exchanged. Bar indices are not kept: each call derives them from its
-    sequences (`TrackTokenSeqs.bar_index`). Keys, values and top-decoder
-    inputs are [I, capacity, d] (heads side by side along d, as the
-    projections make them) in the config's dtype, and grow along the
-    position axis by doubling.
-
-    `sets` keeps, for every set of tracks a row group has held, their rows
-    of S and of every cross-attention key and value (`track_set`), so a
-    step over a set seen before gathers none of them; in lockstep decoding
-    the set of active tracks changes only when a track halts. A contiguous
-    set reads the key and value buffers through views (`_CachedRows`).
-    One cache serves one decoded piece; after a call that raised, start a
-    new one."""
+    grid and what the first call's `grid_stage` returned for it; per track,
+    the positions decoded, the bar-token positions and each position's bar,
+    but not the ids, which each call brings once; every decoder layer's
+    self-attention keys and values (heads side by side along d, as the
+    projections make them), the top-decoder input rows (bottom outputs,
+    cross-track outputs at exchanged bar tokens), each track's last
+    top-decoder output and how many bars were exchanged. Buffers over
+    positions grow by doubling. `sets` keeps, per set of tracks a row group
+    has held, its rows of S and of the cross-attention keys and values
+    (`track_set`). One cache serves one decoded piece; after a call that
+    raised, start a new one."""
 
     def __init__(self):
         self.grid: FeatureGrid | None = None
         self.S: Tensor | None = None
         self.memory: Memory = {}
-        self.ids: list[list[int]] = []
         self.bars_exchanged = 0
-        self.top_in = np.zeros((0, 0, 0))          # [I, capacity, d]
-        self.last = np.zeros((0, 0))               # [I, d]
         self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
         self.sets: dict[tuple[int, ...], _TrackSet] = {}
+        self._size(0, 0, "float64")
+
+    def _size(self, I: int, d: int, dtype: str) -> None:
+        """Per-track state for I tracks, none of whose positions is decoded."""
+        self.lengths = np.zeros(I, np.int64)         # [I]
+        self.bar_token_positions: list[list[int]] = [[] for _ in range(I)]
+        self.bar_index = np.zeros((I, 0), np.int64)  # [I, capacity]
+        self.top_in = np.zeros((I, 0, d), dtype)     # [I, capacity, d]
+        self.last = np.zeros((I, d), dtype)          # [I, d]
 
     def _admit(self, seqs: TrackTokenSeqs, cfg: ModelConfig) -> np.ndarray:
-        """Check that `seqs` extends the cached prefix of every track, make
-        room for its length and return how many positions each track has
-        cached."""
-        if not self.ids:
-            self.ids = [[] for _ in seqs.seqs]
-            self.top_in = np.zeros((len(seqs.seqs), seqs.length, cfg.d), cfg.dtype)
-            self.last = np.zeros((len(seqs.seqs), cfg.d), cfg.dtype)
-        if any(n < len(done) or ids[:len(done)] != done
-               for ids, n, done in zip(seqs.seqs, seqs.lengths, self.ids)):
-            raise UsageError("sequences do not extend the decode cache's prefix")
-        if seqs.length > self.top_in.shape[1]:
-            size = max(seqs.length, 2 * self.top_in.shape[1])
-            pad = ((0, 0), (0, size - self.top_in.shape[1]), (0, 0))
+        """Take each track's new ids in `seqs` as its next positions, within
+        `t_max`, and return the lengths decoded before."""
+        seen = self.lengths
+        self.lengths = seen + seqs.lengths
+        total = int(self.lengths.max())
+        if total > cfg.t_max:
+            raise DataError(f"sequence length {total} exceeds t_max {cfg.t_max}")
+        capacity = self.top_in.shape[1]
+        if total > capacity:
+            pad = ((0, 0), (0, max(total, 2 * capacity) - capacity), (0, 0))
             self.top_in = np.pad(self.top_in, pad)
+            self.bar_index = np.pad(self.bar_index, pad[:2])
             for pair in self.kv.values():
                 pair[:] = [np.pad(a, pad) for a in pair]
-        return np.array([len(done) for done in self.ids])
+        for bars, row, done, stop, new in zip(self.bar_token_positions, self.bar_index,
+                                              seen.tolist(), self.lengths.tolist(),
+                                              seqs.bar_token_positions):
+            bars += [done + p for p in new]
+            row[done:stop] = bar_of(bars, np.arange(done, stop))
+        return seen
 
     def track_set(self, tracks: tuple[int, ...]) -> "_TrackSet":
         """The state of a set of tracks, gathered the first time a row group
@@ -678,23 +668,23 @@ class _CachedRows:
         return out[0], out[1]
 
 
-def _row_groups(first: np.ndarray, lengths: list[int]):
+def _row_groups(first: np.ndarray, lengths: np.ndarray):
     """Tracks grouped by the positions first[i]..lengths[i]-1 left to
     compute, as ((start, stop), track indices); tracks with none are left out."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (start, stop) in enumerate(zip(first, lengths)):
+    for i, (start, stop) in enumerate(zip(first.tolist(), lengths.tolist())):
         if start < stop:
-            groups.setdefault((int(start), stop), []).append(i)
+            groups.setdefault((start, stop), []).append(i)
     return [(span, tuple(tracks)) for span, tracks in groups.items()]
 
 
-def _tiled(cache: DecodeCache, bars: np.ndarray, groups):
+def _tiled(cache: DecodeCache, groups):
     """(start, stop, track set, tiling of its query rows) per row group."""
     out = []
     for (start, stop), tracks in groups:
         ts = cache.track_set(tracks)
-        out.append((start, stop, ts,
-                    expand_similarity(ts.S, bars[ts.rows, :stop], start)))
+        out.append((start, stop, ts, expand_similarity(
+            ts.S, cache.bar_index[ts.rows, :stop], start)))
     return out
 
 
@@ -704,18 +694,21 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     if cache.grid is None:
         cache.S, cache.memory = grid_stage(grid, params, cfg)
         cache.grid = grid
+        cache._size(grid.n_tracks, cfg.d, cfg.dtype)
     elif grid is not cache.grid:
         raise UsageError("the decode cache holds another grid")
     seen = cache._admit(seqs, cfg)
-    bars = seqs.bar_index()
-    steps = _tiled(cache, bars, _row_groups(seen, seqs.lengths))
+    new_ids = np.array(seqs.seqs, dtype=np.int64)
+    steps = _tiled(cache, _row_groups(seen, cache.lengths))
     for start, stop, ts, smat in steps:
-        x = embed_tokens(seqs, bars, params, cfg, ts.tracks, start, stop)
+        x = embed_tokens(new_ids[ts.tracks, :stop - start],
+                         cache.bar_index[ts.rows, start:stop], ts.tracks, start,
+                         params, cfg)
         O = bottom_decode(x, ts.memory, smat, params, cfg,
                           _CachedRows(cache, ts.rows, start))
         cache.top_in[ts.rows, start:stop] = O.data
     if cfg.layers_ctt:
-        fresh = [p[cache.bars_exchanged:] for p in seqs.bar_token_positions]
+        fresh = [p[cache.bars_exchanged:] for p in cache.bar_token_positions]
         shared = min(len(p) for p in fresh)
         if shared:
             cache.top_in = ctt_forward(Tensor(cache.top_in), fresh, params,
@@ -723,7 +716,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
             cache.bars_exchanged += shared
             # the exchanged bar tokens feed every later top-decoder row
             redo = np.minimum(seen, [p[0] for p in fresh])
-            steps = _tiled(cache, bars, _row_groups(redo, seqs.lengths))
+            steps = _tiled(cache, _row_groups(redo, cache.lengths))
     # with no bar exchanged, the top decoder takes the bottom's row groups and
     # tilings; rows of top_in and last were checked for finiteness when written
     for start, stop, ts, smat in steps:
@@ -731,8 +724,6 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
                        ts.memory, smat, params, cfg,
                        _CachedRows(cache, ts.rows, start))
         cache.last[ts.rows] = O.data[:, -1]
-    for done, ids, n in zip(cache.ids, seqs.seqs, seqs.lengths):
-        done += ids[len(done):n]
     # Every track's row, halted ones too: with 3 of 4 tracks active, the
     # product over all 4 took 15 us at toy and 26 us at paper, gathering
     # the active tracks' heads 23 and 57 us, and one product per active
@@ -750,15 +741,19 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     padded to one T). Tracks exchange bars only within their song, and take
     the instrument embedding and output head of their slot in it.
 
-    With a `DecodeCache`, for decoding one song: logits [I, 1, V] of each
-    track's last position (row lengths[i] - 1 of the full forward),
-    computing only the positions earlier calls with the same cache did not
-    see. The cached forward records no tape: its logits carry no gradient.
+    With a `DecodeCache`, for decoding one song, `seqs` holds only each
+    track's new ids (`build_track_seqs` of them; a track with none has
+    length 0), and the logits [I, 1, V] are those of each track's last
+    decoded position: row `cache.lengths[i] - 1` of the full forward over
+    the whole prefix. The cached forward records no tape.
 
-    Both paths check the same inputs first: the tracks split into `songs`
-    songs of at most `MAX_TRACKS` tracks, token tracks match grid tracks,
-    and a cache serves exactly one song. Tracks may hold unequal bar-token
-    counts; both paths exchange their shared prefix (`ctt_forward`)."""
+    Both paths check the same inputs first: `songs` is at least 1, the
+    tracks split into `songs` songs of at most `MAX_TRACKS` tracks, token
+    tracks match grid tracks, and a cache serves exactly one song. Tracks
+    may hold unequal bar-token counts; both paths exchange their shared
+    prefix (`ctt_forward`)."""
+    if songs < 1:
+        raise UsageError(f"songs must be at least 1, got {songs}")
     if seqs.n_tracks % songs:
         raise UsageError(f"{seqs.n_tracks} tracks do not split into {songs} songs")
     if seqs.n_tracks // songs > MAX_TRACKS:
@@ -775,7 +770,8 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     S, memory = grid_stage(grid, params, cfg)
     bars = seqs.bar_index()
     smat = expand_similarity(S, bars)
-    x = embed_tokens(seqs, bars, params, cfg, songs=songs)
+    slots = np.arange(seqs.n_tracks) % (seqs.n_tracks // songs)
+    x = embed_tokens(np.array(seqs.seqs, dtype=np.int64), bars, slots, 0, params, cfg)
     O = bottom_decode(x, memory, smat, params, cfg)
     if cfg.layers_ctt:
         O = ctt_forward(O, seqs.bar_token_positions, params, cfg, songs)

@@ -10,14 +10,14 @@ in the `bandgen.tokens` docstring, so decoding always succeeds, and every
 sampling step is recorded in an audit log.
 
 Decoding is incremental and runs without a tape: one `DecodeCache` per call
-keeps the grid stage and every decoder layer's keys and values, so a step
-computes one new position per active track. The softmax, the top-k order
-and the draws of all active tracks are one batched computation per step,
-in float64 whatever the model computes in; the draws use the generator in
-track order. Only the cross-track layer
+keeps the grid stage, every decoder layer's keys and values and each track's
+bar tokens, and a step feeds `model_forward` only the ids the step before
+emitted. The softmax, the top-k order and the draws of all active tracks are
+one batched computation per step, in float64 whatever the model computes in;
+the draws use the generator in track order. Only the cross-track layer
 reaches back: when all tracks have reached bar b, it exchanges bar b once
-and the top decoder is recomputed from each track's bar-b token onward, so
-a cover of n bars redoes at most n such spans (see `bandgen.neural.model`).
+and the top decoder is recomputed from each track's bar-b token onward, so a
+cover of n bars redoes at most n such spans (see `bandgen.neural.model`).
 """
 
 from __future__ import annotations
@@ -111,33 +111,33 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     b_ref = grid.n_bars
     bar_ids = vocab.bar_ids
 
-    lists = [[vocab.id_of("Instrument", inst), BOS_ID] for inst in grid.instruments]
+    raw_lists = [[vocab.id_of("Instrument", inst), BOS_ID] for inst in grid.instruments]
     audit: list[SampleEvent] = []
     step_seconds: list[float] = []
     cache = DecodeCache()
+    new_ids = raw_lists  # what the cache has not decoded yet
 
     start = tick = time.perf_counter()
-    while (any(ids[-1] != EOS_ID for ids in lists)
-           and max(len(ids) for ids in lists) < t_max):
-        seqs = build_track_seqs(lists, vocab)
+    while (any(ids[-1] != EOS_ID for ids in raw_lists)
+           and max(len(ids) for ids in raw_lists) < t_max):
+        seqs = build_track_seqs(new_ids, vocab)
         logits = model_forward(seqs, grid, params, cfg, cache=cache)
         step = len(step_seconds)
-        active = [ti for ti, ids in enumerate(lists) if ids[-1] != EOS_ID]
+        active = [ti for ti, ids in enumerate(raw_lists) if ids[-1] != EOS_ID]
         rows = logits.data[active, 0].astype(np.float64, copy=False)
         probs = np.exp(rows - rows.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
+        new_ids = [[] for _ in raw_lists]
         for ti, (choice, top) in zip(active, _topk_sample(probs, k, rng)):
-            ids = lists[ti]
-            if choice in bar_ids and len(seqs.bar_token_positions[ti]) >= b_ref:
+            if choice in bar_ids and len(cache.bar_token_positions[ti]) >= b_ref:
                 # the bar that would exceed the reference stops the track
-                ids.append(EOS_ID)
-                audit.append(SampleEvent(ti, step, EOS_ID, (), sampled=False))
-            else:
-                ids.append(choice)
-                audit.append(SampleEvent(ti, step, choice, top, sampled=True))
+                choice, top = EOS_ID, ()
+            new_ids[ti] = [choice]
+            raw_lists[ti].append(choice)
+            audit.append(SampleEvent(ti, step, choice, top, sampled=bool(top)))
         tick, last = time.perf_counter(), tick
         step_seconds.append(tick - last)
-    for ti, ids in enumerate(lists):
+    for ti, ids in enumerate(raw_lists):
         if ids[-1] != EOS_ID:
             ids.append(EOS_ID)
             audit.append(SampleEvent(ti, len(step_seconds), EOS_ID, (),
@@ -146,13 +146,13 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
 
     repaired: list[list[int]] = []
     repairs = 0
-    for ti, ids in enumerate(lists):
+    for ti, ids in enumerate(raw_lists):
         base = bpe_decode(ids, bpe_model) if bpe_model is not None else list(ids)
         fixed, n = repair_track_ids(base, b_ref, vocab)
         repaired.append(fixed)
         repairs += n
     seqs = build_track_seqs(repaired, vocab)
-    return GenerationResult(seqs, lists, audit, repairs, wall, len(audit),
+    return GenerationResult(seqs, raw_lists, audit, repairs, wall, len(audit),
                             step_seconds)
 
 

@@ -128,6 +128,13 @@ def build_vocab() -> Vocab:
     return Vocab()
 
 
+def bar_of(bar_token_positions: list[int], positions: np.ndarray) -> np.ndarray:
+    """The bar of each of `positions` in a track whose bar tokens sit at the
+    ascending `bar_token_positions`, int64: 0 before the first bar token (the
+    framing tokens), else that of the latest bar token, padding included."""
+    return np.maximum(np.searchsorted(bar_token_positions, positions, "right") - 1, 0)
+
+
 @dataclass(slots=True)
 class TrackTokenSeqs:
     """Parallel per-track id sequences padded to a common length T, with
@@ -146,13 +153,10 @@ class TrackTokenSeqs:
         return len(self.seqs[0]) if self.seqs else 0
 
     def bar_index(self) -> np.ndarray:
-        """The bar of every position, int64 [I, T]. Framing tokens before the
-        first bar token belong to bar 0; every later position, padding
-        included, belongs to its latest bar token."""
-        marks = np.zeros((self.n_tracks, self.length), dtype=np.int64)
-        for row, bars in zip(marks, self.bar_token_positions):
-            row[bars[1:]] = 1
-        return marks.cumsum(axis=1)
+        """The bar of every position, int64 [I, T], by `bar_of`."""
+        positions = np.arange(self.length)
+        return np.array([bar_of(bars, positions) for bars in self.bar_token_positions],
+                        dtype=np.int64).reshape(self.n_tracks, self.length)
 
 
 def _placed(song: Song) -> tuple[NoteColumns, np.ndarray, np.ndarray, np.ndarray]:

@@ -45,22 +45,38 @@ def merges(vocab, n_merges=20):
                      target_size=vocab.size + n_merges)
 
 
+def extensions(prefixes):
+    """What each prefix (a list of per-track id lists, each extending the
+    last) adds to the one before it: the new ids a cached call takes."""
+    done = [[] for _ in prefixes[0]]
+    for lists in prefixes:
+        yield [ids[len(d):] for ids, d in zip(lists, done)]
+        done = lists
+
+
 def check_prefixes(prefixes, grid, params, cfg, vocab, atol=TOL):
-    """Feed each prefix (a list of per-track id lists, each extending the
-    last) to one cached forward; every track's logits must equal the last
-    row of the full forward within `atol`. Returns the cache and the
-    exchanged bar count after each prefix."""
+    """Feed each prefix's extension to one cached forward; every track's
+    logits must equal the last row of the full forward on the whole prefix
+    within `atol`, and the cache's bar-token positions and bar index must
+    equal those `build_track_seqs` derives from the prefix. Returns the
+    cache and the exchanged bar count after each prefix."""
     cache = DecodeCache()
     exchanged = []
-    for lists in prefixes:
+    for lists, new in zip(prefixes, extensions(prefixes)):
+        got = model_forward(build_track_seqs(new, vocab), grid, params, cfg,
+                            cache=cache)
         seqs = build_track_seqs(lists, vocab)
-        got = model_forward(seqs, grid, params, cfg, cache=cache)
         full = model_forward(seqs, grid, params, cfg).data
         last = full[np.arange(len(lists)), np.array(seqs.lengths) - 1]
         assert got.shape == (len(lists), 1, cfg.vocab_size)
         assert got.data.dtype == full.dtype == cfg.dtype
         assert not got.requires_grad and got._parents == ()
         np.testing.assert_allclose(got.data[:, 0], last, rtol=0, atol=atol)
+        assert cache.lengths.tolist() == seqs.lengths
+        assert cache.bar_token_positions == seqs.bar_token_positions
+        bars = seqs.bar_index()
+        for i, n in enumerate(seqs.lengths):
+            assert np.array_equal(cache.bar_index[i, :n], bars[i, :n])
         exchanged.append(cache.bars_exchanged)
     return cache, exchanged
 
@@ -119,7 +135,7 @@ def test_cached_logits_match_with_uneven_growth(vocab):
     cache, exchanged = check_prefixes(prefixes, grid_of(song), init_params(cfg),
                                       cfg, vocab)
     assert exchanged[-1] == 3
-    assert cache.ids == lists
+    assert cache.lengths.tolist() == [len(ids) for ids in lists]
 
 
 def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypatch):
@@ -140,10 +156,10 @@ def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypat
     cfg = small_cfg()
     params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
     views = []
-    for t in (10, 11, len(lists[2]) + 5, len(lists[2]) + 6):
-        seqs = build_track_seqs([ids[:t] for ids in lists], vocab)
+    cuts = (10, 11, len(lists[2]) + 5, len(lists[2]) + 6)
+    for new in extensions([[ids[:t] for ids in lists] for t in cuts]):
         del attended[:]
-        model_forward(seqs, grid, params, cfg, cache=cache)
+        model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
         views.append(sum(np.shares_memory(k, kv[0]) and np.shares_memory(v, kv[1])
                          for k, v in attended for kv in cache.kv.values()))
     # steps 2 and 4 are steady: one row group, tracks 0-3 and then 0, 1, 3
@@ -159,35 +175,34 @@ def test_cached_path_checks_new_key_and_value_rows(vocab, name):
     lists = song_lists(tokenize_song(song, vocab))
     cfg = small_cfg()
     params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
-    for t in range(2, 6):
-        model_forward(build_track_seqs([ids[:t] for ids in lists], vocab), grid,
-                      params, cfg, cache=cache)
+    *steps, last = extensions([[ids[:t] for ids in lists] for t in range(2, 7)])
+    for new in steps:
+        model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
     params[name].data[0] = np.inf
     with pytest.raises(NonFiniteError):
-        model_forward(build_track_seqs([ids[:6] for ids in lists], vocab), grid,
-                      params, cfg, cache=cache)
+        model_forward(build_track_seqs(last, vocab), grid, params, cfg, cache=cache)
 
 
 def test_cache_rejects_a_prefix_or_grid_it_did_not_see(vocab):
+    """After a 5-id prefix: 3 new tracks for a 4-track grid are a
+    `DataError`, another grid a `UsageError`, and new ids that take a
+    track past `t_max` a `DataError`."""
     song = make_song(seed=3, n_bars=2)
     lists = song_lists(tokenize_song(song, vocab))
-    cfg = small_cfg()
+    cfg = small_cfg(t_max=40)
     params, grid = init_params(cfg), grid_of(song)
     cache = DecodeCache()
     model_forward(build_track_seqs([ids[:5] for ids in lists], vocab), grid,
                   params, cfg, cache=cache)
-    changed = [ids[:6] for ids in lists]
-    changed[1][4] = EOS_ID
-    for bad in (changed, [ids[:4] for ids in lists]):
-        with pytest.raises(UsageError):
-            model_forward(build_track_seqs(bad, vocab), grid, params, cfg,
-                          cache=cache)
     with pytest.raises(DataError):
-        model_forward(build_track_seqs([ids[:6] for ids in lists[:3]], vocab),
+        model_forward(build_track_seqs([ids[5:6] for ids in lists[:3]], vocab),
                       grid, params, cfg, cache=cache)
     with pytest.raises(UsageError):
-        model_forward(build_track_seqs([ids[:6] for ids in lists], vocab),
+        model_forward(build_track_seqs([ids[5:6] for ids in lists], vocab),
                       grid_of(song), params, cfg, cache=cache)
+    with pytest.raises(DataError, match="t_max"):
+        model_forward(build_track_seqs([ids[5:41] for ids in lists], vocab),
+                      grid, params, cfg, cache=cache)
 
 
 def test_both_paths_check_tracks_against_the_grid(vocab):
@@ -207,7 +222,8 @@ def test_both_paths_check_tracks_against_the_grid(vocab):
 
 def test_a_cache_serves_one_song(vocab):
     """Two stacked 2-track songs with `songs=2` are a full-forward input
-    only: a cache holds one song's grid and prefix."""
+    only: a cache holds one song's grid and decode state. Fewer than one
+    song is a `UsageError` on both paths, before any work."""
     full = make_song(seed=3, n_bars=2)
     song = Song([t for t in full.tracks if t.instrument in ("Drum", "Piano")],
                 full.n_bars, full.resolution)
@@ -219,10 +235,12 @@ def test_a_cache_serves_one_song(vocab):
     cfg = small_cfg()
     params = init_params(cfg)
     assert model_forward(stacked, stacked_grid, params, cfg, songs=2).shape[0] == 4
-    cache = DecodeCache()
-    with pytest.raises(UsageError):
-        model_forward(stacked, stacked_grid, params, cfg, cache=cache, songs=2)
-    assert cache.grid is None
+    for songs in (2, 0, -1):
+        for cache in (None, DecodeCache()) if songs < 1 else (DecodeCache(),):
+            with pytest.raises(UsageError):
+                model_forward(stacked, stacked_grid, params, cfg, cache=cache,
+                              songs=songs)
+            assert cache is None or cache.grid is None
 
 
 @pytest.mark.parametrize("layers_ctt", [0, 1])
@@ -366,9 +384,12 @@ def test_generate_builds_each_forward_input_right_before_it(vocab, monkeypatch):
 
 
 def test_each_forward_derives_the_bar_index_once(vocab, monkeypatch):
-    """The tiling and the token embedding read one derived bar index, on the
-    cached path for every row group too: tracks cut at four different
-    lengths make four row groups per cached call."""
+    """A full forward's tiling and token embedding read one derived bar
+    index, whatever the track lengths. The cached path derives none: the
+    cache extends its own. `generate` feeds each step only its new ids: 2
+    per track in the first call, then one per track that took an id in the
+    step before and none for a halted track, so the per-step input does
+    not grow with the prefix."""
     calls = []
     real = TrackTokenSeqs.bar_index
 
@@ -381,13 +402,34 @@ def test_each_forward_derives_the_bar_index_once(vocab, monkeypatch):
     lists = song_lists(tokenize_song(song, vocab))
     cfg = small_cfg()
     params, grid = init_params(cfg), grid_of(song)
-    cache = DecodeCache()
     for cut in ([5, 9, 14, 20], [30, 31, 32, 33], [40] * 4):
         seqs = build_track_seqs([ids[:c] for ids, c in zip(lists, cut)], vocab)
-        for kwargs in ({}, {"cache": cache}):
-            del calls[:]
-            model_forward(seqs, grid, params, cfg, **kwargs)
-            assert calls == [seqs]
+        del calls[:]
+        model_forward(seqs, grid, params, cfg)
+        assert calls == [seqs]
+
+    fed = []
+    forward = sampling.model_forward
+
+    def recording(seqs, *args, **kwargs):
+        fed.append((seqs.length, seqs.lengths))
+        return forward(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "model_forward", recording)
+    del calls[:]
+    cfg = small_cfg(t_max=64)
+    result = generate(grid_of(make_song(seed=4, n_bars=4)),
+                      bar_leaning_params(cfg, vocab), cfg, vocab, seed=1, t_max=40)
+    assert result.raw_lists == GOLDEN_BARS and calls == []
+    tracks, steps = len(GOLDEN_BARS), len(result.step_seconds)
+    took = np.zeros((steps, tracks), int)
+    for event in result.audit:
+        if event.step < steps:
+            took[event.step, event.track] = 1
+    assert len(fed) == steps > 30
+    assert fed[0] == (2, [2] * tracks)
+    assert fed[1:] == [(1, row) for row in took[:-1].tolist()]
+    assert any(0 in row for _, row in fed[1:])
 
 
 def test_generate_step_cost_does_not_grow_with_the_prefix(vocab, monkeypatch):
@@ -453,10 +495,9 @@ def test_decode_step_census(vocab, monkeypatch, preset, per_step):
              for l in range(n)}
     cache, grid = DecodeCache(), grid_of(song)
     calls, steady = [], []
-    for t in range(2, 12):
+    for t, new in enumerate(extensions(lockstep([ids[:11] for ids in lists])), 2):
         before, exchanged = len(weights), cache.bars_exchanged
-        model_forward(build_track_seqs([ids[:t] for ids in lists], vocab), grid,
-                      params, cfg, cache=cache)
+        model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
         calls.append(weights[before:])
         if t > 2 and cache.bars_exchanged == exchanged:
             steady.append(len(weights) - before)
@@ -496,10 +537,9 @@ def test_decode_step_tensor_census(vocab, monkeypatch, preset, made, checked):
     monkeypatch.setattr(Tensor, "__init__", counting)
     cache, grid = DecodeCache(), grid_of(song)
     steady = []
-    for t in range(2, 12):
+    for t, new in enumerate(extensions(lockstep([ids[:11] for ids in lists])), 2):
         before, exchanged = len(flags), cache.bars_exchanged
-        model_forward(build_track_seqs([ids[:t] for ids in lists], vocab), grid,
-                      params, cfg, cache=cache)
+        model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
         if t > 2 and cache.bars_exchanged == exchanged:
             steady.append((len(flags) - before, sum(flags[before:])))
     assert len(steady) == 8
@@ -507,9 +547,9 @@ def test_decode_step_tensor_census(vocab, monkeypatch, preset, made, checked):
 
 
 def test_negative_id_is_out_of_vocab_on_both_paths(vocab):
-    """`build_track_seqs` rejects a negative id; one in a hand-built
-    `TrackTokenSeqs` at a new position raises `IdOutOfVocab` on the full
-    forward and on the cached path after a prefix the cache accepted."""
+    """`build_track_seqs` rejects a negative id; one put into its output at
+    a new position raises `IdOutOfVocab` on the full forward and on the
+    cached path after a prefix the cache accepted."""
     song = make_song(seed=3, n_bars=2)
     lists = song_lists(tokenize_song(song, vocab))
     cfg = small_cfg()
@@ -521,8 +561,10 @@ def test_negative_id_is_out_of_vocab_on_both_paths(vocab):
     cache = DecodeCache()
     model_forward(build_track_seqs([ids[:30] for ids in lists], vocab), grid,
                   params, cfg, cache=cache)
+    new = build_track_seqs([ids[30:31] for ids in lists], vocab)
+    new.seqs[2][0] = -4
     with pytest.raises(IdOutOfVocab):
-        model_forward(seqs, grid, params, cfg, cache=cache)
+        model_forward(new, grid, params, cfg, cache=cache)
 
 
 def test_steady_step_census(vocab, monkeypatch):
@@ -545,8 +587,7 @@ def test_steady_step_census(vocab, monkeypatch):
         return getitem(self, key)
 
     def step(seqs, grid, params, cfg, cache):
-        done = [len(ids) for ids in cache.ids] or [0] * seqs.n_tracks
-        decoded = tuple(i for i, n in enumerate(seqs.lengths) if done[i] < n)
+        decoded = tuple(i for i, n in enumerate(seqs.lengths) if n)
         before = len(tilings), len(gathered), cache.bars_exchanged
         out = forward(seqs, grid, params, cfg, cache=cache)
         steps.append((cache, decoded, cache.bars_exchanged != before[2],
@@ -595,7 +636,9 @@ def test_cached_path_checks_new_positions(vocab):
         with pytest.raises(error):
             model_forward(seqs, grid, params, cfg)
         cache = DecodeCache()
-        model_forward(build_track_seqs(prefix, vocab), grid, params, cfg,
+        first, new = extensions([prefix, bad])
+        model_forward(build_track_seqs(first, vocab), grid, params, cfg,
                       cache=cache)
         with pytest.raises(error):
-            model_forward(seqs, grid, params, cfg, cache=cache)
+            model_forward(build_track_seqs(new, vocab), grid, params, cfg,
+                          cache=cache)

@@ -422,7 +422,8 @@ def test_embed_tokens_guardrails(vocab):
         return build_track_seqs([ids], vocab)
 
     def embed(seqs):
-        return embed_tokens(seqs, seqs.bar_index(), params, cfg)
+        return embed_tokens(np.array(seqs.seqs, dtype=np.int64), seqs.bar_index(),
+                            np.arange(seqs.n_tracks), 0, params, cfg)
 
     assert embed(seqs_for([1, 3, 9, 2])).shape == (1, 4, cfg.d)
     with pytest.raises(IdOutOfVocab):
@@ -440,19 +441,14 @@ def test_embed_tokens_guardrails(vocab):
         embed(five_bars)
 
 
-def four_lookups(seqs, bar_index, params, cfg, tracks=None, start=0,
-                 stop=None, songs=1):
+def four_lookups(ids, bar_idx, slots, start, params, cfg):
     """`embed_tokens` as the composition of single ops it replaces: three
     `take` lookups and a constant position table, added left to right."""
-    I = seqs.n_tracks
-    tracks = np.arange(I) if tracks is None else tracks
-    stop = seqs.length if stop is None else stop
-    ids = np.array([seqs.seqs[i][start:stop] for i in tracks], dtype=np.int64)
+    stop = start + ids.shape[1]
     x = take(params["te"], ids)
     x = x + Tensor(sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop])
-    x = x + take(params["be"], bar_index[tracks, start:stop])
-    return x + take(params["ie"], tracks % (I // songs)).reshape(len(tracks), 1,
-                                                                 cfg.d)
+    x = x + take(params["be"], bar_idx)
+    return x + take(params["ie"], slots).reshape(len(slots), 1, cfg.d)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -463,13 +459,20 @@ def test_embed_tokens_matches_four_lookups(vocab, dtype):
     cfg = small_cfg(dtype=dtype)
     stacked = _stack_seqs([make_pair(vocab, n_bars=2, seed=s)[0] for s in (1, 2)])
     one = make_pair(vocab, n_bars=2, seed=1)[0]
-    for seqs, kwargs in ((stacked, dict(songs=2)),
-                         (one, dict(tracks=np.array([0, 2, 3]), start=5, stop=9)),
-                         (one, dict(tracks=np.array([1]), start=20, stop=21))):
+
+    def window(seqs, tracks, start, stop, songs=1):
+        ids = np.array(seqs.seqs, dtype=np.int64)[tracks, start:stop]
+        bars = seqs.bar_index()[tracks, start:stop]
+        return ids, bars, tracks % (seqs.n_tracks // songs), start
+
+    for args in (window(stacked, np.arange(stacked.n_tracks), 0, stacked.length,
+                        songs=2),
+                 window(one, np.array([0, 2, 3]), 5, 9),
+                 window(one, np.array([1]), 20, 21)):
         runs = []
         for embed in (embed_tokens, four_lookups):
             params = init_params(cfg)
-            x = embed(seqs, seqs.bar_index(), params, cfg, **kwargs)
+            x = embed(*args, params, cfg)
             x.backward(np.random.default_rng(0).standard_normal(x.shape))
             runs.append((x, params))
         (x, params), (ref, ref_params) = runs
@@ -515,8 +518,9 @@ def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
               for name in ("bot0_cross", "top0_cross")}
     bars = seqs.bar_index()
     smat = expand_similarity(bar_similarity(E, params, cfg), bars)
-    O = bottom_decode(embed_tokens(seqs, bars, params, cfg), memory, smat,
-                      params, cfg)
+    x = embed_tokens(np.array(seqs.seqs, dtype=np.int64), bars,
+                     np.arange(seqs.n_tracks), 0, params, cfg)
+    O = bottom_decode(x, memory, smat, params, cfg)
     expected = project_logits(top_decode(O, memory, smat, params, cfg), params)
     assert np.array_equal(logits.data, expected.data)
     with_ctt = model_forward(seqs, grid, params, small_cfg())
