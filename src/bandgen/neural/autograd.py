@@ -42,13 +42,19 @@ an input, a saved array or its incoming gradient, which may be a read-only
 view.
 
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
-the op that produced it. A `Tensor` built with `check=False` skips the
-check, and these are the only sites that build one, each over values
-checked before:
+the op that produced it. The check (`_all_finite`) is one `np.add.reduce`:
+a NaN or an infinity anywhere makes the sum non-finite, so a finite sum
+settles it. Only when the sum is not finite, which finite values can also
+give by overflowing, does the elementwise test decide, so exactly the
+arrays with a non-finite element raise. A `Tensor` built with
+`check=False` skips the check, and these are the only sites that build
+one, each over values checked before:
 
 - `Tensor.detach` and `Tensor.__getitem__` reuse their input's values.
-- `model._CachedRows.attend` wraps a decode cache's key and value rows,
-  each checked as a `linear` output when it was new.
+- `model._CachedRows.attend` wraps views of the self-attention key and
+  value rows a decode cache's track set holds (the cache's buffers, or the
+  set's own copy of its rows), each row checked as a `linear` output when
+  it was written.
 - `model._decode_forward` wraps the cache's top-decoder input rows and
   each track's last top-decoder row, each checked as a layer-norm output
   when it was written.
@@ -60,6 +66,7 @@ normalizes them in place.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -83,6 +90,15 @@ def no_grad():
 
 
 _NATIVE_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every element of the float array a is finite. A finite sum
+    says so at the cost of one reduction: a NaN or an infinity anywhere
+    makes the sum NaN or infinite. A sum that is not finite, which finite
+    values can give by overflowing, is settled elementwise."""
+    return (math.isfinite(np.add.reduce(a, axis=None))
+            or bool(np.logical_and.reduce(np.isfinite(a), axis=None)))
 
 
 def _as_array(x) -> np.ndarray:
@@ -124,7 +140,7 @@ class Tensor:
                  parents: tuple = (), vjps: tuple = (), op: str = "leaf",
                  check: bool = True):
         self.data = _as_array(data)
-        if check and not np.logical_and.reduce(np.isfinite(self.data), axis=None):
+        if check and not _all_finite(self.data):
             raise NonFiniteError(f"non-finite values out of op {op!r}")
         self.grad: np.ndarray | None = None
         live = _taping and any(p.requires_grad for p in parents)
@@ -306,7 +322,7 @@ def _softmax_vjp(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
     """p * (g - sum(g * p)) along axis, the VJP of the softmax p, in one
     fresh array: the product g * p takes it, then the result."""
     ds = g * p
-    inner = ds.sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(ds, axis=axis, keepdims=True)
     np.subtract(g, inner, out=ds)
     ds *= p
     return ds
@@ -465,17 +481,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         smat4 = smat.data.reshape(smat.data.shape[0], 1, *smat.data.shape[1:])
         p = raw * smat4
     p *= scale
-    if not np.isfinite(p).all():
+    if not _all_finite(p):
         raise NonFiniteError("non-finite values out of op 'attention'")
     if blocked is None:
-        p -= p.max(axis=-1, keepdims=True)
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
     else:
         visible = ~blocked
-        p -= p.max(axis=-1, keepdims=True, where=visible, initial=-np.inf)
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True, where=visible,
+                               initial=-np.inf)
         np.exp(p, out=p, where=visible)
         np.copyto(p, 0.0, where=blocked)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     seen: dict = {}
 
     def score_grads(g) -> dict:
@@ -489,7 +506,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             seen.update(g=g, raw=ds)
             if smat is not None:
                 if smat.requires_grad:
-                    seen["smat"] = np.multiply(ds, raw, out=dp).sum(axis=1)
+                    seen["smat"] = np.add.reduce(np.multiply(ds, raw, out=dp), axis=1)
                 ds *= smat4                 # now of the raw scores
         return seen
 

@@ -27,13 +27,20 @@ cross-attention keys and values over E (attention reads only projected keys
 and values). A full forward derives its bar index once, for the tiling and
 the token embedding. Decoding is incremental: with a `DecodeCache`, the
 first call runs the grid stage and the cache keeps it. Each call brings only
-each track's new ids; the cache extends its bar index over them by the same
-rule (`tokens.bar_of`), and the call checks and embeds them and sends them
-through both decoder stacks, attending the cached keys and values; one new
-position per track needs no causal mask. The tracks decoded together (a row
-group) read their rows of S and of the cross-attention keys and values from
-the cache, gathered once per set of tracks; when the set is contiguous, they
-attend views of the key and value buffers. Cached rows (keys, values,
+each track's new ids, and every track must have decoded a position once it
+is done; the cache extends its bar index over them (by the same rule,
+`tokens.bar_of`, when bar tokens arrive; a new position without one stays
+in its track's current bar), and the call checks and embeds them and sends
+them through both decoder stacks, attending the cached keys and values; one
+new position per track needs no causal mask. The tracks decoded together (a
+row group) read their rows of S and of the cross-attention keys and values
+from the cache, gathered once per set of tracks. They attend views of the
+self-attention key and value rows their set holds: views of the cache's
+buffers when the set is contiguous, else a copy of its rows that the set
+appends to as it decodes, taken again only after another set wrote rows of
+its tracks (the cross-track recompute) or the buffers grew. So a steady
+step, with one new id per active track and no bar exchanged, copies no
+cached prefix and visits no halted track. Cached rows (keys, values,
 top-decoder inputs and last rows) were checked for finiteness when written
 and are not checked again. The top decoder reuses the bottom decoder's
 tiling of S unless a bar was exchanged. Only each track's last row is
@@ -423,7 +430,8 @@ def encode_features(C: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
 
 def check_ids(ids: np.ndarray, vocab_size: int) -> None:
     """Raise `IdOutOfVocab` unless every id lies in 0..vocab_size - 1."""
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+    if ids.size and (np.minimum.reduce(ids, axis=None) < 0
+                     or np.maximum.reduce(ids, axis=None) >= vocab_size):
         bad = ids[(ids < 0) | (ids >= vocab_size)][0]
         raise IdOutOfVocab(f"token id {bad} outside vocab of {vocab_size}")
 
@@ -448,7 +456,7 @@ def embed_tokens(ids: np.ndarray, bar_idx: np.ndarray, slots: np.ndarray,
     stop = start + ids.shape[1]
     if stop > cfg.t_max:
         raise DataError(f"sequence length {stop} exceeds t_max {cfg.t_max}")
-    if bar_idx.size and bar_idx.max() >= cfg.b_max:
+    if bar_idx.size and np.maximum.reduce(bar_idx, axis=None) >= cfg.b_max:
         raise BarIndexOutOfRange(f"bar {bar_idx.max()} >= b_max {cfg.b_max}")
     te, be, ie = params["te"], params["be"], params["ie"]
     x = te.data[ids] + sinusoidal_table(cfg.t_max, cfg.d, cfg.dtype)[start:stop]
@@ -474,7 +482,7 @@ def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tenso
     """S~ [I, T - start, T] tiling bar-level scores over token positions:
     S~[i, t1, t2] = S[i, bar_index[i, start + t1], bar_index[i, t2]]; the
     rows are the query positions from `start` on."""
-    if bar_index.size and bar_index.max() >= S.shape[-1]:
+    if bar_index.size and np.maximum.reduce(bar_index, axis=None) >= S.shape[-1]:
         raise BarIndexOutOfRange(
             f"bar index {bar_index.max()} >= {S.shape[-1]} bars")
     tracks = np.arange(bar_index.shape[0])[:, None, None]
@@ -491,15 +499,21 @@ def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
 Memory = dict[str, tuple[Tensor, Tensor]]  # cross-attention layer -> K, V [I, B, d]
 
 
+def _decoder_attention(cfg: ModelConfig, kind: str) -> list[str]:
+    """The names of every decoder layer's `kind` ("self" or "cross")
+    attention, bottom stack first."""
+    return [f"{prefix}{l}_{kind}" for prefix, n in
+            (("bot", cfg.layers_bottom), ("top", cfg.layers_top)) for l in range(n)]
+
+
 def grid_stage(grid: FeatureGrid, params: dict, cfg: ModelConfig
                ) -> tuple[Tensor, Memory]:
     """S [I, B, B] and, by layer name, every decoder layer's cross-attention
     keys and values over E. `embed_conditions` checks the grid."""
     E = encode_features(embed_conditions(grid, params, cfg), params, cfg)
-    layers = ([f"bot{l}_cross" for l in range(cfg.layers_bottom)]
-              + [f"top{l}_cross" for l in range(cfg.layers_top)])
     return (bar_similarity(E, params, cfg),
-            {name: _keys_values(E, params, name) for name in layers})
+            {name: _keys_values(E, params, name)
+             for name in _decoder_attention(cfg, "cross")})
 
 
 def _decoder_stack(x: Tensor, memory: Memory, smat: Tensor, params: dict,
@@ -573,36 +587,49 @@ class DecodeCache:
     projections make them), the top-decoder input rows (bottom outputs,
     cross-track outputs at exchanged bar tokens), each track's last
     top-decoder output and how many bars were exchanged. Buffers over
-    positions grow by doubling. `sets` keeps, per set of tracks a row group
-    has held, its rows of S and of the cross-attention keys and values
-    (`track_set`). One cache serves one decoded piece; after a call that
-    raised, start a new one."""
+    positions grow by doubling, and every set of tracks decoding writes its
+    new keys and values into them. `sets` keeps, per set of tracks a row
+    group has held, its rows of S, of the cross-attention keys and values
+    and of the self-attention keys and values (`track_set`); `writers`
+    names the set that wrote each track's rows last. One cache serves one
+    decoded piece; after a call that raised, start a new one."""
 
     def __init__(self):
         self.grid: FeatureGrid | None = None
         self.S: Tensor | None = None
         self.memory: Memory = {}
         self.bars_exchanged = 0
-        self.kv: dict[str, list[np.ndarray]] = {}  # layer -> [K, V] [I, capacity, d]
         self.sets: dict[tuple[int, ...], _TrackSet] = {}
-        self._size(0, 0, "float64")
+        self._size(0, 0, "float64", [])
 
-    def _size(self, I: int, d: int, dtype: str) -> None:
-        """Per-track state for I tracks, none of whose positions is decoded."""
+    def _size(self, I: int, d: int, dtype: str, layers: list[str]) -> None:
+        """Per-track state for I tracks, none of whose positions is decoded,
+        and empty key/value buffers for the self-attention `layers`."""
         self.lengths = np.zeros(I, np.int64)         # [I]
         self.bar_token_positions: list[list[int]] = [[] for _ in range(I)]
         self.bar_index = np.zeros((I, 0), np.int64)  # [I, capacity]
         self.top_in = np.zeros((I, 0, d), dtype)     # [I, capacity, d]
         self.last = np.zeros((I, d), dtype)          # [I, d]
+        # layer -> [K, V] [I, capacity, d]
+        self.kv = {name: [np.zeros((I, 0, d), dtype) for _ in range(2)]
+                   for name in layers}
+        self.writers: list[_TrackSet | None] = [None] * I  # see `track_set`
 
     def _admit(self, seqs: TrackTokenSeqs, cfg: ModelConfig) -> np.ndarray:
         """Take each track's new ids in `seqs` as its next positions, within
-        `t_max`, and return the lengths decoded before."""
+        `t_max`, and return the lengths decoded before. Every track must
+        then hold a decoded position. Only tracks with new ids are visited:
+        the bar index of a new position without a bar token is the track's
+        current bar, and `bar_of` runs only when bar tokens arrive."""
         seen = self.lengths
-        self.lengths = seen + seqs.lengths
-        total = int(self.lengths.max())
+        lengths = seen + seqs.lengths
+        if not lengths.all():
+            raise UsageError(f"track {int(np.argmin(lengths))} has no decoded "
+                             f"position")
+        total = int(np.maximum.reduce(lengths))
         if total > cfg.t_max:
             raise DataError(f"sequence length {total} exceeds t_max {cfg.t_max}")
+        self.lengths = lengths
         capacity = self.top_in.shape[1]
         if total > capacity:
             pad = ((0, 0), (0, max(total, 2 * capacity) - capacity), (0, 0))
@@ -610,23 +637,39 @@ class DecodeCache:
             self.bar_index = np.pad(self.bar_index, pad[:2])
             for pair in self.kv.values():
                 pair[:] = [np.pad(a, pad) for a in pair]
-        for bars, row, done, stop, new in zip(self.bar_token_positions, self.bar_index,
-                                              seen.tolist(), self.lengths.tolist(),
-                                              seqs.bar_token_positions):
-            bars += [done + p for p in new]
-            row[done:stop] = bar_of(bars, np.arange(done, stop))
+            self.writers = [None] * len(self.writers)  # every set reads anew
+        for i, (n, new) in enumerate(zip(seqs.lengths, seqs.bar_token_positions)):
+            if not n:
+                continue
+            done, row = int(seen[i]), self.bar_index[i]
+            if new:
+                bars = self.bar_token_positions[i]
+                bars += [done + p for p in new]
+                row[done:done + n] = bar_of(bars, np.arange(done, done + n))
+            else:
+                row[done:done + n] = row[done - 1] if done else 0
         return seen
 
     def track_set(self, tracks: tuple[int, ...]) -> "_TrackSet":
-        """The state of a set of tracks, gathered the first time a row group
-        holds it."""
+        """The state of a set of tracks whose row group is about to decode.
+        Its rows of S and of the cross-attention keys and values are
+        gathered the first time a row group holds it. Its self-attention
+        key and value rows are taken again whenever another set has written
+        rows of its tracks since it last decoded, or the buffers grew;
+        otherwise the set appends to the rows it holds."""
         found = self.sets.get(tracks)
         if found is None:
             rows = (slice(tracks[0], tracks[-1] + 1)
                     if tracks[-1] - tracks[0] + 1 == len(tracks) else np.array(tracks))
             found = self.sets[tracks] = _TrackSet(
                 np.array(tracks), rows, self.S[rows],
-                {name: (k[rows], v[rows]) for name, (k, v) in self.memory.items()})
+                {name: (k[rows], v[rows]) for name, (k, v) in self.memory.items()}, {})
+        writers = self.writers
+        if any(writers[i] is not found for i in tracks):
+            found.kv = {name: [k[found.rows], v[found.rows]]
+                        for name, (k, v) in self.kv.items()}
+            for i in tracks:
+                writers[i] = found
         return found
 
 
@@ -634,37 +677,41 @@ class DecodeCache:
 class _TrackSet:
     """A set of tracks, in track order, as a `DecodeCache` keeps it: the
     index that selects it along the track axis (a slice when its tracks
-    are contiguous, so that buffers read through it are views) and its rows
-    of S and of every decoder layer's cross-attention keys and values."""
+    are contiguous), its rows of S and of every decoder layer's
+    cross-attention keys and values, and its self-attention key and value
+    rows by layer, [n, capacity, d] each (`DecodeCache.track_set`). Those
+    are views of the cache's buffers for a contiguous set and a copy of
+    its rows otherwise."""
     tracks: np.ndarray
     rows: slice | np.ndarray
     S: Tensor
     memory: Memory
+    kv: dict[str, list[np.ndarray]]
 
 
 class _CachedRows:
     """Query rows at positions `start`.. of a track set, decoded against a
     cache."""
 
-    __slots__ = ("cache", "rows", "start")
+    __slots__ = ("cache", "ts", "start")
 
-    def __init__(self, cache: DecodeCache, rows: slice | np.ndarray, start: int):
-        self.cache, self.rows, self.start = cache, rows, start
+    def __init__(self, cache: DecodeCache, ts: _TrackSet, start: int):
+        self.cache, self.ts, self.start = cache, ts, start
 
     def attend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Cache layer `name`'s keys and values [n, rows, d] of the query
-        rows; return those of positions 0.. through the last query row, as
-        views of the buffers for a contiguous set. Every returned row was
-        checked for finiteness as a `linear` output when it was new, so the
-        rows are not checked again."""
-        kv = self.cache.kv
-        if name not in kv:
-            kv[name] = [np.zeros_like(self.cache.top_in) for _ in range(2)]
-        stop = self.start + k.shape[1]
+        rows, in the set's rows and the cache's buffers; return views of
+        the set's rows of positions 0.. through the last query row. Every
+        returned row was checked for finiteness as a `linear` output when
+        it was new, so the rows are not checked again."""
+        rows, start = self.ts.rows, self.start
+        stop = start + k.shape[1]
         out = []
-        for buf, new in zip(kv[name], (k, v)):
-            buf[self.rows, self.start:stop] = new.data
-            out.append(Tensor(buf[self.rows, :stop], check=False))
+        for buf, own, new in zip(self.cache.kv[name], self.ts.kv[name], (k, v)):
+            own[:, start:stop] = new.data
+            if not isinstance(rows, slice):   # own is a copy, not a view of buf
+                buf[rows, start:stop] = new.data
+            out.append(Tensor(own[:, :stop], check=False))
         return out[0], out[1]
 
 
@@ -694,7 +741,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     if cache.grid is None:
         cache.S, cache.memory = grid_stage(grid, params, cfg)
         cache.grid = grid
-        cache._size(grid.n_tracks, cfg.d, cfg.dtype)
+        cache._size(grid.n_tracks, cfg.d, cfg.dtype, _decoder_attention(cfg, "self"))
     elif grid is not cache.grid:
         raise UsageError("the decode cache holds another grid")
     seen = cache._admit(seqs, cfg)
@@ -705,7 +752,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
                          cache.bar_index[ts.rows, start:stop], ts.tracks, start,
                          params, cfg)
         O = bottom_decode(x, ts.memory, smat, params, cfg,
-                          _CachedRows(cache, ts.rows, start))
+                          _CachedRows(cache, ts, start))
         cache.top_in[ts.rows, start:stop] = O.data
     if cfg.layers_ctt:
         fresh = [p[cache.bars_exchanged:] for p in cache.bar_token_positions]
@@ -722,7 +769,7 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     for start, stop, ts, smat in steps:
         O = top_decode(Tensor(cache.top_in[ts.rows, start:stop], check=False),
                        ts.memory, smat, params, cfg,
-                       _CachedRows(cache, ts.rows, start))
+                       _CachedRows(cache, ts, start))
         cache.last[ts.rows] = O.data[:, -1]
     # Every track's row, halted ones too: with 3 of 4 tracks active, the
     # product over all 4 took 15 us at toy and 26 us at paper, gathering

@@ -125,8 +125,8 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
         step = len(step_seconds)
         active = [ti for ti, ids in enumerate(raw_lists) if ids[-1] != EOS_ID]
         rows = logits.data[active, 0].astype(np.float64, copy=False)
-        probs = np.exp(rows - rows.max(axis=-1, keepdims=True))
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = np.exp(rows - np.maximum.reduce(rows, axis=-1, keepdims=True))
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         new_ids = [[] for _ in raw_lists]
         for ti, (choice, top) in zip(active, _topk_sample(probs, k, rng)):
             if choice in bar_ids and len(cache.bar_token_positions[ti]) >= b_ref:

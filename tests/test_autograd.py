@@ -633,6 +633,35 @@ def test_finite_checks_raise():
             _ = t * np.inf
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_reduction_finite_check_keeps_its_contract(dtype):
+    """The finiteness check of `Tensor` and of `attention`'s scores sums
+    the values once and tests them elementwise only when the sum is not
+    finite. Finite values whose sum overflows pass, as does an empty array;
+    a NaN, +inf or -inf at the first, a middle or the last element raises."""
+    big = np.finfo(dtype).max * dtype(0.75)
+    with np.errstate(over="ignore"):   # numpy warns of the sum's overflow
+        assert np.isinf(np.add.reduce(np.full(4, big), axis=None))
+        for values in (np.full((2, 3), big), np.array([big, -big, big, big])):
+            assert np.array_equal(Tensor(values.astype(dtype)).data, values)
+        for shape in ((0,), (3, 0)):
+            assert Tensor(np.zeros(shape, dtype)).shape == shape
+        # each score q.k * smat / sqrt(4) is 0.375 of the largest float
+        q = Tensor(np.full((1, 3, 4), 0.5, dtype))
+        out = attention(q, q, q, 1, Tensor(np.full((1, 3, 3), big, dtype)))
+        assert out.data.dtype == dtype and np.isfinite(out.data).all()
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, 4, 8):
+            values = np.ones(9, dtype)
+            values[at] = bad
+            with pytest.raises(NonFiniteError):
+                Tensor(values.reshape(3, 3))
+            smat = Tensor(values.reshape(1, 3, 3), check=False)
+            q = Tensor(RNG.standard_normal((1, 3, 4)).astype(dtype))
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+                attention(q, q, q, 2, smat)
+
+
 def test_detach_stops_gradient():
     x = Tensor(np.array([3.0]), requires_grad=True)
     out = x * 2.0 + (x * 5.0).detach()

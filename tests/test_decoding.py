@@ -138,10 +138,9 @@ def test_cached_logits_match_with_uneven_growth(vocab):
     assert cache.lengths.tolist() == [len(ids) for ids in lists]
 
 
-def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypatch):
-    """While all four tracks decode, every self-attention layer attends
-    views of the cache's key and value buffers; once the bass (track 2) has
-    ended, tracks 0, 1 and 3 attend gathered copies."""
+def recording_attention(monkeypatch) -> list:
+    """The (k, v) arrays of every `attention` call the model makes, in call
+    order; the caller empties the list as it sees fit."""
     attended = []
     real = model_module.attention
 
@@ -150,6 +149,22 @@ def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypat
         return real(q, k, v, *args)
 
     monkeypatch.setattr(model_module, "attention", recording)
+    return attended
+
+
+def views_of(attended, kv) -> int:
+    """How many recorded (k, v) pairs view the arrays of one layer of kv,
+    a layer -> [K, V] dict."""
+    return sum(np.shares_memory(k, pair[0]) and np.shares_memory(v, pair[1])
+               for k, v in attended for pair in kv.values())
+
+
+def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypatch):
+    """While all four tracks decode, every self-attention layer attends
+    views of the cache's key and value buffers; once the bass (track 2) has
+    ended, tracks 0, 1 and 3 attend views of the rows their set holds,
+    which are not the cache's buffers."""
+    attended = recording_attention(monkeypatch)
     song = make_song(seed=3, n_bars=3)
     lists = song_lists(tokenize_song(song, vocab))
     assert len(lists[2]) == min(map(len, lists))
@@ -160,11 +175,61 @@ def test_cached_keys_and_values_are_views_for_contiguous_tracks(vocab, monkeypat
     for new in extensions([[ids[:t] for ids in lists] for t in cuts]):
         del attended[:]
         model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
-        views.append(sum(np.shares_memory(k, kv[0]) and np.shares_memory(v, kv[1])
-                         for k, v in attended for kv in cache.kv.values()))
+        held = cache.sets[(0, 1, 3)].kv if (0, 1, 3) in cache.sets else {}
+        views.append((views_of(attended, cache.kv), views_of(attended, held)))
     # steps 2 and 4 are steady: one row group, tracks 0-3 and then 0, 1, 3
-    assert len(cache.kv) == 2 and views[1::2] == [2, 0]
+    assert len(cache.kv) == 2 and views[1::2] == [(2, 0), (0, 2)]
     assert {(0, 1, 2, 3), (0, 1, 3)} <= set(cache.sets)
+
+
+def test_a_track_set_appends_to_the_rows_it_holds(vocab, monkeypatch):
+    """Counted on the 3-bar song of `test_cached_logits_match_full_forward`:
+    tracks 0, 1 and 3 decode together in 12 lockstep steps, and every one
+    attends views of the key and value rows their set holds (in the bottom
+    decoder only when a bar is exchanged, as the top decoder is then
+    recomputed from each track's bar token by other sets). The set takes
+    those rows from the cache's buffers when it first decodes, when the
+    buffers grow, and once after the exchange of bar 2, whose recompute of
+    the top decoder wrote rows of its tracks; in the 9 other steps it
+    attends the very arrays of the step before, appended in place."""
+    attended = recording_attention(monkeypatch)
+    song = make_song(seed=3, n_bars=3)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
+    held, steps, exchanged = [], [], False
+    for new in extensions(lockstep(lists)):
+        del attended[:]
+        capacity, bars = cache.top_in.shape[1], cache.bars_exchanged
+        model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
+        exchanging = cache.bars_exchanged > bars
+        if [i for i, ids in enumerate(new) if ids] == [0, 1, 3]:
+            kv = cache.sets[(0, 1, 3)].kv
+            arrays = [a for pair in kv.values() for a in pair]
+            assert len(kv) == 2 and views_of(attended, kv) == 2 - exchanging
+            assert exchanging or views_of(attended, cache.kv) == 0
+            gathered = not held or any(a is not b for a, b in zip(arrays, held[-1]))
+            grew = cache.top_in.shape[1] > capacity
+            steps.append((gathered, not held or grew or exchanged))
+            held.append(arrays)
+        exchanged = exchanging
+    assert len(steps) == 12 and sum(gathered for gathered, _ in steps) == 3
+    assert all(gathered == cause for gathered, cause in steps)
+    assert cache.bars_exchanged == 3
+
+
+def test_a_cached_call_must_leave_every_track_a_decoded_position(vocab):
+    """A first cached call that gives some track no ids raises `UsageError`
+    naming that track, rather than returning logits no position produced."""
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid = init_params(cfg), grid_of(song)
+    for new, track in (([[]] * 4, 0), ([ids[:2] for ids in lists[:3]] + [[]], 3)):
+        assert grid.n_tracks == len(new) == 4
+        with pytest.raises(UsageError, match=f"track {track} has no decoded"):
+            model_forward(build_track_seqs(new, vocab), grid, params, cfg,
+                          cache=DecodeCache())
 
 
 @pytest.mark.parametrize("name", ["bot0_self_k_b", "top0_self_v_b"])

@@ -157,9 +157,11 @@ def test_attention_over_cached_rows_leaves_the_cache_views_alone(dtype):
     as k and v: a prefill of 5 rows under the causal mask, then one row."""
     tracks, d, heads = 3, 8, 2
     cache = model.DecodeCache()
-    cache.top_in = np.zeros((tracks, 8, d), dtype)
+    cache._size(tracks, d, dtype, ["layer"])
+    cache.kv["layer"] = [np.zeros((tracks, 8, d), dtype) for _ in range(2)]
+    cache.S = Tensor(np.zeros((tracks, 1, 1), dtype))
     for start, rows in ((0, 5), (5, 1)):
-        past = model._CachedRows(cache, slice(0, tracks), start)
+        past = model._CachedRows(cache, cache.track_set((0, 1, 2)), start)
         new_k, new_v = (Tensor(frozen(RNG.standard_normal((tracks, rows, d)), dtype))
                         for _ in range(2))
         k, v = past.attend("layer", new_k, new_v)
