@@ -21,7 +21,7 @@ The model's hot compositions are one node each, with hand-written VJPs:
 
 - `linear`: x @ w + b. With a shared weight each VJP is one 2-D product
   over the flattened leading axes, with one weight per track one batched
-  product.
+  product. Training feeds the decoders' layers packed `[N, d]` rows.
 - `attention`: multi-head attention between the q, k and v projections.
   It splits the heads, takes the similarity-modulated, scaled, masked
   softmax and merges the heads back, all in numpy. The scores the causal
@@ -41,6 +41,11 @@ compute in place in arrays they allocated themselves; no VJP writes into
 an input, a saved array or its incoming gradient, which may be a read-only
 view.
 
+Two data-movement nodes take a training forward's rows between the padded
+`[I, T, d]` layout and the packed `[N, d]` rows of its real positions:
+`pack` gathers rows, and its VJP scatters into zeros; `unpack` scatters
+into zeros, and its VJP gathers. Both only copy values, so they are exact.
+
 Every op checks that its result is finite, always, so NaN/Inf surfaces at
 the op that produced it. The check (`_all_finite`) is one `np.add.reduce`:
 a NaN or an infinity anywhere makes the sum non-finite, so a finite sum
@@ -51,6 +56,8 @@ arrays with a non-finite element raise. A `Tensor` built with
 one, each over values checked before:
 
 - `Tensor.detach` and `Tensor.__getitem__` reuse their input's values.
+- `pack` gathers rows of its input, and `unpack` scatters its input's
+  rows into zeros.
 - `model._CachedRows.attend` wraps views of the self-attention key and
   value rows a decode cache's track set holds (the cache's buffers, or the
   set's own copy of its rows), each row checked as a `linear` output when
@@ -400,9 +407,11 @@ def layer_norm_affine(x: Tensor, r: Tensor, g: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x [..., n_in], w [n_in, n_out] and b [n_out], as one
-    node. Each VJP is one 2-D product over the flattened leading axes. The
-    forward keeps numpy's batched product: with few rows per batch, the
-    flattened one rounds differently on OpenBLAS.
+    node. Each VJP is one 2-D product over the flattened leading axes. A
+    training forward's decoder rows come packed, as x [N, n_in], so its
+    products are 2-D. The forward keeps numpy's batched product for other
+    shapes: decoding's [n, 1, n_in] rows, flattened, round differently on
+    OpenBLAS, and its goldens hold the batched product's values.
 
     With one weight per slot, w [I, n_in, n_out] and b [I, n_out] for
     x [n * I, t, n_in] (n songs of I tracks, stacked), row r of x goes
@@ -534,6 +543,31 @@ def take(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"take: ids outside table of {table.data.shape[0]} rows")
     return table[ids]
+
+
+def pack(x: Tensor, index: np.ndarray) -> Tensor:
+    """The rows [N, d] of x [..., d] at the flat positions `index` of its
+    leading axes, in index order. The VJP scatters the gradient into zeros
+    of x's shape, so rows that were not gathered get exactly 0."""
+    flat = _rows(x.data)
+
+    def vjp(g):
+        full = np.zeros_like(flat)
+        full[index] = g
+        return full.reshape(x.data.shape)
+    return Tensor(flat.take(index, axis=0), parents=(x,), vjps=(vjp,),
+                  op="pack", check=False)
+
+
+def unpack(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
+    """The rows of x [N, d] scattered into zeros [*lead, d] at the flat
+    positions `index` of the leading axes: the inverse of `pack`. The VJP
+    gathers the gradient's rows at `index`."""
+    full = np.zeros((math.prod(lead), x.data.shape[-1]), x.data.dtype)
+    full[index] = x.data
+    return Tensor(full.reshape(*lead, -1), parents=(x,),
+                  vjps=(lambda g: _rows(g).take(index, axis=0),),
+                  op="unpack", check=False)
 
 
 def put_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, updates: Tensor) -> Tensor:

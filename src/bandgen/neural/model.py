@@ -12,15 +12,24 @@ Encoder/decoder weights are shared across tracks; only the instrument
 embedding and the output heads are per track slot. A training forward may
 stack several songs of the same track and bar counts along the track axis:
 every stage but the cross-track layer works per track anyway, and that
-layer exchanges bars within each song. Every array follows the config's
-`dtype`: parameters are drawn in float64 and cast, position tables and
-decode-cache buffers are kept in it, and the local autograd keeps float32
-as float32. `paper` computes in float32; float64, the default, is the
-exact path. Every linear layer (the per-track heads included), attention
-core and affine layer norm (with the residual sum it normalizes) is one
-autograd node (`linear`, `attention`, `layer_norm_affine`) with a
-hand-written backward, and so is the token embedding (`embed_tokens`,
-whose ids are checked against both ends of the vocabulary).
+layer exchanges bars within each song. Its tracks are padded with PAD to
+one length T, but the decoders run on packed rows: the embeddings of the
+real positions, [N, d] for N the sum of the track lengths (`Packing`).
+Their projections, FFNs and layer norms see only those rows; the attention
+cores and the cross-track layer see the padded [I, T, d] layout, through
+the exact `pack` and `unpack` nodes, and so do the heads. A padded
+position's row is zero there, so its logits are the heads' biases; no
+padded position is a target, and no real one attends it.
+
+Every array follows the config's `dtype`: parameters are drawn in float64
+and cast, position tables and decode-cache buffers are kept in it, and the
+local autograd keeps float32 as float32. `paper` computes in float32;
+float64, the default, is the exact path. Every linear layer (the per-track
+heads included), attention core and affine layer norm (with the residual
+sum it normalizes) is one autograd node (`linear`, `attention`,
+`layer_norm_affine`) with a hand-written backward, and so is the token
+embedding (`embed_tokens`, whose ids are checked against both ends of the
+vocabulary).
 
 `grid_stage` is the one conditioning pass: C, E, S and every decoder layer's
 cross-attention keys and values over E (attention reads only projected keys
@@ -38,7 +47,9 @@ from the cache, gathered once per set of tracks. They attend views of the
 self-attention key and value rows their set holds: views of the cache's
 buffers when the set is contiguous, else a copy of its rows that the set
 appends to as it decodes, taken again only after another set wrote rows of
-its tracks (the cross-track recompute) or the buffers grew. So a steady
+its tracks (the cross-track recompute) or the buffers grew. A set drops
+those rows when another set takes over one of its tracks or the buffers
+grow, so sets that no longer decode hold no copy. So a steady
 step, with one new id per active track and no bar exchanged, copies no
 cached prefix and visits no halted track. Cached rows (keys, values,
 top-decoder inputs and last rows) were checked for finiteness when written
@@ -66,8 +77,8 @@ from ..features import (DRUM_COLS, DRUM_KEYS_FEATURE, FEATURE_SIZES,
 from ..score import MAX_TRACKS
 from ..tokens import PAD_ID, TrackTokenSeqs, bar_of
 from .autograd import (Tensor, attention, concat, cross_entropy_logits,
-                       layer_norm, layer_norm_affine, linear, no_grad,
-                       put_pairs, softmax, take)
+                       layer_norm, layer_norm_affine, linear, no_grad, pack,
+                       put_pairs, softmax, take, unpack)
 
 
 _SIZE_FIELDS = ("d", "heads", "ffn", "b_max", "t_max", "vocab_size", "codebook_size")
@@ -322,10 +333,32 @@ def _keys_values(memory: Tensor, params: dict, name: str) -> tuple[Tensor, Tenso
     return _linear(memory, params, f"{name}_k"), _linear(memory, params, f"{name}_v")
 
 
+class Packing:
+    """Where the packed rows of a training forward sit in its padded
+    tracks: `index` holds the flat position i * T + t of every real
+    position t < lengths[i] of track i, track by track, in the [I, T]
+    layout `lead`. `pack` and `unpack` move rows between [I, T, d] and
+    [N, d], N the sum of the lengths."""
+
+    __slots__ = ("index", "lead")
+
+    def __init__(self, lengths: list[int], T: int):
+        real = np.arange(T) < np.array(lengths, dtype=np.int64)[:, None]
+        self.index = np.flatnonzero(real)
+        self.lead = real.shape
+
+    def pack(self, x: Tensor) -> Tensor:
+        return pack(x, self.index)
+
+    def unpack(self, x: Tensor) -> Tensor:
+        return unpack(x, self.index, self.lead)
+
+
 def multi_head_attention(x: Tensor, k: Tensor, v: Tensor, params: dict,
                          name: str, heads: int, causal: bool = False,
                          smat: Tensor | None = None,
-                         past: "_CachedRows | None" = None) -> Tensor:
+                         past: "_CachedRows | None" = None,
+                         rows: Packing | None = None) -> Tensor:
     """Batched attention of the [batch, Tq, d] queries x over the keys and
     values [batch, Tk, d] that layer `name` projected of its memory
     (`_keys_values`).
@@ -333,7 +366,9 @@ def multi_head_attention(x: Tensor, k: Tensor, v: Tensor, params: dict,
     With `smat` [batch, Tq, Tk], raw scores are multiplied elementwise by it
     (shared across heads) before scaling and masking. With `past`, k and v
     hold only the query rows' own positions; they are cached and the
-    queries attend every cached position up to their last.
+    queries attend every cached position up to their last. With `rows`, x
+    holds packed rows [N, d]: the queries are unpacked for the core, and its
+    output is packed again for the output projection.
     Under `causal` the queries are the last Tq of the Tk positions, so one
     query row blocks nothing and builds no mask. The projections are
     `linear` nodes; the core between them, from the head split to the head
@@ -342,10 +377,15 @@ def multi_head_attention(x: Tensor, k: Tensor, v: Tensor, params: dict,
     q = _linear(x, params, f"{name}_q")
     if past is not None:
         k, v = past.attend(name, k, v)
+    if rows is not None:
+        q = rows.unpack(q)
     blocked = None
     if causal and q.shape[1] > 1:
         blocked = causal_mask(q.shape[1], k.shape[1])
-    return _linear(attention(q, k, v, heads, smat, blocked), params, f"{name}_o")
+    out = attention(q, k, v, heads, smat, blocked)
+    if rows is not None:
+        out = rows.pack(out)
+    return _linear(out, params, f"{name}_o")
 
 
 def _encoder_stack(x: Tensor, params: dict, prefix: str, n_layers: int,
@@ -490,10 +530,15 @@ def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tenso
 
 
 def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
-                 cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
-    """Causal self-attention with scores modulated by the tiled similarity."""
-    return multi_head_attention(x, *_keys_values(x, params, name), params, name,
-                                cfg.heads, causal=True, smat=smat, past=past)
+                 cfg: ModelConfig, past: "_CachedRows | None" = None,
+                 rows: Packing | None = None) -> Tensor:
+    """Causal self-attention with scores modulated by the tiled similarity;
+    with `rows`, of packed rows x (`multi_head_attention`)."""
+    k, v = _keys_values(x, params, name)
+    if rows is not None:
+        k, v = rows.unpack(k), rows.unpack(v)
+    return multi_head_attention(x, k, v, params, name, cfg.heads, causal=True,
+                                smat=smat, past=past, rows=rows)
 
 
 Memory = dict[str, tuple[Tensor, Tensor]]  # cross-attention layer -> K, V [I, B, d]
@@ -518,28 +563,33 @@ def grid_stage(grid: FeatureGrid, params: dict, cfg: ModelConfig
 
 def _decoder_stack(x: Tensor, memory: Memory, smat: Tensor, params: dict,
                    prefix: str, n_layers: int, cfg: ModelConfig,
-                   past: "_CachedRows | None") -> Tensor:
+                   past: "_CachedRows | None", rows: Packing | None) -> Tensor:
     """Decoder layers over x; `memory` holds the cross-attention keys and
-    values over the bars of x's tracks."""
+    values over the bars of x's tracks. With `rows`, x holds packed rows
+    [N, d], and only the attention cores see the padded layout."""
     for l in range(n_layers):
         name = f"{prefix}{l}"
-        a = _ln_affine(x, se_attention(x, smat, params, f"{name}_self", cfg, past),
-                       params, f"{name}_ln1")
+        a = _ln_affine(x, se_attention(x, smat, params, f"{name}_self", cfg, past,
+                                       rows), params, f"{name}_ln1")
         b = _ln_affine(a, multi_head_attention(a, *memory[f"{name}_cross"], params,
-                                               f"{name}_cross", cfg.heads),
+                                               f"{name}_cross", cfg.heads, rows=rows),
                        params, f"{name}_ln2")
         x = _ln_affine(b, _ffn(b, params, name), params, f"{name}_ln3")
     return x
 
 
 def bottom_decode(x: Tensor, memory: Memory, smat: Tensor, params: dict,
-                  cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
-    return _decoder_stack(x, memory, smat, params, "bot", cfg.layers_bottom, cfg, past)
+                  cfg: ModelConfig, past: "_CachedRows | None" = None,
+                  rows: Packing | None = None) -> Tensor:
+    return _decoder_stack(x, memory, smat, params, "bot", cfg.layers_bottom, cfg,
+                          past, rows)
 
 
 def top_decode(x: Tensor, memory: Memory, smat: Tensor, params: dict,
-               cfg: ModelConfig, past: "_CachedRows | None" = None) -> Tensor:
-    return _decoder_stack(x, memory, smat, params, "top", cfg.layers_top, cfg, past)
+               cfg: ModelConfig, past: "_CachedRows | None" = None,
+               rows: Packing | None = None) -> Tensor:
+    return _decoder_stack(x, memory, smat, params, "top", cfg.layers_top, cfg,
+                          past, rows)
 
 
 def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
@@ -590,9 +640,10 @@ class DecodeCache:
     positions grow by doubling, and every set of tracks decoding writes its
     new keys and values into them. `sets` keeps, per set of tracks a row
     group has held, its rows of S, of the cross-attention keys and values
-    and of the self-attention keys and values (`track_set`); `writers`
-    names the set that wrote each track's rows last. One cache serves one
-    decoded piece; after a call that raised, start a new one."""
+    and, while it wrote all of its tracks last, of the self-attention keys
+    and values (`track_set`); `writers` names the set that wrote each
+    track's rows last. One cache serves one decoded piece; after a call
+    that raised, start a new one."""
 
     def __init__(self):
         self.grid: FeatureGrid | None = None
@@ -637,7 +688,10 @@ class DecodeCache:
             self.bar_index = np.pad(self.bar_index, pad[:2])
             for pair in self.kv.values():
                 pair[:] = [np.pad(a, pad) for a in pair]
-            self.writers = [None] * len(self.writers)  # every set reads anew
+            # every set reads anew; rows still held would keep the old buffers
+            self.writers = [None] * len(self.writers)
+            for ts in self.sets.values():
+                ts.kv = {}
         for i, (n, new) in enumerate(zip(seqs.lengths, seqs.bar_token_positions)):
             if not n:
                 continue
@@ -656,7 +710,9 @@ class DecodeCache:
         gathered the first time a row group holds it. Its self-attention
         key and value rows are taken again whenever another set has written
         rows of its tracks since it last decoded, or the buffers grew;
-        otherwise the set appends to the rows it holds."""
+        otherwise the set appends to the rows it holds. A set holds such
+        rows only while it wrote its tracks last: one that hands a track to
+        another set drops them, as every set does when the buffers grow."""
         found = self.sets.get(tracks)
         if found is None:
             rows = (slice(tracks[0], tracks[-1] + 1)
@@ -666,10 +722,12 @@ class DecodeCache:
                 {name: (k[rows], v[rows]) for name, (k, v) in self.memory.items()}, {})
         writers = self.writers
         if any(writers[i] is not found for i in tracks):
+            for i in tracks:
+                if writers[i] is not None:
+                    writers[i].kv = {}
+                writers[i] = found
             found.kv = {name: [k[found.rows], v[found.rows]]
                         for name, (k, v) in self.kv.items()}
-            for i in tracks:
-                writers[i] = found
         return found
 
 
@@ -681,7 +739,7 @@ class _TrackSet:
     cross-attention keys and values, and its self-attention key and value
     rows by layer, [n, capacity, d] each (`DecodeCache.track_set`). Those
     are views of the cache's buffers for a contiguous set and a copy of
-    its rows otherwise."""
+    its rows otherwise; `kv` is empty while the set holds none."""
     tracks: np.ndarray
     rows: slice | np.ndarray
     S: Tensor
@@ -786,7 +844,10 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     `seqs` and `grid` may hold `songs` songs of the same track and bar
     counts, stacked along the track axis (tracks of one song adjacent, all
     padded to one T). Tracks exchange bars only within their song, and take
-    the instrument embedding and output head of their slot in it.
+    the instrument embedding and output head of their slot in it. The
+    decoders run on the packed rows of the real positions (see the module
+    docstring); the logits at a padded position are the heads' biases of
+    its slot, and `sequence_loss` never takes them as a target.
 
     With a `DecodeCache`, for decoding one song, `seqs` holds only each
     track's new ids (`build_track_seqs` of them; a track with none has
@@ -819,11 +880,13 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     smat = expand_similarity(S, bars)
     slots = np.arange(seqs.n_tracks) % (seqs.n_tracks // songs)
     x = embed_tokens(np.array(seqs.seqs, dtype=np.int64), bars, slots, 0, params, cfg)
-    O = bottom_decode(x, memory, smat, params, cfg)
+    rows = Packing(seqs.lengths, seqs.length)
+    O = bottom_decode(rows.pack(x), memory, smat, params, cfg, rows=rows)
     if cfg.layers_ctt:
-        O = ctt_forward(O, seqs.bar_token_positions, params, cfg, songs)
-    O = top_decode(O, memory, smat, params, cfg)
-    return project_logits(O, params, songs)
+        O = rows.pack(ctt_forward(rows.unpack(O), seqs.bar_token_positions,
+                                  params, cfg, songs))
+    O = top_decode(O, memory, smat, params, cfg, rows=rows)
+    return project_logits(rows.unpack(O), params, songs)
 
 
 def sequence_loss(logits: Tensor, seqs: TrackTokenSeqs) -> tuple[Tensor, int]:

@@ -7,7 +7,8 @@ tracks bars apart, as decoding makes them); `check_pair` is the rule, and
 `batch_loss` applies it to every pair once. A batch runs as one graph per
 group of songs that share their track and bar counts, in the order the
 groups first appear: the songs of a group are stacked along the track axis
-and padded with PAD to the group's longest sequence (see `model_forward`).
+and padded with PAD to the group's longest sequence (see `model_forward`,
+whose decoders run only on the real positions' rows).
 Padding is never a target and no real position attends it, so the summed
 loss and its gradients are those of the songs run one at a time, up to float
 rounding. Songs of different bar counts are never padded to one another:

@@ -6,8 +6,9 @@ import pytest
 from bandgen.errors import NonFiniteError
 from bandgen.neural.autograd import (LN_EPS, Tensor, _normalize, attention,
                                      concat, cross_entropy_logits, layer_norm,
-                                     layer_norm_affine, linear, no_grad,
-                                     put_pairs, softmax, straight_through, take)
+                                     layer_norm_affine, linear, no_grad, pack,
+                                     put_pairs, softmax, straight_through, take,
+                                     unpack)
 from bandgen.neural.model import expand_similarity
 
 RNG = np.random.default_rng(42)
@@ -433,6 +434,45 @@ def test_fused_nodes_raise_on_non_finite_input():
         k[:, 0] = -1e200
         with pytest.raises(NonFiniteError):
             attention(Tensor(q), Tensor(k), Tensor(np.ones((1, 3, 4))), 1)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_pack_and_unpack_move_rows_exactly(dtype):
+    """Three tracks of 5 positions holding 3, 2 and 4 real ones: pack
+    gathers their rows and unpack scatters them into zeros, and each node's
+    VJP is the other map, an explicit gather or scatter bit for bit."""
+    x = RNG.standard_normal((3, 5, 4)).astype(dtype)
+    index = np.array([0, 1, 2, 5, 6, 10, 11, 12, 13])
+    flat = x.reshape(15, 4)
+
+    def scattered(rows):   # [9, 4] -> [3, 5, 4], zeros elsewhere
+        full = np.zeros((15, 4), dtype)
+        full[index] = rows
+        return full.reshape(3, 5, 4)
+
+    padded = Tensor(x, requires_grad=True)
+    packed = pack(padded, index)
+    assert (packed.op, packed.data.dtype) == ("pack", dtype)
+    assert np.array_equal(packed.data, flat[index])
+    g = RNG.standard_normal((9, 4)).astype(dtype)
+    packed.backward(g)
+    assert np.array_equal(padded.grad, scattered(g))
+
+    rows = Tensor(flat[index], requires_grad=True)
+    out = unpack(rows, index, (3, 5))
+    assert (out.op, out.data.dtype) == ("unpack", dtype)
+    assert np.array_equal(out.data, scattered(flat[index]))
+    g = RNG.standard_normal((3, 5, 4)).astype(dtype)
+    out.backward(g)
+    assert np.array_equal(rows.grad, g.reshape(15, 4)[index])
+
+    # packing the unpacked rows gives them back, and so does its VJP
+    rows.grad = None
+    again = pack(unpack(rows, index, (3, 5)), index)
+    assert np.array_equal(again.data, rows.data)
+    g = RNG.standard_normal((9, 4)).astype(dtype)
+    again.backward(g)
+    assert np.array_equal(rows.grad, g)
 
 
 def test_take_embedding_gradient():

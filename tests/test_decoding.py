@@ -187,11 +187,12 @@ def test_a_track_set_appends_to_the_rows_it_holds(vocab, monkeypatch):
     tracks 0, 1 and 3 decode together in 12 lockstep steps, and every one
     attends views of the key and value rows their set holds (in the bottom
     decoder only when a bar is exchanged, as the top decoder is then
-    recomputed from each track's bar token by other sets). The set takes
-    those rows from the cache's buffers when it first decodes, when the
-    buffers grow, and once after the exchange of bar 2, whose recompute of
-    the top decoder wrote rows of its tracks; in the 9 other steps it
-    attends the very arrays of the step before, appended in place."""
+    recomputed from each track's bar token by other sets, and the set drops
+    its rows). The set takes those rows from the cache's buffers when it
+    first decodes, when the buffers grow, and once after the exchange of
+    bar 2, whose recompute of the top decoder wrote rows of its tracks; in
+    the 9 other steps it attends the very arrays of the step before,
+    appended in place."""
     attended = recording_attention(monkeypatch)
     song = make_song(seed=3, n_bars=3)
     lists = song_lists(tokenize_song(song, vocab))
@@ -205,17 +206,85 @@ def test_a_track_set_appends_to_the_rows_it_holds(vocab, monkeypatch):
         exchanging = cache.bars_exchanged > bars
         if [i for i, ids in enumerate(new) if ids] == [0, 1, 3]:
             kv = cache.sets[(0, 1, 3)].kv
-            arrays = [a for pair in kv.values() for a in pair]
-            assert len(kv) == 2 and views_of(attended, kv) == 2 - exchanging
-            assert exchanging or views_of(attended, cache.kv) == 0
-            gathered = not held or any(a is not b for a, b in zip(arrays, held[-1]))
+            own = attended[0]   # the bottom decoder's self-attention rows
+            assert views_of([own], cache.kv) == 0
+            if exchanging:
+                assert kv == {}
+            else:
+                assert len(kv) == 2 and views_of(attended, kv) == 2
+                assert views_of(attended, cache.kv) == 0
+            gathered = not held or not np.shares_memory(own[0], held[-1][0])
             grew = cache.top_in.shape[1] > capacity
             steps.append((gathered, not held or grew or exchanged))
-            held.append(arrays)
+            held.append(own)
         exchanged = exchanging
     assert len(steps) == 12 and sum(gathered for gathered, _ in steps) == 3
     assert all(gathered == cause for gathered, cause in steps)
     assert cache.bars_exchanged == 3
+
+
+def test_only_sets_that_write_all_their_tracks_hold_rows(vocab):
+    """On the 3-bar song of `test_cached_logits_match_full_forward`: after
+    every cached call, a set holds self-attention key and value rows
+    exactly when it wrote each of its tracks last (the buffers' growth
+    makes every set drop its rows, and the sets that decode after it take
+    them again). Once track 3 decodes alone, the sets (0, 1, 3) and (0, 3)
+    hold no copy, only contiguous sets hold views of the buffers, and the
+    logits are those of the full forward. A set idle while the buffers
+    grow keeps nothing either."""
+    song = make_song(seed=3, n_bars=3)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
+    alone = 0
+    for lists_t, new in zip(lockstep(lists), extensions(lockstep(lists))):
+        got = model_forward(build_track_seqs(new, vocab), grid, params, cfg,
+                            cache=cache)
+        for tracks, ts in cache.sets.items():
+            writes = all(cache.writers[i] is ts for i in tracks)
+            assert bool(ts.kv) == writes, tracks
+        if [i for i, ids in enumerate(new) if ids] == [3]:
+            alone += 1
+            assert not cache.sets[(0, 1, 3)].kv and not cache.sets[(0, 3)].kv
+            assert all(isinstance(ts.rows, slice)
+                       for ts in cache.sets.values() if ts.kv)
+            seqs = build_track_seqs(lists_t, vocab)
+            full = model_forward(seqs, grid, params, cfg).data
+            np.testing.assert_allclose(got.data[3, 0], full[3, seqs.lengths[3] - 1],
+                                       rtol=0, atol=TOL)
+    assert alone > 20
+
+    # buffers that grow while a holding set is idle leave it holding nothing
+    cache = DecodeCache()
+    model_forward(build_track_seqs([ids[:5] for ids in lists], vocab), grid,
+                  params, cfg, cache=cache)
+    idle = cache.sets[(0, 1, 2, 3)]
+    assert idle.kv and cache.top_in.shape[1] == 5
+    model_forward(build_track_seqs([ids[5:15] for ids in lists[:2]] + [[], []],
+                                   vocab), grid, params, cfg, cache=cache)
+    assert cache.top_in.shape[1] == 15 and not idle.kv
+    assert all(a.shape[1] == 15 for pair in cache.sets[(0, 1)].kv.values()
+               for a in pair)
+
+
+def test_a_cached_step_builds_no_pack_or_unpack_node(vocab, monkeypatch):
+    """Decoding keeps its [n, 1, d] rows: no cached call packs or unpacks,
+    while one training forward does."""
+    calls = []
+    for name in ("pack", "unpack"):
+        real = getattr(model_module, name)
+        monkeypatch.setattr(model_module, name,
+                            lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    song = make_song(seed=3, n_bars=2)
+    lists = song_lists(tokenize_song(song, vocab))
+    cfg = small_cfg()
+    params, grid, cache = init_params(cfg), grid_of(song), DecodeCache()
+    for new in extensions([[ids[:t] for ids in lists] for t in (2, 30, 31, 32)]):
+        model_forward(build_track_seqs(new, vocab), grid, params, cfg, cache=cache)
+    assert calls == [] and cache.bars_exchanged == 1
+    model_forward(build_track_seqs(lists, vocab), grid, params, cfg)
+    assert {"pack", "unpack"} == set(calls)
 
 
 def test_a_cached_call_must_leave_every_track_a_decoded_position(vocab):

@@ -15,8 +15,9 @@ from bandgen.neural.autograd import Tensor, take
 from bandgen.neural.checkpoint import (dump_checkpoint, load_checkpoint,
                                        load_checkpoint_file,
                                        save_checkpoint_file)
-from bandgen.neural.model import (DecodeCache, ModelConfig, _keys_values,
-                                  bar_similarity, bottom_decode, ctt_forward,
+from bandgen.neural import model as model_module
+from bandgen.neural.model import (DecodeCache, ModelConfig, Packing,
+                                  _keys_values, bar_similarity, bottom_decode, ctt_forward,
                                   dump_config, embed_conditions, embed_tokens,
                                   encode_features, expand_similarity,
                                   grid_stage, init_params, load_config,
@@ -29,7 +30,8 @@ from bandgen.neural.sampling import generate
 from bandgen.neural.vqvae import init_vq_params
 from bandgen.score import Song, Track
 from bandgen.synth import make_song
-from bandgen.tokens import TrackTokenSeqs, build_track_seqs, tokenize_song
+from bandgen.tokens import (PAD_ID, TrackTokenSeqs, build_track_seqs,
+                            tokenize_song)
 
 RNG = np.random.default_rng(7)
 
@@ -520,9 +522,17 @@ def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
     smat = expand_similarity(bar_similarity(E, params, cfg), bars)
     x = embed_tokens(np.array(seqs.seqs, dtype=np.int64), bars,
                      np.arange(seqs.n_tracks), 0, params, cfg)
-    O = bottom_decode(x, memory, smat, params, cfg)
-    expected = project_logits(top_decode(O, memory, smat, params, cfg), params)
+    rows = Packing(seqs.lengths, seqs.length)
+    O = bottom_decode(rows.pack(x), memory, smat, params, cfg, rows=rows)
+    O = top_decode(O, memory, smat, params, cfg, rows=rows)
+    expected = project_logits(rows.unpack(O), params)
     assert np.array_equal(logits.data, expected.data)
+    # the rows stay packed between the stacks; a padded position's logits
+    # are the heads' biases, the projection of a zero row
+    padded = np.arange(seqs.length) >= np.array(seqs.lengths)[:, None]
+    assert padded.any()
+    assert np.array_equal(logits.data[padded],
+                          params["heads_b"].data[np.nonzero(padded)[0]])
     with_ctt = model_forward(seqs, grid, params, small_cfg())
     assert not np.array_equal(logits.data, with_ctt.data)
 
@@ -532,6 +542,70 @@ def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
     assert ctt and all(params[name].grad is None for name in ctt)
     assert all(p.grad is not None for name, p in params.items()
                if name.startswith(("bot", "top")))
+
+
+def loss_and_gradients(seqs, grid, params, cfg):
+    for p in params.values():
+        p.grad = None
+    logits = model_forward(seqs, grid, params, cfg)
+    loss, _ = sequence_loss(logits, seqs)
+    loss.backward()
+    return logits.data, {name: np.array(p.grad) for name, p in params.items()}
+
+
+def test_extra_pad_columns_change_no_real_row_or_gradient(vocab):
+    """A group padded 17 columns past its longest track: the logits of its
+    real rows and every gradient stay within 1e-12 of the block's largest
+    magnitude (or of 1e-8 of the model's largest gradient, if more). The packed rows are the same; the attention cores see the
+    wider layout, whose extra keys no real query reaches."""
+    cfg = small_cfg()
+    params = init_params(cfg)
+    seqs, grid = make_pair(vocab)
+    wider = TrackTokenSeqs([ids + [PAD_ID] * 17 for ids in seqs.seqs],
+                           seqs.bar_token_positions, seqs.lengths)
+    logits, grads = loss_and_gradients(seqs, grid, params, cfg)
+    logits_w, grads_w = loss_and_gradients(wider, grid, params, cfg)
+    real = np.arange(seqs.length) < np.array(seqs.lengths)[:, None]
+    assert logits_w.shape[1] == logits.shape[1] + 17 and not real.all()
+    np.testing.assert_allclose(logits_w[:, :seqs.length][real], logits[real],
+                               rtol=0, atol=1e-12 * np.abs(logits).max())
+    # the attention key biases' true gradient is 0: theirs is rounding
+    # noise, compared against the model's largest gradient
+    floor = 1e-8 * max(np.abs(g).max() for g in grads.values())
+    for name, g in grads.items():
+        scale = max(np.abs(g).max(), floor)
+        np.testing.assert_allclose(grads_w[name], g, rtol=0, atol=1e-12 * scale,
+                                   err_msg=name)
+
+
+def test_every_decoder_linear_of_a_training_forward_takes_the_real_rows(
+        vocab, monkeypatch):
+    """Each decoder layer's eight projections (self-attention q, k, v and o,
+    cross-attention q and o, both FFN layers) take the packed [N, d_in]
+    rows, N the sum of the track lengths; the cross-attention keys and
+    values project the feature encoding instead."""
+    cfg = small_cfg(layers_bottom=2)
+    params = init_params(cfg)
+    names = {id(p): name for name, p in params.items()}
+    shapes = collections.defaultdict(list)
+    real = model_module.linear
+
+    def recording(x, w, b):
+        shapes[names[id(w)]].append(x.shape)
+        return real(x, w, b)
+
+    monkeypatch.setattr(model_module, "linear", recording)
+    seqs, grid = make_pair(vocab)
+    model_forward(seqs, grid, params, cfg)
+    n = sum(seqs.lengths)
+    assert n < seqs.n_tracks * seqs.length
+    decoder = {name: got for name, got in shapes.items()
+               if name.startswith(("bot", "top"))
+               and not name.endswith(("_cross_k_w", "_cross_v_w"))}
+    assert len(decoder) == 8 * (cfg.layers_bottom + cfg.layers_top)
+    widths = {"ffn2": cfg.ffn}
+    assert all(got == [(n, widths.get(name.split("_")[1], cfg.d))]
+               for name, got in decoder.items()), decoder
 
 
 def test_forward_is_deterministic(vocab):
@@ -566,12 +640,18 @@ def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
     # The shape ops left: reshapes of the
     # drum and pitched VQ embeddings, the cross-track layer's input and
     # output and the loss's logits, and the key transpose of the bar
-    # similarity
+    # similarity. `nodes` counts all but the `pack` and `unpack` nodes of
+    # the packed decoder rows: each decoder layer unpacks its self-attention
+    # queries, keys and values and its cross-attention queries and packs
+    # both outputs, and the embedding, the cross-track layer and the heads
+    # add two of each (104 nodes in all at toy, 232 at paper)
     cfg = make_config(preset)
     seqs, grid = make_pair(vocab, n_bars=4, seed=1)
     loss, _ = sequence_loss(model_forward(seqs, grid, init_params(cfg), cfg), seqs)
     ops = tape_census(loss)
-    assert sum(ops.values()) == nodes
+    decoders = cfg.layers_bottom + cfg.layers_top
+    assert (ops["pack"], ops["unpack"]) == (2 * decoders + 2, 4 * decoders + 2)
+    assert sum(ops.values()) - ops["pack"] - ops["unpack"] == nodes
     assert (ops["attention"], ops["reshape"], ops["transpose"]) == (
         attention, reshape, transpose)
     layer_norms = 2 * (cfg.layers_enc + cfg.layers_ctt) + 3 * (
