@@ -570,18 +570,18 @@ def unpack(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
                   op="unpack", check=False)
 
 
-def put_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, updates: Tensor) -> Tensor:
-    """Copy of x with rows (idx0[j], idx1[j]) replaced by updates[j]; all
-    other entries pass through bit-identically."""
+def put_rows(x: Tensor, idx: np.ndarray, updates: Tensor) -> Tensor:
+    """Copy of x [R, d] with rows idx[j] replaced by updates[j]; all other
+    rows pass through bit-identically."""
     data = x.data.copy()
-    data[idx0, idx1] = updates.data
+    data[idx] = updates.data
 
     def vjp_x(g):
         gx = g.copy()
-        gx[idx0, idx1] = 0.0
+        gx[idx] = 0.0
         return gx
     return Tensor(data, parents=(x, updates),
-                  vjps=(vjp_x, lambda g: g[idx0, idx1]), op="put_pairs")
+                  vjps=(vjp_x, lambda g: g[idx]), op="put_rows")
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray,

@@ -13,13 +13,21 @@ embedding and the output heads are per track slot. A training forward may
 stack several songs of the same track and bar counts along the track axis:
 every stage but the cross-track layer works per track anyway, and that
 layer exchanges bars within each song. Its tracks are padded with PAD to
-one length T, but the decoders run on packed rows: the embeddings of the
-real positions, [N, d] for N the sum of the track lengths (`Packing`).
-Their projections, FFNs and layer norms see only those rows; the attention
-cores and the cross-track layer see the padded [I, T, d] layout, through
-the exact `pack` and `unpack` nodes, and so do the heads. A padded
-position's row is zero there, so its logits are the heads' biases; no
-padded position is a target, and no real one attends it.
+one length T, but the decoders and the cross-track layer run on packed
+rows: the embeddings of the real positions, [N, d] for N the sum of the
+track lengths. Their projections, FFNs and layer norms see only those
+rows, and the cross-track layer finds a bar token at its position plus
+its track's first row. Only the attention cores and the heads see the
+padded [I, T, d] layout, through the exact `pack` and `unpack` nodes. A
+padded position's row is zero there, so its logits are the heads' biases;
+no padded position is a target, and no real one attends it.
+
+Both paths hand the decoder stacks one row context, `rows`: a `Packing`
+in training, a `_CachedRows` in decoding. It answers three calls:
+`attend` gives the self-attention keys and values the core reads,
+`unpack` turns queries into the core's layout and `pack` turns its output
+back. Decoding's rows are already in the core's layout, so its `pack` and
+`unpack` pass them through.
 
 Every array follows the config's `dtype`: parameters are drawn in float64
 and cast, position tables and decode-cache buffers are kept in it, and the
@@ -78,7 +86,7 @@ from ..score import MAX_TRACKS
 from ..tokens import PAD_ID, TrackTokenSeqs, bar_of
 from .autograd import (Tensor, attention, concat, cross_entropy_logits,
                        layer_norm, layer_norm_affine, linear, no_grad, pack,
-                       put_pairs, softmax, take, unpack)
+                       put_rows, softmax, take, unpack)
 
 
 _SIZE_FIELDS = ("d", "heads", "ffn", "b_max", "t_max", "vocab_size", "codebook_size")
@@ -334,18 +342,24 @@ def _keys_values(memory: Tensor, params: dict, name: str) -> tuple[Tensor, Tenso
 
 
 class Packing:
-    """Where the packed rows of a training forward sit in its padded
-    tracks: `index` holds the flat position i * T + t of every real
-    position t < lengths[i] of track i, track by track, in the [I, T]
-    layout `lead`. `pack` and `unpack` move rows between [I, T, d] and
-    [N, d], N the sum of the lengths."""
+    """The row context of a training forward: where its packed rows sit in
+    its padded tracks. `index` holds the flat position i * T + t of every
+    real position t < lengths[i] of track i, track by track, in the [I, T]
+    layout `lead`, and `start` each track's first row. `pack` and `unpack`
+    move rows between [I, T, d] and [N, d], N the sum of the lengths, and
+    `attend` unpacks self-attention keys and values for the core. A decode
+    cache's `_CachedRows` answers the same three calls."""
 
-    __slots__ = ("index", "lead")
+    __slots__ = ("index", "lead", "start")
 
     def __init__(self, lengths: list[int], T: int):
         real = np.arange(T) < np.array(lengths, dtype=np.int64)[:, None]
         self.index = np.flatnonzero(real)
         self.lead = real.shape
+        self.start = np.cumsum(lengths) - lengths
+
+    def attend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        return self.unpack(k), self.unpack(v)
 
     def pack(self, x: Tensor) -> Tensor:
         return pack(x, self.index)
@@ -357,26 +371,22 @@ class Packing:
 def multi_head_attention(x: Tensor, k: Tensor, v: Tensor, params: dict,
                          name: str, heads: int, causal: bool = False,
                          smat: Tensor | None = None,
-                         past: "_CachedRows | None" = None,
-                         rows: Packing | None = None) -> Tensor:
+                         rows: RowContext | None = None) -> Tensor:
     """Batched attention of the [batch, Tq, d] queries x over the keys and
     values [batch, Tk, d] that layer `name` projected of its memory
-    (`_keys_values`).
+    (`_keys_values`), or that `rows.attend` returned.
 
     With `smat` [batch, Tq, Tk], raw scores are multiplied elementwise by it
-    (shared across heads) before scaling and masking. With `past`, k and v
-    hold only the query rows' own positions; they are cached and the
-    queries attend every cached position up to their last. With `rows`, x
-    holds packed rows [N, d]: the queries are unpacked for the core, and its
-    output is packed again for the output projection.
-    Under `causal` the queries are the last Tq of the Tk positions, so one
-    query row blocks nothing and builds no mask. The projections are
-    `linear` nodes; the core between them, from the head split to the head
-    merge, is one `attention` node.
+    (shared across heads) before scaling and masking. With a row context
+    `rows`, the queries go through `rows.unpack` before the core and its
+    output through `rows.pack` after it: a training forward's packed rows
+    [N, d] reach the core in the padded layout, and a decoding step's rows
+    pass unchanged. Under `causal` the queries are the last Tq of the Tk
+    positions, so one query row blocks nothing and builds no mask. The
+    projections are `linear` nodes; the core between them, from the head
+    split to the head merge, is one `attention` node.
     """
     q = _linear(x, params, f"{name}_q")
-    if past is not None:
-        k, v = past.attend(name, k, v)
     if rows is not None:
         q = rows.unpack(q)
     blocked = None
@@ -476,6 +486,30 @@ def check_ids(ids: np.ndarray, vocab_size: int) -> None:
         raise IdOutOfVocab(f"token id {bad} outside vocab of {vocab_size}")
 
 
+def check_layout(seqs: TrackTokenSeqs) -> None:
+    """Raise `DataError` unless each track has T ids, a length in 0..T and
+    bar-token positions that ascend strictly within [0, length). The
+    positions take one vectorised test, and only when a call holds some, so
+    a decoding step without a bar token checks its I tracks' sizes alone."""
+    T, positions, lengths = seqs.length, seqs.bar_token_positions, seqs.lengths
+    counts = [len(p) for p in positions]
+    if (not len(lengths) == len(counts) == seqs.n_tracks
+            or any(len(ids) != T for ids in seqs.seqs)):
+        raise DataError(f"{seqs.n_tracks} tracks of {[len(ids) for ids in seqs.seqs]} "
+                        f"ids, {len(lengths)} lengths and {len(counts)} "
+                        f"bar-position lists")
+    bad = min(lengths, default=0) < 0 or max(lengths, default=0) > T
+    if not bad and any(counts):
+        track = np.repeat(np.arange(len(counts)), counts)
+        at = np.array([t for p in positions for t in p], dtype=np.int64)
+        ends = np.asarray(lengths, dtype=np.int64)[track]
+        key = at + track * (T + 1)   # ascends across tracks once each fits its own
+        bad = np.minimum.reduce(np.concatenate((at, ends - 1 - at, np.diff(key) - 1))) < 0
+    if bad:
+        raise DataError(f"track lengths {list(lengths)} (padded to {T}) or their "
+                        f"bar-token positions {positions} do not fit")
+
+
 def _scatter_add(table: Tensor, index: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of `table` for the rows `index` selected, whose gradient
     is g: each selection adds its rows, in element order (`np.add.at`)."""
@@ -530,15 +564,15 @@ def expand_similarity(S: Tensor, bar_index: np.ndarray, start: int = 0) -> Tenso
 
 
 def se_attention(x: Tensor, smat: Tensor, params: dict, name: str,
-                 cfg: ModelConfig, past: "_CachedRows | None" = None,
-                 rows: Packing | None = None) -> Tensor:
+                 cfg: ModelConfig, rows: RowContext | None = None) -> Tensor:
     """Causal self-attention with scores modulated by the tiled similarity;
-    with `rows`, of packed rows x (`multi_head_attention`)."""
+    with a row context, over the keys and values `rows.attend` gives
+    (`multi_head_attention`)."""
     k, v = _keys_values(x, params, name)
     if rows is not None:
-        k, v = rows.unpack(k), rows.unpack(v)
+        k, v = rows.attend(name, k, v)
     return multi_head_attention(x, k, v, params, name, cfg.heads, causal=True,
-                                smat=smat, past=past, rows=rows)
+                                smat=smat, rows=rows)
 
 
 Memory = dict[str, tuple[Tensor, Tensor]]  # cross-attention layer -> K, V [I, B, d]
@@ -563,14 +597,15 @@ def grid_stage(grid: FeatureGrid, params: dict, cfg: ModelConfig
 
 def _decoder_stack(x: Tensor, memory: Memory, smat: Tensor, params: dict,
                    prefix: str, n_layers: int, cfg: ModelConfig,
-                   past: "_CachedRows | None", rows: Packing | None) -> Tensor:
+                   rows: RowContext | None) -> Tensor:
     """Decoder layers over x; `memory` holds the cross-attention keys and
-    values over the bars of x's tracks. With `rows`, x holds packed rows
-    [N, d], and only the attention cores see the padded layout."""
+    values over the bars of x's tracks. With a `Packing`, x holds packed
+    rows [N, d], and only the attention cores see the padded layout; with
+    `_CachedRows`, x holds a track set's new rows."""
     for l in range(n_layers):
         name = f"{prefix}{l}"
-        a = _ln_affine(x, se_attention(x, smat, params, f"{name}_self", cfg, past,
-                                       rows), params, f"{name}_ln1")
+        a = _ln_affine(x, se_attention(x, smat, params, f"{name}_self", cfg, rows),
+                       params, f"{name}_ln1")
         b = _ln_affine(a, multi_head_attention(a, *memory[f"{name}_cross"], params,
                                                f"{name}_cross", cfg.heads, rows=rows),
                        params, f"{name}_ln2")
@@ -579,43 +614,37 @@ def _decoder_stack(x: Tensor, memory: Memory, smat: Tensor, params: dict,
 
 
 def bottom_decode(x: Tensor, memory: Memory, smat: Tensor, params: dict,
-                  cfg: ModelConfig, past: "_CachedRows | None" = None,
-                  rows: Packing | None = None) -> Tensor:
-    return _decoder_stack(x, memory, smat, params, "bot", cfg.layers_bottom, cfg,
-                          past, rows)
+                  cfg: ModelConfig, rows: RowContext | None = None) -> Tensor:
+    return _decoder_stack(x, memory, smat, params, "bot", cfg.layers_bottom, cfg, rows)
 
 
 def top_decode(x: Tensor, memory: Memory, smat: Tensor, params: dict,
-               cfg: ModelConfig, past: "_CachedRows | None" = None,
-               rows: Packing | None = None) -> Tensor:
-    return _decoder_stack(x, memory, smat, params, "top", cfg.layers_top, cfg,
-                          past, rows)
+               cfg: ModelConfig, rows: RowContext | None = None) -> Tensor:
+    return _decoder_stack(x, memory, smat, params, "top", cfg.layers_top, cfg, rows)
 
 
-def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
-                cfg: ModelConfig, songs: int = 1) -> Tensor:
+def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], first: np.ndarray,
+                params: dict, cfg: ModelConfig, songs: int = 1) -> Tensor:
     """Encode bar-token states across the tracks of each song; every other
-    position passes through bit-identically.
+    row passes through bit-identically.
 
-    x holds `songs` songs of I tracks each, stacked along the track axis;
-    bar b of a song is one sequence of its I tracks, so the encoder runs
-    over a [songs * B, I, d] batch. The shared prefix of bar tokens (the
-    smallest count over tracks) is exchanged, whether or not the counts
-    are equal.
+    x holds flat rows [R, d] of `songs` songs of I tracks each, stacked
+    track by track: position t of track i is row first[i] + t. Bar b of a
+    song is one sequence of its I tracks, so the encoder runs over a
+    [songs * B, I, d] batch. The shared prefix of bar tokens (the smallest
+    count over tracks) is exchanged, whether or not the counts are equal.
     """
     counts = [len(p) for p in bar_token_positions]
     B = min(counts) if counts else 0
     if B == 0:
         return x
-    I = x.shape[0] // songs
+    I = len(counts) // songs
     # rows in (song, bar, track) order
-    idx0 = np.broadcast_to(np.arange(songs * I).reshape(songs, 1, I),
-                           (songs, B, I)).reshape(-1)
-    idx1 = np.array([p[:B] for p in bar_token_positions], dtype=np.int64)
-    idx1 = idx1.reshape(songs, I, B).transpose(0, 2, 1).reshape(-1)
-    seq = x[idx0, idx1].reshape(songs * B, I, cfg.d)
+    idx = np.array([p[:B] for p in bar_token_positions], dtype=np.int64) + first[:, None]
+    idx = idx.reshape(songs, I, B).transpose(0, 2, 1).reshape(-1)
+    seq = x[idx].reshape(songs * B, I, cfg.d)
     encoded = _encoder_stack(seq, params, "ctt", cfg.layers_ctt, cfg)
-    return put_pairs(x, idx0, idx1, encoded.reshape(songs * B * I, cfg.d))
+    return put_rows(x, idx, encoded.reshape(songs * B * I, cfg.d))
 
 
 def project_logits(O: Tensor, params: dict, songs: int = 1) -> Tensor:
@@ -748,13 +777,20 @@ class _TrackSet:
 
 
 class _CachedRows:
-    """Query rows at positions `start`.. of a track set, decoded against a
-    cache."""
+    """The row context of a decoding step (see `Packing`): query rows at
+    positions `start`.. of a track set, decoded against a cache. `attend`
+    caches their keys and values and returns the set's rows up to theirs;
+    `pack` and `unpack` pass rows unchanged."""
 
     __slots__ = ("cache", "ts", "start")
 
     def __init__(self, cache: DecodeCache, ts: _TrackSet, start: int):
         self.cache, self.ts, self.start = cache, ts, start
+
+    def unpack(self, x: Tensor) -> Tensor:
+        return x
+
+    pack = unpack
 
     def attend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Cache layer `name`'s keys and values [n, rows, d] of the query
@@ -771,6 +807,9 @@ class _CachedRows:
                 buf[rows, start:stop] = new.data
             out.append(Tensor(own[:, :stop], check=False))
         return out[0], out[1]
+
+
+RowContext = Packing | _CachedRows  # see the module docstring
 
 
 def _row_groups(first: np.ndarray, lengths: np.ndarray):
@@ -816,8 +855,10 @@ def _decode_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
         fresh = [p[cache.bars_exchanged:] for p in cache.bar_token_positions]
         shared = min(len(p) for p in fresh)
         if shared:
-            cache.top_in = ctt_forward(Tensor(cache.top_in), fresh, params,
-                                       cfg).data
+            I, capacity, d = cache.top_in.shape
+            out = ctt_forward(Tensor(cache.top_in.reshape(I * capacity, d)), fresh,
+                              np.arange(I) * capacity, params, cfg)
+            cache.top_in = out.data.reshape(I, capacity, d)
             cache.bars_exchanged += shared
             # the exchanged bar tokens feed every later top-decoder row
             redo = np.minimum(seen, [p[0] for p in fresh])
@@ -845,9 +886,11 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     counts, stacked along the track axis (tracks of one song adjacent, all
     padded to one T). Tracks exchange bars only within their song, and take
     the instrument embedding and output head of their slot in it. The
-    decoders run on the packed rows of the real positions (see the module
-    docstring); the logits at a padded position are the heads' biases of
-    its slot, and `sequence_loss` never takes them as a target.
+    decoders and the cross-track layer run on the packed rows of the real
+    positions, and only the attention cores and the heads see the padded
+    layout (see the module docstring); the logits at a padded position are
+    the heads' biases of its slot, and `sequence_loss` never takes them as
+    a target.
 
     With a `DecodeCache`, for decoding one song, `seqs` holds only each
     track's new ids (`build_track_seqs` of them; a track with none has
@@ -857,9 +900,11 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
 
     Both paths check the same inputs first: `songs` is at least 1, the
     tracks split into `songs` songs of at most `MAX_TRACKS` tracks, token
-    tracks match grid tracks, and a cache serves exactly one song. Tracks
-    may hold unequal bar-token counts; both paths exchange their shared
-    prefix (`ctt_forward`)."""
+    tracks match grid tracks, every track holds T ids and a length of at
+    most T, its bar-token positions ascend within that length
+    (`check_layout`), and a cache serves exactly one song. Tracks may hold
+    unequal bar-token counts; both paths exchange their shared prefix
+    (`ctt_forward`)."""
     if songs < 1:
         raise UsageError(f"songs must be at least 1, got {songs}")
     if seqs.n_tracks % songs:
@@ -870,6 +915,7 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     if seqs.n_tracks != grid.n_tracks:
         raise DataError(f"{seqs.n_tracks} token tracks but {grid.n_tracks} "
                         f"grid tracks")
+    check_layout(seqs)
     if cache is not None:
         if songs != 1:
             raise UsageError(f"a decode cache holds one song, not {songs}")
@@ -881,11 +927,10 @@ def model_forward(seqs: TrackTokenSeqs, grid: FeatureGrid, params: dict,
     slots = np.arange(seqs.n_tracks) % (seqs.n_tracks // songs)
     x = embed_tokens(np.array(seqs.seqs, dtype=np.int64), bars, slots, 0, params, cfg)
     rows = Packing(seqs.lengths, seqs.length)
-    O = bottom_decode(rows.pack(x), memory, smat, params, cfg, rows=rows)
+    O = bottom_decode(rows.pack(x), memory, smat, params, cfg, rows)
     if cfg.layers_ctt:
-        O = rows.pack(ctt_forward(rows.unpack(O), seqs.bar_token_positions,
-                                  params, cfg, songs))
-    O = top_decode(O, memory, smat, params, cfg, rows=rows)
+        O = ctt_forward(O, seqs.bar_token_positions, rows.start, params, cfg, songs)
+    O = top_decode(O, memory, smat, params, cfg, rows)
     return project_logits(rows.unpack(O), params, songs)
 
 

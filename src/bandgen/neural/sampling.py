@@ -97,6 +97,9 @@ def generate(grid: FeatureGrid, params: dict[str, Tensor], cfg: ModelConfig,
     k = top_k_count(cfg.vocab_size, k_frac)
     if cfg.vocab_size < 3:
         raise DegenerateVocab(f"vocab of {cfg.vocab_size} cannot be sampled")
+    if bpe_model is not None and bpe_model.base_vocab_size != vocab.size:
+        raise DataError(f"the merges extend a base vocabulary of "
+                        f"{bpe_model.base_vocab_size} ids, not this one of {vocab.size}")
     decodable = vocab.size if bpe_model is None else bpe_model.vocab_size
     if cfg.vocab_size > decodable:
         raise DataError(f"the model samples {cfg.vocab_size} ids, but only "

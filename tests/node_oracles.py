@@ -2,12 +2,17 @@
 computed in place: the oracles of `bandgen.neural.autograd`'s `_softmax`,
 `_normalize`, `layer_norm_affine`, `linear`, `attention` and
 `cross_entropy_logits`, kept verbatim, the way `scalar_oracles` keeps the
-scalar quantization rules. Each allocates a fresh array per step."""
+scalar quantization rules. Each allocates a fresh array per step.
+
+`ctt_forward` and `put_pairs` are the cross-track layer as it was before it
+exchanged flat rows by one index: over the padded [I, T, d] layout, by
+(track, position) pairs. They too are kept verbatim."""
 
 import numpy as np
 
 from bandgen.errors import NonFiniteError
 from bandgen.neural.autograd import LN_EPS, Tensor
+from bandgen.neural.model import ModelConfig, _encoder_stack
 
 
 def _softmax(x: np.ndarray, axis: int):
@@ -177,3 +182,43 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray,
         return g * p * m[:, None]
     out = Tensor(loss_val, parents=(logits,), vjps=(vjp,), op="cross_entropy")
     return out, int(m.sum())
+
+
+def put_pairs(x: Tensor, idx0: np.ndarray, idx1: np.ndarray, updates: Tensor) -> Tensor:
+    """Copy of x with rows (idx0[j], idx1[j]) replaced by updates[j]; all
+    other entries pass through bit-identically."""
+    data = x.data.copy()
+    data[idx0, idx1] = updates.data
+
+    def vjp_x(g):
+        gx = g.copy()
+        gx[idx0, idx1] = 0.0
+        return gx
+    return Tensor(data, parents=(x, updates),
+                  vjps=(vjp_x, lambda g: g[idx0, idx1]), op="put_pairs")
+
+
+def ctt_forward(x: Tensor, bar_token_positions: list[list[int]], params: dict,
+                cfg: ModelConfig, songs: int = 1) -> Tensor:
+    """Encode bar-token states across the tracks of each song; every other
+    position passes through bit-identically.
+
+    x holds `songs` songs of I tracks each, stacked along the track axis;
+    bar b of a song is one sequence of its I tracks, so the encoder runs
+    over a [songs * B, I, d] batch. The shared prefix of bar tokens (the
+    smallest count over tracks) is exchanged, whether or not the counts
+    are equal.
+    """
+    counts = [len(p) for p in bar_token_positions]
+    B = min(counts) if counts else 0
+    if B == 0:
+        return x
+    I = x.shape[0] // songs
+    # rows in (song, bar, track) order
+    idx0 = np.broadcast_to(np.arange(songs * I).reshape(songs, 1, I),
+                           (songs, B, I)).reshape(-1)
+    idx1 = np.array([p[:B] for p in bar_token_positions], dtype=np.int64)
+    idx1 = idx1.reshape(songs, I, B).transpose(0, 2, 1).reshape(-1)
+    seq = x[idx0, idx1].reshape(songs * B, I, cfg.d)
+    encoded = _encoder_stack(seq, params, "ctt", cfg.layers_ctt, cfg)
+    return put_pairs(x, idx0, idx1, encoded.reshape(songs * B * I, cfg.d))

@@ -243,22 +243,28 @@ def test_07_cross_track_pass_through(acceptance_log):
         positions = [sorted(rng.choice(n_tokens, size=n_bars,
                                        replace=False).tolist())
                      for _ in range(n_tracks)]
-        x = Tensor(rng.normal(size=(n_tracks, n_tokens, cfg.d)))
-        out = ctt_forward(x, positions, params, cfg).data
+        # flat rows: position t of track i is row i * n_tokens + t
+        x = Tensor(rng.normal(size=(n_tracks * n_tokens, cfg.d)))
+        out = ctt_forward(x, positions, np.arange(n_tracks) * n_tokens, params,
+                          cfg).data
         mask = np.zeros((n_tracks, n_tokens), dtype=bool)
         for i, pos in enumerate(positions):
             mask[i, pos] = True
-        leaks += not np.array_equal(out[~mask], x.data[~mask])
+        leaks += not np.array_equal(out[~mask.reshape(-1)],
+                                    x.data[~mask.reshape(-1)])
 
     worst = 0.0
     for _ in range(10):
         positions = [sorted(rng.choice(24, size=3, replace=False).tolist())
                      for _ in range(4)]
         x = rng.normal(size=(4, 24, cfg.d))
-        base = ctt_forward(Tensor(x), positions, params, cfg).data
+        first = np.arange(4) * 24
+        base = ctt_forward(Tensor(x.reshape(96, cfg.d)), positions, first,
+                           params, cfg).data.reshape(4, 24, cfg.d)
         perm = rng.permutation(4)
-        swapped = ctt_forward(Tensor(x[perm]), [positions[i] for i in perm],
-                              params, cfg).data
+        swapped = ctt_forward(Tensor(x[perm].reshape(96, cfg.d)),
+                              [positions[i] for i in perm], first, params,
+                              cfg).data.reshape(4, 24, cfg.d)
         worst = max(worst, float(np.abs(swapped - base[perm]).max()))
 
     failures = []

@@ -7,7 +7,7 @@ from bandgen.errors import NonFiniteError
 from bandgen.neural.autograd import (LN_EPS, Tensor, _normalize, attention,
                                      concat, cross_entropy_logits, layer_norm,
                                      layer_norm_affine, linear, no_grad, pack,
-                                     put_pairs, softmax, straight_through, take,
+                                     put_rows, softmax, straight_through, take,
                                      unpack)
 from bandgen.neural.model import expand_similarity
 
@@ -492,35 +492,34 @@ def test_take_embedding_gradient():
         take(t, np.array([9]))
 
 
-def test_take_pairs_and_put_pairs():
-    # the cross-track layer gathers (track, position) rows with __getitem__
-    # and writes them back with put_pairs
-    x = RNG.standard_normal((2, 5, 3))
-    i0 = np.array([0, 0, 1])
-    i1 = np.array([1, 4, 2])
+def test_take_rows_and_put_rows():
+    # the cross-track layer gathers flat rows with __getitem__ and writes
+    # them back with put_rows
+    x = RNG.standard_normal((10, 3))
+    idx = np.array([1, 4, 7])
     t = Tensor(x.copy(), requires_grad=True)
-    picked = t[i0, i1]
-    np.testing.assert_array_equal(picked.data, x[i0, i1])
+    picked = t[idx]
+    np.testing.assert_array_equal(picked.data, x[idx])
     seed = RNG.standard_normal((3, 3))
     picked.backward(seed)
     expect_grad = np.zeros_like(x)
-    np.add.at(expect_grad, (i0, i1), seed)
+    np.add.at(expect_grad, idx, seed)
     np.testing.assert_array_equal(t.grad, expect_grad)
     t.grad = None
 
     upd = Tensor(RNG.standard_normal((3, 3)), requires_grad=True)
-    merged = put_pairs(t, i0, i1, upd)
+    merged = put_rows(t, idx, upd)
     # non-selected rows bit-identical, selected rows replaced
     expect = x.copy()
-    expect[i0, i1] = upd.data
+    expect[idx] = upd.data
     np.testing.assert_array_equal(merged.data, expect)
 
-    seed = RNG.standard_normal((2, 5, 3))
+    seed = RNG.standard_normal((10, 3))
     merged.backward(seed)
     pass_through = seed.copy()
-    pass_through[i0, i1] = 0.0
+    pass_through[idx] = 0.0
     np.testing.assert_allclose(t.grad, pass_through)
-    np.testing.assert_allclose(upd.grad, seed[i0, i1])
+    np.testing.assert_allclose(upd.grad, seed[idx])
 
 
 def test_expand_bars_values_and_gradient():
@@ -639,7 +638,7 @@ def test_no_grad_records_no_tape():
     with no_grad():
         out = [w @ Tensor(b), (w @ Tensor(b)).relu(), layer_norm(w), softmax(w),
                w[0], w.transpose(), concat([w, w]), take(w, np.array([1, 0])),
-               put_pairs(w, np.array([0]), np.array([1]), w[0, :1]),
+               put_rows(w, np.array([1]), w[:1]),
                linear(w, Tensor(b), w[0, :2]), layer_norm_affine(w, w, w[0], w[1]),
                attention(*(w.reshape(1, 2, 3),) * 3, 1, blocked=np.eye(2) < 0)]
         out.append(layer_norm((w @ Tensor(b)).relu() + w.sum()))

@@ -208,6 +208,15 @@ def test_bar_similarity_rows_are_normalized(vocab):
 # -- cross-track exchange ----------------------------------------------------------
 
 
+def ctt_padded(x, positions, params, cfg, songs=1):
+    """`ctt_forward` over tracks of equal length, x [I, T, d], in its flat
+    row form: track i starts at row i * T."""
+    I, T, d = x.shape
+    out = ctt_forward(Tensor(x.data.reshape(I * T, d)), positions,
+                      np.arange(I) * T, params, cfg, songs)
+    return Tensor(out.data.reshape(I, T, d))
+
+
 def test_ctt_pass_through_bit_identical_over_random_inputs():
     cfg = small_cfg()
     params = init_params(cfg)
@@ -216,7 +225,7 @@ def test_ctt_pass_through_bit_identical_over_random_inputs():
         x = Tensor(RNG.standard_normal((n_tracks, t, cfg.d)))
         starts = np.sort(RNG.choice(t, size=4, replace=False))
         positions = [list(starts) for _ in range(n_tracks)]
-        out = ctt_forward(x, positions, params, cfg)
+        out = ctt_padded(x, positions, params, cfg)
         selected = set(starts.tolist())
         for i in range(n_tracks):
             for pos in range(t):
@@ -232,11 +241,11 @@ def test_ctt_instrument_permutation_equivariance():
     n_tracks, t = 4, 10
     x = Tensor(RNG.standard_normal((n_tracks, t, cfg.d)))
     positions = [[0, 3, 7]] * n_tracks
-    base = ctt_forward(x, positions, params, cfg)
+    base = ctt_padded(x, positions, params, cfg)
     for _ in range(5):
         perm = RNG.permutation(n_tracks)
         shuffled = Tensor(x.data[perm].copy())
-        out = ctt_forward(shuffled, [positions[p] for p in perm], params, cfg)
+        out = ctt_padded(shuffled, [positions[p] for p in perm], params, cfg)
         assert np.max(np.abs(out.data - base.data[perm])) < 1e-10
 
 
@@ -245,7 +254,7 @@ def test_ctt_exchanges_the_shared_bar_prefix():
     params = init_params(cfg)
     x = Tensor(RNG.standard_normal((2, 8, cfg.d)))
     ragged = [[0, 2, 4], [0, 2]]
-    out = ctt_forward(x, ragged, params, cfg)
+    out = ctt_padded(x, ragged, params, cfg)
     # shared prefix (two bars) exchanged, the unmatched third passes through
     assert not np.array_equal(out.data[0, 0], x.data[0, 0])
     assert np.array_equal(out.data[0, 4], x.data[0, 4])
@@ -256,19 +265,19 @@ def test_ctt_exchanges_bars_within_each_stacked_song():
     params = init_params(cfg)
     x = Tensor(RNG.standard_normal((6, 9, cfg.d)))
     positions = [[0, 4], [1, 5], [0, 6], [2, 3], [0, 8], [1, 7]]
-    out = ctt_forward(x, positions, params, cfg, songs=2)
+    out = ctt_padded(x, positions, params, cfg, songs=2)
     for rows in (slice(0, 3), slice(3, 6)):
-        alone = ctt_forward(Tensor(x.data[rows]), positions[rows], params, cfg)
+        alone = ctt_padded(Tensor(x.data[rows]), positions[rows], params, cfg)
         np.testing.assert_allclose(out.data[rows], alone.data, rtol=0, atol=1e-12)
     # as one song of six tracks, the tracks of the two songs would mix
-    assert not np.allclose(ctt_forward(x, positions, params, cfg).data, out.data)
+    assert not np.allclose(ctt_padded(x, positions, params, cfg).data, out.data)
 
 
 def test_ctt_no_bar_tokens_is_identity():
     cfg = small_cfg()
     params = init_params(cfg)
     x = Tensor(RNG.standard_normal((2, 6, cfg.d)))
-    out = ctt_forward(x, [[], []], params, cfg)
+    out = ctt_padded(x, [[], []], params, cfg)
     assert np.array_equal(out.data, x.data)
 
 
@@ -509,6 +518,47 @@ def test_sequence_loss_skips_pad_targets(vocab):
     assert count == int((ids[:, 1:] != 0).sum())
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["full", "cached"])
+def test_forward_checks_lengths_and_bar_positions(vocab, cached):
+    """A hand-built `TrackTokenSeqs` whose lengths or bar-token positions do
+    not fit its padded width, or whose id rows differ in width, is a
+    `DataError` on both paths. Without the check, the cross-track layer
+    would exchange the next track's row for a bar token in a track's
+    padding, a length past T would give logits, and a bar token past T or
+    ragged id rows would end in a bare numpy error."""
+    seqs, grid = make_pair(vocab, n_bars=2, seed=1)
+    assert (seqs.lengths, seqs.length) == ([48, 45, 37, 61], 61)
+    cfg = small_cfg()
+    params = init_params(cfg)
+
+    def edited(track, lengths=None, bars=None):
+        out = TrackTokenSeqs(seqs.seqs, [list(p) for p in seqs.bar_token_positions],
+                             list(seqs.lengths))
+        if lengths is not None:
+            out.lengths[track] = lengths
+        if bars is not None:
+            out.bar_token_positions[track] = bars
+        return out
+
+    bad = [edited(2, bars=[2, 60]),     # into track 2's padding
+           edited(2, bars=[2, 37]),     # at track 2's length
+           edited(0, lengths=66),       # past T
+           edited(1, bars=[2, 64]),     # past T
+           edited(3, bars=[31, 2]),     # descending
+           edited(3, bars=[2, 2]),      # repeated
+           edited(0, bars=[-1, 25]),
+           edited(3, lengths=-1, bars=[]),
+           TrackTokenSeqs(seqs.seqs, seqs.bar_token_positions, seqs.lengths[:3]),
+           TrackTokenSeqs(seqs.seqs[:2] + [seqs.seqs[2][:40]] + seqs.seqs[3:],
+                          seqs.bar_token_positions, seqs.lengths)]
+    for case in bad:
+        with pytest.raises(DataError):
+            model_forward(case, grid, params, cfg,
+                          cache=DecodeCache() if cached else None)
+    assert model_forward(edited(0), grid, params, cfg,
+                         cache=DecodeCache() if cached else None).shape[0] == 4
+
+
 def test_forward_without_ctt_skips_the_cross_track_layer(vocab):
     cfg = small_cfg(layers_ctt=0)
     params = init_params(small_cfg())  # ctt blocks present, left unused
@@ -643,14 +693,15 @@ def test_tape_census_of_one_forward_and_loss(vocab, preset, nodes, attention,
     # similarity. `nodes` counts all but the `pack` and `unpack` nodes of
     # the packed decoder rows: each decoder layer unpacks its self-attention
     # queries, keys and values and its cross-attention queries and packs
-    # both outputs, and the embedding, the cross-track layer and the heads
-    # add two of each (104 nodes in all at toy, 232 at paper)
+    # both outputs, the embedding is packed once and the heads' input
+    # unpacked once; the cross-track layer exchanges packed rows (102 nodes
+    # in all at toy, 230 at paper)
     cfg = make_config(preset)
     seqs, grid = make_pair(vocab, n_bars=4, seed=1)
     loss, _ = sequence_loss(model_forward(seqs, grid, init_params(cfg), cfg), seqs)
     ops = tape_census(loss)
     decoders = cfg.layers_bottom + cfg.layers_top
-    assert (ops["pack"], ops["unpack"]) == (2 * decoders + 2, 4 * decoders + 2)
+    assert (ops["pack"], ops["unpack"]) == (2 * decoders + 1, 4 * decoders + 1)
     assert sum(ops.values()) - ops["pack"] - ops["unpack"] == nodes
     assert (ops["attention"], ops["reshape"], ops["transpose"]) == (
         attention, reshape, transpose)

@@ -182,6 +182,53 @@ def test_attention_over_cached_rows_leaves_the_cache_views_alone(dtype):
             assert all(same_bits(g, r) for g, r in zip(one_pass, ref_pass))
 
 
+# two stacked songs of three tracks: (lengths, bar-token positions), T 9
+CTT_CASES = {
+    "padded": ([9, 5, 7, 4, 8, 6],
+               [[0, 3, 6], [0, 2], [1, 4, 5], [0, 3], [2, 5, 7], [1, 4]]),
+    "unpadded": ([9] * 6,
+                 [[0, 3, 6], [0, 2, 8], [1, 4, 5], [0, 3], [2, 5, 7], [1, 4, 6]]),
+    "no_shared_bar": ([9, 5, 7, 4, 8, 6], [[0, 3, 6], [], [1, 4], [0], [2], [1]]),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", CTT_CASES)
+def test_cross_track_layer_over_flat_rows_matches_its_oracle(dtype, case):
+    """The flat-row exchange against the pair-indexed one over the padded
+    layout that training used to unpack to and pack from: values, the
+    gradient of the rows and of every block, over two backward passes."""
+    lengths, positions = CTT_CASES[case]
+    cfg = model.make_config("toy", d=16, heads=2, ffn=16, layers_ctt=2, dtype=dtype)
+    rows = model.Packing(lengths, 9)
+    x = frozen(RNG.standard_normal((sum(lengths), cfg.d)), dtype)
+    seeds = [frozen(RNG.standard_normal(x.shape), dtype) for _ in range(2)]
+    results = []
+    for forward in (
+            lambda xt, params: model.ctt_forward(xt, positions, rows.start, params,
+                                                 cfg, songs=2),
+            lambda xt, params: rows.pack(oracle.ctt_forward(
+                rows.unpack(xt), positions, params, cfg, songs=2))):
+        params = model.init_params(cfg)
+        blocks = [params[name] for name in sorted(params) if name.startswith("ctt")]
+        xt = Tensor(x, requires_grad=True)
+        out = forward(xt, params)
+        grads = []
+        for seed in seeds:
+            out.backward(seed)
+            grads.append([np.array(t.grad) for t in [xt] + blocks
+                          if t.grad is not None])
+        results.append((out.data, grads))
+    (value, grads), (ref_value, ref_grads) = results
+    assert same_bits(value, ref_value)
+    if case == "no_shared_bar":
+        assert same_bits(value, x)
+    for one_pass, ref_pass in zip(grads, ref_grads):
+        assert len(one_pass) == len(ref_pass) == (
+            1 if case == "no_shared_bar" else 1 + 16 * cfg.layers_ctt)
+        assert all(same_bits(g, r) for g, r in zip(one_pass, ref_pass))
+
+
 def test_causal_mask_is_cached_and_read_only():
     mask = model.causal_mask(5, 7)
     assert mask is model.causal_mask(5, 7)

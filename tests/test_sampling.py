@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from bandgen.bpe import learn_bpe
+from bandgen.bpe import BpeModel, learn_bpe
 from bandgen.errors import (DataError, DegenerateVocab, MalformedSequence,
                             UsageError)
 from bandgen.features import extract_expert_features, quantize_features
@@ -379,6 +379,23 @@ def test_generate_rejects_a_model_vocab_it_cannot_decode(vocab, monkeypatch):
     cfg = small_cfg(vocab_size=model.vocab_size + 1)
     with pytest.raises(DataError):
         generate(grid, init_params(cfg), cfg, vocab, bpe_model=model)
+
+
+def test_generate_rejects_merges_over_another_base_vocabulary(vocab, monkeypatch):
+    """40 merges over a base of 250 ids name ids 250-289, and the model's
+    282 ids all look decodable. But ids 250-281 are Duration and Velocity
+    tokens of this vocabulary, which `bpe_decode` would expand into the
+    pair each merge names: refused before the first step."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("model_forward ran")
+
+    monkeypatch.setattr(sampling, "model_forward", no_step)
+    grid = quantize_features(extract_expert_features(make_song(seed=4, n_bars=2)))
+    model = BpeModel([(100, 101, 250 + j) for j in range(40)], 250)
+    assert model.vocab_size == 290 > vocab.size
+    cfg = small_cfg(vocab_size=vocab.size)
+    with pytest.raises(DataError, match="base vocabulary of 250"):
+        generate(grid, init_params(cfg), cfg, vocab, bpe_model=model, t_max=120)
 
 
 def test_generate_rejects_parameters_that_do_not_fit_the_config(vocab, gen_setup):
